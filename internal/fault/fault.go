@@ -268,15 +268,29 @@ func (in *Injector) CorruptFile(name string, data []byte) []byte {
 	return data
 }
 
-// CorruptRestoreStub applies any matching ElfieBitflip rules to a restore
-// stub's code bytes. The flip lands on the opcode byte of an
-// instruction-aligned word, so the damage is always semantic (a different
-// or undecodable instruction), never a silent immediate change. Like
-// CorruptFile it never mutates in place: if a rule fires the returned slice
-// is a corrupted copy.
-func (in *Injector) CorruptRestoreStub(name string, code []byte) ([]byte, bool) {
-	if in == nil || len(code) < 8 {
-		return code, false
+// StubFlip is one ElfieBitflip injection, claimed before the restore stub
+// it damages exists (see ClaimRestoreStub).
+type StubFlip struct {
+	in   *Injector
+	name string
+	off  int64
+	bit  byte
+}
+
+// ClaimRestoreStub evaluates the ElfieBitflip rules for the size-byte
+// restore stub that name's ELFie will carry, and returns the flip that
+// will land on it, or nil when no rule fires. The flip hits the opcode
+// byte of an instruction-aligned word, so the damage is always semantic (a
+// different or undecodable instruction), never a silent immediate change.
+//
+// Claiming is split from applying so a parallel pipeline can claim in a
+// fixed order (region order) while stubs are built in completion order: a
+// one-shot rule then hits the same region at any worker count. The
+// injection is recorded only when Apply runs; a claim whose stub is never
+// built (its region failed at an earlier stage) lapses.
+func (in *Injector) ClaimRestoreStub(name string, size int) *StubFlip {
+	if in == nil || size < 8 {
+		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -290,18 +304,26 @@ func (in *Injector) CorruptRestoreStub(name string, code []byte) ([]byte, bool) 
 		if !in.fire(rs, false) {
 			continue
 		}
-		words := int64(len(code) / 8)
+		words := int64(size / 8)
 		off := rs.Offset * 8
 		if rs.Offset < 0 || rs.Offset >= words {
 			off = in.rng.Int63n(words) * 8
 		}
-		out := append([]byte(nil), code...)
-		bit := byte(1) << uint(in.rng.Intn(8))
-		out[off] ^= bit
-		in.record(ElfieBitflip, "%s opcode bit %#02x flipped at stub offset %d", name, bit, off)
-		return out, true
+		return &StubFlip{in: in, name: name, off: off, bit: byte(1) << uint(in.rng.Intn(8))}
 	}
-	return code, false
+	return nil
+}
+
+// Apply flips the claimed bit of code in place and records the injection.
+// A nil flip is a no-op.
+func (f *StubFlip) Apply(code []byte) {
+	if f == nil || f.off >= int64(len(code)) {
+		return
+	}
+	code[f.off] ^= f.bit
+	f.in.mu.Lock()
+	defer f.in.mu.Unlock()
+	f.in.record(ElfieBitflip, "%s opcode bit %#02x flipped at stub offset %d", f.name, f.bit, f.off)
 }
 
 // VMFault reports whether a VM point (PageFault or UngracefulExit) triggers

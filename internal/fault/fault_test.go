@@ -27,6 +27,9 @@ func TestNilInjectorIsOff(t *testing.T) {
 	if _, ok := in.VMFault(1 << 40); ok {
 		t.Error("nil injector raised a VM fault")
 	}
+	if in.ClaimRestoreStub("x", 64) != nil {
+		t.Error("nil injector claimed a stub flip")
+	}
 	if in.Events() != nil || in.InjectedCount() != 0 {
 		t.Error("nil injector has events")
 	}
@@ -160,5 +163,44 @@ func TestProbabilityIsSeeded(t *testing.T) {
 	}
 	if a < 50 || a > 150 {
 		t.Errorf("p=0.5 over 200 trials injected %d times", a)
+	}
+}
+
+// TestRestoreStubClaimOrder: a Count=1 ElfieBitflip goes to the first
+// claimant, lands only when applied, and a claim that is never applied
+// injects nothing.
+func TestRestoreStubClaimOrder(t *testing.T) {
+	in := New(&Plan{Seed: 3, Rules: []Rule{{Point: ElfieBitflip, Count: 1, Offset: 2}}})
+	first := in.ClaimRestoreStub("gcc.s8", 32)
+	if first == nil {
+		t.Fatal("first claim got no flip")
+	}
+	if in.ClaimRestoreStub("gcc.s6", 32) != nil {
+		t.Fatal("one-shot rule fired for a second claim")
+	}
+	if in.InjectedCount(ElfieBitflip) != 0 {
+		t.Fatal("claim recorded an injection before it was applied")
+	}
+	code := make([]byte, 32)
+	first.Apply(code)
+	var flipped []int
+	for i, c := range code {
+		if c != 0 {
+			flipped = append(flipped, i)
+		}
+	}
+	if !reflect.DeepEqual(flipped, []int{16}) {
+		t.Fatalf("flip landed at bytes %v, want the opcode byte of word 2 (16)", flipped)
+	}
+	if in.InjectedCount(ElfieBitflip) != 1 {
+		t.Errorf("events: %v", in.Events())
+	}
+
+	lapsed := New(&Plan{Seed: 3, Rules: []Rule{{Point: ElfieBitflip, Offset: -1}}})
+	if lapsed.ClaimRestoreStub("gcc.s8", 32) == nil {
+		t.Fatal("claim got no flip")
+	}
+	if lapsed.InjectedCount() != 0 {
+		t.Errorf("an unapplied claim injected: %v", lapsed.Events())
 	}
 }

@@ -93,8 +93,9 @@ func TestChaosPipelineDegradesGracefully(t *testing.T) {
 }
 
 // chaosOutcome runs the full pipeline (Prepare + native validation) under a
-// fault plan at the given worker count and returns the fault accounting.
-func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) (injected, recovered, dropped int, allFailed bool) {
+// fault plan at the given worker count and returns the fault accounting
+// and the validation summary.
+func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) (injected, recovered, dropped int, summary string, allFailed bool) {
 	t.Helper()
 	cfg := smallConfig()
 	cfg.Fault = plan
@@ -104,28 +105,29 @@ func chaosOutcome(t *testing.T, plan *fault.Plan, jobs int) (injected, recovered
 		if !errors.Is(err, ErrAllRegionsFailed) {
 			t.Fatalf("untyped Prepare failure at -j %d: %v", jobs, err)
 		}
-		return 0, 0, 0, true
+		return 0, 0, 0, "", true
 	}
 	v, err := ValidateNative(b, 7)
 	if err != nil {
 		t.Fatalf("validation errored at -j %d (should degrade instead): %v", jobs, err)
 	}
 	d := v.Degradation
-	return b.FaultInjector().InjectedCount(), d.Recovered, d.Dropped, false
+	return b.FaultInjector().InjectedCount(), d.Recovered, d.Dropped, v.String(), false
 }
 
 // TestChaosThroughFarmParallel drives the seeded fault plans through the
 // checkpoint farm at -j 8: rule budgets are injector-global and
 // mutex-guarded, so the injection count — and with it the recovered+dropped
-// accounting — must match the serial pipeline even though which worker's
-// region takes the hit is scheduling-dependent. Run under -race this also
-// exercises the shared injector, store, and degradation merging for data
-// races.
+// accounting — must match the serial pipeline. Budgets are also spent in
+// region order, so a fault that costs a region its primary costs the same
+// region at any worker count, and the degraded prediction must match the
+// serial one exactly. Run under -race this also exercises the shared
+// injector, store, and degradation merging for data races.
 func TestChaosThroughFarmParallel(t *testing.T) {
 	for name, plan := range chaosPlans() {
 		t.Run(name, func(t *testing.T) {
-			sInj, sRec, sDrop, sFailed := chaosOutcome(t, plan, 1)
-			pInj, pRec, pDrop, pFailed := chaosOutcome(t, plan, 8)
+			sInj, sRec, sDrop, sVal, sFailed := chaosOutcome(t, plan, 1)
+			pInj, pRec, pDrop, pVal, pFailed := chaosOutcome(t, plan, 8)
 
 			if sFailed != pFailed {
 				t.Fatalf("total-failure disagreement: serial=%v parallel=%v", sFailed, pFailed)
@@ -147,6 +149,9 @@ func TestChaosThroughFarmParallel(t *testing.T) {
 			}
 			if sRec+sDrop != pRec+pDrop {
 				t.Errorf("accounting differs: serial %d+%d, parallel %d+%d", sRec, sDrop, pRec, pDrop)
+			}
+			if sVal != pVal {
+				t.Errorf("degraded prediction depends on worker count: serial %s, parallel %s", sVal, pVal)
 			}
 			t.Logf("%s: injected=%d serial(rec=%d drop=%d) parallel(rec=%d drop=%d)",
 				name, pInj, sRec, sDrop, pRec, pDrop)

@@ -64,6 +64,10 @@ func (rb *regionBuild) submit(slice int) error {
 	logID := fmt.Sprintf("region%d.a%d.log", rb.idx, k)
 	convID := fmt.Sprintf("region%d.a%d.convert", rb.idx, k)
 	lintID := fmt.Sprintf("region%d.a%d.lint", rb.idx, k)
+	// Claimed now, in submission order, not when the lint job runs: the
+	// select job submits every primary in region order, so a one-shot
+	// ElfieBitflip hits the same region at any worker count.
+	flip := rb.b.claimStubFlip(slice)
 
 	logJob := &farm.Job{
 		ID: logID, Stage: "log",
@@ -116,7 +120,7 @@ func (rb *regionBuild) submit(slice int) error {
 		ID: lintID, Stage: "lint", Deps: []string{convID},
 		Probe: func() bool { return rb.fromCache },
 		Run: func() error {
-			if err := rb.b.lintRegion(rb.reg); err != nil {
+			if err := rb.b.lintRegion(rb.reg, flip); err != nil {
 				return err
 			}
 			// With the replay stage armed, caching waits for it: only a

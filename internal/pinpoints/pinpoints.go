@@ -52,7 +52,10 @@ type Config struct {
 	// region paths: pinball storage round-trips and native ELFie runs.
 	// Profiling, logging, and whole-program measurement machines stay
 	// clean, so every injected failure maps to exactly one region and the
-	// reference CPI is never silently perturbed.
+	// reference CPI is never silently perturbed. Rule budgets are spent
+	// in region order at any Jobs, so a plan always hits the same regions:
+	// Prepare claims restore-stub flips as it submits each region, and
+	// validation runs its ELFies one at a time while Fault is armed.
 	Fault *fault.Plan
 	// Jobs bounds the checkpoint farm's worker pool for per-region work;
 	// 0 means GOMAXPROCS. Any value produces byte-identical artifacts:
@@ -365,7 +368,7 @@ func (b *Benchmark) BuildRegion(sel simpoint.Region, slice int) (*Region, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := b.lintRegion(reg); err != nil {
+	if err := b.lintRegion(reg, b.claimStubFlip(slice)); err != nil {
 		return nil, err
 	}
 	b.cacheRegion(reg)
@@ -383,6 +386,11 @@ func (b *Benchmark) regionWindow(slice int) (start, warmup uint64) {
 	return sliceStart - warmup, warmup
 }
 
+// sliceName names the pinball (and ELFie) captured for a slice.
+func (b *Benchmark) sliceName(slice int) string {
+	return fmt.Sprintf("%s.s%d", b.Recipe.Name, slice)
+}
+
 // logSlice captures one slice (plus warm-up) as a fat pinball — the
 // "log" stage of the per-region pipeline.
 func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
@@ -393,7 +401,7 @@ func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
 		return nil, err
 	}
 	pb, err := pinplay.Log(s.Machine, pinplay.LogOptions{
-		Name:         fmt.Sprintf("%s.s%d", b.Recipe.Name, slice),
+		Name:         b.sliceName(slice),
 		RegionStart:  start,
 		RegionLength: warmup + cfg.SliceSize,
 		WarmupLength: warmup,
@@ -450,11 +458,12 @@ func (b *Benchmark) convertRegion(sel simpoint.Region, slice int, pb *pinball.Pi
 // convert farm stage. A lint failure degrades the region exactly like a
 // corrupt pinball: classified, charged against the region, and recovered
 // through alternates. Under fault injection the region's restore stub is
-// first exposed to ElfieBitflip rules, so chaos plans exercise the same
-// path a genuinely broken converter would.
-func (b *Benchmark) lintRegion(reg *Region) error {
-	if b.inj != nil {
-		b.corruptRestoreStub(reg)
+// first damaged by flip (an ElfieBitflip claimed for this attempt, or
+// nil), so chaos plans exercise the same path a genuinely broken converter
+// would.
+func (b *Benchmark) lintRegion(reg *Region, flip *fault.StubFlip) error {
+	if flip != nil {
+		corruptRestoreStub(reg, flip)
 	}
 	rep, err := elflint.Lint(reg.ELFie, elflint.Options{
 		Pinball: reg.Pinball, Restore: reg.Restore, Semantic: true,
@@ -469,26 +478,30 @@ func (b *Benchmark) lintRegion(reg *Region) error {
 	return nil
 }
 
-// corruptRestoreStub offers thread 0's restore tail — the flags/GPR pops and
-// the final indirect jump — to any armed ElfieBitflip rules and writes the
-// corrupted bytes back into the region's ELFie.
-func (b *Benchmark) corruptRestoreStub(reg *Region) {
+// stubTailBytes is thread 0's restore tail — popf, one pop per GPR and
+// the final indirect jump, all single-word instructions — which ends at
+// the target literal.
+const stubTailBytes = (1 + isa.NumGPR + 1) * 8
+
+// claimStubFlip claims any armed ElfieBitflip rule for the restore stub
+// of the ELFie that slice will convert to.
+func (b *Benchmark) claimStubFlip(slice int) *fault.StubFlip {
+	return b.inj.ClaimRestoreStub(b.sliceName(slice), stubTailBytes)
+}
+
+// corruptRestoreStub applies flip to thread 0's restore tail inside the
+// region's ELFie.
+func corruptRestoreStub(reg *Region, flip *fault.StubFlip) {
 	sec := reg.ELFie.Section(".elfie.text")
 	target, ok := reg.ELFie.Symbol("__elfie_t0_target")
 	if sec == nil || !ok {
 		return
 	}
-	// popf + one pop per GPR + jmpm, all single-word instructions, end at
-	// the target literal.
-	const tailWords = 1 + isa.NumGPR + 1
-	lo := target.Value - tailWords*8
+	lo := target.Value - stubTailBytes
 	if lo < sec.Addr || target.Value > sec.Addr+sec.DataSize() {
 		return
 	}
-	window := sec.Data[lo-sec.Addr : target.Value-sec.Addr]
-	if out, hit := b.inj.CorruptRestoreStub(reg.Pinball.Name, window); hit {
-		copy(window, out)
-	}
+	flip.Apply(sec.Data[lo-sec.Addr : target.Value-sec.Addr])
 }
 
 // cacheRegion stores a region that passed static verification; artifacts

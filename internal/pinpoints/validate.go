@@ -57,7 +57,7 @@ type measureSlot struct {
 func ValidateNative(b *Benchmark, trialSeed int64) (*Validation, error) {
 	v := &Validation{Method: "native", Degradation: b.Degradation.clone()}
 
-	f := farm.New(b.cfg.Jobs)
+	f := farm.New(b.validateJobs())
 	if err := f.Add(&farm.Job{
 		ID: "whole", Stage: "measure-whole",
 		Run: func() error {
@@ -111,6 +111,17 @@ func ValidateNative(b *Benchmark, trialSeed int64) (*Validation, error) {
 	}
 	v.finish()
 	return v, nil
+}
+
+// validateJobs is the validation farm's worker count. Faults injected into
+// ELFie runs go to whichever run triggers them first, so with a fault plan
+// armed the region runs go one at a time, in region order: which region a
+// one-shot rule hits must not depend on how workers interleave.
+func (b *Benchmark) validateJobs() int {
+	if b.inj != nil {
+		return 1
+	}
+	return b.cfg.Jobs
 }
 
 // measureWithFallback measures one region's native CPI, falling back to
@@ -188,7 +199,7 @@ func (b *Benchmark) measureRegion(reg *Region, seed int64) (float64, error) {
 func ValidateSim(b *Benchmark, cfg coresim.Config) (*Validation, error) {
 	v := &Validation{Method: "sim", Degradation: b.Degradation.clone()}
 
-	f := farm.New(b.cfg.Jobs)
+	f := farm.New(b.validateJobs())
 	if err := f.Add(&farm.Job{
 		ID: "whole", Stage: "measure-whole",
 		Run: func() error {

@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -143,21 +144,32 @@ func (c *Client) do(method, u string, hdr http.Header, body []byte) (*http.Respo
 			lastErr = err
 			continue
 		}
-		if resp.StatusCode >= 500 {
-			lastErr = fmt.Errorf("%s %s: %s: %s", method, u, resp.Status, remoteError(data))
-			continue
-		}
-		if resp.StatusCode == http.StatusNotFound {
-			return resp, data, fmt.Errorf("%w: %s", ErrNotFound, remoteError(data))
-		}
-		if resp.StatusCode >= 400 {
-			return resp, data, fmt.Errorf("%w: %s %s: %s: %s",
-				ErrRemote, method, u, resp.Status, remoteError(data))
+		if retry, err := statusErr(method, u, resp, data); err != nil {
+			if retry {
+				lastErr = err
+				continue
+			}
+			return resp, data, err
 		}
 		return resp, data, nil
 	}
 	return nil, nil, fmt.Errorf("registry: %s %s failed after %d attempts: %w",
 		method, u, c.retries(), lastErr)
+}
+
+// statusErr classifies a response status: nil for success, a retryable
+// error for 5xx, and a final ErrNotFound/ErrRemote for 404 and other 4xx.
+func statusErr(method, u string, resp *http.Response, data []byte) (retry bool, err error) {
+	switch {
+	case resp.StatusCode >= 500:
+		return true, fmt.Errorf("%s %s: %s: %s", method, u, resp.Status, remoteError(data))
+	case resp.StatusCode == http.StatusNotFound:
+		return false, fmt.Errorf("%w: %s", ErrNotFound, remoteError(data))
+	case resp.StatusCode >= 400:
+		return false, fmt.Errorf("%w: %s %s: %s: %s",
+			ErrRemote, method, u, resp.Status, remoteError(data))
+	}
+	return false, nil
 }
 
 // remoteError extracts the server's JSON error envelope, falling back to
@@ -375,9 +387,9 @@ func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 // Pull downloads the artifact under key into s, in its stored
 // representation, resuming any prior interrupted download: completed
 // chunks are never re-fetched (they are already local objects), and a
-// partially-downloaded top member continues from its last byte via an HTTP
-// Range request. A local entry already holding the registry's object
-// transfers zero bytes.
+// partially-downloaded top member continues from its last staged piece via
+// an HTTP Range request. A local entry already holding the registry's
+// object transfers zero bytes.
 func (c *Client) Pull(s *store.Store, key string) (*store.Entry, *TransferStats, error) {
 	stats := &TransferStats{}
 	var have string
@@ -396,10 +408,14 @@ func (c *Client) Pull(s *store.Store, key string) (*store.Entry, *TransferStats,
 	// filesystem paths below — a malicious or compromised registry must
 	// not be able to smuggle a traversal like "../../x" into the stage
 	// (the server applies the same gates on its side of every transfer).
-	for name := range info.Top {
+	for name, size := range info.Top {
 		if name == "" || name != filepath.Base(name) {
 			return nil, stats, fmt.Errorf("%w: registry sent unsafe member name %q",
 				store.ErrCorrupt, name)
+		}
+		if size < 0 {
+			return nil, stats, fmt.Errorf("%w: registry sent member %s with size %d",
+				store.ErrCorrupt, name, size)
 		}
 	}
 	for _, ref := range info.Chunks {
@@ -471,75 +487,134 @@ func (c *Client) Pull(s *store.Store, key string) (*store.Entry, *TransferStats,
 	return e, stats, nil
 }
 
-// fetchMember downloads one top member in wire-chunk-sized Range requests,
-// appending each completed piece to a durable staged file — so a client
-// killed mid-member resumes from exactly the bytes it already has, and
-// pieces staged by an earlier interrupted pull never re-cross the network.
+// fetchMember downloads one top member with a single streamed Range GET
+// from the staged length to the end. The body is consumed in wire-chunk
+// pieces, each appended to a durable staged file and fsynced before the
+// next is read: the wire chunk is the unit of durability, accounting and
+// crash points, while the request count stays one per member. A stream
+// that breaks or answers 5xx is retried under the backoff policy with a
+// fresh Range from the fsynced length, so pieces staged by an earlier
+// interrupted pull never re-cross the network.
 func (c *Client) fetchMember(stage, key, name string, size int64, stats *TransferStats) ([]byte, error) {
 	path := filepath.Join(stage, "m-"+name)
-	buf, _ := os.ReadFile(path)
-	if int64(len(buf)) == size {
+	staged, _ := os.ReadFile(path)
+	if int64(len(staged)) == size {
 		if size > 0 {
 			stats.Skipped++
 		}
-		return buf, nil
+		return staged, nil
 	}
-	if int64(len(buf)) > size {
-		buf = nil // stale stage from a different version; start over
+	if int64(len(staged)) > size {
+		staged = nil // stale stage from a different version; start over
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
-	} else if len(buf) > 0 {
+	} else if len(staged) > 0 {
 		stats.Skipped++ // partial progress an interrupted pull left behind
-	}
-	wire := c.WireChunk
-	if wire <= 0 {
-		wire = DefaultWireChunk
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	buf := append(make([]byte, 0, min(size, maxPresize)), staged...)
+
+	u := c.turl("artifacts", key, "files", name)
+	var lastErr error
+	for attempt := 1; attempt <= c.retries(); attempt++ {
+		if attempt > 1 && c.Backoff != nil {
+			time.Sleep(c.Backoff.Delay(u, attempt-1))
+		}
+		from := len(buf)
+		var retry bool
+		buf, retry, err = c.streamMember(f, u, name, size, buf, stats)
+		if err == nil {
+			return buf, nil
+		}
+		if !retry {
+			return nil, err
+		}
+		lastErr = err
+		if len(buf) > from {
+			attempt = 0 // the stream made progress: fresh retry budget
+		}
+	}
+	return nil, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
+}
+
+// maxPresize bounds how much of a member's manifest-declared size a pull
+// reserves up front; a larger member grows as its bytes arrive, so a
+// hostile manifest cannot make the client allocate ahead of the data.
+const maxPresize = 64 << 20
+
+// streamMember issues one GET for bytes len(buf)..size-1 of a member and
+// stages the body piece by piece. It returns buf extended by every
+// piece it durably staged, even on failure; retry marks failures (network
+// errors, a broken stream, 5xx) worth resuming from the new length.
+func (c *Client) streamMember(f *os.File, u, name string, size int64, buf []byte, stats *TransferStats) (_ []byte, retry bool, _ error) {
+	req, err := http.NewRequest("GET", u, nil)
+	if err != nil {
+		return buf, false, err
+	}
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", len(buf), size-1))
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return buf, true, err
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusPartialContent:
+		var first, last, total int64
+		if _, err := fmt.Sscanf(resp.Header.Get("Content-Range"), "bytes %d-%d/%d", &first, &last, &total); err != nil ||
+			first != int64(len(buf)) || last != size-1 || total != size {
+			return buf, false, fmt.Errorf("%w: member %s: asked for bytes %d-%d/%d, got range %q",
+				store.ErrCorrupt, name, len(buf), size-1, size, resp.Header.Get("Content-Range"))
+		}
+	case http.StatusOK:
+		// Server ignored the range and is sending everything: take it whole.
+		if resp.ContentLength >= 0 && resp.ContentLength != size {
+			return buf, false, fmt.Errorf("%w: member %s arrived %d bytes, manifest says %d",
+				store.ErrCorrupt, name, resp.ContentLength, size)
+		}
+		if err := f.Truncate(0); err != nil {
+			return buf, false, err
+		}
+		buf = buf[:0]
+	default:
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+		if retry, err := statusErr("GET", u, resp, data); err != nil {
+			return buf, retry, err
+		}
+		return buf, false, fmt.Errorf("%w: GET %s: unexpected %s", ErrRemote, u, resp.Status)
+	}
+
+	wire := c.WireChunk
+	if wire <= 0 {
+		wire = DefaultWireChunk
+	}
 	for int64(len(buf)) < size {
-		end := int64(len(buf)) + int64(wire)
-		if end > size {
-			end = size
+		n := int(min(int64(wire), size-int64(len(buf))))
+		buf = slices.Grow(buf, n)
+		piece := buf[len(buf) : len(buf)+n]
+		if _, err := io.ReadFull(resp.Body, piece); err != nil {
+			return buf, true, fmt.Errorf("GET %s: stream broke at byte %d: %w", u, len(buf), err)
 		}
-		hdr := http.Header{}
-		hdr.Set("Range", fmt.Sprintf("bytes=%d-%d", len(buf), end-1))
-		resp, data, err := c.do("GET", c.turl("artifacts", key, "files", name), hdr, nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusPartialContent {
-			// Server ignored the range and sent everything: take it whole.
-			if int64(len(data)) != size {
-				return nil, fmt.Errorf("%w: member %s arrived %d bytes, manifest says %d",
-					store.ErrCorrupt, name, len(data), size)
-			}
-			if err := f.Truncate(0); err != nil {
-				return nil, err
-			}
-			buf = nil
-			data = data[:size]
-		}
-		if _, err := f.Write(data); err != nil {
-			return nil, err
+		if _, err := f.Write(piece); err != nil {
+			return buf, false, err
 		}
 		if err := f.Sync(); err != nil {
-			return nil, err
+			return buf, false, err
 		}
-		buf = append(buf, data...)
+		buf = buf[:len(buf)+n]
 		stats.Received++
-		stats.Bytes += int64(len(data))
+		stats.Bytes += int64(n)
 		if err := c.bump(); err != nil {
-			return nil, err
+			return buf, false, err
 		}
 	}
-	if int64(len(buf)) != size {
-		return nil, fmt.Errorf("%w: member %s assembled to %d bytes, manifest says %d",
-			store.ErrCorrupt, name, len(buf), size)
+	if n, _ := resp.Body.Read(make([]byte, 1)); n > 0 {
+		return buf, false, fmt.Errorf("%w: member %s arrived longer than the manifest's %d bytes",
+			store.ErrCorrupt, name, size)
 	}
-	return buf, nil
+	return buf, false, nil
 }

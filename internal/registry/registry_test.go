@@ -24,9 +24,30 @@ import (
 type transferLog struct {
 	next http.Handler
 
-	mu       sync.Mutex
-	blobPuts map[string]int // blob id -> times received
-	objGets  map[string]int // chunk object id -> times served
+	mu           sync.Mutex
+	blobPuts     map[string]int // blob id -> times received
+	objGets      map[string]int // chunk object id -> times served
+	manifestGets int            // artifact manifest GETs (one object read each)
+	memberGets   []memberGet    // top-member GETs, in arrival order
+}
+
+// memberGet records one top-member GET: the member, the Range header the
+// server saw ("" when none), and the payload bytes it wrote back.
+type memberGet struct {
+	name, rng string
+	bytes     int64
+}
+
+// countingWriter counts the payload bytes a handler writes.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.n += int64(n)
+	return n, err
 }
 
 func newTransferLog(next http.Handler) *transferLog {
@@ -34,7 +55,7 @@ func newTransferLog(next http.Handler) *transferLog {
 }
 
 func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(r.URL.Path, "/")
+	parts := strings.Split(r.URL.EscapedPath(), "/")
 	last := parts[len(parts)-1]
 	l.mu.Lock()
 	if r.Method == http.MethodPut && len(parts) >= 2 && parts[len(parts)-2] == "blobs" {
@@ -43,8 +64,36 @@ func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && len(parts) >= 2 && parts[len(parts)-2] == "objects" {
 		l.objGets[last]++
 	}
+	if r.Method == http.MethodGet && len(parts) >= 2 && parts[len(parts)-2] == "artifacts" {
+		l.manifestGets++
+	}
 	l.mu.Unlock()
+	if r.Method == http.MethodGet && len(parts) >= 2 && parts[len(parts)-2] == "files" {
+		cw := &countingWriter{ResponseWriter: w}
+		l.next.ServeHTTP(cw, r)
+		l.mu.Lock()
+		l.memberGets = append(l.memberGets, memberGet{name: last, rng: r.Header.Get("Range"), bytes: cw.n})
+		l.mu.Unlock()
+		return
+	}
 	l.next.ServeHTTP(w, r)
+}
+
+// snapshot returns the manifest GET count and a copy of the member GETs
+// logged so far.
+func (l *transferLog) snapshot() (int, []memberGet) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.manifestGets, append([]memberGet(nil), l.memberGets...)
+}
+
+// stripRange drops the Range header before the registry sees it, standing
+// in for a server or proxy that ignores ranges and answers 200 in full.
+func stripRange(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Range")
+		next.ServeHTTP(w, r)
+	})
 }
 
 func (l *transferLog) duplicates() []string {
@@ -361,6 +410,284 @@ func TestPullResumesAfterCrash(t *testing.T) {
 	rep, err := b.Verify()
 	if err != nil || !rep.OK() {
 		t.Fatalf("local store after crashy pull: err=%v problems=%v", err, rep.Problems)
+	}
+}
+
+// noise is deterministic, non-repeating filler, so a misplaced or doubled
+// byte range cannot assemble into the right member by accident.
+func noise(n int, seed uint32) []byte {
+	b := make([]byte, n)
+	x := seed*2654435761 + 1
+	for i := range b {
+		x = x*1664525 + 1013904223
+		b[i] = byte(x >> 24)
+	}
+	return b
+}
+
+// regionLike builds a file set shaped like a region pinball: several
+// members larger than one default wire chunk plus small metadata members,
+// stored unchunked.
+func regionLike() store.FileSet {
+	return store.FileSet{
+		"r.text":       noise(300_000, 1),
+		"r.0.mem":      noise(150_000, 2),
+		"r.elfie":      noise(70_000, 3),
+		"r.global.log": []byte(`{"version":3,"threads":1}`),
+		"r.0.reg":      noise(600, 4),
+	}
+}
+
+// TestPullIsOneGetPerMember pins the linear cost of a pull: each top
+// member crosses in one streamed GET, the payload on the wire is exactly
+// the artifact's logical size, and the server reads the object once per
+// member plus once for the manifest — never once per wire chunk.
+func TestPullIsOneGetPerMember(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	files := regionLike()
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Client{Base: srv.URL, Retries: 2}
+	if _, err := c.Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+	manifestsBefore, _ := tl.snapshot()
+
+	got, stats, err := c.Pull(b, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Object != e.Object {
+		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	}
+
+	manifests, gets := tl.snapshot()
+	perMember := make(map[string]int)
+	var wire int64
+	for _, g := range gets {
+		perMember[g.name]++
+		wire += g.bytes
+	}
+	var logical int64
+	pieces := 0
+	for name, data := range files {
+		if perMember[name] != 1 {
+			t.Errorf("member %s fetched in %d GETs, want 1", name, perMember[name])
+		}
+		logical += int64(len(data))
+		pieces += (len(data) + DefaultWireChunk - 1) / DefaultWireChunk
+	}
+	if wire != logical || stats.Bytes != logical {
+		t.Errorf("payload on the wire %d B, client counted %d B; logical size %d B", wire, stats.Bytes, logical)
+	}
+	if stats.Received != pieces {
+		t.Errorf("client accounted %d pieces, want %d (one per wire chunk)", stats.Received, pieces)
+	}
+	if reads := manifests - manifestsBefore + len(gets); reads > len(files)+1 {
+		t.Errorf("server read the object %d times for a %d-member pull", reads, len(files))
+	}
+}
+
+// stagedMember returns the bytes a crashed pull left staged for member.
+func stagedMember(t *testing.T, s *store.Store, member string) []byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.Root(), "xfer", "pull-*", "m-"+member))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("staged %s: %v %v", member, paths, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPullResumesMidStream kills a pull inside a multi-piece member and
+// resumes it: the resumed GET asks for exactly the bytes after the
+// fsynced stage, so no completed piece crosses the wire twice.
+func TestPullResumesMidStream(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	big := noise(5*256+100, 7)
+	files := store.FileSet{"big": big, "meta": []byte("meta"), "note": []byte("note")}
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Three pieces in, whatever the member order, the kill lands inside
+	// "big": the two small members are one piece each, big is six.
+	c := testClient(srv, "")
+	c.CrashAfter = 3
+	_, crashed, err := c.Pull(b, "region")
+	if !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	staged := stagedMember(t, b, "big")
+	if len(staged) == 0 || len(staged) >= len(big) || !bytes.HasPrefix(big, staged) {
+		t.Fatalf("crash left %d staged bytes of big (%d), want a proper prefix", len(staged), len(big))
+	}
+	_, before := tl.snapshot()
+
+	got, resumed, err := testClient(srv, "").Pull(b, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Object != e.Object {
+		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	}
+	_, gets := tl.snapshot()
+	want := fmt.Sprintf("bytes=%d-%d", len(staged), len(big)-1)
+	var sawBig bool
+	for _, g := range gets[len(before):] {
+		if g.name == "big" {
+			if sawBig || g.rng != want {
+				t.Errorf("resumed GET of big asked for %q, want one GET for %q", g.rng, want)
+			}
+			sawBig = true
+		}
+	}
+	if !sawBig {
+		t.Error("resume never fetched the rest of big")
+	}
+	if total := crashed.Bytes + resumed.Bytes; total != int64(len(big)+8) {
+		t.Errorf("crashed %d B + resumed %d B moved, want %d B: a piece crossed twice",
+			crashed.Bytes, resumed.Bytes, len(big)+8)
+	}
+	if dups := tl.duplicates(); len(dups) > 0 {
+		t.Fatalf("resumed pull re-fetched completed units: %v", dups)
+	}
+	rep, err := b.Verify()
+	if err != nil || !rep.OK() {
+		t.Fatalf("local store after mid-stream resume: err=%v problems=%v", err, rep.Problems)
+	}
+}
+
+// cutWriter passes through the first left bytes of a response and then
+// fails every write, so the handler gives up mid-body.
+type cutWriter struct {
+	http.ResponseWriter
+	left int
+}
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		p = p[:w.left]
+	}
+	n, err := w.ResponseWriter.Write(p)
+	w.left -= n
+	if err == nil && w.left == 0 {
+		err = errors.New("stream cut")
+	}
+	return n, err
+}
+
+// TestPullRetriesBrokenStream: a member stream that dies mid-body is
+// retried with a Range from the fsynced length, so the pull completes
+// without a piece crossing twice. The stream breaks twice on a client
+// allowed two attempts: a break after progress must not use up the
+// retry budget.
+func TestPullRetriesBrokenStream(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	var mu sync.Mutex
+	cuts := 2
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if strings.Contains(r.URL.Path, "/files/") && cuts > 0 {
+			cuts--
+			w = &cutWriter{ResponseWriter: w, left: 600}
+		}
+		mu.Unlock()
+		tl.ServeHTTP(w, r)
+	}))
+	t.Cleanup(flaky.Close)
+	a, b := localStore(t), localStore(t)
+	big := noise(6*256+10, 11)
+	e, err := a.Put("region", "region", store.FileSet{"big": big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+
+	got, stats, err := testClient(flaky, "").Pull(b, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Object != e.Object {
+		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	}
+	_, gets := tl.snapshot()
+	var ranges []string
+	for _, g := range gets {
+		ranges = append(ranges, g.rng)
+	}
+	want := []string{"bytes=0-1545", "bytes=512-1545", "bytes=1024-1545"}
+	if strings.Join(ranges, " ") != strings.Join(want, " ") {
+		t.Fatalf("member GETs asked for %q, want %q", ranges, want)
+	}
+	if stats.Bytes != int64(len(big)) || stats.Received != 7 {
+		t.Errorf("moved %d B in %d pieces, want %d B in 7", stats.Bytes, stats.Received, len(big))
+	}
+}
+
+// TestPullRestartsWhenRangeIgnored: a server that ignores Range answers
+// 200 with the whole member; the client must truncate its partial stage
+// and take the member from byte 0, not append the full body to it.
+func TestPullRestartsWhenRangeIgnored(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	noRange := httptest.NewServer(stripRange(tl))
+	t.Cleanup(noRange.Close)
+	a, b := localStore(t), localStore(t)
+	big := noise(6*256, 9)
+	e, err := a.Put("region", "region", store.FileSet{"big": big})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+
+	c := testClient(srv, "")
+	c.CrashAfter = 3
+	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	if n := len(stagedMember(t, b, "big")); n != 3*256 {
+		t.Fatalf("first crash staged %d bytes, want %d", n, 3*256)
+	}
+
+	// Resume against the range-ignoring server and crash again two pieces
+	// into the restarted body: the stage holds exactly those two pieces.
+	c = testClient(noRange, "")
+	c.CrashAfter = 2
+	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	if staged := stagedMember(t, b, "big"); !bytes.Equal(staged, big[:2*256]) {
+		t.Fatalf("after a 200 restart the stage holds %d bytes, want the member's first %d", len(staged), 2*256)
+	}
+
+	got, stats, err := testClient(noRange, "").Pull(b, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Object != e.Object {
+		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	}
+	if stats.Bytes != int64(len(big)) {
+		t.Errorf("range-ignoring pull moved %d B, want the whole member's %d B", stats.Bytes, len(big))
+	}
+	_, gets := tl.snapshot()
+	if last := gets[len(gets)-1]; last.rng != "" {
+		t.Errorf("registry saw Range %q through the stripping proxy", last.rng)
 	}
 }
 
@@ -773,6 +1100,28 @@ func TestPullRejectsHostileManifest(t *testing.T) {
 	// filesystem path is built.
 	if _, err := os.Stat(filepath.Join(b.Root(), "xfer")); !os.IsNotExist(err) {
 		t.Fatal("hostile manifest reached the pull stage")
+	}
+}
+
+// TestPullRejectsNegativeMemberSize: a manifest's member sizes size the
+// client's buffers, so a negative one is refused before anything is staged.
+func TestPullRejectsNegativeMemberSize(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, ArtifactInfo{
+			Entry: store.Entry{Key: "evil", Kind: "test", Object: strings.Repeat("ab", 32)},
+			Top:   map[string]int64{"f": -1},
+		})
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	b := localStore(t)
+	c := &Client{Base: srv.URL, Retries: 1}
+	if _, _, err := c.Pull(b, "evil"); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("negative member size accepted: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(b.Root(), "xfer")); !os.IsNotExist(err) {
+		t.Fatal("negative member size reached the pull stage")
 	}
 }
 
