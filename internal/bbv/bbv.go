@@ -6,6 +6,7 @@ package bbv
 import (
 	"elfie/internal/harness"
 	"elfie/internal/isa"
+	"elfie/internal/pin"
 	"elfie/internal/vm"
 )
 
@@ -29,8 +30,8 @@ type Collector struct {
 
 	cur        Vector
 	curCount   uint64
-	blockStart map[int]uint64 // per-thread current block start PC
-	prevBranch map[int]bool
+	blockStart uint64 // thread 0's current block start PC
+	prevBranch bool   // the last instruction ended a block
 }
 
 // NewCollector creates a collector with the given slice size.
@@ -39,34 +40,24 @@ func NewCollector(sliceSize uint64) *Collector {
 		SliceSize:  sliceSize,
 		profile:    &Profile{SliceSize: sliceSize},
 		cur:        make(Vector),
-		blockStart: make(map[int]uint64),
-		prevBranch: make(map[int]bool),
+		prevBranch: true, // the first instruction opens a block
 	}
 }
 
-// Attach installs the collector on a machine (composing with existing
-// hooks).
+// Attach installs the collector on a machine as a pintool.
 func (c *Collector) Attach(m *vm.Machine) {
-	prev := m.Hooks.OnIns
-	m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
-		if prev != nil {
-			prev(t, pc, ins)
-		}
-		c.observe(t.TID, pc, ins)
-	}
+	pin.NewEngine(m).Attach(&pin.Tool{Name: "bbv", OnIns: c.observe})
 }
 
-func (c *Collector) observe(tid int, pc uint64, ins isa.Inst) {
-	if tid != 0 {
+func (c *Collector) observe(t *vm.Thread, pc uint64, ins isa.Inst) {
+	if t.TID != 0 {
 		return
 	}
-	start, ok := c.blockStart[tid]
-	if !ok || c.prevBranch[tid] {
-		start = pc
-		c.blockStart[tid] = pc
+	if c.prevBranch {
+		c.blockStart = pc
 	}
-	c.cur[start]++
-	c.prevBranch[tid] = isa.IsBranch(ins.Op)
+	c.cur[c.blockStart]++
+	c.prevBranch = isa.IsBranch(ins.Op)
 	c.curCount++
 	c.profile.TotalInstructions++
 	if c.curCount >= c.SliceSize {

@@ -14,6 +14,7 @@ import (
 	"elfie/internal/harness"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/pin"
 	"elfie/internal/uarch"
 	"elfie/internal/vm"
 )
@@ -107,28 +108,24 @@ func Attach(m *vm.Machine, cfg Config) *Sim {
 	}
 	s.kstream = newKernelStream()
 
-	prevMarker := m.Hooks.OnMarker
-	m.Hooks.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
-		if prevMarker != nil {
-			prevMarker(t, op, tag)
-		}
-		if !s.measuring && tag == cfg.StartMarker &&
-			(op == isa.MAGIC || op == isa.SSCMARK) {
-			s.measuring = true
-		}
+	tool := &pin.Tool{
+		Name: "coresim",
+		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
+			if !s.measuring && tag == cfg.StartMarker &&
+				(op == isa.MAGIC || op == isa.SSCMARK) {
+				s.measuring = true
+			}
+		},
 	}
 	// Full-system: watch system calls to trigger kernel-stream injection.
 	if cfg.Frontend == FrontendSimics {
-		prevSys := m.Hooks.OnSyscall
-		m.Hooks.OnSyscall = func(t *vm.Thread, num uint64, res kernel.Result) {
-			if prevSys != nil {
-				prevSys(t, num, res)
-			}
+		tool.OnSyscall = func(t *vm.Thread, num uint64, res kernel.Result) {
 			if s.measuring {
 				s.injectKernel(t.TID, num, res)
 			}
 		}
 	}
+	pin.NewEngine(m).Attach(tool)
 	s.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(s.consume))
 	return s
 }

@@ -3,11 +3,8 @@ package golint
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
 	"path/filepath"
-	"strings"
 )
 
 // rawConstructors are the vm entry points that compose a machine by hand.
@@ -31,41 +28,7 @@ var constructExempt = []string{
 // Test files are exempt: tests legitimately build bespoke machines to poke
 // at edge cases.
 func LintConstruction(root string) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	fset := token.NewFileSet()
-	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			name := info.Name()
-			if name == ".git" || name == ".github" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			rel, rerr := filepath.Rel(root, path)
-			if rerr == nil {
-				for _, ex := range constructExempt {
-					if rel == ex {
-						return filepath.SkipDir
-					}
-				}
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		file, perr := parser.ParseFile(fset, path, nil, 0)
-		if perr != nil {
-			return fmt.Errorf("golint: %v", perr)
-		}
-		diags = append(diags, lintFileConstruction(fset, file)...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return diags, nil
+	return walkGoFiles(root, constructExempt, lintFileConstruction)
 }
 
 // lintFileConstruction reports raw vm constructor calls in one parsed file.
@@ -89,6 +52,50 @@ func lintFileConstruction(fset *token.FileSet, file *ast.File) []Diagnostic {
 			Pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
 			Msg: fmt.Sprintf("raw vm.%s call; compose the machine through internal/harness so scheduler and fault defaults stay in one place", sel.Sel.Name),
 		})
+		return true
+	})
+	return diags
+}
+
+// hookExempt lists directories whose non-test sources may write individual
+// vm.Hooks fields: the vm package that defines and fires them, and the pin
+// package whose Engine.Attach composes tools onto them.
+var hookExempt = []string{
+	filepath.Join("internal", "pin"),
+	filepath.Join("internal", "vm"),
+}
+
+// LintHookComposition walks every non-test Go file under root and reports
+// each assignment to a field of a .Hooks selector (m.Hooks.OnIns = ...)
+// outside the exempt packages. Tools attach through pin.Engine, which
+// composes them in place; a hand-written wrapper can silently drop an
+// earlier tool's hook or defeat the VM's fast-path selection. Saving and
+// restoring the whole struct (m.Hooks = saved) stays allowed.
+func LintHookComposition(root string) ([]Diagnostic, error) {
+	return walkGoFiles(root, hookExempt, lintFileHookComposition)
+}
+
+// lintFileHookComposition reports hook-field writes in one parsed file.
+func lintFileHookComposition(fset *token.FileSet, file *ast.File) []Diagnostic {
+	var diags []Diagnostic
+	ast.Inspect(file, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			field, ok := lhs.(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			if hooks, ok := field.X.(*ast.SelectorExpr); ok && hooks.Sel.Name == "Hooks" {
+				pos := fset.Position(lhs.Pos())
+				diags = append(diags, Diagnostic{
+					Pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line),
+					Msg: fmt.Sprintf("direct write to Hooks.%s; attach a pin.Tool through pin.Engine so hooks compose in one place", field.Sel.Name),
+				})
+			}
+		}
 		return true
 	})
 	return diags

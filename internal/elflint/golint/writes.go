@@ -8,6 +8,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -19,7 +20,7 @@ import (
 // content addressing exists to rule out. Staged writes must go through a
 // helper that fsyncs before close (write, Sync, Close, then rename).
 func LintAtomicWrites(root string) ([]Diagnostic, error) {
-	return walkGoFiles(root, lintFileAtomicWrites)
+	return walkGoFiles(root, nil, lintFileAtomicWrites)
 }
 
 // lintFileAtomicWrites reports WriteFile→Rename pairs in one parsed file.
@@ -86,7 +87,7 @@ func osCallName(call *ast.CallExpr) string {
 // convention for "caller holds the mutex"; a bare call from an unlocked
 // context races the index against concurrent writers.
 func LintLockedCalls(root string) ([]Diagnostic, error) {
-	return walkGoFiles(root, lintFileLockedCalls)
+	return walkGoFiles(root, nil, lintFileLockedCalls)
 }
 
 // lintFileLockedCalls reports unprotected *Locked calls in one parsed file.
@@ -150,8 +151,9 @@ func calleeName(call *ast.CallExpr) string {
 }
 
 // walkGoFiles parses every non-test Go file under root (skipping .git,
-// .github, and testdata) and concatenates lint's diagnostics.
-func walkGoFiles(root string, lint func(*token.FileSet, *ast.File) []Diagnostic) ([]Diagnostic, error) {
+// .github, testdata, and the exempt directories, given relative to root)
+// and concatenates lint's diagnostics.
+func walkGoFiles(root string, exempt []string, lint func(*token.FileSet, *ast.File) []Diagnostic) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	fset := token.NewFileSet()
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
@@ -161,6 +163,9 @@ func walkGoFiles(root string, lint func(*token.FileSet, *ast.File) []Diagnostic)
 		if info.IsDir() {
 			name := info.Name()
 			if name == ".git" || name == ".github" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if rel, rerr := filepath.Rel(root, path); rerr == nil && slices.Contains(exempt, rel) {
 				return filepath.SkipDir
 			}
 			return nil

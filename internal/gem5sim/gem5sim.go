@@ -14,6 +14,7 @@ import (
 	"elfie/internal/elfobj"
 	"elfie/internal/harness"
 	"elfie/internal/isa"
+	"elfie/internal/pin"
 	"elfie/internal/uarch"
 	"elfie/internal/vm"
 )
@@ -77,15 +78,14 @@ func SimulateMachine(m *vm.Machine, cfg Config) (*Result, error) {
 	measuring := cfg.StartMarker == 0
 	var isaErr error
 
-	prevMarker := m.Hooks.OnMarker
-	m.Hooks.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
-		if prevMarker != nil {
-			prevMarker(t, op, tag)
-		}
-		if !measuring && tag == cfg.StartMarker {
-			measuring = true
-		}
-	}
+	pin.NewEngine(m).Attach(&pin.Tool{
+		Name: "gem5-start",
+		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
+			if !measuring && tag == cfg.StartMarker {
+				measuring = true
+			}
+		},
+	})
 	feeder := uarch.NewFeeder(m, uarch.ConsumerFunc(func(d *uarch.DynInst) {
 		if !measuring {
 			return

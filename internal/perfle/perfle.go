@@ -14,6 +14,7 @@ import (
 	"math/rand"
 
 	"elfie/internal/isa"
+	"elfie/internal/pin"
 	"elfie/internal/uarch"
 	"elfie/internal/vm"
 )
@@ -130,16 +131,15 @@ func Attach(m *vm.Machine, opts Options) *Measurer {
 	}
 	ms.measuring = opts.StartMarker == 0
 
-	prevMarker := m.Hooks.OnMarker
-	m.Hooks.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
-		if prevMarker != nil {
-			prevMarker(t, op, tag)
-		}
-		if !ms.measuring && op == isa.SSCMARK && tag == opts.StartMarker {
-			ms.measuring = true
-			ms.report.MarkerSeen = true
-		}
-	}
+	pin.NewEngine(m).Attach(&pin.Tool{
+		Name: "perfle-start",
+		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
+			if !ms.measuring && op == isa.SSCMARK && tag == opts.StartMarker {
+				ms.measuring = true
+				ms.report.MarkerSeen = true
+			}
+		},
+	})
 	ms.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(ms.consume))
 	return ms
 }

@@ -1,11 +1,11 @@
 // Package pin is the dynamic-instrumentation framework of the tool-chain —
 // the stand-in for Intel Pin in the paper's stack.
 //
-// A Tool is a bundle of analysis callbacks. An Engine attaches one or more
-// tools to a vm.Machine and multiplexes the machine's hooks across them, so
-// several pintools (the PinPlay logger, the BBV profiler, the sysstate
-// analyzer) can observe one execution simultaneously, exactly as Pin-based
-// tool stacks compose.
+// A Tool is a bundle of analysis callbacks. An Engine composes tools onto a
+// vm.Machine's hooks, so several pintools (the PinPlay logger, the BBV
+// profiler, the replayer's injection, a simulator's feeder) can observe one
+// execution simultaneously, exactly as Pin-based tool stacks compose.
+// Attach is the only way production code installs VM hooks.
 package pin
 
 import (
@@ -18,6 +18,8 @@ import (
 // Tool is one analysis tool's callbacks; nil callbacks are skipped.
 // Filter-style callbacks (SyscallFilter, OnFault) are consulted in
 // attachment order; the first tool that handles the event wins.
+// SyscallFast is the inline twin of SyscallFilter (see vm.Hooks) and is
+// only honoured alongside the same tool's SyscallFilter.
 type Tool struct {
 	Name          string
 	OnIns         func(t *vm.Thread, pc uint64, ins isa.Inst)
@@ -26,167 +28,109 @@ type Tool struct {
 	OnBranch      func(t *vm.Thread, pc, target uint64, taken bool)
 	OnMarker      func(t *vm.Thread, op isa.Op, tag uint32)
 	SyscallFilter func(t *vm.Thread, num uint64) (kernel.Result, bool)
+	SyscallFast   func(t *vm.Thread, num uint64) (ret uint64, ok bool)
 	OnSyscall     func(t *vm.Thread, num uint64, res kernel.Result)
 	OnFault       func(t *vm.Thread, f *mem.Fault) bool
 	OnThreadStart func(t *vm.Thread)
 	OnThreadExit  func(t *vm.Thread)
 }
 
-// Engine multiplexes tools onto one machine.
+// Engine composes tools onto one machine's hooks. It keeps no state of its
+// own: hooks already installed on the machine stay in place, and two
+// engines on one machine compose exactly like one engine.
 type Engine struct {
 	Machine *vm.Machine
-	tools   []*Tool
 }
 
 // NewEngine wraps a machine. Attach tools before running.
-func NewEngine(m *vm.Machine) *Engine {
-	e := &Engine{Machine: m}
-	e.install()
-	return e
-}
+func NewEngine(m *vm.Machine) *Engine { return &Engine{Machine: m} }
 
-// Attach adds a tool. Tools attached earlier see events first.
+// Attach composes t's non-nil callbacks onto the machine's hooks. A hook
+// kind with a single provider gets that provider's function itself, so the
+// per-event cost is unchanged and hook kinds no tool provides stay nil —
+// the VM selects its block fast path from which observation hooks are nil.
+// A later provider wraps the earlier ones: tools attached earlier see events
+// first, and for SyscallFilter and OnFault the first tool that handles the
+// event wins. t.SyscallFast is installed only when t is the first tool to
+// filter system calls: behind an earlier filter it could retire a call that
+// filter would have handled. A later filter keeps the first one's
+// SyscallFast, since a call the first filter handles never reaches it.
 func (e *Engine) Attach(t *Tool) {
-	e.tools = append(e.tools, t)
-	e.install()
-}
-
-// Detach removes a tool by identity.
-func (e *Engine) Detach(t *Tool) {
-	for i, x := range e.tools {
-		if x == t {
-			e.tools = append(e.tools[:i], e.tools[i+1:]...)
-			e.install()
-			return
+	h := &e.Machine.Hooks
+	if prev, next := h.OnIns, t.OnIns; next != nil {
+		h.OnIns = next
+		if prev != nil {
+			h.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) { prev(th, pc, ins); next(th, pc, ins) }
 		}
 	}
-}
-
-// Run runs the machine with all attached tools.
-func (e *Engine) Run() error { return e.Machine.Run() }
-
-// install (re)builds the machine's hooks from the attached tools. Only hook
-// kinds that at least one tool actually provides are installed: the VM uses
-// the absence of per-instruction observation hooks to select its decoded-
-// block fast path, so an engine whose tools only filter syscalls (or no
-// tools at all) does not tax execution.
-func (e *Engine) install() {
-	m := e.Machine
-	h := vm.Hooks{}
-	var needIns, needRead, needWrite, needBranch, needMarker,
-		needFilter, needSyscall, needFault, needStart, needExit bool
-	for _, t := range e.tools {
-		needIns = needIns || t.OnIns != nil
-		needRead = needRead || t.OnMemRead != nil
-		needWrite = needWrite || t.OnMemWrite != nil
-		needBranch = needBranch || t.OnBranch != nil
-		needMarker = needMarker || t.OnMarker != nil
-		needFilter = needFilter || t.SyscallFilter != nil
-		needSyscall = needSyscall || t.OnSyscall != nil
-		needFault = needFault || t.OnFault != nil
-		needStart = needStart || t.OnThreadStart != nil
-		needExit = needExit || t.OnThreadExit != nil
+	if prev, next := h.OnMemRead, t.OnMemRead; next != nil {
+		h.OnMemRead = next
+		if prev != nil {
+			h.OnMemRead = func(th *vm.Thread, addr uint64, size int) { prev(th, addr, size); next(th, addr, size) }
+		}
 	}
-	if needIns {
-		h.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
-			for _, tool := range e.tools {
-				if tool.OnIns != nil {
-					tool.OnIns(t, pc, ins)
-				}
+	if prev, next := h.OnMemWrite, t.OnMemWrite; next != nil {
+		h.OnMemWrite = next
+		if prev != nil {
+			h.OnMemWrite = func(th *vm.Thread, addr uint64, size int) { prev(th, addr, size); next(th, addr, size) }
+		}
+	}
+	if prev, next := h.OnBranch, t.OnBranch; next != nil {
+		h.OnBranch = next
+		if prev != nil {
+			h.OnBranch = func(th *vm.Thread, pc, target uint64, taken bool) {
+				prev(th, pc, target, taken)
+				next(th, pc, target, taken)
 			}
 		}
 	}
-	if needRead {
-		h.OnMemRead = func(t *vm.Thread, addr uint64, size int) {
-			for _, tool := range e.tools {
-				if tool.OnMemRead != nil {
-					tool.OnMemRead(t, addr, size)
+	if prev, next := h.OnMarker, t.OnMarker; next != nil {
+		h.OnMarker = next
+		if prev != nil {
+			h.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) { prev(th, op, tag); next(th, op, tag) }
+		}
+	}
+	if prev, next := h.SyscallFilter, t.SyscallFilter; next != nil {
+		if prev == nil {
+			h.SyscallFilter, h.SyscallFast = next, t.SyscallFast
+		} else {
+			h.SyscallFilter = func(th *vm.Thread, num uint64) (kernel.Result, bool) {
+				if res, handled := prev(th, num); handled {
+					return res, true
 				}
+				return next(th, num)
 			}
 		}
 	}
-	if needWrite {
-		h.OnMemWrite = func(t *vm.Thread, addr uint64, size int) {
-			for _, tool := range e.tools {
-				if tool.OnMemWrite != nil {
-					tool.OnMemWrite(t, addr, size)
-				}
-			}
+	if prev, next := h.OnSyscall, t.OnSyscall; next != nil {
+		h.OnSyscall = next
+		if prev != nil {
+			h.OnSyscall = func(th *vm.Thread, num uint64, res kernel.Result) { prev(th, num, res); next(th, num, res) }
 		}
 	}
-	if needBranch {
-		h.OnBranch = func(t *vm.Thread, pc, target uint64, taken bool) {
-			for _, tool := range e.tools {
-				if tool.OnBranch != nil {
-					tool.OnBranch(t, pc, target, taken)
-				}
-			}
+	if prev, next := h.OnFault, t.OnFault; next != nil {
+		h.OnFault = next
+		if prev != nil {
+			h.OnFault = func(th *vm.Thread, f *mem.Fault) bool { return prev(th, f) || next(th, f) }
 		}
 	}
-	if needMarker {
-		h.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
-			for _, tool := range e.tools {
-				if tool.OnMarker != nil {
-					tool.OnMarker(t, op, tag)
-				}
-			}
+	if prev, next := h.OnThreadStart, t.OnThreadStart; next != nil {
+		h.OnThreadStart = next
+		if prev != nil {
+			h.OnThreadStart = func(th *vm.Thread) { prev(th); next(th) }
 		}
 	}
-	if needFilter {
-		h.SyscallFilter = func(t *vm.Thread, num uint64) (kernel.Result, bool) {
-			for _, tool := range e.tools {
-				if tool.SyscallFilter != nil {
-					if res, handled := tool.SyscallFilter(t, num); handled {
-						return res, true
-					}
-				}
-			}
-			return kernel.Result{}, false
+	if prev, next := h.OnThreadExit, t.OnThreadExit; next != nil {
+		h.OnThreadExit = next
+		if prev != nil {
+			h.OnThreadExit = func(th *vm.Thread) { prev(th); next(th) }
 		}
 	}
-	if needSyscall {
-		h.OnSyscall = func(t *vm.Thread, num uint64, res kernel.Result) {
-			for _, tool := range e.tools {
-				if tool.OnSyscall != nil {
-					tool.OnSyscall(t, num, res)
-				}
-			}
-		}
-	}
-	if needFault {
-		h.OnFault = func(t *vm.Thread, f *mem.Fault) bool {
-			for _, tool := range e.tools {
-				if tool.OnFault != nil && tool.OnFault(t, f) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	if needStart {
-		h.OnThreadStart = func(t *vm.Thread) {
-			for _, tool := range e.tools {
-				if tool.OnThreadStart != nil {
-					tool.OnThreadStart(t)
-				}
-			}
-		}
-	}
-	if needExit {
-		h.OnThreadExit = func(t *vm.Thread) {
-			for _, tool := range e.tools {
-				if tool.OnThreadExit != nil {
-					tool.OnThreadExit(t)
-				}
-			}
-		}
-	}
-	m.Hooks = h
 }
 
 // ICounter is a trivial pintool counting instructions per thread; it is the
-// canonical example tool and is used by tests and the replayer's
-// instruction-budget end condition.
+// canonical example tool, and the grid and pipeline benchmarks attach it to
+// measure the per-instruction ("hooked") path.
 type ICounter struct {
 	Tool
 	PerThread map[int]uint64

@@ -6,6 +6,7 @@ import (
 	"elfie/internal/asm"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/mem"
 	"elfie/internal/vm"
 )
 
@@ -57,7 +58,7 @@ func TestMultiplexing(t *testing.T) {
 	eng.Attach(&ic1.Tool)
 	eng.Attach(tool)
 	eng.Attach(&ic2.Tool)
-	if err := eng.Run(); err != nil {
+	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ic1.Total != ic2.Total || ic1.Total != m.GlobalRetired {
@@ -86,7 +87,7 @@ func TestSyscallFilterFirstWins(t *testing.T) {
 	}}
 	eng.Attach(b)
 	eng.Attach(a)
-	eng.Run()
+	m.Run()
 	// b attached first, consulted first, declines; a handles.
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Errorf("order: %v", order)
@@ -94,20 +95,6 @@ func TestSyscallFilterFirstWins(t *testing.T) {
 	if m.ExitStatus != 9 {
 		t.Errorf("exit = %d (filter result not applied)", m.ExitStatus)
 	}
-}
-
-func TestDetach(t *testing.T) {
-	m := machineFor(t, prog)
-	eng := NewEngine(m)
-	ic := NewICounter()
-	eng.Attach(&ic.Tool)
-	eng.Detach(&ic.Tool)
-	eng.Run()
-	if ic.Total != 0 {
-		t.Errorf("detached tool saw %d instructions", ic.Total)
-	}
-	// Detaching an unknown tool is a no-op.
-	eng.Detach(&Tool{})
 }
 
 func TestThreadLifecycleHooks(t *testing.T) {
@@ -132,10 +119,67 @@ stk: .space 4096
 	eng.Attach(&Tool{
 		OnThreadStart: func(th *vm.Thread) { starts++ },
 		OnThreadExit:  func(th *vm.Thread) { exits++ },
+		SyscallFilter: func(th *vm.Thread, num uint64) (kernel.Result, bool) { return kernel.Result{}, false },
+		OnFault:       func(th *vm.Thread, f *mem.Fault) bool { return false },
 	})
-	eng.Run()
+	// A tool with no per-instruction callbacks leaves those hooks nil, so
+	// the VM can still select its block fast path.
+	if h := m.Hooks; h.OnIns != nil || h.OnMemRead != nil || h.OnMemWrite != nil ||
+		h.OnBranch != nil || h.OnMarker != nil {
+		t.Error("per-instruction hook installed by a tool that provides none")
+	}
+	m.Run()
 	// Thread 0 started before the engine attached; the clone is seen.
 	if starts != 1 || exits != 2 {
 		t.Errorf("starts=%d exits=%d", starts, exits)
+	}
+}
+
+// TestComposeInPlace: Attach composes onto whatever hooks the machine
+// already has — a hook installed before NewEngine keeps firing, and tools
+// attached through two separate engines both fire, in attach order.
+func TestComposeInPlace(t *testing.T) {
+	m := machineFor(t, prog)
+	var order []string
+	m.Hooks.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) { order = append(order, "pre") }
+	marker := func(name string) *Tool {
+		return &Tool{Name: name, OnMarker: func(th *vm.Thread, op isa.Op, tag uint32) {
+			order = append(order, name)
+		}}
+	}
+	NewEngine(m).Attach(marker("a"))
+	NewEngine(m).Attach(marker("b"))
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 300 || order[0] != "pre" || order[1] != "a" || order[2] != "b" {
+		t.Errorf("marker events: %d, first %v", len(order), order[:min(len(order), 3)])
+	}
+}
+
+// TestSyscallFastInstall: a lone filtering tool gets its inline path; a
+// tool behind an earlier filter does not, since its inline path would skip
+// that filter; a later filter keeps the first tool's inline path.
+func TestSyscallFastInstall(t *testing.T) {
+	decline := func(th *vm.Thread, num uint64) (kernel.Result, bool) { return kernel.Result{}, false }
+	fast := func(ret uint64) func(*vm.Thread, uint64) (uint64, bool) {
+		return func(*vm.Thread, uint64) (uint64, bool) { return ret, true }
+	}
+
+	m := machineFor(t, prog)
+	NewEngine(m).Attach(&Tool{SyscallFilter: decline, SyscallFast: fast(1)})
+	NewEngine(m).Attach(&Tool{SyscallFilter: decline, SyscallFast: fast(2)})
+	if m.Hooks.SyscallFast == nil {
+		t.Fatal("lone filtering tool: SyscallFast not installed")
+	}
+	if ret, _ := m.Hooks.SyscallFast(nil, 0); ret != 1 {
+		t.Errorf("SyscallFast is the later tool's (ret %d), want the first filter's", ret)
+	}
+
+	m = machineFor(t, prog)
+	NewEngine(m).Attach(&Tool{SyscallFilter: decline})
+	NewEngine(m).Attach(&Tool{SyscallFilter: decline, SyscallFast: fast(2)})
+	if m.Hooks.SyscallFast != nil {
+		t.Error("SyscallFast installed behind an earlier filter")
 	}
 }

@@ -108,14 +108,16 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 		}
 	}
 
-	// Phase 2: run the region under instrumentation.
-	eng := pin.NewEngine(m)
-	eng.Attach(&lg.Tool)
+	// Phase 2: run the region under instrumentation, then give the caller
+	// back its own hooks whether or not the run succeeded.
+	saved := m.Hooks
+	pin.NewEngine(m).Attach(&lg.Tool)
 	m.MaxInstructions = pb.Meta.RegionStartIcount + opts.RegionLength
-	if err := harness.WrapRun(harness.ModeLog, m.Run()); err != nil {
+	err := harness.WrapRun(harness.ModeLog, m.Run())
+	m.Hooks = saved
+	if err != nil {
 		return nil, err
 	}
-	m.Hooks = vm.Hooks{}
 
 	for i, t := range m.Threads {
 		if i < len(lg.startRetired) {

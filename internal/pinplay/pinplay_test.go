@@ -220,6 +220,33 @@ func TestReplayInjectedMatchesLogging(t *testing.T) {
 	}
 }
 
+// TestReplayKeepsInlineInjection: an injected replay installs the inline
+// SyscallFast path, and one with an Observe callback does not (Observe must
+// see every logged call). Losing the inline path would not change results,
+// only silently push every syscall back onto the slow path.
+func TestReplayKeepsInlineInjection(t *testing.T) {
+	pb := logRegion(t, timeProg, 1, nil,
+		LogOptions{Name: "tp", RegionStart: 200, RegionLength: 2000}.Fat())
+	for _, observe := range []bool{false, true} {
+		opts := ReplayOptions{Injection: true}
+		if observe {
+			opts.Observe = func(*vm.Thread, *pinball.SyscallEffect, *vm.Machine) {}
+		}
+		var fast bool
+		opts.BeforeRun = func(m *vm.Machine) { fast = m.Hooks.SyscallFast != nil }
+		res, err := Replay(pb, kernel.New(kernel.NewFS(), 1), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Diverged || !res.Completed {
+			t.Fatalf("observe=%v: diverged=%v completed=%v", observe, res.Diverged, res.Completed)
+		}
+		if fast == observe {
+			t.Errorf("observe=%v: SyscallFast installed=%v", observe, fast)
+		}
+	}
+}
+
 func TestReplayFileReads(t *testing.T) {
 	fs := kernel.NewFS()
 	data := make([]byte, 256)

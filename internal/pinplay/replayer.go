@@ -9,6 +9,7 @@ import (
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/mem"
+	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
 )
@@ -127,7 +128,8 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 		// unconsumed tail.
 		cursor := harness.NewInjectCursor(pb.Syscalls)
 		s.Cursor = cursor
-		m.Hooks.SyscallFilter = func(t *vm.Thread, num uint64) (kernel.Result, bool) {
+		inject := &pin.Tool{Name: "pinplay-replayer"}
+		inject.SyscallFilter = func(t *vm.Thread, num uint64) (kernel.Result, bool) {
 			e, ok := cursor.Next(t.TID)
 			if !ok {
 				rep := &DivergenceReport{
@@ -182,7 +184,7 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 			// full state spill. Anything else is left unconsumed (Peek,
 			// not Next) and declines, so the filter above re-runs the call
 			// with precise spilled state and full divergence reporting.
-			m.Hooks.SyscallFast = func(t *vm.Thread, num uint64) (uint64, bool) {
+			inject.SyscallFast = func(t *vm.Thread, num uint64) (uint64, bool) {
 				e, ok := cursor.Peek(t.TID)
 				if !ok || e.Num != num || e.Executed ||
 					len(e.MemWrites) != 0 || e.FSBase != nil || e.GSBase != nil {
@@ -193,13 +195,14 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 				return e.Ret, true
 			}
 		}
-		m.Hooks.OnFault = func(t *vm.Thread, f *mem.Fault) bool {
+		inject.OnFault = func(t *vm.Thread, f *mem.Fault) bool {
 			diverge(&DivergenceReport{
 				Kind: DivergeFault, TID: t.TID, PC: t.Regs.PC,
 				Retired: t.Retired, GlobalRetired: m.GlobalRetired, Fault: f,
 			})
 			return false
 		}
+		pin.NewEngine(m).Attach(inject)
 	}
 
 	if opts.BeforeRun != nil {

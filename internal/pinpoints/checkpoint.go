@@ -17,6 +17,7 @@ import (
 	"elfie/internal/harness"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/store"
@@ -83,16 +84,15 @@ func (b *Benchmark) armReplayBudget(m *vm.Machine) {
 		return
 	}
 	var retired uint64
-	prev := m.Hooks.OnIns
-	m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
-		if prev != nil {
-			prev(t, pc, ins)
-		}
-		retired++
-		if retired == budget {
-			m.RequestStop()
-		}
-	}
+	pin.NewEngine(m).Attach(&pin.Tool{
+		Name: "replay-budget",
+		OnIns: func(t *vm.Thread, pc uint64, ins isa.Inst) {
+			retired++
+			if retired == budget {
+				m.RequestStop()
+			}
+		},
+	})
 }
 
 // saveCheckpoint persists one mid-run checkpoint: chunked into the store

@@ -16,6 +16,7 @@ import (
 	"elfie/internal/harness"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/uarch"
@@ -91,15 +92,14 @@ func newEngine(cfg Config, end EndCondition) *engine {
 func (e *engine) attach(m *vm.Machine) {
 	e.machine = m
 	if e.cfg.StartMarker != 0 {
-		prev := m.Hooks.OnMarker
-		m.Hooks.OnMarker = func(t *vm.Thread, op isa.Op, tag uint32) {
-			if prev != nil {
-				prev(t, op, tag)
-			}
-			if tag == e.cfg.StartMarker {
-				e.measuring = true
-			}
-		}
+		pin.NewEngine(m).Attach(&pin.Tool{
+			Name: "sniper-start",
+			OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
+				if tag == e.cfg.StartMarker {
+					e.measuring = true
+				}
+			},
+		})
 	}
 	e.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(e.consume))
 }

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"elfie/internal/isa"
+	"elfie/internal/pin"
 	"elfie/internal/vm"
 )
 
@@ -42,51 +43,41 @@ type Feeder struct {
 	have    bool
 }
 
-// NewFeeder attaches a feeder to a machine, composing with any hooks that
-// are already installed.
+// NewFeeder attaches a feeder to a machine as a pintool, composing with
+// any hooks that are already installed.
 func NewFeeder(m *vm.Machine, sink Consumer) *Feeder {
 	f := &Feeder{sink: sink}
-	prev := m.Hooks
-	m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
-		if prev.OnIns != nil {
-			prev.OnIns(t, pc, ins)
-		}
-		f.Flush()
-		f.pending = DynInst{
-			TID: t.TID, PC: pc, Ins: ins, Class: isa.OpClass(ins.Op),
-		}
-		f.have = true
-	}
-	m.Hooks.OnMemRead = func(t *vm.Thread, addr uint64, size int) {
-		if prev.OnMemRead != nil {
-			prev.OnMemRead(t, addr, size)
-		}
-		if f.have {
-			f.pending.MemR = true
-			f.pending.MemAddr = addr
-			f.pending.MemSize = size
-		}
-	}
-	m.Hooks.OnMemWrite = func(t *vm.Thread, addr uint64, size int) {
-		if prev.OnMemWrite != nil {
-			prev.OnMemWrite(t, addr, size)
-		}
-		if f.have {
-			f.pending.MemW = true
-			f.pending.MemAddr = addr
-			f.pending.MemSize = size
-		}
-	}
-	m.Hooks.OnBranch = func(t *vm.Thread, pc, target uint64, taken bool) {
-		if prev.OnBranch != nil {
-			prev.OnBranch(t, pc, target, taken)
-		}
-		if f.have {
-			f.pending.Branch = true
-			f.pending.Taken = taken
-			f.pending.Target = target
-		}
-	}
+	pin.NewEngine(m).Attach(&pin.Tool{
+		Name: "uarch-feeder",
+		OnIns: func(t *vm.Thread, pc uint64, ins isa.Inst) {
+			f.Flush()
+			f.pending = DynInst{
+				TID: t.TID, PC: pc, Ins: ins, Class: isa.OpClass(ins.Op),
+			}
+			f.have = true
+		},
+		OnMemRead: func(t *vm.Thread, addr uint64, size int) {
+			if f.have {
+				f.pending.MemR = true
+				f.pending.MemAddr = addr
+				f.pending.MemSize = size
+			}
+		},
+		OnMemWrite: func(t *vm.Thread, addr uint64, size int) {
+			if f.have {
+				f.pending.MemW = true
+				f.pending.MemAddr = addr
+				f.pending.MemSize = size
+			}
+		},
+		OnBranch: func(t *vm.Thread, pc, target uint64, taken bool) {
+			if f.have {
+				f.pending.Branch = true
+				f.pending.Taken = taken
+				f.pending.Target = target
+			}
+		},
+	})
 	return f
 }
 
