@@ -1,6 +1,9 @@
 // Package bbv implements basic-block-vector profiling, the input to the
 // SimPoint phase-detection methodology. It is written as a pintool over the
-// VM's instrumentation hooks, like the profilers the PinPoints kit uses.
+// VM's block-granular OnBlock hook, like the basic-block profilers the
+// PinPoints kit uses: the program runs on the decoded-block fast path, and
+// the collector sees each retired straight-line run once, not every
+// instruction.
 package bbv
 
 import (
@@ -23,7 +26,10 @@ type Profile struct {
 }
 
 // Collector is the profiling pintool. Slices are counted over thread 0's
-// instruction stream (the SimPoint convention for rate runs).
+// instruction stream (the SimPoint convention for rate runs). A basic block
+// starts at the first instruction and after every isa.IsBranch op; the
+// VM's decoded blocks do not define it, since they also end at page edges,
+// at a length cap and before ops the fast path cannot batch.
 type Collector struct {
 	SliceSize uint64
 	profile   *Profile
@@ -46,22 +52,51 @@ func NewCollector(sliceSize uint64) *Collector {
 
 // Attach installs the collector on a machine as a pintool.
 func (c *Collector) Attach(m *vm.Machine) {
-	pin.NewEngine(m).Attach(&pin.Tool{Name: "bbv", OnIns: c.observe})
+	pin.NewEngine(m).Attach(&pin.Tool{Name: "bbv", OnBlock: c.block})
 }
 
-func (c *Collector) observe(t *vm.Thread, pc uint64, ins isa.Inst) {
-	if t.TID != 0 {
+// block profiles reps back-to-back passes over the run ins. From the second
+// pass on, every pass splits into the same basic blocks, so whole passes
+// that fit in the open slice are counted in one step.
+func (c *Collector) block(t *vm.Thread, ins []isa.DecInst, reps int) {
+	if t.TID != 0 || len(ins) == 0 || reps < 1 {
 		return
 	}
-	if c.prevBranch {
-		c.blockStart = pc
+	c.pass(ins, 1)
+	for left := uint64(reps - 1); left > 0; {
+		k := max(1, min(left, (max(c.SliceSize, 1)-c.curCount)/uint64(len(ins))))
+		c.pass(ins, k)
+		left -= k
 	}
-	c.cur[c.blockStart]++
-	c.prevBranch = isa.IsBranch(ins.Op)
-	c.curCount++
-	c.profile.TotalInstructions++
-	if c.curCount >= c.SliceSize {
-		c.flush()
+}
+
+// pass counts k identical passes over ins, one weight update per basic
+// block. With k > 1 the passes must fit in the open slice.
+func (c *Collector) pass(ins []isa.DecInst, k uint64) {
+	from := 0
+	for j := range ins {
+		if c.prevBranch {
+			c.add(uint64(j-from) * k)
+			from = j
+			c.blockStart = ins[j].PC()
+		}
+		c.prevBranch = isa.IsBranch(ins[j].Op)
+	}
+	c.add(uint64(len(ins)-from) * k)
+}
+
+// add credits n instructions to the current block, closing slices as they
+// fill.
+func (c *Collector) add(n uint64) {
+	for n > 0 {
+		k := min(n, max(c.SliceSize, 1)-c.curCount)
+		c.cur[c.blockStart] += uint32(k)
+		c.curCount += k
+		c.profile.TotalInstructions += k
+		n -= k
+		if c.curCount >= c.SliceSize {
+			c.flush()
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package bbv
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"elfie/internal/asm"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/vm"
 )
@@ -145,5 +148,40 @@ stk: .space 4096
 	}
 	if p.TotalInstructions < 60_000 {
 		t.Errorf("thread 0 profile too small: %d", p.TotalInstructions)
+	}
+}
+
+// TestRunsMatchPerInstruction: feeding the collector whole runs — repeated
+// ones included, entered after a branch or after a fall-through — gives the
+// profile that feeding the same instructions one at a time gives, at slice
+// sizes that split runs and passes.
+func TestRunsMatchPerInstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	th := &vm.Thread{TID: 0}
+	ops := []isa.Op{isa.ADDI, isa.ADDI, isa.STQ, isa.CMPI, isa.JNZ, isa.CALL}
+	for _, size := range []uint64{1, 7, 64, 1000} {
+		bulk, single := NewCollector(size), NewCollector(size)
+		for n := 0; n < 300; n++ {
+			ins := make([]isa.DecInst, 1+rng.Intn(12))
+			pc := uint64(0x1000 + 8*rng.Intn(64))
+			for i := range ins {
+				ins[i] = isa.DecInst{Op: ops[rng.Intn(len(ops))], Next: pc + 8*uint64(i+1)}
+			}
+			reps := 1
+			if rng.Intn(3) == 0 {
+				reps = 1 + rng.Intn(40)
+			}
+			bulk.block(th, ins, reps)
+			for r := 0; r < reps; r++ {
+				for i := range ins {
+					single.block(th, ins[i:i+1], 1)
+				}
+			}
+		}
+		pb, ps := bulk.Finish(), single.Finish()
+		if !reflect.DeepEqual(pb, ps) {
+			t.Errorf("slice %d: run-fed profile (%d slices) differs from instruction-fed (%d slices)",
+				size, len(pb.Slices), len(ps.Slices))
+		}
 	}
 }

@@ -24,6 +24,29 @@ func (d *DecInst) PC() uint64 {
 	return d.Next - InstLen
 }
 
+// Predecode returns the executed form of ins, located at pc.
+func (i Inst) Predecode(pc uint64) DecInst {
+	d := DecInst{
+		Op:   i.Op,
+		A:    i.A & 15,
+		B:    i.B & 15,
+		C:    i.C & 15,
+		Imm:  uint64(int64(i.Imm)),
+		Next: pc + i.Len(),
+	}
+	if i.Op == LIMM {
+		d.Imm = i.Imm64
+	}
+	// Precompute the PC-relative target for direct branches and the JMPM
+	// literal-slot address.
+	switch i.Op {
+	case JMP, JZ, JNZ, JL, JLE, JG, JGE, JB, JBE, JA, JAE, JS, JNS,
+		CALL, JMPM:
+		d.Target = i.BranchTarget(pc)
+	}
+	return d
+}
+
 // PredecodeBlock decodes a straight-line run of instructions from code,
 // which holds the executable bytes at address base. Decoding stops after
 // the first control-transfer instruction (IsBranch — the block terminator,
@@ -39,26 +62,7 @@ func PredecodeBlock(code []byte, base uint64, max int) []DecInst {
 		if err != nil {
 			break
 		}
-		pc := base + off
-		d := DecInst{
-			Op:   ins.Op,
-			A:    ins.A & 15,
-			B:    ins.B & 15,
-			C:    ins.C & 15,
-			Imm:  uint64(int64(ins.Imm)),
-			Next: pc + n,
-		}
-		if ins.Op == LIMM {
-			d.Imm = ins.Imm64
-		}
-		// Precompute the PC-relative target for direct branches and the
-		// JMPM literal-slot address.
-		switch ins.Op {
-		case JMP, JZ, JNZ, JL, JLE, JG, JGE, JB, JBE, JA, JAE, JS, JNS,
-			CALL, JMPM:
-			d.Target = ins.BranchTarget(pc)
-		}
-		out = append(out, d)
+		out = append(out, ins.Predecode(base+off))
 		off += n
 		if IsBranch(ins.Op) {
 			break

@@ -19,10 +19,13 @@ import (
 // Filter-style callbacks (SyscallFilter, OnFault) are consulted in
 // attachment order; the first tool that handles the event wins.
 // SyscallFast is the inline twin of SyscallFilter (see vm.Hooks) and is
-// only honoured alongside the same tool's SyscallFilter.
+// only honoured alongside the same tool's SyscallFilter. OnBlock is the
+// block-granular twin of OnIns (see vm.Hooks): a tool that needs only the
+// retired instruction stream uses it and keeps the VM on its fast path.
 type Tool struct {
 	Name          string
 	OnIns         func(t *vm.Thread, pc uint64, ins isa.Inst)
+	OnBlock       func(t *vm.Thread, ins []isa.DecInst, reps int)
 	OnMemRead     func(t *vm.Thread, addr uint64, size int)
 	OnMemWrite    func(t *vm.Thread, addr uint64, size int)
 	OnBranch      func(t *vm.Thread, pc, target uint64, taken bool)
@@ -61,6 +64,12 @@ func (e *Engine) Attach(t *Tool) {
 		h.OnIns = next
 		if prev != nil {
 			h.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) { prev(th, pc, ins); next(th, pc, ins) }
+		}
+	}
+	if prev, next := h.OnBlock, t.OnBlock; next != nil {
+		h.OnBlock = next
+		if prev != nil {
+			h.OnBlock = func(th *vm.Thread, ins []isa.DecInst, reps int) { prev(th, ins, reps); next(th, ins, reps) }
 		}
 	}
 	if prev, next := h.OnMemRead, t.OnMemRead; next != nil {

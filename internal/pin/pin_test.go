@@ -137,7 +137,8 @@ stk: .space 4096
 
 // TestComposeInPlace: Attach composes onto whatever hooks the machine
 // already has — a hook installed before NewEngine keeps firing, and tools
-// attached through two separate engines both fire, in attach order.
+// attached through two separate engines both fire, in attach order (for
+// OnMarker and for OnBlock).
 func TestComposeInPlace(t *testing.T) {
 	m := machineFor(t, prog)
 	var order []string
@@ -154,6 +155,28 @@ func TestComposeInPlace(t *testing.T) {
 	}
 	if len(order) != 300 || order[0] != "pre" || order[1] != "a" || order[2] != "b" {
 		t.Errorf("marker events: %d, first %v", len(order), order[:min(len(order), 3)])
+	}
+
+	// OnBlock composes the same way: each run reaches a, then b.
+	m = machineFor(t, prog)
+	var runs []string
+	block := func(name string) *Tool {
+		return &Tool{Name: name, OnBlock: func(th *vm.Thread, ins []isa.DecInst, reps int) {
+			runs = append(runs, name)
+		}}
+	}
+	NewEngine(m).Attach(block("a"))
+	NewEngine(m).Attach(block("b"))
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 || len(runs)%2 != 0 {
+		t.Fatalf("%d OnBlock calls, want a non-zero even number", len(runs))
+	}
+	for i := 0; i < len(runs); i += 2 {
+		if runs[i] != "a" || runs[i+1] != "b" {
+			t.Fatalf("block run %d reached %s then %s, want a then b", i/2, runs[i], runs[i+1])
+		}
 	}
 }
 

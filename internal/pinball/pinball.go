@@ -143,17 +143,27 @@ func (p *Pinball) ImageBytes() uint64 {
 }
 
 // SortPages orders the memory image by address and merges adjacent records
-// with identical protections.
+// with identical protections. Each merged record's size is found first, so
+// its data is allocated once.
 func (p *Pinball) SortPages() {
-	sort.Slice(p.Pages, func(i, j int) bool { return p.Pages[i].Addr < p.Pages[j].Addr })
+	pages := p.Pages
+	sort.Slice(pages, func(i, j int) bool { return pages[i].Addr < pages[j].Addr })
 	var out []Page
-	for _, pg := range p.Pages {
-		if n := len(out); n > 0 && out[n-1].Addr+uint64(len(out[n-1].Data)) == pg.Addr &&
-			out[n-1].Prot == pg.Prot {
-			out[n-1].Data = append(out[n-1].Data, pg.Data...)
-			continue
+	for i := 0; i < len(pages); {
+		j, size := i+1, len(pages[i].Data)
+		for ; j < len(pages); j++ {
+			prev := &pages[j-1]
+			if prev.Addr+uint64(len(prev.Data)) != pages[j].Addr || pages[j].Prot != pages[i].Prot {
+				break
+			}
+			size += len(pages[j].Data)
 		}
-		out = append(out, Page{Addr: pg.Addr, Prot: pg.Prot, Data: append([]byte(nil), pg.Data...)})
+		data := make([]byte, 0, size)
+		for _, pg := range pages[i:j] {
+			data = append(data, pg.Data...)
+		}
+		out = append(out, Page{Addr: pages[i].Addr, Prot: pages[i].Prot, Data: data})
+		i = j
 	}
 	p.Pages = out
 }
@@ -220,6 +230,11 @@ func (p *Pinball) Save(dir string) error {
 
 func (p *Pinball) textBytes() []byte {
 	var w bytes.Buffer
+	n := 0
+	for _, pg := range p.Pages {
+		n += 20 + len(pg.Data)
+	}
+	w.Grow(n)
 	var hdr [20]byte
 	for _, pg := range p.Pages {
 		binary.LittleEndian.PutUint64(hdr[0:], pg.Addr)

@@ -1,6 +1,7 @@
 package pinball
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,6 +132,18 @@ func TestSortPagesMerges(t *testing.T) {
 	}
 	if pb.ImageBytes() != 5*4096 {
 		t.Errorf("image bytes: %d", pb.ImageBytes())
+	}
+
+	// Merged data keeps every page's bytes, in address order.
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
+	pb = &Pinball{Pages: []Page{
+		{Addr: 0x3000, Prot: 3, Data: page(3)},
+		{Addr: 0x1000, Prot: 3, Data: page(1)},
+		{Addr: 0x2000, Prot: 3, Data: page(2)},
+	}}
+	pb.SortPages()
+	if want := append(append(page(1), page(2)...), page(3)...); len(pb.Pages) != 1 || !bytes.Equal(pb.Pages[0].Data, want) {
+		t.Errorf("merged data out of order (%d records)", len(pb.Pages))
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 // This file implements the decoded-block fast path: a basic-block cache
 // (PR 4) extended with direct block-to-block chaining and superblock/trace
 // formation. When no per-instruction instrumentation is installed (elfierun
-// replay, farm validation), the interpreter predecodes straight-line
-// instruction runs into per-page blocks and executes them in a tight loop
-// that skips the fetch/decode work of Machine.step; hot block edges are
-// then linked so control transfers block → block without re-entering the
-// dispatch loop, and edges that stay hot are spliced into cross-branch,
-// cross-page superblocks.
+// replay, farm validation, BBV profiling), the interpreter predecodes
+// straight-line instruction runs into per-page blocks and executes them in
+// a tight loop that skips the fetch/decode work of Machine.step; hot block
+// edges are then linked so control transfers block → block without
+// re-entering the dispatch loop, and edges that stay hot are spliced into
+// cross-branch, cross-page superblocks.
 //
 // Soundness hinges on generation validation: blocks are keyed by
 // (page number, page generation), and mem.AddrSpace gives a page a fresh
@@ -130,7 +130,8 @@ type pageBlocks struct {
 // per-instruction observation hook forces the step path so hooks fire in
 // order; SyscallFilter/OnSyscall/OnFault and the thread hooks are
 // compatible with the fast path because syscalls the chain cannot retire
-// inline and faults fall back to step semantics.
+// inline and faults fall back to step semantics, and OnBlock because the
+// chain reports its runs at every exit.
 func (m *Machine) fastPathOK() bool {
 	h := &m.Hooks
 	return !m.DisableBlockCache && m.FaultInj == nil &&
@@ -876,6 +877,8 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 	rdPN := ^uint64(0)
 	wrPN := ^uint64(0)
 	var rdPg, wrPg *[mem.PageSize]byte
+	// blk.ins[:i] is the current visit's retired, not yet reported run.
+	onBlock := m.Hooks.OnBlock
 
 	for {
 		// Loop mode: a tight self-loop whose whole body is batchable runs
@@ -894,6 +897,9 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 				// partial one retired; sl[i] is the next op to execute.
 				ran += w*len(blk.ins) + i
 				pc = blk.spc[i]
+				if onBlock != nil && w > 0 {
+					onBlock(t, blk.ins, w)
+				}
 				goto perins
 			}
 		}
@@ -1004,7 +1010,8 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 						// non-executable, so the clock cannot have moved.
 						wrPN, wrPg = addr>>mem.PageShift, pg
 					} else if as.Clock() != clock {
-						ran += i - start + 1
+						i++
+						ran += i - start
 						pc = d.Next
 						goto out
 					}
@@ -1028,7 +1035,8 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 				if pg != nil {
 					wrPN, wrPg = addr>>mem.PageShift, pg
 				} else if as.Clock() != clock {
-					ran += i - start + 1
+					i++
+					ran += i - start
 					pc = d.Next
 					goto out
 				}
@@ -1053,7 +1061,8 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 						wrPN, wrPg = sp>>mem.PageShift, pg
 					} else if as.Clock() != clock {
 						g[isa.RSP] = sp
-						ran += i - start + 1
+						i++
+						ran += i - start
 						pc = d.Next
 						goto out
 					}
@@ -1496,9 +1505,13 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 		}
 
 	trans:
-		// Block/trace exit: transfer to next (== pc). Honour stop requests,
-		// then follow — or re-establish — the chain link, recording the
-		// observed successor for trace formation.
+		// Block/trace exit: transfer to next (== pc). Report the visit,
+		// honour stop requests, then follow — or re-establish — the chain
+		// link, recording the observed successor for trace formation.
+		if onBlock != nil {
+			onBlock(t, blk.ins[:i], 1)
+			i = 0
+		}
 		if m.stopReq.Load() || m.DisableChaining {
 			blk.lastNext = pc
 			goto out
@@ -1547,6 +1560,9 @@ out:
 	r.Flags = flags
 	t.Retired += uint64(ran)
 	m.GlobalRetired += uint64(ran)
+	if onBlock != nil && i > 0 {
+		onBlock(t, blk.ins[:i], 1)
+	}
 	return ran, needStep
 
 fault:
@@ -1554,6 +1570,9 @@ fault:
 	r.Flags = flags
 	t.Retired += uint64(ran)
 	m.GlobalRetired += uint64(ran)
+	if onBlock != nil && i > 0 {
+		onBlock(t, blk.ins[:i], 1)
+	}
 	m.handleFault(t, fErr)
 	return ran, false
 }

@@ -153,8 +153,9 @@ func TestFastPathSelection(t *testing.T) {
 	m.Hooks.SyscallFilter = func(*Thread, uint64) (kernel.Result, bool) { return kernel.Result{}, false }
 	m.Hooks.OnFault = func(*Thread, *mem.Fault) bool { return false }
 	m.Hooks.OnThreadStart = func(*Thread) {}
+	m.Hooks.OnBlock = func(*Thread, []isa.DecInst, int) {}
 	if !m.fastPathOK() {
-		t.Error("syscall/fault/thread hooks must not disable the fast path")
+		t.Error("syscall/fault/thread/block hooks must not disable the fast path")
 	}
 	m.Hooks.OnIns = func(*Thread, uint64, isa.Inst) {}
 	if m.fastPathOK() {

@@ -304,6 +304,9 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 			t.Regs.PC = next
 			t.Retired++
 			m.GlobalRetired++
+			if m.Hooks.OnBlock != nil {
+				m.stepBlock(t, pc, ins)
+			}
 			if exit == exitThreadAction {
 				m.exitThread(t, status)
 			} else {
@@ -426,11 +429,22 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	t.Regs.PC = next
 	t.Retired++
 	m.GlobalRetired++
+	if m.Hooks.OnBlock != nil {
+		m.stepBlock(t, pc, ins)
+	}
 
 	if m.checkPerfOverflow(t) {
 		return true, true
 	}
 	return yielded, true
+}
+
+// stepBlock reports the instruction step just retired to Hooks.OnBlock as
+// a one-element run, built in the machine's scratch slot so the hooked
+// path allocates nothing per instruction.
+func (m *Machine) stepBlock(t *Thread, pc uint64, ins isa.Inst) {
+	m.stepIns[0] = ins.Predecode(pc)
+	m.Hooks.OnBlock(t, m.stepIns[:], 1)
 }
 
 // checkPerfOverflow fires any due perf counters (the graceful-exit

@@ -100,6 +100,18 @@ func (t *Thread) RestorePerf(states []PerfCounterState) {
 type Hooks struct {
 	// OnIns fires before each instruction executes.
 	OnIns func(t *Thread, pc uint64, ins isa.Inst)
+	// OnBlock fires after t retires the straight-line run ins, reps times
+	// back to back. The decoded-block executor reports each block or trace
+	// visit as it exits (a tight self-loop's batched iterations as one call
+	// with reps > 1, a visit cut short by a fault, budget, or stop as its
+	// retired prefix); the per-instruction path reports every retired
+	// instruction as a one-element run. Concatenated, the runs are exactly
+	// the thread's retired instruction stream. Unlike OnIns it does not
+	// force the per-instruction path. ins aliases the block cache
+	// (or a per-machine scratch slot) and is only valid during the call;
+	// hot state may be unspilled, so an implementation must not consult
+	// t.Regs or t.Retired.
+	OnBlock func(t *Thread, ins []isa.DecInst, reps int)
 	// OnMemRead/OnMemWrite fire before a data memory access.
 	OnMemRead  func(t *Thread, addr uint64, size int)
 	OnMemWrite func(t *Thread, addr uint64, size int)
@@ -371,6 +383,8 @@ type Machine struct {
 	lastRan     int
 
 	fetchBuf [isa.LimmLen]byte
+	// stepIns is the one-element run step reports to Hooks.OnBlock.
+	stepIns [1]isa.DecInst
 }
 
 // New creates a machine around an existing kernel and process (no threads).

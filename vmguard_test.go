@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"elfie/internal/bbv"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/pin"
 	"elfie/internal/vm"
 	"elfie/internal/workloads"
 )
@@ -16,21 +18,29 @@ import (
 // guard tests: phased and branchy, trimmed so the guard stays fast.
 func guardMachine(t *testing.T, seed int64) *vm.Machine {
 	t.Helper()
-	r := trim(workloads.TrainIntRate()[1], 3)
+	return recipeLoader(t, trim(workloads.TrainIntRate()[1], 3), seed)()
+}
+
+// recipeLoader builds recipe r once and returns a constructor for fresh
+// machines loaded with it.
+func recipeLoader(t *testing.T, r workloads.Recipe, seed int64) func() *vm.Machine {
+	t.Helper()
 	exe, err := workloads.Build(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := kernel.NewFS()
-	if r.FileInput {
-		fs.WriteFile("/input.dat", workloads.InputFile())
+	return func() *vm.Machine {
+		fs := kernel.NewFS()
+		if r.FileInput {
+			fs.WriteFile("/input.dat", workloads.InputFile())
+		}
+		m, err := vm.NewLoaded(kernel.New(fs, seed), exe, []string{r.Name}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.MaxInstructions = 50_000_000
+		return m
 	}
-	m, err := vm.NewLoaded(kernel.New(fs, seed), exe, []string{r.Name}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.MaxInstructions = 50_000_000
-	return m
 }
 
 // marshalProfile renders a BBV profile into a canonical byte string:
@@ -72,13 +82,15 @@ func summarize(m *vm.Machine) runSummary {
 }
 
 // TestHookedMatchesFastPath is the execution-path guard: the hooked
-// per-instruction interpreter (BBV profiling attached) and the unhooked
-// decoded-block fast path must retire the identical architectural
-// instruction stream — same counts, exit, output, and final registers —
-// and BBV profiling itself must be byte-for-byte reproducible.
+// per-instruction interpreter (an instruction counter and BBV profiling
+// attached) and the unhooked decoded-block fast path must retire the
+// identical architectural instruction stream — same counts, exit, output,
+// and final registers — and BBV profiling itself must be byte-for-byte
+// the same on either path.
 func TestHookedMatchesFastPath(t *testing.T) {
-	// Hooked run A: BBV collector forces the per-instruction path.
+	// Hooked run A: the instruction counter forces the per-instruction path.
 	ma := guardMachine(t, 1)
+	pin.NewEngine(ma).Attach(&pin.NewICounter().Tool)
 	pa, err := bbv.Collect(ma, 100_000)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +99,15 @@ func TestHookedMatchesFastPath(t *testing.T) {
 		t.Fatalf("reference workload too small: %d slices", len(pa.Slices))
 	}
 
-	// Hooked run B: identical machine, identical profile expected.
+	// Run B: BBV profiling alone stays on the chained core, and must
+	// produce the identical profile.
 	mb := guardMachine(t, 1)
 	pb, err := bbv.Collect(mb, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(marshalProfile(pa), marshalProfile(pb)) {
-		t.Error("hooked BBV profiles differ between identical runs")
+		t.Error("BBV profiles differ between the hooked path and the chained core")
 	}
 
 	// Unhooked run C: decoded-block fast path.
@@ -125,5 +138,136 @@ func TestHookedMatchesFastPath(t *testing.T) {
 	if pa.TotalInstructions != mc.Threads[0].Retired {
 		t.Errorf("BBV total %d != fast-path thread-0 retired %d",
 			pa.TotalInstructions, mc.Threads[0].Retired)
+	}
+}
+
+// refCollector is the per-instruction BBV reference: an OnIns pintool that
+// credits every retired thread-0 instruction to the block opened by the
+// last branch. bbv.Collector must produce its profile exactly.
+type refCollector struct {
+	p          bbv.Profile
+	cur        bbv.Vector
+	n          uint64
+	blockStart uint64
+	prevBranch bool
+}
+
+func newRefCollector(size uint64) *refCollector {
+	return &refCollector{p: bbv.Profile{SliceSize: size}, cur: bbv.Vector{}, prevBranch: true}
+}
+
+func (c *refCollector) observe(t *vm.Thread, pc uint64, ins isa.Inst) {
+	if t.TID != 0 {
+		return
+	}
+	if c.prevBranch {
+		c.blockStart = pc
+	}
+	c.cur[c.blockStart]++
+	c.prevBranch = isa.IsBranch(ins.Op)
+	c.n++
+	c.p.TotalInstructions++
+	if c.n >= c.p.SliceSize {
+		c.flush()
+	}
+}
+
+func (c *refCollector) flush() {
+	if c.n > 0 {
+		c.p.Slices = append(c.p.Slices, c.cur)
+		c.cur, c.n = bbv.Vector{}, 0
+	}
+}
+
+// TestBBVSameOnEveryEngine: the block-granular BBV profiler gives the
+// per-instruction reference's profile byte for byte on every engine — the
+// chained core, the unchained block cache, the plain interpreter, and the
+// interpreter forced by a per-instruction tool — across single- and
+// multi-threaded, self-modifying and generated programs. Slice sizes 1 and
+// 7 split nearly every block; they run on a 100k-instruction prefix, since
+// their profiles hold one vector per slice. The larger sizes run up to 1M
+// instructions: the guard and 8-thread inputs whole, the others' first 1M.
+func TestBBVSameOnEveryEngine(t *testing.T) {
+	type input struct {
+		name string
+		r    workloads.Recipe
+	}
+	inputs := []input{
+		{"guard", trim(workloads.TrainIntRate()[1], 3)},
+	}
+	if r, ok := workloads.ByName("627.cam4_s.1"); ok {
+		inputs = append(inputs, input{"cam4-8t", trim(r, 2)})
+	} else {
+		t.Fatal("627.cam4_s.1 recipe missing")
+	}
+	if e, ok := workloads.CorpusByName("smc.flip"); ok {
+		inputs = append(inputs, input{"smc.flip", e.Recipe})
+	} else {
+		t.Fatal("smc.flip corpus entry missing")
+	}
+	for _, seed := range workloads.FuzzSeeds() {
+		r := workloads.Fuzz(seed)
+		inputs = append(inputs, input{r.Name, r})
+	}
+	engines := []struct {
+		name  string
+		setup func(*vm.Machine)
+	}{
+		{"chained", func(*vm.Machine) {}},
+		{"unchained", func(m *vm.Machine) { m.DisableChaining = true }},
+		{"interp", func(m *vm.Machine) { m.DisableBlockCache = true }},
+		{"hooked", func(m *vm.Machine) { pin.NewEngine(m).Attach(&pin.NewICounter().Tool) }},
+	}
+	groups := []struct {
+		sizes []uint64
+		limit uint64
+	}{
+		{[]uint64{1, 7}, 100_000},
+		{[]uint64{1000, 100_000}, 1_000_000},
+	}
+	for _, in := range inputs {
+		load := recipeLoader(t, in.r, 1)
+		for _, g := range groups {
+			newMachine := func() *vm.Machine {
+				m := load()
+				m.MaxInstructions = g.limit
+				return m
+			}
+			ref := newMachine()
+			want := make([][]byte, len(g.sizes))
+			refs := make([]*refCollector, len(g.sizes))
+			for i, size := range g.sizes {
+				refs[i] = newRefCollector(size)
+				pin.NewEngine(ref).Attach(&pin.Tool{Name: "bbv-ref", OnIns: refs[i].observe})
+			}
+			if err := ref.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range refs {
+				c.flush()
+				want[i] = marshalProfile(&c.p)
+			}
+			for _, e := range engines {
+				m := newMachine()
+				e.setup(m)
+				cs := make([]*bbv.Collector, len(g.sizes))
+				for i, size := range g.sizes {
+					cs[i] = bbv.NewCollector(size)
+					cs[i].Attach(m)
+				}
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if m.GlobalRetired != ref.GlobalRetired {
+					t.Errorf("%s/%s: retired %d, reference %d", in.name, e.name, m.GlobalRetired, ref.GlobalRetired)
+				}
+				for i, c := range cs {
+					if !bytes.Equal(marshalProfile(c.Finish()), want[i]) {
+						t.Errorf("%s/%s slice %d: profile differs from the per-instruction reference",
+							in.name, e.name, g.sizes[i])
+					}
+				}
+			}
+		}
 	}
 }
