@@ -1,7 +1,8 @@
 // elfiebench runs a declarative experiment grid: workloads × modes × jobs
 // × fault rates × seeds, with repeats, through the harness, and emits one
-// schema-versioned report (JSON + CSV + summary table), plus the legacy
-// BENCH_vm.json / BENCH_vm_history.json when the grid asks for them.
+// schema-versioned report (JSON + CSV + summary table). A grid that sets
+// emit_vm_bench also writes that report to BENCH_vm.json and appends it,
+// timestamped, to BENCH_vm_history.json.
 //
 //	elfiebench -grid grids/ci.json -repeats 1
 //	elfiebench -grid grids/vm.json                 # regenerates BENCH_vm.json

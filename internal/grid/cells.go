@@ -151,7 +151,7 @@ func timeRun(s *harness.Session) (results.Sample, error) {
 	}, nil
 }
 
-// runVMCore measures execution-core throughput on one engine tier. Repeats
+// runVMCore measures execution-core throughput on one engine. Repeats
 // reuse the session via Reset — the cheap-trial path the grid exists to
 // exploit.
 func runVMCore(c *Cell, row *results.Cell) error {
@@ -160,10 +160,7 @@ func runVMCore(c *Cell, row *results.Cell) error {
 		budget = 100_000_000
 	}
 	eng := harness.EngineChained
-	switch c.Mode {
-	case "block":
-		eng = harness.EngineBlock
-	case "interp":
+	if c.Mode == "interp" {
 		eng = harness.EngineInterp
 	}
 	s, err := c.session(eng, budget)

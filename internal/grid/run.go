@@ -267,7 +267,9 @@ func (r *Runner) evaluateAsserts(rep *results.Report) []AssertFailure {
 }
 
 // Emit writes the run's artifacts: report.json and results.csv under
-// OutDir, plus the legacy BENCH_vm files when the spec asks for them.
+// OutDir, plus BENCH_vm.json and a BENCH_vm_history.json entry when the
+// spec asks for them. The history is appended first, so a history that
+// does not parse fails the emission before either file is touched.
 func (r *Runner) Emit(rr *RunResult) error {
 	rr.Report.Sort()
 	if err := rr.Report.WriteJSON(filepath.Join(r.OutDir, "report.json")); err != nil {
@@ -293,16 +295,13 @@ func (r *Runner) Emit(rr *RunResult) error {
 		if histPath == "" {
 			histPath = "BENCH_vm_history.json"
 		}
-		legacy := rr.Report.VMBench()
-		if len(legacy.Results) > 0 {
-			if err := legacy.WriteVMBench(benchPath); err != nil {
-				return err
-			}
-			if err := legacy.AppendVMHistory(histPath); err != nil {
-				return err
-			}
-			r.logf("wrote %s (%d results), appended %s", benchPath, len(legacy.Results), histPath)
+		if err := rr.Report.AppendHistory(histPath); err != nil {
+			return err
 		}
+		if err := rr.Report.WriteJSON(benchPath); err != nil {
+			return err
+		}
+		r.logf("wrote %s (%d cells), appended %s", benchPath, len(rr.Report.Cells), histPath)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -228,8 +230,9 @@ func TestResumeAfterCrash(t *testing.T) {
 	}
 }
 
-// TestRunnerEmitArtifacts: Emit writes report.json + results.csv, and the
-// legacy BENCH_vm pair when the spec opts in.
+// TestRunnerEmitArtifacts: Emit writes report.json + results.csv, and when
+// the spec opts in, BENCH_vm.json as the report itself plus one history
+// entry.
 func TestRunnerEmitArtifacts(t *testing.T) {
 	out := t.TempDir()
 	spec := vmSpec("emit", "syscall_dense")
@@ -251,15 +254,54 @@ func TestRunnerEmitArtifacts(t *testing.T) {
 	}
 	buf, err := os.ReadFile(spec.VMBenchPath)
 	if err != nil {
-		t.Fatalf("legacy BENCH_vm.json not written: %v", err)
+		t.Fatalf("BENCH_vm.json not written: %v", err)
 	}
-	for _, key := range []string{`"go_version"`, `"results"`, `"workload"`, `"mips"`} {
-		if !strings.Contains(string(buf), key) {
-			t.Fatalf("legacy file missing %s: %s", key, buf)
-		}
+	var rep results.Report
+	if err := json.Unmarshal(buf, &rep); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(spec.VMHistoryPath); err != nil {
-		t.Fatalf("legacy history not written: %v", err)
+	if rep.Schema != results.SchemaVersion || len(rep.Cells) != 1 || rep.Cells[0].Mode != "chained" {
+		t.Fatalf("BENCH_vm.json is not the run's report: %s", buf)
+	}
+	var hist []results.Report
+	hbuf, err := os.ReadFile(spec.VMHistoryPath)
+	if err != nil {
+		t.Fatalf("history not written: %v", err)
+	}
+	if err := json.Unmarshal(hbuf, &hist); err != nil || len(hist) != 1 || hist[0].Timestamp == "" {
+		t.Fatalf("history = %d entries (err %v): %s", len(hist), err, hbuf)
+	}
+}
+
+// TestEmitKeepsCorruptHistory: a BENCH_vm_history.json that does not parse
+// fails Emit with an error naming it, and neither BENCH_vm file changes.
+func TestEmitKeepsCorruptHistory(t *testing.T) {
+	out := t.TempDir()
+	spec := vmSpec("emit", "syscall_dense")
+	spec.EmitVMBench = true
+	spec.VMBenchPath = filepath.Join(out, "BENCH_vm.json")
+	spec.VMHistoryPath = filepath.Join(out, "BENCH_vm_history.json")
+	corrupt := []byte("[{\"timestamp\": \"2026-08-08T09:10:48Z\", \"results\": [\n")
+	if err := os.WriteFile(spec.VMHistoryPath, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rr := &RunResult{Report: results.New("emit")}
+	rr.Report.Cells = []results.Cell{{
+		ID: "vm/syscall_dense/chained/s1", Experiment: "vm", Kind: KindVMCore,
+		Workload: "syscall_dense", Mode: "chained", Seed: 1, Status: "ok",
+		Samples: []results.Sample{{Instructions: 1000, Seconds: 1e-5, MIPS: 100}},
+	}}
+	rr.Report.Cells[0].Finalize()
+	r := &Runner{Spec: spec, OutDir: out}
+	err := r.Emit(rr)
+	if err == nil || !strings.Contains(err.Error(), spec.VMHistoryPath) {
+		t.Fatalf("Emit over a corrupt history = %v, want an error naming %s", err, spec.VMHistoryPath)
+	}
+	if buf, _ := os.ReadFile(spec.VMHistoryPath); !bytes.Equal(buf, corrupt) {
+		t.Errorf("corrupt history rewritten to %q", buf)
+	}
+	if _, err := os.Stat(spec.VMBenchPath); !os.IsNotExist(err) {
+		t.Errorf("BENCH_vm.json written despite the failed history append (stat: %v)", err)
 	}
 }
 
@@ -269,7 +311,7 @@ func TestEvaluateAsserts(t *testing.T) {
 		Experiments: []Experiment{
 			{
 				Name: "vm", Kind: KindVMCore, Workloads: []string{"decode_heavy"},
-				Asserts: []Assert{{Type: "min_ratio", Mode: "chained", Vs: "block", Ratio: 0.65}},
+				Asserts: []Assert{{Type: "min_ratio", Mode: "chained", Vs: "interp", Ratio: 2}},
 			},
 			{
 				Name: "val", Kind: KindValidate, Workloads: []string{"sys.dense"},
@@ -282,8 +324,8 @@ func TestEvaluateAsserts(t *testing.T) {
 	rep.Cells = []results.Cell{
 		{Experiment: "vm", Kind: KindVMCore, Workload: "w", Mode: "chained", Status: "ok",
 			MIPS: results.Stats{Max: 200}},
-		{Experiment: "vm", Kind: KindVMCore, Workload: "w", Mode: "block", Status: "ok",
-			MIPS: results.Stats{Max: 100}},
+		{Experiment: "vm", Kind: KindVMCore, Workload: "w", Mode: "interp", Status: "ok",
+			MIPS: results.Stats{Max: 50}},
 		{Experiment: "val", Kind: KindValidate, Workload: "v", Status: "ok",
 			PredErr: results.Stats{Mean: -4}},
 	}

@@ -3,10 +3,10 @@
 // fault rates × seeds, with repeats and warmup axes), the runner expands
 // them into cells, executes every cell through internal/harness sessions on
 // an internal/farm worker pool with a crash-safe journal, and emits one
-// internal/results report (JSON + CSV + summary + the legacy BENCH_vm
-// formats). The bench_test.go table/figure reproductions are thin wrappers
-// over these cells; CI runs a small grid with assertions instead of
-// bespoke perf tests.
+// internal/results report (JSON + CSV + summary, plus BENCH_vm.json and its
+// history when the grid asks for them). The bench_test.go table/figure
+// reproductions are thin wrappers over these cells; CI runs a small grid
+// with assertions instead of bespoke perf tests.
 package grid
 
 import (
@@ -22,8 +22,9 @@ import (
 // Kinds of experiment a grid can run. Each maps onto one measurement path
 // of the paper's evaluation.
 const (
-	// KindVMCore: execution-core throughput (BENCH_vm.json rows) across
-	// engine tiers {chained, block, interp, hooked}.
+	// KindVMCore: execution-core throughput (BENCH_vm.json cells) in modes
+	// {chained, interp, hooked}: the chained core, the reference
+	// interpreter, and the per-instruction path with an OnIns pintool.
 	KindVMCore = "vmcore"
 	// KindOverhead: Table I — native vs ELFie vs constrained replay vs
 	// record instruction rates.
@@ -43,7 +44,7 @@ const (
 
 // defaultModes maps each kind to its full mode axis.
 var defaultModes = map[string][]string{
-	KindVMCore:     {"chained", "block", "interp", "hooked"},
+	KindVMCore:     {"chained", "interp", "hooked"},
 	KindOverhead:   {"native", "elfie", "replay", "record"},
 	KindValidate:   {"native"},
 	KindStats:      {"stats"},
@@ -54,7 +55,7 @@ var defaultModes = map[string][]string{
 
 // validModes is the acceptance set per kind.
 var validModes = map[string]map[string]bool{
-	KindVMCore:     set("chained", "block", "interp", "hooked"),
+	KindVMCore:     set("chained", "interp", "hooked"),
 	KindOverhead:   set("native", "elfie", "replay", "record"),
 	KindValidate:   set("native", "sim"),
 	KindStats:      set("stats"),
@@ -76,7 +77,7 @@ func set(ss ...string) map[string]bool {
 type Assert struct {
 	// Type selects the check: "min_ratio" requires, per workload, that
 	// Mode's best MIPS stay >= Ratio × Vs's best MIPS (the chained-vs-
-	// block perf tripwire); "max_abs_err_pct" requires every ok validate
+	// interp perf tripwire); "max_abs_err_pct" requires every ok validate
 	// cell's |mean prediction error| <= LimitPct.
 	Type     string  `json:"type"`
 	Mode     string  `json:"mode,omitempty"`
@@ -133,10 +134,10 @@ type Spec struct {
 	Seeds       []int64      `json:"seeds,omitempty"`
 	Experiments []Experiment `json:"experiments"`
 
-	// EmitVMBench writes the legacy BENCH_vm.json / BENCH_vm_history.json
-	// from the report's vmcore cells after the run.
+	// EmitVMBench writes the run's report to BENCH_vm.json and appends it,
+	// timestamped, to the BENCH_vm_history.json array after the run.
 	EmitVMBench bool `json:"emit_vm_bench,omitempty"`
-	// VMBenchPath / VMHistoryPath override the legacy output paths.
+	// VMBenchPath / VMHistoryPath override those two output paths.
 	VMBenchPath   string `json:"vm_bench_path,omitempty"`
 	VMHistoryPath string `json:"vm_history_path,omitempty"`
 }

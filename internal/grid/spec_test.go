@@ -31,6 +31,7 @@ func TestLoadRejectsCorruptGrids(t *testing.T) {
 			{"name": "a", "kind": "vmcore", "workloads": ["decode_heavy"]}]}`, "duplicate experiment"},
 		{"bad-kind", `{"experiments": [{"name": "a", "kind": "warp", "workloads": ["decode_heavy"]}]}`, "unknown kind"},
 		{"bad-mode", `{"experiments": [{"name": "a", "kind": "vmcore", "modes": ["sim"], "workloads": ["decode_heavy"]}]}`, "invalid for kind"},
+		{"block-mode", `{"experiments": [{"name": "a", "kind": "vmcore", "modes": ["block"], "workloads": ["decode_heavy"]}]}`, "invalid for kind"},
 		{"no-workloads", `{"experiments": [{"name": "a", "kind": "vmcore"}]}`, "no workloads"},
 		{"bad-selector", `{"experiments": [{"name": "a", "kind": "vmcore", "workloads": ["no.such.workload"]}]}`, "no.such.workload"},
 		{"bad-assert-type", `{"experiments": [{"name": "a", "kind": "vmcore", "workloads": ["decode_heavy"],
@@ -83,8 +84,8 @@ func TestCellsExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 workloads x 4 default vmcore modes x 2 seeds x 2 fault rates.
-	if want := 2 * 4 * 2 * 2; len(cells) != want {
+	// 2 workloads x 3 default vmcore modes x 2 seeds x 2 fault rates.
+	if want := 2 * 3 * 2 * 2; len(cells) != want {
 		t.Fatalf("expanded %d cells, want %d", len(cells), want)
 	}
 	ids := map[string]bool{}

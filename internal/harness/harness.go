@@ -108,18 +108,16 @@ const (
 	SchedTrace
 )
 
-// Engine selects the execution-core variant a session runs on. The default
-// (EngineChained) is the full fast path; the degraded variants exist so the
-// experiment grid can measure each core tier through the same session
-// plumbing instead of poking vm.Machine flags by hand.
+// Engine selects the execution core a session runs on: the chained fast
+// path (the default) or the per-instruction reference interpreter, so the
+// experiment grid can measure both through the same session plumbing
+// instead of poking vm.Machine flags by hand.
 type Engine int
 
-// Execution-core variants.
+// Execution cores.
 const (
 	// EngineChained: block cache with superblock chaining — the fast path.
 	EngineChained Engine = iota
-	// EngineBlock: decoded block cache, chaining disabled.
-	EngineBlock
 	// EngineInterp: per-instruction interpreter, no block cache.
 	EngineInterp
 )
@@ -129,8 +127,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineChained:
 		return "chained"
-	case EngineBlock:
-		return "block"
 	case EngineInterp:
 		return "interp"
 	}
@@ -335,10 +331,7 @@ func (s *Session) build(k *kernel.Kernel, seed int64, reuse *vm.Machine) (*vm.Ma
 			m.AddThread(regs)
 		}
 	}
-	switch s.cfg.Engine {
-	case EngineBlock:
-		m.DisableChaining = true
-	case EngineInterp:
+	if s.cfg.Engine == EngineInterp {
 		m.DisableBlockCache = true
 	}
 	m.FaultInj = s.Injector

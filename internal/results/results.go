@@ -3,21 +3,24 @@
 // wrappers in the repo root, and CI all hand their observations to this
 // package, which owns aggregation (mean/std/min/max over repeats), the
 // schema-versioned report JSON, the CSV/summary-table renderings, and the
-// legacy BENCH_vm.json / BENCH_vm_history.json formats that used to be
-// written as test side effects.
+// append-only history arrays (BENCH_vm_history.json) that keep every
+// report's trajectory. There is one format: BENCH_vm.json is a Report.
 package results
 
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"text/tabwriter"
+	"time"
 )
 
 // SchemaVersion stamps every Report. Bump it when a field changes meaning
@@ -189,6 +192,34 @@ func (r *Report) WriteJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// AppendHistory appends the report, stamped with the current time, to the
+// JSON array of reports at path, creating the file if it does not exist.
+// An existing file that does not parse as an array is an error naming it
+// and is left untouched: it is the trajectory later runs are compared
+// against, so it is never restarted.
+func (r *Report) AppendHistory(path string) error {
+	var hist []json.RawMessage
+	buf, err := os.ReadFile(path)
+	if err == nil {
+		if err := json.Unmarshal(buf, &hist); err != nil {
+			return fmt.Errorf("history %s does not parse: %w", path, err)
+		}
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	entry := *r
+	entry.Timestamp = time.Now().UTC().Format(time.RFC3339)
+	raw, err := json.Marshal(&entry)
+	if err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(append(hist, raw), "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // csvHeader is the long-format CSV layout: one row per cell.

@@ -62,86 +62,66 @@ func sampleReport() *Report {
 			ID: workload + "/" + mode, Experiment: "vm", Kind: "vmcore",
 			Workload: workload, Mode: mode, Seed: 1, Status: "ok",
 		}
-		for i, m := range mips {
+		for _, m := range mips {
 			c.Samples = append(c.Samples, Sample{
 				Instructions: 1000, Seconds: 1000 / m / 1e6, MIPS: m,
 			})
-			_ = i
 		}
 		c.Finalize()
 		return c
 	}
 	r.Cells = []Cell{
 		mk("decode_heavy", "chained", 300, 310),
-		mk("decode_heavy", "block", 150, 140),
 		mk("decode_heavy", "interp", 31),
 		mk("decode_heavy", "hooked", 62),
+		mk("mem_stream", "chained", 150, 140),
 	}
 	return r
 }
 
-// TestVMBenchLegacy pins the legacy BENCH_vm.json derivation: mode-name
-// mapping, best-of selection, and the ratio maps.
-func TestVMBenchLegacy(t *testing.T) {
-	rep := sampleReport().VMBench()
-	if len(rep.Results) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rep.Results))
-	}
-	modes := []string{}
-	for _, row := range rep.Results {
-		modes = append(modes, row.Mode)
-	}
-	if strings.Join(modes, ",") != "fast,block,slow,hooked" {
-		t.Errorf("legacy mode order = %v", modes)
-	}
-	if rep.Results[0].MIPS != 310 {
-		t.Errorf("best-of fast MIPS = %v, want 310", rep.Results[0].MIPS)
-	}
-	if got := rep.SpeedupVs["decode_heavy"]; math.Abs(got-10) > 1e-9 {
-		t.Errorf("speedup_fast_vs_slow = %v, want 10", got)
-	}
-	if got := rep.ChainGain["decode_heavy"]; math.Abs(got-310.0/150.0) > 1e-9 {
-		t.Errorf("speedup_fast_vs_block = %v", got)
-	}
-	if got := rep.HookedTax["decode_heavy"]; math.Abs(got-5) > 1e-9 {
-		t.Errorf("slowdown_hooked_vs_fast = %v, want 5", got)
-	}
-
-	// The JSON keys must match the historical emitter byte-for-byte.
+// TestVMBenchHistory pins the BENCH_vm emission: the latest file is the
+// report itself, grid mode names and all, and every append adds one
+// timestamped report to the history array.
+func TestVMBenchHistory(t *testing.T) {
+	rep := sampleReport()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_vm.json")
-	if err := rep.WriteVMBench(path); err != nil {
+	if err := rep.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
+	var got Report
 	buf, _ := os.ReadFile(path)
-	for _, key := range []string{
-		`"go_version"`, `"num_cpu"`, `"gomaxprocs"`, `"results"`,
-		`"workload"`, `"mode"`, `"instructions"`, `"seconds"`, `"mips"`,
-		`"speedup_fast_vs_slow"`, `"speedup_fast_vs_block"`, `"slowdown_hooked_vs_fast"`,
-	} {
-		if !bytes.Contains(buf, []byte(key)) {
-			t.Errorf("BENCH_vm.json missing key %s", key)
-		}
+	if err := json.Unmarshal(buf, &got); err != nil {
+		t.Fatal(err)
 	}
-	if bytes.Contains(buf, []byte(`"timestamp"`)) {
+	if got.Schema != SchemaVersion || len(got.Cells) != 4 || got.Cells[0].Mode != "chained" {
+		t.Errorf("BENCH_vm.json = schema %d, %d cells, first mode %q", got.Schema, len(got.Cells), got.Cells[0].Mode)
+	}
+	if got.Timestamp != "" {
 		t.Error("BENCH_vm.json must not carry a timestamp (history entries do)")
 	}
 
-	// History appends accumulate and are timestamped.
 	hpath := filepath.Join(dir, "BENCH_vm_history.json")
-	if err := rep.AppendVMHistory(hpath); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := rep.AppendHistory(hpath); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := rep.AppendVMHistory(hpath); err != nil {
-		t.Fatal(err)
-	}
-	var hist []VMReport
+	var hist []Report
 	hbuf, _ := os.ReadFile(hpath)
 	if err := json.Unmarshal(hbuf, &hist); err != nil {
 		t.Fatal(err)
 	}
-	if len(hist) != 2 || hist[0].Timestamp == "" {
-		t.Errorf("history has %d entries (timestamps %q)", len(hist), hist[0].Timestamp)
+	if len(hist) != 2 {
+		t.Fatalf("history has %d entries, want 2", len(hist))
+	}
+	for i, e := range hist {
+		if e.Timestamp == "" || e.Schema != SchemaVersion || len(e.Cells) != 4 {
+			t.Errorf("entry %d: timestamp %q, schema %d, %d cells", i, e.Timestamp, e.Schema, len(e.Cells))
+		}
+	}
+	if rep.Timestamp != "" {
+		t.Error("AppendHistory stamped the caller's report")
 	}
 }
 

@@ -299,7 +299,7 @@ func (m *Machine) lookupBlock(pc uint64) *dblock {
 	}
 	if blk.heat <= superThreshold {
 		blk.heat++
-	} else if !blk.superDone && !m.building && !m.DisableChaining {
+	} else if !blk.superDone && !m.building {
 		blk.superDone = true
 		if sb := m.buildSuper(pc, blk); sb != nil {
 			// Retire the plain block: backdate its okClock so existing
@@ -888,7 +888,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 		// spent, i == 0), a TLB-head miss mid-body, or the not-taken
 		// backedge (i == last) — so quantum, perf-counter, and side-exit
 		// semantics are exactly those of per-instruction execution.
-		if blk.loop && i == 0 && !m.DisableChaining {
+		if blk.loop && i == 0 {
 			if iters := (budget - ran) / len(blk.ins); iters > 0 {
 				var w int
 				i, flags, w = runSeg(blk.ins, 0, len(blk.ins)-1, iters,
@@ -1512,7 +1512,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			onBlock(t, blk.ins[:i], 1)
 			i = 0
 		}
-		if m.stopReq.Load() || m.DisableChaining {
+		if m.stopReq.Load() {
 			blk.lastNext = pc
 			goto out
 		}

@@ -309,15 +309,10 @@ func TestSMCChainedSuccessor(t *testing.T) {
 		isa.Inst{Op: isa.JNZ, Imm: -0x58}, // -> start
 		isa.Inst{Op: isa.HLT})
 
-	var retired [3]uint64
-	for mode := 0; mode < 3; mode++ {
+	var retired [2]uint64
+	for mode := 0; mode < 2; mode++ {
 		m, th := rawMachine(code, 0x1000, 0x1000, mem.ProtRWX)
-		switch mode {
-		case 1:
-			m.DisableChaining = true
-		case 2:
-			m.DisableBlockCache = true
-		}
+		m.DisableBlockCache = mode == 1
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +322,9 @@ func TestSMCChainedSuccessor(t *testing.T) {
 		}
 		retired[mode] = th.Retired
 	}
-	if retired[0] != retired[2] || retired[1] != retired[2] {
-		t.Errorf("retired diverges across modes: chained %d, unchained %d, step %d",
-			retired[0], retired[1], retired[2])
+	if retired[0] != retired[1] {
+		t.Errorf("retired diverges across modes: chained %d, step %d",
+			retired[0], retired[1])
 	}
 }
 

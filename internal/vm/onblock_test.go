@@ -51,27 +51,23 @@ func streamOnIns(t *testing.T, m *Machine) map[int][]uint64 {
 	return pcs
 }
 
-// checkStreams compares the OnBlock stream of a block-path run against the
-// OnIns stream of an identical per-instruction run, thread by thread.
+// checkStreams compares the OnBlock stream of a chained-core run against
+// the OnIns stream of an identical per-instruction run, thread by thread.
 func checkStreams(t *testing.T, name string, newMachine func() *Machine) {
 	t.Helper()
-	for _, chain := range []bool{true, false} {
-		mb := newMachine()
-		mb.DisableChaining = !chain
-		got, longest := streamOnBlock(t, mb)
-		want := streamOnIns(t, newMachine())
-		if longest < 2 {
-			t.Errorf("%s chain=%v: no multi-instruction run reported; block path not taken", name, chain)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s chain=%v: %d threads reported, want %d", name, chain, len(got), len(want))
-		}
-		for tid, w := range want {
-			g := got[tid]
-			if i := firstDiff(g, w); i >= 0 {
-				t.Errorf("%s chain=%v: thread %d streams differ at instruction %d (len %d vs %d)",
-					name, chain, tid, i, len(g), len(w))
-			}
+	got, longest := streamOnBlock(t, newMachine())
+	want := streamOnIns(t, newMachine())
+	if longest < 2 {
+		t.Errorf("%s: no multi-instruction run reported; block path not taken", name)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d threads reported, want %d", name, len(got), len(want))
+	}
+	for tid, w := range want {
+		g := got[tid]
+		if i := firstDiff(g, w); i >= 0 {
+			t.Errorf("%s: thread %d streams differ at instruction %d (len %d vs %d)",
+				name, tid, i, len(g), len(w))
 		}
 	}
 }

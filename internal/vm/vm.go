@@ -339,14 +339,10 @@ type Machine struct {
 	FaultInj *fault.Injector
 
 	// DisableBlockCache forces the per-instruction interpreter even when no
-	// instrumentation hooks are installed. Benchmarks use it as the baseline;
-	// it is also an escape hatch when debugging the fast path.
+	// instrumentation hooks are installed: the reference engine the
+	// equivalence guards and the grid's interp mode run on, and an escape
+	// hatch when debugging the fast path.
 	DisableBlockCache bool
-	// DisableChaining keeps the block cache but turns off block-to-block
-	// chaining and superblock formation: every block boundary returns to
-	// the dispatch loop, as in the pre-chaining executor. Benchmarks use it
-	// to isolate the chaining win; it is also a debugging escape hatch.
-	DisableChaining bool
 
 	// bcache is the decoded basic-block cache: page number -> predecoded
 	// blocks, validated against the page generation (see block.go).
@@ -425,7 +421,6 @@ func (m *Machine) Reset(k *kernel.Kernel, proc *kernel.Process) {
 	m.PauseDoesNotYield = false
 	m.FaultInj = nil
 	m.DisableBlockCache = false
-	m.DisableChaining = false
 	m.bcache = nil
 	m.lastPN, m.lastPB = 0, nil
 	m.cacheCap = 0

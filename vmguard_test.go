@@ -181,12 +181,12 @@ func (c *refCollector) flush() {
 
 // TestBBVSameOnEveryEngine: the block-granular BBV profiler gives the
 // per-instruction reference's profile byte for byte on every engine — the
-// chained core, the unchained block cache, the plain interpreter, and the
-// interpreter forced by a per-instruction tool — across single- and
-// multi-threaded, self-modifying and generated programs. Slice sizes 1 and
-// 7 split nearly every block; they run on a 100k-instruction prefix, since
-// their profiles hold one vector per slice. The larger sizes run up to 1M
-// instructions: the guard and 8-thread inputs whole, the others' first 1M.
+// chained core, the plain interpreter, and the interpreter forced by a
+// per-instruction tool — across single- and multi-threaded, self-modifying
+// and generated programs. Slice sizes 1 and 7 split nearly every block;
+// they run on a 100k-instruction prefix, since their profiles hold one
+// vector per slice. The larger sizes run up to 1M instructions: the guard
+// and 8-thread inputs whole, the others' first 1M.
 func TestBBVSameOnEveryEngine(t *testing.T) {
 	type input struct {
 		name string
@@ -214,7 +214,6 @@ func TestBBVSameOnEveryEngine(t *testing.T) {
 		setup func(*vm.Machine)
 	}{
 		{"chained", func(*vm.Machine) {}},
-		{"unchained", func(m *vm.Machine) { m.DisableChaining = true }},
 		{"interp", func(m *vm.Machine) { m.DisableBlockCache = true }},
 		{"hooked", func(m *vm.Machine) { pin.NewEngine(m).Attach(&pin.NewICounter().Tool) }},
 	}
