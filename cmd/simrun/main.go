@@ -22,7 +22,7 @@ import (
 
 func main() {
 	simName := flag.String("sim", "sniper", "simulator: sniper, coresim, gem5")
-	cores := flag.Int("cores", 8, "core count (sniper)")
+	cores := flag.Int("cores", 8, "core count (sniper), 1..32")
 	frontend := flag.String("frontend", "sde", "coresim front-end: sde (user-level) or simics (full-system)")
 	config := flag.String("config", "nehalem", "gem5 processor config: nehalem or haswell")
 	marker := flag.Uint64("marker", 0, "skip simulation until this marker tag")
@@ -33,6 +33,9 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		cli.Die(fmt.Errorf("usage: simrun [flags] prog.elf"))
+	}
+	if *cores < 1 || *cores > uarch.MaxCores {
+		cli.Die(fmt.Errorf("usage: simrun -cores must be 1..%d, got %d", uarch.MaxCores, *cores))
 	}
 	exe, err := cli.LoadELF(flag.Arg(0))
 	if err != nil {

@@ -5,6 +5,8 @@
 // detailed out-of-order scoreboard model (CoreSim/gem5-style).
 package uarch
 
+import "fmt"
+
 // CacheCfg configures one cache level.
 type CacheCfg struct {
 	Name      string
@@ -17,33 +19,50 @@ type CacheCfg struct {
 // Standard line size used by every configuration.
 const LineBytes = 64
 
-type cacheSet struct {
-	tags []uint64 // tag values; index 0 = MRU
-	vals []bool
-}
+// validBit marks a live entry in a Cache or TLB tag array. Entries hold a
+// line (or page) number, which never reaches bit 63, so an entry with the
+// bit clear is an invalid way: it keeps its tag and its recency slot, and
+// leaves the set only by aging out of the LRU end, as a live way does.
+const validBit = 1 << 63
 
-// Cache is one set-associative, LRU cache level.
+// Cache is one set-associative, LRU cache level. Its tag store is one
+// contiguous array of nsets*ways entries; each set's ways are kept in
+// recency order, MRU first, so a hit on the MRU way costs one compare and
+// the LRU victim is always the set's last entry.
 type Cache struct {
-	cfg      CacheCfg
-	sets     []cacheSet
+	cfg  CacheCfg
+	tags []uint64
+	ways int
+	// nsets is the set count; sets are indexed by line & setMask when it
+	// is a power of two, and by line % nsets otherwise.
+	nsets    uint64
 	setMask  uint64
+	pow2     bool
 	shift    uint
 	Accesses uint64
 	Misses   uint64
 }
 
-// NewCache builds a cache from its configuration.
+// NewCache builds a cache from its configuration. Lines must be at least
+// two bytes, so a line number never reaches validBit.
 func NewCache(cfg CacheCfg) *Cache {
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = LineBytes
+	}
+	if cfg.LineBytes < 2 {
+		panic("uarch: cache lines must be at least 2 bytes")
 	}
 	nsets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{cfg: cfg, sets: make([]cacheSet, nsets), setMask: uint64(nsets - 1)}
-	for i := range c.sets {
-		c.sets[i] = cacheSet{tags: make([]uint64, cfg.Ways), vals: make([]bool, cfg.Ways)}
+	c := &Cache{
+		cfg:     cfg,
+		tags:    make([]uint64, nsets*cfg.Ways),
+		ways:    cfg.Ways,
+		nsets:   uint64(nsets),
+		setMask: uint64(nsets - 1),
+		pow2:    nsets&(nsets-1) == 0,
 	}
 	for s := uint(0); 1<<s < cfg.LineBytes; s++ {
 		c.shift = s + 1
@@ -54,12 +73,22 @@ func NewCache(cfg CacheCfg) *Cache {
 // Line returns the line address (addr with offset bits cleared).
 func (c *Cache) line(addr uint64) uint64 { return addr >> c.shift }
 
+// set returns the ways of the set line ln maps to, MRU first.
+func (c *Cache) set(ln uint64) []uint64 {
+	idx := ln & c.setMask
+	if !c.pow2 {
+		idx = ln % c.nsets
+	}
+	base := int(idx) * c.ways
+	return c.tags[base : base+c.ways : base+c.ways]
+}
+
 // Lookup probes the cache without fill. Returns hit.
 func (c *Cache) Lookup(addr uint64) bool {
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
+	e := ln | validBit
+	for _, v := range c.set(ln) {
+		if v == e {
 			return true
 		}
 	}
@@ -71,31 +100,40 @@ func (c *Cache) Lookup(addr uint64) bool {
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
-			// Move to MRU.
-			copy(set.tags[1:w+1], set.tags[:w])
-			copy(set.vals[1:w+1], set.vals[:w])
-			set.tags[0], set.vals[0] = ln, true
-			return true
-		}
+	if !touchLRU(c.set(ln), ln|validBit) {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	// Fill at MRU; evict LRU.
-	copy(set.tags[1:], set.tags[:len(set.tags)-1])
-	copy(set.vals[1:], set.vals[:len(set.vals)-1])
-	set.tags[0], set.vals[0] = ln, true
-	return false
+	return true
+}
+
+// touchLRU makes entry e the MRU of the recency-ordered ways and reports
+// whether it was already there: a hit moves it to the front, a miss
+// shifts every way down one slot, evicting the last (LRU) way.
+func touchLRU(ways []uint64, e uint64) bool {
+	if ways[0] == e {
+		return true
+	}
+	w := 1
+	for w < len(ways) && ways[w] != e {
+		w++
+	}
+	hit := w < len(ways)
+	if !hit {
+		w--
+	}
+	copy(ways[1:w+1], ways[:w])
+	ways[0] = e
+	return hit
 }
 
 // Invalidate removes a line if present.
 func (c *Cache) Invalidate(addr uint64) {
 	ln := c.line(addr)
-	set := &c.sets[ln&c.setMask]
-	for w := range set.tags {
-		if set.vals[w] && set.tags[w] == ln {
-			set.vals[w] = false
+	set := c.set(ln)
+	for w, v := range set {
+		if v == ln|validBit {
+			set[w] = ln
 			return
 		}
 	}
@@ -118,6 +156,10 @@ type HierarchyCfg struct {
 	Prefetch bool
 }
 
+// MaxCores is the largest core count a Hierarchy tracks: its coherence
+// directory keeps one owner bit per core in a uint32.
+const MaxCores = 32
+
 // Hierarchy is a multicore cache hierarchy with a simple invalidation-based
 // coherence directory over the private levels.
 type Hierarchy struct {
@@ -127,23 +169,44 @@ type Hierarchy struct {
 	l1d   []*Cache
 	l2    []*Cache
 	L3    *Cache
-	// owners tracks which cores may hold each line in private caches.
-	owners map[uint64]uint32
+	// pages holds the per-page data-line bookkeeping (footprint and
+	// coherence owners); lastPN/lastPage memoize the most recent page.
+	pages    map[uint64]*linePage
+	lastPN   uint64
+	lastPage *linePage
+	// lines counts the unique data lines touched (the footprint).
+	lines int
 
 	// Stats.
 	Invalidations  uint64
 	PrefetchIssued uint64
-	// footprint tracks unique data lines touched.
-	footprint map[uint64]struct{}
 }
 
-// NewHierarchy builds a hierarchy for the given core count.
+// Data-line bookkeeping granularity: 64-byte lines in 4 KiB pages.
+const (
+	dataLineShift = 6
+	dataPageShift = 12
+	linesPerPage  = 1 << (dataPageShift - dataLineShift)
+)
+
+// linePage is the bookkeeping of the data lines in one 4 KiB page: which
+// lines were touched (bit i of touched for line i) and, with more than one
+// core, which cores may hold each line in their private caches.
+type linePage struct {
+	touched uint64
+	owners  [linesPerPage]uint32
+}
+
+// NewHierarchy builds a hierarchy for the given core count, which must not
+// exceed MaxCores.
 func NewHierarchy(cfg HierarchyCfg, cores int) *Hierarchy {
+	if cores > MaxCores {
+		panic(fmt.Sprintf("uarch: %d cores exceed the coherence directory's %d", cores, MaxCores))
+	}
 	h := &Hierarchy{
 		cfg: cfg, cores: cores,
-		L3:        NewCache(cfg.L3),
-		owners:    make(map[uint64]uint32),
-		footprint: make(map[uint64]struct{}),
+		L3:    NewCache(cfg.L3),
+		pages: make(map[uint64]*linePage),
 	}
 	for i := 0; i < cores; i++ {
 		h.l1i = append(h.l1i, NewCache(cfg.L1I))
@@ -160,29 +223,53 @@ func (h *Hierarchy) L1DFor(core int) *Cache { return h.l1d[core] }
 func (h *Hierarchy) L2For(core int) *Cache { return h.l2[core] }
 
 // FootprintLines returns the number of unique data lines touched.
-func (h *Hierarchy) FootprintLines() int { return len(h.footprint) }
+func (h *Hierarchy) FootprintLines() int { return h.lines }
 
 // FootprintBytes returns the data footprint in bytes.
-func (h *Hierarchy) FootprintBytes() uint64 { return uint64(len(h.footprint)) * LineBytes }
+func (h *Hierarchy) FootprintBytes() uint64 { return uint64(h.lines) * LineBytes }
+
+// page returns the bookkeeping of the page holding addr.
+func (h *Hierarchy) page(addr uint64) *linePage {
+	pn := addr >> dataPageShift
+	if h.lastPage != nil && h.lastPN == pn {
+		return h.lastPage
+	}
+	p := h.pages[pn]
+	if p == nil {
+		p = new(linePage)
+		h.pages[pn] = p
+	}
+	h.lastPN, h.lastPage = pn, p
+	return p
+}
 
 // AccessData performs a data access from a core and returns its latency.
+// With one core the coherence directory is skipped: it is only read to
+// invalidate other cores' copies.
 func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
-	h.footprint[addr>>6] = struct{}{}
-	if write {
-		// Invalidate other cores' private copies.
-		ln := addr >> 6
-		if mask := h.owners[ln]; mask != 0 {
-			for c := 0; c < h.cores; c++ {
-				if c != core && mask&(1<<uint(c)) != 0 {
-					h.l1d[c].Invalidate(addr)
-					h.l2[c].Invalidate(addr)
-					h.Invalidations++
+	p := h.page(addr)
+	i := addr >> dataLineShift & (linesPerPage - 1)
+	if p.touched&(1<<i) == 0 {
+		p.touched |= 1 << i
+		h.lines++
+	}
+	if h.cores > 1 {
+		own := &p.owners[i]
+		if write {
+			// Invalidate other cores' private copies.
+			if mask := *own; mask != 0 {
+				for c := 0; c < h.cores; c++ {
+					if c != core && mask&(1<<uint(c)) != 0 {
+						h.l1d[c].Invalidate(addr)
+						h.l2[c].Invalidate(addr)
+						h.Invalidations++
+					}
 				}
 			}
+			*own = 1 << uint(core)
+		} else {
+			*own |= 1 << uint(core)
 		}
-		h.owners[ln] = 1 << uint(core)
-	} else {
-		h.owners[addr>>6] |= 1 << uint(core)
 	}
 
 	if h.l1d[core].Access(addr) {

@@ -51,9 +51,12 @@ func NewFeeder(m *vm.Machine, sink Consumer) *Feeder {
 		Name: "uarch-feeder",
 		OnIns: func(t *vm.Thread, pc uint64, ins isa.Inst) {
 			f.Flush()
-			f.pending = DynInst{
-				TID: t.TID, PC: pc, Ins: ins, Class: isa.OpClass(ins.Op),
-			}
+			// Fill the one record in place: assigning a DynInst literal
+			// would build and copy a whole record per instruction.
+			p := &f.pending
+			p.TID, p.PC, p.Ins, p.Class = t.TID, pc, ins, isa.OpClass(ins.Op)
+			p.MemR, p.MemW, p.MemAddr, p.MemSize = false, false, 0, 0
+			p.Branch, p.Taken, p.Target, p.Kernel = false, false, 0, false
 			f.have = true
 		},
 		OnMemRead: func(t *vm.Thread, addr uint64, size int) {

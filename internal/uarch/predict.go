@@ -56,10 +56,10 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// TLB is a small fully-associative LRU translation buffer.
+// TLB is a small fully-associative LRU translation buffer. Its entries
+// are page numbers (with validBit) in recency order, MRU first.
 type TLB struct {
 	entries []uint64
-	valid   []bool
 	// WalkCycles is the page-walk penalty on miss.
 	WalkCycles int
 
@@ -71,7 +71,6 @@ type TLB struct {
 func NewTLB(entries, walkCycles int) *TLB {
 	return &TLB{
 		entries:    make([]uint64, entries),
-		valid:      make([]bool, entries),
 		WalkCycles: walkCycles,
 	}
 }
@@ -80,19 +79,10 @@ func NewTLB(entries, walkCycles int) *TLB {
 // latency (0 on hit, WalkCycles on miss).
 func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
-	page := addr >> 12
-	for i := range t.entries {
-		if t.valid[i] && t.entries[i] == page {
-			copy(t.entries[1:i+1], t.entries[:i])
-			copy(t.valid[1:i+1], t.valid[:i])
-			t.entries[0], t.valid[0] = page, true
-			return 0
-		}
+	if touchLRU(t.entries, addr>>12|validBit) {
+		return 0
 	}
 	t.Misses++
-	copy(t.entries[1:], t.entries[:len(t.entries)-1])
-	copy(t.valid[1:], t.valid[:len(t.valid)-1])
-	t.entries[0], t.valid[0] = page, true
 	return t.WalkCycles
 }
 

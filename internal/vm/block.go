@@ -119,11 +119,29 @@ type pageGen struct {
 // pageBlocks holds the decoded blocks of one executable page at one
 // generation. hot is the second-chance reference bit: set on every lookup,
 // cleared by an eviction sweep, and pages found cold by the next sweep are
-// dropped.
+// dropped. dec is the page's decode table for the hooked step path,
+// allocated on the first step into the page.
 type pageBlocks struct {
 	gen    uint64
 	blocks map[uint64]*dblock
 	hot    bool
+	dec    *decodeTable
+}
+
+// decodeSlots is the number of instruction-aligned slots in one page.
+const decodeSlots = mem.PageSize / isa.InstLen
+
+// decodeTable is one page's per-slot decoded instructions at the page's
+// generation: slot i holds the instruction at page offset i*InstLen once
+// have's bit i is set. It lives on the block cache's pageBlocks, so it
+// shares that cache's (page, generation) key, eviction and Reset: a write
+// to the page gives it a fresh generation and thereby an empty table.
+// Slots fill lazily, one per first execution; words step cannot take from
+// a slot (unaligned pcs, a LIMM straddling the page end, undecodable
+// bytes) are never filled and always take the fetch/decode path.
+type decodeTable struct {
+	ins  [decodeSlots]isa.Inst
+	have [decodeSlots / 64]uint64
 }
 
 // fastPathOK reports whether execution may use the block fast path. Any
@@ -250,6 +268,7 @@ func (m *Machine) evictCold() {
 		}
 	}
 	m.lastPN, m.lastPB = 0, nil
+	m.stepDec = nil
 }
 
 // lookupBlock returns the decoded block starting at pc, building it on
@@ -258,28 +277,11 @@ func (m *Machine) evictCold() {
 // means "single-step this address". Hot entries are promoted to
 // superblocks here — this is the one place with the page handle in hand.
 func (m *Machine) lookupBlock(pc uint64) *dblock {
-	as := m.Proc.AS
-	gen, ok := as.ExecGen(pc)
-	if !ok {
+	pb := m.pageEntry(pc)
+	if pb == nil {
 		return nil
 	}
-	pn := mem.PageNum(pc)
-	pb := m.lastPB
-	if pb == nil || m.lastPN != pn || pb.gen != gen {
-		if m.bcache == nil {
-			m.bcache = make(map[uint64]*pageBlocks)
-		}
-		pb = m.bcache[pn]
-		if pb == nil || pb.gen != gen {
-			if len(m.bcache) >= m.cacheCapacity() {
-				m.evictCold()
-			}
-			pb = &pageBlocks{gen: gen, blocks: make(map[uint64]*dblock)}
-			m.bcache[pn] = pb
-		}
-		m.lastPN, m.lastPB = pn, pb
-	}
-	pb.hot = true
+	as := m.Proc.AS
 	clock := as.Clock()
 	blk := pb.blocks[pc]
 	if blk == nil {
@@ -312,6 +314,85 @@ func (m *Machine) lookupBlock(pc uint64) *dblock {
 		}
 	}
 	return blk
+}
+
+// pageEntry returns the block-cache entry of the executable page holding
+// pc at the page's current generation, creating it on demand (and evicting
+// cold pages to make room). nil means pc is not mapped executable.
+func (m *Machine) pageEntry(pc uint64) *pageBlocks {
+	gen, ok := m.Proc.AS.ExecGen(pc)
+	if !ok {
+		return nil
+	}
+	pn := mem.PageNum(pc)
+	pb := m.lastPB
+	if pb == nil || m.lastPN != pn || pb.gen != gen {
+		if m.bcache == nil {
+			m.bcache = make(map[uint64]*pageBlocks)
+		}
+		pb = m.bcache[pn]
+		if pb == nil || pb.gen != gen {
+			if len(m.bcache) >= m.cacheCapacity() {
+				m.evictCold()
+			}
+			pb = &pageBlocks{gen: gen, blocks: make(map[uint64]*dblock)}
+			m.bcache[pn] = pb
+		}
+		m.lastPN, m.lastPB = pn, pb
+	}
+	pb.hot = true
+	return pb
+}
+
+// stepInst returns the instruction at pc from its page's decode table,
+// decoding it into the slot on first use. ok=false means step must fetch
+// and decode itself — the table is off (DisableBlockCache), or pc is not
+// executable, unaligned, the start of a page-straddling LIMM or an
+// undecodable word — so every fault stays on the reference path.
+//
+// The hit path is one compare chain: the current page's table is memoized
+// with the address-space clock, and reused while the clock has not moved,
+// exactly as chain links ride on okClock. Any mapping change or
+// executable-page write advances the clock and forces the next step to
+// re-resolve the page through the block cache, which validates the
+// generation. Eviction and Reset drop the memo with the cache.
+func (m *Machine) stepInst(pc uint64) (isa.Inst, bool) {
+	if m.DisableBlockCache {
+		return isa.Inst{}, false
+	}
+	as := m.Proc.AS
+	pn, clock := mem.PageNum(pc), as.Clock()
+	dt := m.stepDec
+	if dt == nil || m.stepPN != pn || m.stepClock != clock {
+		pb := m.pageEntry(pc)
+		if pb == nil {
+			return isa.Inst{}, false
+		}
+		if pb.dec == nil {
+			pb.dec = new(decodeTable)
+		}
+		dt = pb.dec
+		m.stepDec, m.stepPN, m.stepClock = dt, pn, clock
+	}
+	off := pc & pageMask
+	if off%isa.InstLen != 0 {
+		return isa.Inst{}, false
+	}
+	slot := off / isa.InstLen
+	if dt.have[slot/64]&(1<<(slot%64)) != 0 {
+		return dt.ins[slot], true
+	}
+	win, _, err := as.ExecWindow(pc)
+	if err != nil {
+		return isa.Inst{}, false
+	}
+	ins, _, err := isa.Decode(win)
+	if err != nil {
+		return isa.Inst{}, false
+	}
+	dt.ins[slot] = ins
+	dt.have[slot/64] |= 1 << (slot % 64)
+	return ins, true
 }
 
 // pagesValid re-checks every page generation a block was decoded from.

@@ -54,22 +54,27 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		}
 	}
 
-	// Fetch. Instructions are 8 bytes; LIMM needs 8 more.
-	if err := as.Fetch(pc, m.fetchBuf[:isa.InstLen]); err != nil {
-		return m.handleFault(t, err), false
-	}
-	n := isa.InstLen
-	if isa.Op(m.fetchBuf[0]) == isa.LIMM {
-		if err := as.Fetch(pc+isa.InstLen, m.fetchBuf[isa.InstLen:]); err != nil {
+	// The page's decode table serves most instructions (see stepInst);
+	// the rest are fetched and decoded here, with precise faults.
+	ins, ok := m.stepInst(pc)
+	if !ok {
+		// Fetch. Instructions are 8 bytes; LIMM needs 8 more.
+		if err := as.Fetch(pc, m.fetchBuf[:isa.InstLen]); err != nil {
 			return m.handleFault(t, err), false
 		}
-		n = isa.LimmLen
-	}
-	ins, _, err := isa.Decode(m.fetchBuf[:n])
-	if err != nil {
-		// Undecodable bytes behave like an illegal-instruction fault.
-		m.fatalFault(t, &mem.Fault{Addr: pc, Access: mem.AccessExec})
-		return true, false
+		n := isa.InstLen
+		if isa.Op(m.fetchBuf[0]) == isa.LIMM {
+			if err := as.Fetch(pc+isa.InstLen, m.fetchBuf[isa.InstLen:]); err != nil {
+				return m.handleFault(t, err), false
+			}
+			n = isa.LimmLen
+		}
+		var err error
+		if ins, _, err = isa.Decode(m.fetchBuf[:n]); err != nil {
+			// Undecodable bytes behave like an illegal-instruction fault.
+			m.fatalFault(t, &mem.Fault{Addr: pc, Access: mem.AccessExec})
+			return true, false
+		}
 	}
 
 	if m.Hooks.OnIns != nil {
@@ -168,11 +173,14 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		if m.Hooks.OnMemRead != nil {
 			m.Hooks.OnMemRead(t, addr, size)
 		}
-		var buf [8]byte
-		if err := as.Read(addr, buf[:size]); err != nil {
-			return m.handleFault(t, err), false
+		v, ok := as.LoadFast(addr, size)
+		if !ok {
+			var buf [8]byte
+			if err := as.Read(addr, buf[:size]); err != nil {
+				return m.handleFault(t, err), false
+			}
+			v = leBytes(buf[:size])
 		}
-		v := leBytes(buf[:size])
 		switch ins.Op {
 		case isa.LDSB:
 			v = uint64(int64(int8(v)))
@@ -189,10 +197,12 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		if m.Hooks.OnMemWrite != nil {
 			m.Hooks.OnMemWrite(t, addr, size)
 		}
-		var buf [8]byte
-		putBytes(buf[:], g[a])
-		if err := as.Write(addr, buf[:size]); err != nil {
-			return m.handleFault(t, err), false
+		if !as.StoreFast(addr, g[a], size) {
+			var buf [8]byte
+			putBytes(buf[:], g[a])
+			if err := as.Write(addr, buf[:size]); err != nil {
+				return m.handleFault(t, err), false
+			}
 		}
 
 	case isa.CMP, isa.CMPI:

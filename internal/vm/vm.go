@@ -350,6 +350,11 @@ type Machine struct {
 	// lastPN/lastPB memoize the most recent bcache lookup.
 	lastPN uint64
 	lastPB *pageBlocks
+	// stepDec is the decode table of page stepPN, valid while the
+	// address-space clock still reads stepClock (see stepInst).
+	stepDec   *decodeTable
+	stepPN    uint64
+	stepClock uint64
 	// cacheCap overrides maxCachedPages when nonzero (tests shrink it to
 	// exercise eviction without building thousands of pages).
 	cacheCap int
@@ -423,6 +428,7 @@ func (m *Machine) Reset(k *kernel.Kernel, proc *kernel.Process) {
 	m.DisableBlockCache = false
 	m.bcache = nil
 	m.lastPN, m.lastPB = 0, nil
+	m.stepDec = nil
 	m.cacheCap = 0
 	m.building = false
 	m.Halted = false

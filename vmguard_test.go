@@ -2,13 +2,18 @@ package elfie_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"sort"
 	"testing"
 
 	"elfie/internal/bbv"
+	"elfie/internal/coresim"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/perfle"
 	"elfie/internal/pin"
 	"elfie/internal/vm"
 	"elfie/internal/workloads"
@@ -266,6 +271,141 @@ func TestBBVSameOnEveryEngine(t *testing.T) {
 							in.name, e.name, g.sizes[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// timingGolden holds each timing model's result digest on each guard input
+// (see timingDigest). The digests pin the uarch models themselves: a drift
+// in the cache, TLB, predictor or core models that every engine shares
+// would pass the cross-engine comparison but not these.
+var timingGolden = map[string]string{
+	"guard/perfle-1":          "46a54f4891367dcb",
+	"guard/perfle-8":          "6f2f0d7bdaca0193",
+	"guard/coresim-sde":       "9c61a03f941c0bcd",
+	"guard/coresim-simics":    "253cbbb86bbaee59",
+	"cam4-8t/perfle-1":        "9837b10978116345",
+	"cam4-8t/perfle-8":        "e02cc24d1c0a62ee",
+	"cam4-8t/coresim-sde":     "b2f626b13bc99fff",
+	"cam4-8t/coresim-simics":  "619cf219bfd59d33",
+	"smc.flip/perfle-1":       "eb9175684f7a2d1d",
+	"smc.flip/perfle-8":       "d20c96f1a34cfca7",
+	"smc.flip/coresim-sde":    "3b05eae2b19bad2d",
+	"smc.flip/coresim-simics": "efa63a3d921d9656",
+	"fz.0001/perfle-1":        "a4abd3a0555839d3",
+	"fz.0001/perfle-8":        "ba28f5c8a776a2b8",
+	"fz.0001/coresim-sde":     "893eeb1e7b88100a",
+	"fz.0001/coresim-simics":  "659d979ff8a61ec4",
+	"fz.0002/perfle-1":        "01a03ba03ab96606",
+	"fz.0002/perfle-8":        "c4a00c7cb1e045a6",
+	"fz.0002/coresim-sde":     "12f7658042172bd7",
+	"fz.0002/coresim-simics":  "a2a305ab35f75ef4",
+	"fz.0003/perfle-1":        "af2e62ead5cf7c3b",
+	"fz.0003/perfle-8":        "1f3831469ba1da5a",
+	"fz.0003/coresim-sde":     "f67a1b7e9d62c15b",
+	"fz.0003/coresim-simics":  "6887438db01f3c2b",
+	"fz.0004/perfle-1":        "6ddaa5d3bd1df3f7",
+	"fz.0004/perfle-8":        "b41413f1bcdd59f8",
+	"fz.0004/coresim-sde":     "c3159f999668c71a",
+	"fz.0004/coresim-simics":  "ba2ab93d90ba4b40",
+}
+
+// timingDigest renders a timing result canonically and hashes it: every
+// cycle count, per-thread stat, slice sample and rate the result holds.
+func timingDigest(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("%x", sum[:8])
+}
+
+// TestTimingSameOnEveryEngine: both timing models read the program through
+// uarch.Feeder, so their results depend only on the retired instruction
+// stream. perfle's hardware model (1 and 8 cores) and CoreSim (SDE and
+// Simics front-ends) must report identical results on the default engine —
+// the hooked step reading the block cache's decoded pages — and on the
+// pure fetch/decode interpreter, across single- and multi-threaded,
+// self-modifying and generated programs; and both must match the recorded
+// golden digests.
+func TestTimingSameOnEveryEngine(t *testing.T) {
+	type input struct {
+		name string
+		r    workloads.Recipe
+	}
+	// Unlike trim, this ignores ELFIE_BENCH_FULL: the golden digests
+	// belong to one fixed program per input.
+	firstPhases := func(r workloads.Recipe, keep int) workloads.Recipe {
+		if len(r.Sequence) > keep {
+			r.Sequence = r.Sequence[:keep]
+		}
+		return r
+	}
+	inputs := []input{
+		{"guard", firstPhases(workloads.TrainIntRate()[1], 3)},
+	}
+	if r, ok := workloads.ByName("627.cam4_s.1"); ok {
+		inputs = append(inputs, input{"cam4-8t", firstPhases(r, 2)})
+	} else {
+		t.Fatal("627.cam4_s.1 recipe missing")
+	}
+	if e, ok := workloads.CorpusByName("smc.flip"); ok {
+		inputs = append(inputs, input{"smc.flip", e.Recipe})
+	} else {
+		t.Fatal("smc.flip corpus entry missing")
+	}
+	for _, seed := range workloads.FuzzSeeds() {
+		r := workloads.Fuzz(seed)
+		inputs = append(inputs, input{r.Name, r})
+	}
+	models := []struct {
+		name string
+		run  func(*vm.Machine) (any, error)
+	}{
+		{"perfle-1", func(m *vm.Machine) (any, error) {
+			ms := perfle.Attach(m, perfle.Options{Cores: 1, SliceSize: 50_000})
+			err := m.Run()
+			return ms.Finish(), err
+		}},
+		{"perfle-8", func(m *vm.Machine) (any, error) {
+			ms := perfle.Attach(m, perfle.Options{Cores: 8, SliceSize: 50_000})
+			err := m.Run()
+			return ms.Finish(), err
+		}},
+		{"coresim-sde", func(m *vm.Machine) (any, error) {
+			s := coresim.Attach(m, coresim.Skylake1(coresim.FrontendSDE))
+			err := m.Run()
+			return s.Finish(), err
+		}},
+		{"coresim-simics", func(m *vm.Machine) (any, error) {
+			s := coresim.Attach(m, coresim.Skylake1(coresim.FrontendSimics))
+			err := m.Run()
+			return s.Finish(), err
+		}},
+	}
+	for _, in := range inputs {
+		load := recipeLoader(t, in.r, 1)
+		for _, model := range models {
+			key := in.name + "/" + model.name
+			var digests [2]string
+			for i, interp := range []bool{false, true} {
+				m := load()
+				m.MaxInstructions = 500_000
+				m.DisableBlockCache = interp
+				res, err := model.run(m)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				digests[i] = timingDigest(t, res)
+			}
+			if digests[0] != digests[1] {
+				t.Errorf("%s: default engine %s, interpreter %s", key, digests[0], digests[1])
+			}
+			if want := timingGolden[key]; digests[0] != want {
+				t.Errorf("%s: digest %s, golden %q", key, digests[0], want)
 			}
 		}
 	}
