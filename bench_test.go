@@ -1,366 +1,31 @@
-// Benchmark harness regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for recorded paper-vs-measured results).
+// Benchmarks that probe the record/replay substrate directly rather than
+// going through grid cells: harness trial reuse and the DESIGN.md §4
+// design-choice ablations. The paper's tables and figures are regenerated
+// by `elfiebench -grid grids/paper.json` (reduced scale) or
+// grids/paper-full.json (paper scale); see EXPERIMENTS.md.
 //
-// Run everything:
-//
-//	go test -bench=. -benchtime=1x -timeout 60m
-//
-// Each benchmark prints its table/figure rows to stdout. Since the grid
-// refactor these are thin wrappers: every benchmark expands one
-// internal/grid experiment into cells, executes them through grid.Execute
-// (the same path `elfiebench -grid grids/paper.json` takes), and formats
-// the resulting rows. Absolute numbers come from the PVM-64 substrate
-// (scaled ~1000x down from the paper's setups); the shapes — who wins, by
-// what factor, where the crossovers fall — are the reproduction targets.
+//	go test -run '^$' -bench . -benchtime 1x .
 package elfie_test
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"elfie/internal/core"
-	"elfie/internal/grid"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/pinpoints"
-	"elfie/internal/results"
-	"elfie/internal/vm"
 	"elfie/internal/workloads"
 )
 
-// full returns true when ELFIE_BENCH_FULL=1 selects paper-scale runs;
-// otherwise workloads are trimmed so the whole suite finishes in minutes.
-func full() bool { return os.Getenv("ELFIE_BENCH_FULL") == "1" }
-
-// gridRows expands one experiment and executes every cell, failing the
-// benchmark on the first failed row.
-func gridRows(b *testing.B, e grid.Experiment) []results.Cell {
-	b.Helper()
-	spec := &grid.Spec{Name: "bench", Experiments: []grid.Experiment{e}}
-	cells, err := spec.Cells(full(), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]results.Cell, 0, len(cells))
-	for i := range cells {
-		row := grid.Execute(&cells[i])
-		if row.Status != "ok" {
-			b.Fatalf("%s: exit %d: %s", row.ID, row.ExitCode, row.Error)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// byWorkloadMode indexes rows for multi-mode tables.
-func byWorkloadMode(rows []results.Cell) map[string]map[string]results.Cell {
-	out := map[string]map[string]results.Cell{}
-	for _, r := range rows {
-		if out[r.Workload] == nil {
-			out[r.Workload] = map[string]results.Cell{}
-		}
-		out[r.Workload][r.Mode] = r
-	}
-	return out
-}
-
-// workloadOrder returns the distinct workloads in row order.
-func workloadOrder(rows []results.Cell) []string {
-	var order []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Workload] {
-			seen[r.Workload] = true
-			order = append(order, r.Workload)
-		}
-	}
-	return order
-}
-
-// -----------------------------------------------------------------------
-// Table I — pinball vs ELFie: feature matrix and run-time overhead.
-// -----------------------------------------------------------------------
-
-func BenchmarkTableI_PinballVsELFie(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Table I: pinball-ELFie differences ===")
-		fmt.Println("feature                         pinballs                 ELFies")
-		fmt.Println("constrained replay              yes                      no")
-		fmt.Println("handles all system calls        yes (injection)          stateless + SYSSTATE")
-		fmt.Println("runs natively                   no (replayer needed)     yes")
-		fmt.Println("graceful exit                   yes (recorded length)    yes (perf counters)")
-		fmt.Println("x86 simulators                  need replay support      run unmodified")
-
-		// Overheads as instruction rates relative to a plain native run of
-		// the original program (the paper's baseline). The paper's larger
-		// factors (15x/40x) include Pin's per-instrumentation tax, which a
-		// VM-level replayer does not pay; the *ordering* (native ~ ELFie <
-		// ST replay < MT replay << record) is the reproduction target here.
-		// See EXPERIMENTS.md.
-		rows := gridRows(b, grid.Experiment{
-			Name: "table1", Kind: grid.KindOverhead,
-			Workloads: []string{"625.x264_t", "603.bwaves_s.1"},
-			Trim:      8, Repeats: 3,
-		})
-		idx := byWorkloadMode(rows)
-		for _, w := range workloadOrder(rows) {
-			m := idx[w]
-			native := m["native"].MIPS.Max
-			fmt.Printf("overhead over native (%s): ELFie %.1fx, replay %.1fx, record %.1fx\n",
-				w, native/m["elfie"].MIPS.Max, native/m["replay"].MIPS.Max,
-				native/m["record"].MIPS.Max)
-		}
-	}
-}
-
-// -----------------------------------------------------------------------
-// Fig. 9 — prediction errors: simulation-based vs two ELFie-based trials,
-// SPEC CPU2017 train rate-int.
-// -----------------------------------------------------------------------
-
-func fig9Workloads() []string {
-	if full() {
-		return []string{"suite:train"}
-	}
-	return []string{"600.perlbench_t", "602.gcc_t", "605.mcf_t",
-		"620.omnetpp_t", "623.xalancbmk_t", "625.x264_t"}
-}
-
-func BenchmarkFig9_PredictionErrors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Fig. 9: prediction errors, simulation- vs ELFie-based (train int) ===")
-		fmt.Printf("%-18s %10s %10s %10s %9s\n", "benchmark", "sim-based", "elfie-t1", "elfie-t2", "coverage")
-		// Two native repeats are the figure's two hardware trials (the
-		// repeat index perturbs the measurement seed).
-		rows := gridRows(b, grid.Experiment{
-			Name: "fig9", Kind: grid.KindValidate,
-			Workloads: fig9Workloads(),
-			Modes:     []string{"sim", "native"},
-			Trim:      12, Repeats: 2,
-		})
-		idx := byWorkloadMode(rows)
-		for _, w := range workloadOrder(rows) {
-			sim, nat := idx[w]["sim"], idx[w]["native"]
-			fmt.Printf("%-18s %+9.1f%% %+9.1f%% %+9.1f%% %8.0f%%\n",
-				w, sim.Samples[0].PredErrPct,
-				nat.Samples[0].PredErrPct, nat.Samples[1].PredErrPct,
-				100*nat.Samples[0].Coverage)
-		}
-		fmt.Println("(errors do not match across methods but follow similar trends)")
-	}
-}
-
-// -----------------------------------------------------------------------
-// Table II — gcc warm-up tuning: larger warm-up reduces the error.
-// -----------------------------------------------------------------------
-
-func BenchmarkTableII_GccWarmup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Table II: gcc prediction error vs warm-up size ===")
-		rows := gridRows(b, grid.Experiment{
-			Name: "table2", Kind: grid.KindValidate,
-			Workloads:   []string{"602.gcc_t"},
-			Modes:       []string{"native"},
-			WarmupSizes: []uint64{100_000, 800_000, 1_200_000},
-			Seeds:       []int64{7},
-			Trim:        16,
-		})
-		for _, row := range rows {
-			fmt.Printf("warm-up %9d instructions: error %+7.1f%%\n",
-				row.Warmup, row.Samples[0].PredErrPct)
-		}
-	}
-}
-
-// -----------------------------------------------------------------------
-// Table III — ref benchmark statistics.
-// -----------------------------------------------------------------------
-
-func refWorkloads() []string {
-	if full() {
-		return []string{"suite:ref"}
-	}
-	return []string{"600.perlbench_r", "602.gcc_r", "605.mcf_r",
-		"620.omnetpp_r", "623.xalancbmk_r", "625.x264_r", "631.deepsjeng_r",
-		"641.leela_r", "648.exchange2_r", "657.xz_r"}
-}
-
-func BenchmarkTableIII_RefStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Table III: ref benchmark statistics ===")
-		fmt.Printf("%-18s %14s %8s %8s %10s\n", "benchmark", "instructions", "slices", "regions", "maxWeight")
-		rows := gridRows(b, grid.Experiment{
-			Name: "table3", Kind: grid.KindStats,
-			Workloads: refWorkloads(), Trim: 10,
-		})
-		for _, row := range rows {
-			fmt.Printf("%-18s %14d %8.0f %8.0f %9.2f\n",
-				row.Workload, row.Samples[0].Instructions,
-				row.Extra["slices"], row.Extra["regions"], row.Extra["max_weight"])
-		}
-	}
-}
-
-// -----------------------------------------------------------------------
-// Fig. 10 — ref prediction errors with alternate-region fallback.
-// -----------------------------------------------------------------------
-
-func BenchmarkFig10_RefPredictionErrors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Fig. 10: ref PinPoints prediction errors (ELFie-based) ===")
-		fmt.Printf("%-18s %9s %9s %11s\n", "benchmark", "error", "coverage", "alternates")
-		rows := gridRows(b, grid.Experiment{
-			Name: "fig10", Kind: grid.KindValidate,
-			Workloads: refWorkloads(),
-			Modes:     []string{"native"},
-			Seeds:     []int64{11},
-			Trim:      10,
-		})
-		for _, row := range rows {
-			fmt.Printf("%-18s %+8.1f%% %8.0f%% %11.0f\n",
-				row.Workload, row.Samples[0].PredErrPct,
-				100*row.Samples[0].Coverage, row.Extra["alternates"])
-		}
-	}
-}
-
-// -----------------------------------------------------------------------
-// Fig. 11 — Sniper: multi-threaded ELFies vs pinballs.
-// -----------------------------------------------------------------------
-
-func fig11Workloads() []string {
-	if full() {
-		return []string{"suite:omp"}
-	}
-	return []string{"603.bwaves_s.1", "621.wrf_s.1", "638.imagick_s.1", "657.xz_s.1"}
-}
-
-func BenchmarkFig11_SniperMT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Fig. 11: Sniper results, multi-threaded ELFies vs pinballs ===")
-		fmt.Printf("%-20s %12s %12s %12s %10s %10s\n",
-			"benchmark", "recorded", "pinball-sim", "elfie-sim", "pb-us", "elfie-us")
-		rows := gridRows(b, grid.Experiment{
-			Name: "fig11", Kind: grid.KindSniper,
-			Workloads: fig11Workloads(), Trim: 6,
-		})
-		idx := byWorkloadMode(rows)
-		for _, w := range workloadOrder(rows) {
-			pb, el := idx[w]["pinball"], idx[w]["elfie"]
-			fmt.Printf("%-20s %12.0f %12.0f %12.0f %10.1f %10.1f\n",
-				w, pb.Extra["recorded_instructions"],
-				pb.Extra["sim_instructions"], el.Extra["sim_instructions"],
-				pb.Extra["runtime_us"], el.Extra["runtime_us"])
-		}
-		fmt.Println("(pinball simulations match the recorded counts; unconstrained ELFie")
-		fmt.Println(" simulations retire more instructions in spin loops; the single-")
-		fmt.Println(" threaded xz_s.1 matches in both modes)")
-	}
-}
-
-// -----------------------------------------------------------------------
-// Table IV — application-level vs full-system simulation with CoreSim.
-// -----------------------------------------------------------------------
-
-func BenchmarkTableIV_FullSystem(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := grid.Experiment{
-			Name: "table4", Kind: grid.KindFullSystem,
-			Workloads: []string{"625.x264_t"}, Trim: 14,
-		}
-		if full() {
-			e.RegionLength = 10_000_000
-		}
-		rows := gridRows(b, e)
-		idx := byWorkloadMode(rows)["625.x264_t"]
-		user, fullRes := idx["sde"], idx["simics"]
-		fmt.Println("\n=== Table IV: user-level vs full-system simulation (x264 ELFie) ===")
-		fmt.Printf("%-26s %14s %14s %9s\n", "metric", "SDE (user)", "Simics (full)", "delta")
-		row := func(name string, u, f float64, pct bool) {
-			d := 100 * (f/u - 1)
-			if pct {
-				fmt.Printf("%-26s %14.4f %14.4f %+8.1f%%\n", name, u, f, d)
-			} else {
-				fmt.Printf("%-26s %14.0f %14.0f %+8.1f%%\n", name, u, f, d)
-			}
-		}
-		fmt.Printf("%-26s %14.0f %14.0f\n", "ring-3 instructions",
-			user.Extra["ring3_instr"], fullRes.Extra["ring3_instr"])
-		fmt.Printf("%-26s %14.0f %14.0f  (+%.1f%% of ring-3)\n", "ring-0 instructions",
-			user.Extra["ring0_instr"], fullRes.Extra["ring0_instr"],
-			100*fullRes.Extra["ring0_instr"]/fullRes.Extra["ring3_instr"])
-		row("cycles (runtime)", user.Extra["cycles"], fullRes.Extra["cycles"], false)
-		row("data footprint bytes", user.Extra["footprint"], fullRes.Extra["footprint"], false)
-		row("CPI", user.Extra["cpi"], fullRes.Extra["cpi"], true)
-		row("DTLB miss rate", user.Extra["dtlb_miss_rate"]+1e-12, fullRes.Extra["dtlb_miss_rate"]+1e-12, true)
-	}
-}
-
-// -----------------------------------------------------------------------
-// Table V — gem5 SE-mode IPC for 19 CPU2006-like applications on
-// Nehalem-like and Haswell-like configurations.
-// -----------------------------------------------------------------------
-
-func tableVWorkloads() []string {
-	if full() {
-		return []string{"suite:cpu2006"}
-	}
-	return []string{"400.perlbench", "401.bzip2", "403.gcc", "429.mcf",
-		"445.gobmk", "456.hmmer", "458.sjeng", "462.libquantum"}
-}
-
-func BenchmarkTableV_Gem5IPC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fmt.Println("\n=== Table V: gem5 SE-mode IPC, Nehalem-like vs Haswell-like ===")
-		fmt.Printf("%-18s %8s %8s %10s %10s %8s\n",
-			"benchmark", "slices", "repslice", "IPC-nhm", "IPC-hsw", "speedup")
-		rows := gridRows(b, grid.Experiment{
-			Name: "table5", Kind: grid.KindGem5,
-			Workloads: tableVWorkloads(), Trim: 10,
-		})
-		idx := byWorkloadMode(rows)
-		for _, w := range workloadOrder(rows) {
-			nhm, hsw := idx[w]["nehalem"], idx[w]["haswell"]
-			fmt.Printf("%-18s %8.0f %8.0f %10.3f %10.3f %7.2fx\n",
-				w, nhm.Extra["slices"], nhm.Extra["rep_slice"],
-				nhm.Extra["ipc"], hsw.Extra["ipc"], hsw.Extra["ipc"]/nhm.Extra["ipc"])
-		}
-	}
-}
-
-// -----------------------------------------------------------------------
-// Helpers retained for the ablation benchmarks below, which probe the
-// record/replay substrate directly rather than going through grid cells.
-// -----------------------------------------------------------------------
-
-// trim shortens a recipe's phase script unless running at full scale.
+// trim shortens a recipe's phase script to its first keep phases.
 func trim(r workloads.Recipe, keep int) workloads.Recipe {
-	if full() || len(r.Sequence) <= keep {
+	if len(r.Sequence) <= keep {
 		return r
 	}
 	r.Sequence = r.Sequence[:keep]
 	return r
-}
-
-func machineFor(b *testing.B, r workloads.Recipe, seed int64) *vm.Machine {
-	b.Helper()
-	exe, err := workloads.Build(r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fs := kernel.NewFS()
-	if r.FileInput {
-		fs.WriteFile("/input.dat", workloads.InputFile())
-	}
-	m, err := vm.NewLoaded(kernel.New(fs, seed), exe, []string{r.Name}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.MaxInstructions = 5_000_000_000
-	return m
 }
 
 func mustRecipe(b *testing.B, name string) workloads.Recipe {
@@ -372,16 +37,6 @@ func mustRecipe(b *testing.B, name string) workloads.Recipe {
 	return r
 }
 
-func trainConfig() pinpoints.Config {
-	return pinpoints.Config{
-		SliceSize:   100_000,
-		WarmupSize:  400_000,
-		MaxK:        10,
-		Seed:        1,
-		UseSysState: true,
-	}
-}
-
 // -----------------------------------------------------------------------
 // Harness trial reuse — per-trial session construction vs Reset (DESIGN.md
 // §11). The fresh path re-serializes and re-parses the region's ELFie for
@@ -390,7 +45,10 @@ func trainConfig() pinpoints.Config {
 
 func BenchmarkTrialReuse(b *testing.B) {
 	r := trim(workloads.TrainIntRate()[1], 8)
-	bm, err := pinpoints.Prepare(r, trainConfig())
+	bm, err := pinpoints.Prepare(r, pinpoints.Config{
+		SliceSize: 100_000, WarmupSize: 400_000, MaxK: 10,
+		Seed: 1, UseSysState: true,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,7 +83,7 @@ func BenchmarkAblation_FatVsRegularPinballs(b *testing.B) {
 		fmt.Println("\n=== Ablation: fat vs regular pinballs ===")
 		r := trim(mustRecipe(b, "605.mcf_t"), 10)
 		log := func(fat bool) *pinball.Pinball {
-			m := machineFor(b, r, 1)
+			m := recipeLoader(b, r, 1)()
 			opts := pinplay.LogOptions{Name: "a", RegionStart: 200_000, RegionLength: 300_000}
 			if fat {
 				opts = opts.Fat()
@@ -466,7 +124,7 @@ func BenchmarkAblation_InjectionlessReplay(b *testing.B) {
 		// descriptor, so the injection-less oracle has state to miss.
 		var pb *pinball.Pinball
 		for start := uint64(100_000); start < 4_000_000; start += 300_000 {
-			m := machineFor(b, r, 1)
+			m := recipeLoader(b, r, 1)()
 			cand, err := pinplay.Log(m, pinplay.LogOptions{
 				Name: "inj", RegionStart: start, RegionLength: 400_000,
 			}.Fat())

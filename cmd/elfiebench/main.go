@@ -8,6 +8,7 @@
 //	elfiebench -grid grids/vm.json                 # regenerates BENCH_vm.json
 //	elfiebench -grid grids/paper.json -out out/paper
 //	elfiebench -grid grids/paper.json -out out/paper -resume   # after SIGKILL
+//	elfiebench -grid grids/paper-full.json -out out/paper-full # paper scale
 //
 // Exit codes follow the shared taxonomy: 0 ok, 1 internal error or failed
 // assertion, 2 corrupt grid file, 3 divergence recorded by a cell.
@@ -28,12 +29,11 @@ func main() {
 	jobs := flag.Int("j", 0, "grid worker count (0 = GOMAXPROCS)")
 	repeats := flag.Int("repeats", 0, "override per-cell repeats (0 = grid's values)")
 	resume := flag.Bool("resume", false, "resume a crashed run from its journal")
-	full := flag.Bool("full", false, "paper-scale runs (no phase-script trimming)")
 	quiet := flag.Bool("q", false, "suppress per-cell progress")
 	noSummary := flag.Bool("no-summary", false, "skip the summary table on stdout")
 	flag.Parse()
 	if *gridPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: elfiebench -grid <file> [-out dir] [-j N] [-repeats N] [-resume] [-full]")
+		fmt.Fprintln(os.Stderr, "usage: elfiebench -grid <file> [-out dir] [-j N] [-repeats N] [-resume]")
 		os.Exit(cli.ExitInternal)
 	}
 
@@ -47,7 +47,6 @@ func main() {
 		Repeats: *repeats,
 		OutDir:  *out,
 		Resume:  *resume,
-		Full:    *full,
 	}
 	if !*quiet {
 		r.Log = os.Stderr

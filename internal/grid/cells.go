@@ -23,8 +23,8 @@ import (
 	"elfie/internal/workloads"
 )
 
-// Kind-default pipeline parameters (the values the bench_test reproductions
-// historically hard-coded).
+// Kind-default pipeline parameters, shared by every grid that leaves the
+// experiment's knobs unset.
 const (
 	defaultSliceSize   = 100_000
 	defaultWarmup      = 400_000
@@ -366,7 +366,8 @@ func (c *Cell) pinpointsConfig() pinpoints.Config {
 // must predict whole-run CPI. Mode "native" measures ELFies under the
 // hardware model; "sim" feeds the regions to CoreSim.
 func runValidate(c *Cell, row *results.Cell) error {
-	bm, err := pinpoints.Prepare(c.Recipe, c.pinpointsConfig())
+	cfg := c.pinpointsConfig()
+	bm, err := pinpoints.Prepare(c.Recipe, cfg)
 	if err != nil {
 		return err
 	}
@@ -400,6 +401,7 @@ func runValidate(c *Cell, row *results.Cell) error {
 				"coverage":      v.Coverage,
 				"alternates":    float64(alts),
 				"regions":       float64(len(v.PerRegion)),
+				"warmup_size":   float64(cfg.WarmupSize),
 			}
 		}
 	}

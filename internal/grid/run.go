@@ -1,12 +1,14 @@
 package grid
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
+	"elfie/internal/cli"
 	"elfie/internal/farm"
 	"elfie/internal/results"
 )
@@ -22,11 +24,10 @@ type Runner struct {
 	// artifacts.
 	OutDir string
 	// Resume replays the journal in OutDir: cells recorded done with a
-	// persisted row are not re-run. Without Resume, the out directory's
-	// journal and rows are cleared first.
+	// persisted row are not re-run. It refuses an OutDir whose grid.json
+	// stamp does not match Spec and Repeats. Without Resume, the out
+	// directory's journal and rows are cleared first.
 	Resume bool
-	// Full disables phase-script trimming (paper-scale runs).
-	Full bool
 	// Log receives progress lines (nil = quiet).
 	Log io.Writer
 
@@ -106,7 +107,7 @@ func (r *Runner) saveRow(c *Cell, row *results.Cell) error {
 
 // Run expands, executes, aggregates, and asserts.
 func (r *Runner) Run() (*RunResult, error) {
-	cells, err := r.Spec.Cells(r.Full, r.Repeats)
+	cells, err := r.Spec.Cells(r.Repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -115,12 +116,26 @@ func (r *Runner) Run() (*RunResult, error) {
 	}
 	cellDir := filepath.Join(r.OutDir, "cells")
 	journalPath := filepath.Join(r.OutDir, "journal.jsonl")
+	stamp, err := json.MarshalIndent(struct {
+		Spec    *Spec
+		Repeats int
+	}{r.Spec, r.Repeats}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	stampPath := filepath.Join(r.OutDir, "grid.json")
 	if !r.Resume {
 		// A fresh run never trusts stale state.
 		os.Remove(journalPath)
 		os.RemoveAll(cellDir)
+	} else if old, err := os.ReadFile(stampPath); err != nil || !bytes.Equal(old, stamp) {
+		return nil, fmt.Errorf("%w: cannot resume %s: its grid.json is missing or records a different grid or -repeats",
+			cli.ErrCorruptInput, r.OutDir)
 	}
 	if err := os.MkdirAll(cellDir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(stampPath, stamp, 0o644); err != nil {
 		return nil, err
 	}
 	jr, err := farm.OpenJournal(journalPath)

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -227,6 +228,34 @@ func TestResumeAfterCrash(t *testing.T) {
 	}
 	if rr3.Executed != 4 {
 		t.Fatalf("fresh run executed %d cells, want all 4", rr3.Executed)
+	}
+}
+
+// TestResumeRejectsChangedGrid: -resume reuses rows only under the spec and
+// repeats override that wrote them. A changed -repeats or grid, or a
+// missing grid.json stamp, fails as corrupt input naming the out dir.
+func TestResumeRejectsChangedGrid(t *testing.T) {
+	out := t.TempDir()
+	run := func(repeats int, budget uint64, resume bool) error {
+		spec := vmSpec("stamp", "syscall_dense")
+		spec.Experiments[0].Budget = budget
+		_, err := (&Runner{Spec: spec, OutDir: out, Jobs: 1, Repeats: repeats, Resume: resume}).Run()
+		return err
+	}
+	if err := run(1, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		repeats int
+		budget  uint64
+		unstamp bool
+	}{{3, 0, false}, {1, 1_000_000, false}, {1, 0, true}} {
+		if tc.unstamp {
+			os.Remove(filepath.Join(out, "grid.json"))
+		}
+		if err := run(tc.repeats, tc.budget, true); !errors.Is(err, cli.ErrCorruptInput) || !strings.Contains(err.Error(), out) {
+			t.Fatalf("resume %+v: %v, want corrupt input naming %s", tc, err, out)
+		}
 	}
 }
 

@@ -4,9 +4,10 @@
 // them into cells, executes every cell through internal/harness sessions on
 // an internal/farm worker pool with a crash-safe journal, and emits one
 // internal/results report (JSON + CSV + summary, plus BENCH_vm.json and its
-// history when the grid asks for them). The bench_test.go table/figure
-// reproductions are thin wrappers over these cells; CI runs a small grid
-// with assertions instead of bespoke perf tests.
+// history when the grid asks for them). grids/paper.json regenerates the
+// paper's tables and figures at reduced scale, grids/paper-full.json at
+// paper scale; CI runs a small grid with assertions instead of bespoke perf
+// tests.
 package grid
 
 import (
@@ -108,8 +109,8 @@ type Experiment struct {
 	// WarmupSizes is the validate warm-up axis (Table II); default
 	// [WarmupSize].
 	WarmupSizes []uint64 `json:"warmup_sizes,omitempty"`
-	// Trim shortens phase scripts to this many visits (0 = untrimmed);
-	// ignored when the runner is in full (paper-scale) mode.
+	// Trim shortens phase scripts to this many visits (0 = untrimmed).
+	// Reduced-scale grids trim; paper-scale grids leave it unset.
 	Trim int `json:"trim,omitempty"`
 
 	// Pipeline knobs (defaults chosen per kind; see cells.go).
@@ -242,10 +243,9 @@ func trimRecipe(r workloads.Recipe, keep int) workloads.Recipe {
 	return r
 }
 
-// Cells expands the spec into its deterministic cell list. full disables
-// phase-script trimming (paper-scale runs); repeatsOverride, when > 0,
-// replaces every cell's repeat count.
-func (s *Spec) Cells(full bool, repeatsOverride int) ([]Cell, error) {
+// Cells expands the spec into its deterministic cell list. repeatsOverride,
+// when > 0, replaces every cell's repeat count.
+func (s *Spec) Cells(repeatsOverride int) ([]Cell, error) {
 	var cells []Cell
 	ids := map[string]bool{}
 	for i := range s.Experiments {
@@ -292,9 +292,7 @@ func (s *Spec) Cells(full bool, repeatsOverride int) ([]Cell, error) {
 			recipes = append(recipes, rs...)
 		}
 		for _, r := range recipes {
-			if !full {
-				r = trimRecipe(r, e.Trim)
-			}
+			r = trimRecipe(r, e.Trim)
 			for _, mode := range modes {
 				for _, seed := range seeds {
 					for _, jobs := range jobsAxis {

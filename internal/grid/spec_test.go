@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestCellsExpansion(t *testing.T) {
 			FaultRates: []float64{0, 0.01},
 		}},
 	}
-	cells, err := s.Cells(false, 0)
+	cells, err := s.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +109,14 @@ func TestCellsExpansion(t *testing.T) {
 
 	// Repeats: experiment override beats the spec, runner override beats both.
 	s.Experiments[0].Repeats = 5
-	cells, err = s.Cells(false, 0)
+	cells, err = s.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cells[0].Repeats != 5 {
 		t.Fatalf("experiment repeats not applied: %d", cells[0].Repeats)
 	}
-	cells, err = s.Cells(false, 7)
+	cells, err = s.Cells(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,27 +134,19 @@ func TestCellsTrim(t *testing.T) {
 			Trim:      2,
 		}},
 	}
-	cells, err := s.Cells(false, 0)
+	cells, err := s.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(cells[0].Recipe.Sequence); got != 2 {
 		t.Fatalf("trimmed recipe has %d phases, want 2", got)
 	}
-	// full mode (paper scale) ignores trim.
-	cells, err = s.Cells(true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(cells[0].Recipe.Sequence); got <= 2 {
-		t.Fatalf("full run still trimmed: %d phases", got)
-	}
 
 	// Asm recipes have no phase script; trim must be a no-op.
 	s.Experiments[0] = Experiment{
 		Name: "c", Kind: KindVMCore, Workloads: []string{"sys.dense"}, Trim: 1,
 	}
-	cells, err = s.Cells(false, 0)
+	cells, err = s.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +164,40 @@ func TestCellsRejectsDuplicateIDs(t *testing.T) {
 			Workloads: []string{"decode_heavy", "decode_heavy"},
 		}},
 	}
-	_, err := s.Cells(false, 0)
+	_, err := s.Cells(0)
 	if err == nil || !errors.Is(err, cli.ErrCorruptInput) {
 		t.Fatalf("duplicate IDs not rejected as corrupt input: %v", err)
+	}
+}
+
+// TestGridFiles loads and expands every checked-in grid, and holds
+// paper-full.json to paper.json: the same experiments in the same order,
+// differing only in scale (workload lists, region length) and untrimmed.
+func TestGridFiles(t *testing.T) {
+	paths, _ := filepath.Glob("../../grids/*.json")
+	specs := map[string]*Spec{}
+	for _, p := range paths {
+		s, err := Load(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cells, err := s.Cells(0); err != nil || len(cells) == 0 {
+			t.Fatalf("%s: %d cells, %v", p, len(cells), err)
+		}
+		specs[filepath.Base(p)] = s
+	}
+	reduced, full := specs["paper.json"], specs["paper-full.json"]
+	if reduced == nil || full == nil || full.Repeats != reduced.Repeats || len(full.Experiments) != len(reduced.Experiments) {
+		t.Fatalf("paper-full.json does not mirror paper.json's experiments (of %v)", paths)
+	}
+	for i, r := range reduced.Experiments {
+		f := full.Experiments[i]
+		if f.Trim != 0 {
+			t.Errorf("paper-full.json %s trims to %d phases", f.Name, f.Trim)
+		}
+		f.Workloads, f.Trim, f.RegionLength = r.Workloads, r.Trim, r.RegionLength
+		if !reflect.DeepEqual(f, r) {
+			t.Errorf("experiment %d: paper-full.json %+v differs from paper.json %+v beyond scale", i, f, r)
+		}
 	}
 }

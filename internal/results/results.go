@@ -1,10 +1,10 @@
 // Package results is the one emission layer for every measurement the
-// tool-chain produces. The experiment grid (internal/grid), the benchmark
-// wrappers in the repo root, and CI all hand their observations to this
-// package, which owns aggregation (mean/std/min/max over repeats), the
-// schema-versioned report JSON, the CSV/summary-table renderings, and the
-// append-only history arrays (BENCH_vm_history.json) that keep every
-// report's trajectory. There is one format: BENCH_vm.json is a Report.
+// tool-chain produces. The experiment grid (internal/grid) and CI hand
+// their observations to this package, which owns aggregation
+// (mean/std/min/max over repeats), the schema-versioned report JSON, the
+// CSV/summary-table renderings, and the append-only history arrays
+// (BENCH_vm_history.json) that keep every report's trajectory. There is
+// one format: BENCH_vm.json is a Report.
 package results
 
 import (
@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"text/tabwriter"
 	"time"
 )
@@ -257,31 +258,56 @@ func (r *Report) WriteCSV(w io.Writer) error {
 }
 
 // WriteSummary renders a human-readable table: one row per cell, grouped
-// by experiment, with the metric columns that make sense for its kind.
+// by experiment. Every block shows the kind's headline metric (MIPS, or
+// the prediction error for validate cells), the retired instruction count,
+// and one column per Extra key — the sorted union over the experiment's
+// cells. A missing key, or any column of a failed cell, prints "-".
 func (r *Report) WriteSummary(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 8, 2, ' ', 0)
 	prev := ""
+	var keys []string
 	for _, c := range r.Cells {
 		if c.Experiment != prev {
+			keys = keys[:0]
+			seen := map[string]bool{}
+			for _, o := range r.Cells {
+				for k := range o.Extra {
+					if o.Experiment == c.Experiment && !seen[k] {
+						seen[k] = true
+						keys = append(keys, k)
+					}
+				}
+			}
+			sort.Strings(keys)
 			if prev != "" {
 				fmt.Fprintln(tw)
 			}
 			fmt.Fprintf(tw, "# %s (%s)\n", c.Experiment, c.Kind)
-			fmt.Fprintln(tw, "workload\tmode\tseed\tstatus\tmetric\tmean\tstd\tmin\tmax")
+			fmt.Fprintln(tw, strings.Join(append([]string{
+				"workload\tmode\tseed\tstatus\tmetric\tmean\tstd\tmin\tmax\tinstructions"}, keys...), "\t"))
 			prev = c.Experiment
 		}
 		metric, st := "mips", c.MIPS
 		if c.Kind == "validate" {
 			metric, st = "err%", c.PredErr
 		}
-		status := c.Status
 		if c.Status == "failed" {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%s(exit %d)\t%s\t-\t-\t-\t-\n",
-				c.Workload, c.Mode, c.Seed, status, c.ExitCode, metric)
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%s(exit %d)\t%s\t-\t-\t-\t-\t-%s\n",
+				c.Workload, c.Mode, c.Seed, c.Status, c.ExitCode, metric,
+				strings.Repeat("\t-", len(keys)))
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\n",
-			c.Workload, c.Mode, c.Seed, status, metric, st.Mean, st.Std, st.Min, st.Max)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%d",
+			c.Workload, c.Mode, c.Seed, c.Status, metric, st.Mean, st.Std, st.Min, st.Max,
+			c.Instructions)
+		for _, k := range keys {
+			if v, ok := c.Extra[k]; ok {
+				fmt.Fprintf(tw, "\t%.9g", v)
+			} else {
+				fmt.Fprint(tw, "\t-")
+			}
+		}
+		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
 }

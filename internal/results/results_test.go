@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -125,31 +126,53 @@ func TestVMBenchHistory(t *testing.T) {
 	}
 }
 
-// TestCSVAndSummary smoke-checks the two renderings.
+// TestCSVAndSummary checks the two renderings. Each summary block ends
+// with an instructions column and one column per Extra key, the sorted
+// union over the experiment's cells; a missing key and every column of a
+// failed cell print "-". The CSV layout has no Extra columns.
 func TestCSVAndSummary(t *testing.T) {
 	r := sampleReport()
-	r.Cells = append(r.Cells, Cell{
-		ID: "x", Experiment: "vm", Kind: "vmcore", Workload: "boom",
-		Mode: "chained", Seed: 1, Status: "failed", ExitCode: 2, Error: "corrupt",
-	})
+	r.Cells = append(r.Cells,
+		Cell{Experiment: "vm", Kind: "vmcore", Workload: "boom", Mode: "chained", Seed: 1,
+			Status: "failed", ExitCode: 2, Error: "corrupt"},
+		Cell{Experiment: "st", Kind: "stats", Workload: "a", Mode: "stats", Status: "ok",
+			Instructions: 1234, Extra: map[string]float64{"slices": 64, "max_weight": 0.375}},
+		Cell{Experiment: "st", Kind: "stats", Workload: "b", Mode: "stats", Status: "ok",
+			Instructions: 99, Extra: map[string]float64{"slices": 12, "regions": 3}},
+		Cell{Experiment: "st", Kind: "stats", Workload: "c", Mode: "stats", Status: "failed", ExitCode: 3})
 	r.Sort()
 	var csvBuf bytes.Buffer
 	if err := r.WriteCSV(&csvBuf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")
-	if len(lines) != 1+5 {
-		t.Errorf("CSV has %d lines, want header + 5 cells", len(lines))
+	if len(lines) != 1+8 {
+		t.Errorf("CSV has %d lines, want header + 8 cells", len(lines))
 	}
-	if !strings.HasPrefix(lines[0], "experiment,kind,workload,mode,") {
+	if lines[0] != strings.Join(csvHeader, ",") {
 		t.Errorf("CSV header = %q", lines[0])
 	}
 	var sumBuf bytes.Buffer
 	if err := r.WriteSummary(&sumBuf); err != nil {
 		t.Fatal(err)
 	}
-	out := sumBuf.String()
-	if !strings.Contains(out, "decode_heavy") || !strings.Contains(out, "failed(exit 2)") {
-		t.Errorf("summary rendering:\n%s", out)
+	var got []string
+	for _, line := range strings.Split(sumBuf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] != "decode_heavy" && f[0] != "mem_stream" {
+			got = append(got, strings.Join(f, " "))
+		}
+	}
+	want := []string{
+		"# st (stats)",
+		"workload mode seed status metric mean std min max instructions max_weight regions slices",
+		"a stats 0 ok mips 0.00 0.00 0.00 0.00 1234 0.375 - 64",
+		"b stats 0 ok mips 0.00 0.00 0.00 0.00 99 - 3 12",
+		"c stats 0 failed(exit 3) mips - - - - - - - -",
+		"# vm (vmcore)",
+		"workload mode seed status metric mean std min max instructions",
+		"boom chained 1 failed(exit 2) mips - - - - -",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("summary:\n%s\nwant (timing rows elided):\n%s", sumBuf.String(), strings.Join(want, "\n"))
 	}
 }

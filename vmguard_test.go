@@ -28,7 +28,7 @@ func guardMachine(t *testing.T, seed int64) *vm.Machine {
 
 // recipeLoader builds recipe r once and returns a constructor for fresh
 // machines loaded with it.
-func recipeLoader(t *testing.T, r workloads.Recipe, seed int64) func() *vm.Machine {
+func recipeLoader(t testing.TB, r workloads.Recipe, seed int64) func() *vm.Machine {
 	t.Helper()
 	exe, err := workloads.Build(r)
 	if err != nil {
@@ -336,19 +336,11 @@ func TestTimingSameOnEveryEngine(t *testing.T) {
 		name string
 		r    workloads.Recipe
 	}
-	// Unlike trim, this ignores ELFIE_BENCH_FULL: the golden digests
-	// belong to one fixed program per input.
-	firstPhases := func(r workloads.Recipe, keep int) workloads.Recipe {
-		if len(r.Sequence) > keep {
-			r.Sequence = r.Sequence[:keep]
-		}
-		return r
-	}
 	inputs := []input{
-		{"guard", firstPhases(workloads.TrainIntRate()[1], 3)},
+		{"guard", trim(workloads.TrainIntRate()[1], 3)},
 	}
 	if r, ok := workloads.ByName("627.cam4_s.1"); ok {
-		inputs = append(inputs, input{"cam4-8t", firstPhases(r, 2)})
+		inputs = append(inputs, input{"cam4-8t", trim(r, 2)})
 	} else {
 		t.Fatal("627.cam4_s.1 recipe missing")
 	}
