@@ -75,7 +75,7 @@ func main() {
 		if err != nil {
 			cli.DieClassified(err)
 		}
-		res, err := coresim.SimulateSession(s, cfg)
+		res, err := coresim.Simulate(s.Machine, cfg)
 		if err != nil {
 			cli.DieClassified(err)
 		}

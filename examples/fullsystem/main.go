@@ -69,7 +69,7 @@ func main() {
 		cfg := coresim.Skylake1(fe)
 		cfg.StartMarker = 0x99
 		cfg.TimerIntervalInstr = 50_000
-		res, err := coresim.SimulateSession(s, cfg)
+		res, err := coresim.Simulate(s.Machine, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

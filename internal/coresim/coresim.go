@@ -12,7 +12,6 @@ package coresim
 
 import (
 	"elfie/internal/harness"
-	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/pin"
 	"elfie/internal/uarch"
@@ -81,13 +80,10 @@ func (r *Result) CPI() float64 {
 
 // Sim is a configured CoreSim instance attached to one machine run.
 type Sim struct {
-	cfg    Config
-	cores  []*uarch.OOOCore
-	hier   *uarch.Hierarchy
-	feeder *uarch.Feeder
-
-	measuring bool
-	kstream   *kernelStream
+	cfg     Config
+	drv     *uarch.Driver[*uarch.OOOCore]
+	kstream *kernelStream
+	// userInstr counts windowed instructions, for the timer tick.
 	userInstr uint64
 	lastTick  uint64
 }
@@ -101,45 +97,31 @@ func Attach(m *vm.Machine, cfg Config) *Sim {
 	if cfg.TimerIntervalInstr == 0 {
 		cfg.TimerIntervalInstr = 100_000
 	}
-	s := &Sim{cfg: cfg, measuring: cfg.StartMarker == 0}
-	s.hier = uarch.NewHierarchy(cfg.Hier, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, uarch.NewOOOCore(cfg.Core, s.hier, i))
-	}
-	s.kstream = newKernelStream()
-
-	tool := &pin.Tool{
-		Name: "coresim",
-		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
-			if !s.measuring && tag == cfg.StartMarker &&
-				(op == isa.MAGIC || op == isa.SSCMARK) {
-				s.measuring = true
-			}
-		},
-	}
-	// Full-system: watch system calls to trigger kernel-stream injection.
+	s := &Sim{cfg: cfg, kstream: newKernelStream()}
+	s.drv = uarch.Attach(m, uarch.NewOOOCore, cfg.Core, cfg.Hier, cfg.Cores, cfg.StartMarker)
+	// Full-system: inject a kernel stream per system call and per timer
+	// tick.
 	if cfg.Frontend == FrontendSimics {
-		tool.OnSyscall = func(t *vm.Thread, num uint64, res kernel.Result) {
-			if s.measuring {
-				s.injectKernel(t.TID, num, res)
-			}
-		}
+		s.drv.After = s.tick
+		pin.NewEngine(m).Attach(&pin.Tool{
+			Name: "coresim-kernel",
+			OnSyscall: func(t *vm.Thread, num uint64, res kernel.Result) {
+				if s.drv.Measuring() {
+					s.injectKernel(t.TID, num, res)
+				}
+			},
+		})
 	}
-	pin.NewEngine(m).Attach(tool)
-	s.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(s.consume))
 	return s
 }
 
-func (s *Sim) consume(d *uarch.DynInst) {
-	if !s.measuring {
-		return
-	}
-	s.cores[d.TID%len(s.cores)].Consume(d)
+// tick injects a timer-interrupt kernel stream every TimerIntervalInstr
+// user instructions.
+func (s *Sim) tick(d *uarch.DynInst) {
 	s.userInstr++
-	if s.cfg.Frontend == FrontendSimics &&
-		s.userInstr-s.lastTick >= s.cfg.TimerIntervalInstr {
+	if s.userInstr-s.lastTick >= s.cfg.TimerIntervalInstr {
 		s.lastTick = s.userInstr
-		s.kstream.emit(s.cores[d.TID%len(s.cores)], syscallTimerTick, 0)
+		s.kstream.emit(s.drv.Core(d.TID), syscallTimerTick, 0)
 	}
 }
 
@@ -152,26 +134,27 @@ func (s *Sim) injectKernel(tid int, num uint64, res kernel.Result) {
 			bytes = int(res.Ret)
 		}
 	}
-	s.kstream.emit(s.cores[tid%len(s.cores)], num, bytes)
+	s.kstream.emit(s.drv.Core(tid), num, bytes)
 }
 
 // Finish closes the simulation and returns the result.
 func (s *Sim) Finish() *Result {
-	s.feeder.Flush()
-	res := &Result{FootprintBytes: s.hier.FootprintBytes()}
-	var dtlbA, dtlbM, itlbA, itlbM uint64
-	for _, c := range s.cores {
-		st := *c.Finish()
-		res.PerCore = append(res.PerCore, st)
-		res.Ring0Instr += st.KernelInstr
-		res.Ring3Instr += st.Instructions - st.KernelInstr
-		if st.Cycles > res.Cycles {
-			res.Cycles = st.Cycles
-		}
+	perCore, total := s.drv.Finish()
+	res := &Result{
+		Ring3Instr:     total.Instructions - total.KernelInstr,
+		Ring0Instr:     total.KernelInstr,
+		Cycles:         total.Cycles,
+		FootprintBytes: s.drv.Hier.FootprintBytes(),
+		PerCore:        perCore,
+	}
+	var dtlbA, dtlbM, itlbA, itlbM, l2a, l2m uint64
+	for i, c := range s.drv.Cores {
 		dtlbA += c.DTLB.Accesses
 		dtlbM += c.DTLB.Misses
 		itlbA += c.ITLB.Accesses
 		itlbM += c.ITLB.Misses
+		l2a += s.drv.Hier.L2For(i).Accesses
+		l2m += s.drv.Hier.L2For(i).Misses
 	}
 	if s.cfg.FreqGHz > 0 {
 		res.RuntimeNs = float64(res.Cycles) / s.cfg.FreqGHz
@@ -181,11 +164,6 @@ func (s *Sim) Finish() *Result {
 	}
 	if itlbA > 0 {
 		res.ITLBMissRate = float64(itlbM) / float64(itlbA)
-	}
-	var l2a, l2m uint64
-	for i := 0; i < len(s.cores); i++ {
-		l2a += s.hier.L2For(i).Accesses
-		l2m += s.hier.L2For(i).Misses
 	}
 	if l2a > 0 {
 		res.L2MissRate = float64(l2m) / float64(l2a)
@@ -197,16 +175,6 @@ func (s *Sim) Finish() *Result {
 func Simulate(m *vm.Machine, cfg Config) (*Result, error) {
 	s := Attach(m, cfg)
 	if err := harness.WrapRun(harness.ModeSim, m.Run()); err != nil {
-		return nil, err
-	}
-	return s.Finish(), nil
-}
-
-// SimulateSession runs a harness-built session to completion under the
-// simulator.
-func SimulateSession(sess *harness.Session, cfg Config) (*Result, error) {
-	s := Attach(sess.Machine, cfg)
-	if err := sess.Run(); err != nil {
 		return nil, err
 	}
 	return s.Finish(), nil

@@ -14,7 +14,6 @@ import (
 	"elfie/internal/elfobj"
 	"elfie/internal/harness"
 	"elfie/internal/isa"
-	"elfie/internal/pin"
 	"elfie/internal/uarch"
 	"elfie/internal/vm"
 )
@@ -25,8 +24,8 @@ type Config struct {
 	Hier uarch.HierarchyCfg
 	// AllowVector permits vector instructions in the stream.
 	AllowVector bool
-	// StartMarker skips everything before the given marker tag (ELFie
-	// startup code).
+	// StartMarker skips everything before the SSCMARK or MAGIC carrying
+	// this tag (ELFie startup code).
 	StartMarker uint32
 	// MaxInstructions bounds the simulation (0 = unbounded).
 	MaxInstructions uint64
@@ -72,43 +71,26 @@ func Simulate(exe *elfobj.File, cfg Config, seed int64) (*Result, error) {
 
 // SimulateMachine simulates an already-prepared machine.
 func SimulateMachine(m *vm.Machine, cfg Config) (*Result, error) {
-	hier := uarch.NewHierarchy(cfg.Hier, 1)
-	core := uarch.NewOOOCore(cfg.Core, hier, 0)
+	drv := uarch.Attach(m, uarch.NewOOOCore, cfg.Core, cfg.Hier, 1, cfg.StartMarker)
 	res := &Result{}
-	measuring := cfg.StartMarker == 0
 	var isaErr error
-
-	pin.NewEngine(m).Attach(&pin.Tool{
-		Name: "gem5-start",
-		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
-			if !measuring && tag == cfg.StartMarker {
-				measuring = true
-			}
-		},
-	})
-	feeder := uarch.NewFeeder(m, uarch.ConsumerFunc(func(d *uarch.DynInst) {
-		if !measuring {
-			return
-		}
+	drv.After = func(d *uarch.DynInst) {
 		if d.Class == isa.ClassVec || d.Ins.Op == isa.VLD || d.Ins.Op == isa.VST {
 			res.VectorOps++
 			if !cfg.AllowVector && isaErr == nil {
 				isaErr = fmt.Errorf("gem5sim: unsupported ISA extension at pc %#x: %s (SE mode is SSE/SSE2-only; profile with -pentium)", d.PC, d.Ins.Op.Name())
-				m.RequestStop()
-				return
+				drv.Close()
 			}
 		}
-		core.Consume(d)
-	}))
+	}
 	if err := harness.WrapRun(harness.ModeSim, m.Run()); err != nil {
 		return nil, err
 	}
-	feeder.Flush()
+	_, total := drv.Finish()
 	if isaErr != nil {
 		return nil, isaErr
 	}
-	st := core.Finish()
-	res.Instructions = st.Instructions
-	res.Cycles = st.Cycles
+	res.Instructions = total.Instructions
+	res.Cycles = total.Cycles
 	return res, nil
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"elfie/internal/isa"
-	"elfie/internal/pin"
 	"elfie/internal/uarch"
 	"elfie/internal/vm"
 )
@@ -24,10 +22,9 @@ type Options struct {
 	// Cores is the number of hardware contexts (threads map TID -> core,
 	// round-robin). Default 8.
 	Cores int
-	// Core is the timing configuration; default uarch.HardwareCore().
-	Core *uarch.CoreCfg
 	// StartMarker, when non-zero, discards everything before the first
-	// SSCMARK with this tag — how measurements skip ELFie startup code.
+	// SSCMARK or MAGIC with this tag — how measurements skip ELFie startup
+	// code.
 	StartMarker uint32
 	// SliceSize, when non-zero, records per-slice samples of measured
 	// instructions and cycles (thread 0's stream), used for region-level
@@ -97,12 +94,9 @@ func (r *Report) WindowCPI() float64 {
 // Measurer attaches hardware-model counters to a machine.
 type Measurer struct {
 	opts   Options
-	cores  []*uarch.IntervalCore
-	hier   *uarch.Hierarchy
+	drv    *uarch.Driver[*uarch.IntervalCore]
 	report *Report
 
-	feeder     *uarch.Feeder
-	measuring  bool
 	sliceStart uint64 // thread-0 instrs at current slice start
 	sliceCyc   uint64 // core-0 cycles at current slice start
 	t0Instr    uint64
@@ -117,80 +111,49 @@ func Attach(m *vm.Machine, opts Options) *Measurer {
 	if opts.Cores == 0 {
 		opts.Cores = 8
 	}
-	cfg := uarch.HardwareCore()
-	if opts.Core != nil {
-		cfg = *opts.Core
-	}
-	ms := &Measurer{
-		opts:   opts,
-		hier:   uarch.NewHierarchy(uarch.SmallHierarchy(opts.Cores), opts.Cores),
-		report: &Report{},
-	}
-	for i := 0; i < opts.Cores; i++ {
-		ms.cores = append(ms.cores, uarch.NewIntervalCore(cfg, ms.hier, i))
-	}
-	ms.measuring = opts.StartMarker == 0
-
-	pin.NewEngine(m).Attach(&pin.Tool{
-		Name: "perfle-start",
-		OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
-			if !ms.measuring && op == isa.SSCMARK && tag == opts.StartMarker {
-				ms.measuring = true
-				ms.report.MarkerSeen = true
-			}
-		},
-	})
-	ms.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(ms.consume))
+	ms := &Measurer{opts: opts, report: &Report{}}
+	ms.drv = uarch.Attach(m, uarch.NewIntervalCore, uarch.HardwareCore(),
+		uarch.SmallHierarchy(opts.Cores), opts.Cores, opts.StartMarker)
+	ms.drv.After = ms.after
 	return ms
 }
 
-func (ms *Measurer) consume(d *uarch.DynInst) {
-	if !ms.measuring {
+// after tracks thread 0's stream: the post-warm-up window and the slices.
+func (ms *Measurer) after(d *uarch.DynInst) {
+	if d.TID != 0 {
 		return
 	}
-	core := ms.cores[d.TID%len(ms.cores)]
-	core.Consume(d)
-	ms.report.Instructions++
-	if d.TID == 0 && !ms.winOpen {
-		if ms.t0Instr >= ms.opts.SkipInstr {
-			ms.winOpen = true
-			ms.winInstr = ms.t0Instr
-			ms.winCycles = ms.cores[0].Stats.Cycles
-		}
+	core0 := ms.drv.Cores[0]
+	if !ms.winOpen && ms.t0Instr >= ms.opts.SkipInstr {
+		ms.winOpen = true
+		ms.winInstr = ms.t0Instr
+		ms.winCycles = core0.Stats.Cycles
 	}
-	if d.TID == 0 {
-		ms.t0Instr++
-	}
-	if ms.opts.SliceSize > 0 && d.TID == 0 {
-		if ms.t0Instr-ms.sliceStart >= ms.opts.SliceSize {
-			cyc := ms.cores[0].Stats.Cycles
-			ms.report.Slices = append(ms.report.Slices, Slice{
-				StartInstr:   ms.sliceStart,
-				Instructions: ms.t0Instr - ms.sliceStart,
-				Cycles:       cyc - ms.sliceCyc,
-			})
-			ms.sliceStart = ms.t0Instr
-			ms.sliceCyc = cyc
-		}
+	ms.t0Instr++
+	if ms.opts.SliceSize > 0 && ms.t0Instr-ms.sliceStart >= ms.opts.SliceSize {
+		cyc := core0.Stats.Cycles
+		ms.report.Slices = append(ms.report.Slices, Slice{
+			StartInstr:   ms.sliceStart,
+			Instructions: ms.t0Instr - ms.sliceStart,
+			Cycles:       cyc - ms.sliceCyc,
+		})
+		ms.sliceStart = ms.t0Instr
+		ms.sliceCyc = cyc
 	}
 }
 
 // Finish flushes the last instruction, closes the measurement, and returns
 // the report.
 func (ms *Measurer) Finish() *Report {
-	ms.feeder.Flush()
-	var maxCycles uint64
-	for _, c := range ms.cores {
-		st := c.Stats
-		ms.report.PerThread = append(ms.report.PerThread, &st)
-		if st.Cycles > maxCycles {
-			maxCycles = st.Cycles
-		}
+	perCore, total := ms.drv.Finish()
+	for i := range perCore {
+		ms.report.PerThread = append(ms.report.PerThread, &perCore[i])
 	}
-	ms.report.Cycles = maxCycles
+	ms.report.Instructions = total.Instructions
+	ms.report.Cycles = total.Cycles
 	if ms.winOpen {
 		ms.report.WindowInstructions = ms.t0Instr - ms.winInstr
-		ms.report.WindowCycles = ms.cores[0].Stats.Cycles - ms.winCycles
+		ms.report.WindowCycles = ms.drv.Cores[0].Stats.Cycles - ms.winCycles
 	}
 	if ms.opts.NoiseSeed != 0 {
 		rng := rand.New(rand.NewSource(ms.opts.NoiseSeed))
@@ -200,9 +163,7 @@ func (ms *Measurer) Finish() *Report {
 		ms.report.Cycles = jitter(ms.report.Cycles)
 		ms.report.WindowCycles = jitter(ms.report.WindowCycles)
 	}
-	if ms.opts.StartMarker != 0 && !ms.measuring {
-		ms.report.MarkerSeen = false
-	}
+	ms.report.MarkerSeen = ms.opts.StartMarker != 0 && ms.drv.Measuring()
 	return ms.report
 }
 

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"elfie/internal/asm"
+	"elfie/internal/core"
 	"elfie/internal/kernel"
+	"elfie/internal/pinplay"
 	"elfie/internal/vm"
 )
 
@@ -71,6 +73,32 @@ func TestMarkerGating(t *testing.T) {
 	// Only the ~150k application instructions counted (plus the tail).
 	if rep.Instructions < 150_000 || rep.Instructions > 151_000 {
 		t.Errorf("measured %d, want ~150k", rep.Instructions)
+	}
+}
+
+// TestMarkerSimicsELFie: an ELFie converted with the Simics marker flavour
+// starts its region with MAGIC, and the measurement finds it.
+func TestMarkerSimicsELFie(t *testing.T) {
+	pb, err := pinplay.Log(machineFor(t, markedProg),
+		pinplay.LogOptions{Name: "r", RegionStart: 40_000, RegionLength: 60_000}.Fat())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Convert(pb, core.Options{GracefulExit: true, Marker: core.MarkerSimics, MarkerTag: 0x99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := vm.NewLoaded(kernel.New(kernel.NewFS(), 1), res.Exe, []string{"elfie"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MaxInstructions = 1_000_000
+	rep, err := MeasureRun(m, Options{Cores: 1, StartMarker: 0x99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.MarkerSeen || rep.Instructions < 60_000 || rep.Instructions >= m.GlobalRetired {
+		t.Errorf("marker seen %v, measured %d of %d retired", rep.MarkerSeen, rep.Instructions, m.GlobalRetired)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"elfie/internal/coresim"
 	"elfie/internal/fault"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
@@ -32,64 +33,86 @@ func chaosPlans() map[string]*fault.Plan {
 	}
 }
 
+// validators are the two validation methods; each must recover a region
+// whose primary ELFie fails, by falling back to an alternate.
+func validators() map[string]func(*Benchmark) (*Validation, error) {
+	return map[string]func(*Benchmark) (*Validation, error){
+		"native": func(b *Benchmark) (*Validation, error) { return ValidateNative(b, 7) },
+		"sim": func(b *Benchmark) (*Validation, error) {
+			return ValidateSim(b, coresim.Skylake1(coresim.FrontendSDE))
+		},
+	}
+}
+
 func TestChaosPipelineDegradesGracefully(t *testing.T) {
 	for name, plan := range chaosPlans() {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("pipeline panicked under fault plan: %v", r)
-				}
-			}()
-			cfg := smallConfig()
-			cfg.Fault = plan
-			b, err := Prepare(smallRecipe(), cfg)
-			if err != nil {
-				// Total failure must be typed, never an untyped abort.
-				if !errors.Is(err, ErrAllRegionsFailed) {
-					t.Fatalf("untyped Prepare failure: %v", err)
-				}
-				return
+			for method, validate := range validators() {
+				t.Run(method, func(t *testing.T) {
+					chaosDegradesGracefully(t, plan, validate)
+				})
 			}
-			v, err := ValidateNative(b, 7)
-			if err != nil {
-				t.Fatalf("validation errored (should degrade instead): %v", err)
-			}
-
-			injected := b.FaultInjector().InjectedCount()
-			if injected == 0 {
-				t.Fatalf("plan injected nothing; events: %v", b.FaultInjector().Events())
-			}
-			d := v.Degradation
-			if d.Recovered+d.Dropped != injected {
-				t.Errorf("recovered %d + dropped %d != %d injected faults; events: %+v",
-					d.Recovered, d.Dropped, injected, d.Events)
-			}
-			for _, ev := range d.Events {
-				if ev.Err == nil || ev.Kind == "" || ev.Action == "" {
-					t.Errorf("incomplete failure record: %+v", ev)
-				}
-			}
-
-			// The CPI that comes out must be real, not silently wrong:
-			// surviving regions carry plausible CPIs, dropped weight is
-			// accounted, and the prediction error stays in the usual band.
-			if v.TrueCPI <= 0.2 || v.TrueCPI > 20 {
-				t.Fatalf("true CPI = %v", v.TrueCPI)
-			}
-			for _, rc := range v.PerRegion {
-				if rc.OK && (rc.CPI <= 0.2 || rc.CPI > 20) {
-					t.Errorf("implausible region CPI %v: %+v", rc.CPI, rc)
-				}
-			}
-			if got := v.Coverage + d.CoverageLost; math.Abs(got-1) > 0.01 {
-				t.Errorf("coverage %v + lost %v != 1", v.Coverage, d.CoverageLost)
-			}
-			if v.Coverage > 0 && math.Abs(v.Error) > 0.35 {
-				t.Errorf("degraded prediction error = %+.1f%%", 100*v.Error)
-			}
-			t.Logf("%s: injected=%d %s; %s", name, injected, d, v)
 		})
 	}
+}
+
+// chaosDegradesGracefully runs Prepare and one validation under a
+// one-fault plan: the fault must be recorded and recovered, never dropped,
+// and the prediction that comes out must be real.
+func chaosDegradesGracefully(t *testing.T, plan *fault.Plan, validate func(*Benchmark) (*Validation, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("pipeline panicked under fault plan: %v", r)
+		}
+	}()
+	cfg := smallConfig()
+	cfg.Fault = plan
+	b, err := Prepare(smallRecipe(), cfg)
+	if err != nil {
+		// Total failure must be typed, never an untyped abort.
+		if !errors.Is(err, ErrAllRegionsFailed) {
+			t.Fatalf("untyped Prepare failure: %v", err)
+		}
+		return
+	}
+	v, err := validate(b)
+	if err != nil {
+		t.Fatalf("validation errored (should degrade instead): %v", err)
+	}
+
+	injected := b.FaultInjector().InjectedCount()
+	if injected == 0 {
+		t.Fatalf("plan injected nothing; events: %v", b.FaultInjector().Events())
+	}
+	d := v.Degradation
+	if d.Recovered != injected || d.Dropped != 0 {
+		t.Errorf("recovered %d, dropped %d of %d injected faults (each must be recovered); events: %+v",
+			d.Recovered, d.Dropped, injected, d.Events)
+	}
+	for _, ev := range d.Events {
+		if ev.Err == nil || ev.Kind == "" || ev.Action == "" {
+			t.Errorf("incomplete failure record: %+v", ev)
+		}
+	}
+
+	// The CPI that comes out must be real, not silently wrong:
+	// surviving regions carry plausible CPIs, dropped weight is
+	// accounted, and the prediction error stays in the usual band.
+	if v.TrueCPI <= 0.2 || v.TrueCPI > 20 {
+		t.Fatalf("true CPI = %v", v.TrueCPI)
+	}
+	for _, rc := range v.PerRegion {
+		if rc.OK && (rc.CPI <= 0.2 || rc.CPI > 20) {
+			t.Errorf("implausible region CPI %v: %+v", rc.CPI, rc)
+		}
+	}
+	if got := v.Coverage + d.CoverageLost; math.Abs(got-1) > 0.01 {
+		t.Errorf("coverage %v + lost %v != 1", v.Coverage, d.CoverageLost)
+	}
+	if v.Coverage > 0 && math.Abs(v.Error) > 0.35 {
+		t.Errorf("degraded prediction error = %+.1f%%", 100*v.Error)
+	}
+	t.Logf("injected=%d %s; %s", injected, d, v)
 }
 
 // chaosOutcome runs the full pipeline (Prepare + native validation) under a

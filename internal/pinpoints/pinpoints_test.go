@@ -1,6 +1,9 @@
 package pinpoints
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
@@ -57,6 +60,23 @@ func TestPrepare(t *testing.T) {
 	}
 }
 
+// validationDigest hashes the measured numbers of a validation: the
+// whole-program CPI and every region's outcome (CPI, alternate used, OK).
+// The goldens pin the marker, warm-up window and noise path that the
+// timing-model goldens (all run without a start marker) never exercise.
+func validationDigest(t *testing.T, v *Validation) string {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		TrueCPI   float64
+		PerRegion []RegionCPI
+	}{v.TrueCPI, v.PerRegion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return fmt.Sprintf("%x", sum[:8])
+}
+
 func TestValidateNative(t *testing.T) {
 	b, err := Prepare(smallRecipe(), smallConfig())
 	if err != nil {
@@ -75,6 +95,9 @@ func TestValidateNative(t *testing.T) {
 	if math.Abs(v.Error) > 0.35 {
 		t.Errorf("prediction error = %+.1f%% (true %.3f predicted %.3f)",
 			100*v.Error, v.TrueCPI, v.PredictedCPI)
+	}
+	if got, want := validationDigest(t, v), "28c7dc0ba472012d"; got != want {
+		t.Errorf("native validation digest %s, golden %s", got, want)
 	}
 	t.Logf("native validation: %s", v)
 }
@@ -100,6 +123,9 @@ func TestValidateSim(t *testing.T) {
 	}
 	if math.Abs(v.Error) > 0.35 {
 		t.Errorf("sim prediction error = %+.1f%%", 100*v.Error)
+	}
+	if got, want := validationDigest(t, v), "485e9f870cc24d39"; got != want {
+		t.Errorf("sim validation digest %s, golden %s", got, want)
 	}
 	t.Logf("sim validation: %s", v)
 }

@@ -6,6 +6,7 @@ import (
 	"elfie/internal/coresim"
 	"elfie/internal/farm"
 	"elfie/internal/perfle"
+	"elfie/internal/vm"
 )
 
 // RegionCPI is one region's measured contribution to the prediction.
@@ -55,28 +56,56 @@ type measureSlot struct {
 // runs, both via hardware counters (package perfle). Failed ELFies fall
 // back to alternate representatives, as in §I.
 func ValidateNative(b *Benchmark, trialSeed int64) (*Validation, error) {
-	v := &Validation{Method: "native", Degradation: b.Degradation.clone()}
+	return b.validate("native", trialSeed,
+		func(m *vm.Machine) (float64, error) {
+			whole, err := perfle.MeasureRun(m, perfle.Options{Cores: 1, NoiseSeed: trialSeed})
+			if err != nil {
+				return 0, err
+			}
+			return whole.CPI(), nil
+		},
+		func(reg *Region) (float64, error) { return b.measureRegion(reg, trialSeed) })
+}
+
+// ValidateSim performs the traditional, simulation-based validation: both
+// the whole program and each region run under the detailed simulator
+// (CoreSim). This is the slow path the paper contrasts against. Failed
+// ELFies fall back to alternates, as in ValidateNative.
+func ValidateSim(b *Benchmark, cfg coresim.Config) (*Validation, error) {
+	return b.validate("sim", b.cfg.Seed,
+		func(m *vm.Machine) (float64, error) {
+			whole, err := coresim.Simulate(m, cfg)
+			if err != nil {
+				return 0, err
+			}
+			return whole.CPI(), nil
+		},
+		func(reg *Region) (float64, error) { return b.simRegion(reg, cfg) })
+}
+
+// validate is the one validation loop: one farm job measures the whole
+// program's CPI (whole, on a machine built with seed) and one job per
+// region measures its CPI (region, with alternate fallback); the regions
+// merge in region order.
+func (b *Benchmark) validate(method string, seed int64, whole func(*vm.Machine) (float64, error),
+	region func(*Region) (float64, error)) (*Validation, error) {
+	v := &Validation{Method: method, Degradation: b.Degradation.clone()}
 
 	f := farm.New(b.validateJobs())
 	if err := f.Add(&farm.Job{
 		ID: "whole", Stage: "measure-whole",
 		Run: func() error {
-			m, err := b.NewMachine(trialSeed)
+			m, err := b.NewMachine(seed)
 			if err != nil {
 				return err
 			}
-			whole, err := perfle.MeasureRun(m, perfle.Options{Cores: 1, NoiseSeed: trialSeed})
-			if err != nil {
-				return err
-			}
-			v.TrueCPI = whole.CPI()
-			return nil
+			v.TrueCPI, err = whole(m)
+			return err
 		},
 	}); err != nil {
 		return nil, err
 	}
 
-	// Per-region measurement with alternate fallback, one job per region.
 	// A failed measurement is degradation, not a job failure: the job
 	// records the outcome in its slot and reports success to the farm.
 	slots := make([]*measureSlot, len(b.Regions))
@@ -87,7 +116,7 @@ func ValidateNative(b *Benchmark, trialSeed int64) (*Validation, error) {
 		if err := f.Add(&farm.Job{
 			ID: fmt.Sprintf("measure%d", i), Stage: "validate",
 			Run: func() error {
-				ms.rc, ms.ev = b.measureWithFallback(reg, trialSeed)
+				ms.rc, ms.ev = b.measureWithFallback(reg, region)
 				return nil
 			},
 		}); err != nil {
@@ -124,15 +153,15 @@ func (b *Benchmark) validateJobs() int {
 	return b.cfg.Jobs
 }
 
-// measureWithFallback measures one region's native CPI, falling back to
-// alternate representatives when the primary ELFie fails. The returned
+// measureWithFallback measures one region's CPI with measure, falling back
+// to alternate representatives when the primary ELFie fails. The returned
 // event is nil when the primary measurement succeeded outright.
-func (b *Benchmark) measureWithFallback(reg *Region, trialSeed int64) (RegionCPI, *RegionFailure) {
+func (b *Benchmark) measureWithFallback(reg *Region, measure func(*Region) (float64, error)) (RegionCPI, *RegionFailure) {
 	rc := RegionCPI{
 		Cluster: reg.Cluster, SliceUsed: reg.SliceUsed,
 		Weight: reg.Weight, UsedAlternate: -1,
 	}
-	cpi, err := b.measureRegion(reg, trialSeed)
+	cpi, err := measure(reg)
 	var ev *RegionFailure
 	if err != nil {
 		ev = &RegionFailure{
@@ -144,7 +173,7 @@ func (b *Benchmark) measureWithFallback(reg *Region, trialSeed int64) (RegionCPI
 			if aerr != nil {
 				continue
 			}
-			if cpi, err = b.measureRegion(altReg, trialSeed); err == nil {
+			if cpi, err = measure(altReg); err == nil {
 				rc.UsedAlternate = ai
 				rc.SliceUsed = alt
 				ev.Recovered = true
@@ -193,79 +222,12 @@ func (b *Benchmark) measureRegion(reg *Region, seed int64) (float64, error) {
 	return rep.WindowCPI(), nil
 }
 
-// ValidateSim performs the traditional, simulation-based validation: both
-// the whole program and each region run under the detailed simulator
-// (CoreSim). This is the slow path the paper contrasts against.
-func ValidateSim(b *Benchmark, cfg coresim.Config) (*Validation, error) {
-	v := &Validation{Method: "sim", Degradation: b.Degradation.clone()}
-
-	f := farm.New(b.validateJobs())
-	if err := f.Add(&farm.Job{
-		ID: "whole", Stage: "measure-whole",
-		Run: func() error {
-			m, err := b.NewMachine(b.cfg.Seed)
-			if err != nil {
-				return err
-			}
-			whole, err := coresim.Simulate(m, cfg)
-			if err != nil {
-				return err
-			}
-			v.TrueCPI = whole.CPI()
-			return nil
-		},
-	}); err != nil {
-		return nil, err
-	}
-
-	slots := make([]*measureSlot, len(b.Regions))
-	for i, reg := range b.Regions {
-		ms := &measureSlot{}
-		slots[i] = ms
-		reg := reg
-		if err := f.Add(&farm.Job{
-			ID: fmt.Sprintf("sim%d", i), Stage: "validate",
-			Run: func() error {
-				ms.rc = RegionCPI{
-					Cluster: reg.Cluster, SliceUsed: reg.SliceUsed,
-					Weight: reg.Weight, UsedAlternate: -1,
-				}
-				cpi, err := b.simRegion(reg, cfg)
-				if err != nil {
-					ms.ev = &RegionFailure{
-						Cluster: reg.Cluster, Slice: reg.SliceUsed,
-						Kind: FailureOf(err), Err: err, Action: "dropped",
-					}
-				}
-				ms.rc.OK = err == nil
-				ms.rc.CPI = cpi
-				return nil
-			},
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	out, err := f.Run()
-	if err != nil {
-		return nil, err
-	}
-	v.JobStats = out.Counters
-	if res := out.Results["whole"]; res.Err != nil {
-		return nil, res.Err
-	}
-	for _, ms := range slots {
-		if ms.ev != nil {
-			v.Degradation.record(*ms.ev, ms.rc.Weight)
-		}
-		v.PerRegion = append(v.PerRegion, ms.rc)
-	}
-	v.finish()
-	return v, nil
-}
-
-// simRegion simulates one region's ELFie under CoreSim, excluding the
-// warm-up prefix from the reported CPI.
+// simRegion simulates one region's ELFie under CoreSim and returns the CPI
+// of the whole marked window, warm-up prefix included: without a mid-run
+// snapshot the detailed model cannot split it off. The warm-up share is
+// small (warm execution of the same code), and the detailed pipeline
+// carries no cold-start artifact to first order. A run that retires no
+// more than the warm-up prefix has failed.
 func (b *Benchmark) simRegion(reg *Region, cfg coresim.Config) (float64, error) {
 	s, err := b.ELFieSession(reg, b.cfg.Seed)
 	if err != nil {
@@ -289,10 +251,6 @@ func (b *Benchmark) simRegion(reg *Region, cfg coresim.Config) (float64, error) 
 		return 0, failf(FailUngracefulExit, "simulated elfie for slice %d retired only %d of %d warm-up",
 			reg.SliceUsed, total, warmLimit)
 	}
-	// Without a mid-run snapshot the detailed model reports whole-window
-	// CPI including warm-up; the warm-up share is small (it is warm
-	// execution of the same code) and the detailed pipeline state carries
-	// no cold-start artifact to first order.
 	return res.CPI(), nil
 }
 

@@ -14,9 +14,7 @@ import (
 
 	"elfie/internal/elfobj"
 	"elfie/internal/harness"
-	"elfie/internal/isa"
 	"elfie/internal/kernel"
-	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/uarch"
@@ -30,8 +28,8 @@ type Config struct {
 	Hier  uarch.HierarchyCfg
 	// FreqGHz converts cycles to wall-clock runtime.
 	FreqGHz float64
-	// StartMarker, when non-zero, skips simulation until the SSC marker
-	// with this tag executes — how ELFie startup code is excluded
+	// StartMarker, when non-zero, skips simulation until an SSC or MAGIC
+	// marker with this tag executes — how ELFie startup code is excluded
 	// (§II.B.5 marker support).
 	StartMarker uint32
 }
@@ -67,67 +65,37 @@ type Result struct {
 	EndReached bool
 }
 
-// engine wires cores to a machine via a feeder.
+// engine is one simulation: the uarch driver plus the end condition.
 type engine struct {
-	cfg       Config
-	cores     []*uarch.IntervalCore
-	hier      *uarch.Hierarchy
-	end       EndCondition
-	endHits   uint64
-	machine   *vm.Machine
-	ended     bool
-	measuring bool
-	feeder    *uarch.Feeder
-}
-
-func newEngine(cfg Config, end EndCondition) *engine {
-	e := &engine{cfg: cfg, end: end, measuring: cfg.StartMarker == 0}
-	e.hier = uarch.NewHierarchy(cfg.Hier, cfg.Cores)
-	for i := 0; i < cfg.Cores; i++ {
-		e.cores = append(e.cores, uarch.NewIntervalCore(cfg.Core, e.hier, i))
-	}
-	return e
+	cfg     Config
+	end     EndCondition
+	endHits uint64
+	drv     *uarch.Driver[*uarch.IntervalCore]
 }
 
 func (e *engine) attach(m *vm.Machine) {
-	e.machine = m
-	if e.cfg.StartMarker != 0 {
-		pin.NewEngine(m).Attach(&pin.Tool{
-			Name: "sniper-start",
-			OnMarker: func(t *vm.Thread, op isa.Op, tag uint32) {
-				if tag == e.cfg.StartMarker {
-					e.measuring = true
-				}
-			},
-		})
+	e.drv = uarch.Attach(m, uarch.NewIntervalCore, e.cfg.Core, e.cfg.Hier, e.cfg.Cores, e.cfg.StartMarker)
+	if e.end.PC != 0 {
+		e.drv.After = e.countEnd
 	}
-	e.feeder = uarch.NewFeeder(m, uarch.ConsumerFunc(e.consume))
 }
 
-func (e *engine) consume(d *uarch.DynInst) {
-	if e.ended || !e.measuring {
-		return
-	}
-	e.cores[d.TID%len(e.cores)].Consume(d)
-	if e.end.PC != 0 && d.PC == e.end.PC {
+// countEnd closes the window, and stops the machine, on the end PC's
+// Count-th execution.
+func (e *engine) countEnd(d *uarch.DynInst) {
+	if d.PC == e.end.PC {
 		e.endHits++
 		if e.endHits >= e.end.Count {
-			e.ended = true
-			e.machine.RequestStop()
+			e.drv.Close()
 		}
 	}
 }
 
 func (e *engine) result() *Result {
-	e.feeder.Flush()
-	res := &Result{EndReached: e.ended}
-	for _, c := range e.cores {
-		res.PerCore = append(res.PerCore, c.Stats)
-		res.Instructions += c.Stats.Instructions
-		if c.Stats.Cycles > res.Cycles {
-			res.Cycles = c.Stats.Cycles
-		}
-	}
+	res := &Result{EndReached: e.drv.Closed()}
+	var total uarch.CoreStats
+	res.PerCore, total = e.drv.Finish()
+	res.Instructions, res.Cycles = total.Instructions, total.Cycles
 	if e.cfg.FreqGHz > 0 {
 		res.RuntimeNs = float64(res.Cycles) / e.cfg.FreqGHz
 	}
@@ -138,7 +106,7 @@ func (e *engine) result() *Result {
 // the recorded thread order, timed by the interval cores. This is the
 // paper's "pinball simulation" whose thread interleaving is pre-determined.
 func SimulatePinball(pb *pinball.Pinball, cfg Config, end EndCondition) (*Result, error) {
-	e := newEngine(cfg, end)
+	e := &engine{cfg: cfg, end: end}
 	k := kernel.New(kernel.NewFS(), 0)
 	rres, err := pinplay.Replay(pb, k, pinplay.ReplayOptions{
 		Injection: true,
@@ -159,7 +127,6 @@ func SimulatePinball(pb *pinball.Pinball, cfg Config, end EndCondition) (*Result
 // machine), so spin-loop iteration counts and the interleaving differ from
 // the recorded run — the behaviour Fig. 11 reports.
 func SimulateELFie(exe *elfobj.File, cfg Config, end EndCondition, seed int64, budget uint64) (*Result, error) {
-	e := newEngine(cfg, end)
 	// SchedNative models threads pinned to dedicated cores: coarse
 	// jittering quanta let threads drift apart between barriers, and PAUSE
 	// does not yield, so a waiting thread burns spin-loop instructions at
@@ -172,17 +139,13 @@ func SimulateELFie(exe *elfobj.File, cfg Config, end EndCondition, seed int64, b
 	if err != nil {
 		return nil, err
 	}
-	e.attach(s.Machine)
-	if err := s.Run(); err != nil {
-		return nil, err
-	}
-	return e.result(), nil
+	return SimulateMachine(s.Machine, cfg, end)
 }
 
 // SimulateMachine runs an already-constructed machine under the simulator
 // (for callers that need custom filesystem or scheduler setup).
 func SimulateMachine(m *vm.Machine, cfg Config, end EndCondition) (*Result, error) {
-	e := newEngine(cfg, end)
+	e := &engine{cfg: cfg, end: end}
 	e.attach(m)
 	if err := harness.WrapRun(harness.ModeSim, m.Run()); err != nil {
 		return nil, err

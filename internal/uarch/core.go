@@ -94,7 +94,7 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 	}
 }
 
-// Consume implements Consumer.
+// Consume implements Core.
 func (c *IntervalCore) Consume(d *DynInst) {
 	c.Stats.Instructions++
 	if d.Kernel {
@@ -134,6 +134,10 @@ func (c *IntervalCore) Consume(d *DynInst) {
 		}
 	}
 }
+
+// Finish returns the core's stats; an interval core has no pipeline to
+// drain.
+func (c *IntervalCore) Finish() *CoreStats { return &c.Stats }
 
 // OOOCore is the detailed out-of-order scoreboard model used by the
 // CoreSim- and gem5-style simulators: register dependences through a rename
@@ -239,7 +243,7 @@ func dstReg(ins *isa.Inst) int {
 	return -1
 }
 
-// Consume implements Consumer.
+// Consume implements Core.
 func (c *OOOCore) Consume(d *DynInst) {
 	c.Stats.Instructions++
 	if d.Kernel {

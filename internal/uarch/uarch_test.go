@@ -139,8 +139,8 @@ func TestTLB(t *testing.T) {
 	}
 }
 
-// runWithCore executes a program and feeds it to the given consumer.
-func runWithCore(t *testing.T, src string, sink Consumer) *vm.Machine {
+// loadProgram assembles a program into a fresh machine.
+func loadProgram(t *testing.T, src string) *vm.Machine {
 	t.Helper()
 	exe, err := asm.Program(src)
 	if err != nil {
@@ -152,12 +152,26 @@ func runWithCore(t *testing.T, src string, sink Consumer) *vm.Machine {
 		t.Fatal(err)
 	}
 	m.MaxInstructions = 5_000_000
-	f := NewFeeder(m, sink)
+	return m
+}
+
+// runDriver runs m to completion under drv and finishes it.
+func runDriver[C Core](t *testing.T, m *vm.Machine, drv *Driver[C]) {
+	t.Helper()
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	f.Flush()
-	return m
+	drv.Finish()
+}
+
+// runOneCore runs a program on one core of cfg, attached through the
+// driver, and returns the finished core, its hierarchy and the machine.
+func runOneCore[C Core](t *testing.T, src string, newCore func(CoreCfg, *Hierarchy, int) C, cfg CoreCfg) (C, *Hierarchy, *vm.Machine) {
+	t.Helper()
+	m := loadProgram(t, src)
+	drv := Attach(m, newCore, cfg, DesktopHierarchy(1), 1, 0)
+	runDriver(t, m, drv)
+	return drv.Cores[0], drv.Hier, m
 }
 
 const streamProg = `
@@ -199,9 +213,7 @@ loop:
 `
 
 func TestIntervalCoreCPI(t *testing.T) {
-	h := NewHierarchy(DesktopHierarchy(1), 1)
-	core := NewIntervalCore(GainestownCore(), h, 0)
-	m := runWithCore(t, streamProg, core)
+	core, h, m := runOneCore(t, streamProg, NewIntervalCore, GainestownCore())
 	if core.Stats.Instructions != m.GlobalRetired {
 		t.Errorf("instr %d != %d", core.Stats.Instructions, m.GlobalRetired)
 	}
@@ -218,19 +230,14 @@ func TestIntervalCoreCPI(t *testing.T) {
 func TestOOOCoreDependencyChain(t *testing.T) {
 	// chaseLat is a serial dependency chain with divisions: the OOO core
 	// must be bound by latency, not width.
-	h := NewHierarchy(DesktopHierarchy(1), 1)
-	core := NewOOOCore(GainestownCore(), h, 0)
-	runWithCore(t, chaseLat, core)
-	core.Finish()
+	core, _, _ := runOneCore(t, chaseLat, NewOOOCore, GainestownCore())
 	cpi := core.Stats.CPI()
 	if cpi < 1.0 {
 		t.Errorf("dependent-chain CPI = %v, expected latency-bound > 1", cpi)
 	}
 
 	// An independent-add stream must get CPI well under 1.
-	h2 := NewHierarchy(DesktopHierarchy(1), 1)
-	core2 := NewOOOCore(GainestownCore(), h2, 0)
-	runWithCore(t, `
+	core2, _, _ := runOneCore(t, `
 	.text
 	.global _start
 _start:
@@ -247,8 +254,7 @@ loop:
 	jnz  loop
 	movi r0, 231
 	syscall
-	`, core2)
-	core2.Finish()
+	`, NewOOOCore, GainestownCore())
 	if ipc := core2.Stats.IPC(); ipc < 1.5 {
 		t.Errorf("independent stream IPC = %v, expected superscalar > 1.5", ipc)
 	}
@@ -289,10 +295,7 @@ loop:
 data:	.space 8192
 	`
 	run := func(cfg CoreCfg) float64 {
-		h := NewHierarchy(DesktopHierarchy(1), 1)
-		core := NewOOOCore(cfg, h, 0)
-		runWithCore(t, prog, core)
-		core.Finish()
+		core, _, _ := runOneCore(t, prog, NewOOOCore, cfg)
 		return core.Stats.IPC()
 	}
 	nhm := run(NehalemCore())
@@ -303,9 +306,7 @@ data:	.space 8192
 }
 
 func TestFeederAssemblesRecords(t *testing.T) {
-	var got []DynInst
-	sink := ConsumerFunc(func(d *DynInst) { got = append(got, *d) })
-	runWithCore(t, `
+	m := loadProgram(t, `
 	.text
 	.global _start
 _start:
@@ -320,7 +321,11 @@ skip:
 	syscall
 	.data
 v:	.quad 0, 0
-	`, sink)
+	`)
+	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
+	var got []DynInst
+	drv.After = func(d *DynInst) { got = append(got, *d) }
+	runDriver(t, m, drv)
 	if len(got) < 6 {
 		t.Fatalf("records: %d", len(got))
 	}
@@ -334,4 +339,61 @@ v:	.quad 0, 0
 		t.Errorf("branch record: %+v", got[4])
 	}
 	// Machine-retired count matches the record count.
+	if uint64(len(got)) != m.GlobalRetired {
+		t.Errorf("records %d, retired %d", len(got), m.GlobalRetired)
+	}
+}
+
+// TestDriverMarkerRule: the window opens only on SSCMARK or MAGIC carrying
+// the start tag — the instructions core.Convert emits — and once closed it
+// stays closed.
+func TestDriverMarkerRule(t *testing.T) {
+	const startTag = 7
+	for _, tc := range []struct {
+		marker string
+		opens  bool
+	}{
+		{"sscmark 7", true},
+		{"magic 7", true},
+		{"cpuid r2, 7", false},
+		{"sscmark 8", false},
+		{"magic 8", false},
+	} {
+		m := loadProgram(t, `
+	.text
+	.global _start
+_start:
+	addi r1, r1, 1
+	addi r1, r1, 1
+	`+tc.marker+`
+	addi r1, r1, 1
+	movi r0, 231
+	syscall
+	`)
+		drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, startTag)
+		runDriver(t, m, drv)
+		// Opened, the window holds the marker and the three instructions
+		// after it.
+		want := uint64(0)
+		if tc.opens {
+			want = 4
+		}
+		if got := drv.Cores[0].Stats.Instructions; got != want || drv.Measuring() != tc.opens {
+			t.Errorf("%s: measured %d instructions (measuring=%v), want %d", tc.marker, got, drv.Measuring(), want)
+		}
+	}
+
+	m := loadProgram(t, `
+	.text
+	.global _start
+_start:
+	movi r0, 231
+	syscall
+	`)
+	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, startTag)
+	drv.Close()
+	m.Hooks.OnMarker(m.Threads[0], isa.SSCMARK, startTag)
+	if drv.Measuring() || !drv.Closed() {
+		t.Errorf("closed window reopened: measuring=%v closed=%v", drv.Measuring(), drv.Closed())
+	}
 }

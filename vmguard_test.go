@@ -11,10 +11,12 @@ import (
 
 	"elfie/internal/bbv"
 	"elfie/internal/coresim"
+	"elfie/internal/gem5sim"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/perfle"
 	"elfie/internal/pin"
+	"elfie/internal/sniper"
 	"elfie/internal/vm"
 	"elfie/internal/workloads"
 )
@@ -285,30 +287,44 @@ var timingGolden = map[string]string{
 	"guard/perfle-8":          "6f2f0d7bdaca0193",
 	"guard/coresim-sde":       "9c61a03f941c0bcd",
 	"guard/coresim-simics":    "253cbbb86bbaee59",
+	"guard/sniper-8":          "bb304c340d412722",
+	"guard/gem5-nehalem":      "cdce0127b7ddb810",
 	"cam4-8t/perfle-1":        "9837b10978116345",
 	"cam4-8t/perfle-8":        "e02cc24d1c0a62ee",
 	"cam4-8t/coresim-sde":     "b2f626b13bc99fff",
 	"cam4-8t/coresim-simics":  "619cf219bfd59d33",
+	"cam4-8t/sniper-8":        "a5f936e7a77ec67a",
+	"cam4-8t/gem5-nehalem":    "771817ba03369d07",
 	"smc.flip/perfle-1":       "eb9175684f7a2d1d",
 	"smc.flip/perfle-8":       "d20c96f1a34cfca7",
 	"smc.flip/coresim-sde":    "3b05eae2b19bad2d",
 	"smc.flip/coresim-simics": "efa63a3d921d9656",
+	"smc.flip/sniper-8":       "1beeef06d8f5af5a",
+	"smc.flip/gem5-nehalem":   "b0857716a8f80d46",
 	"fz.0001/perfle-1":        "a4abd3a0555839d3",
 	"fz.0001/perfle-8":        "ba28f5c8a776a2b8",
 	"fz.0001/coresim-sde":     "893eeb1e7b88100a",
 	"fz.0001/coresim-simics":  "659d979ff8a61ec4",
+	"fz.0001/sniper-8":        "6c9e5ed8ae6c2555",
+	"fz.0001/gem5-nehalem":    "df2e920c2f24adf3",
 	"fz.0002/perfle-1":        "01a03ba03ab96606",
 	"fz.0002/perfle-8":        "c4a00c7cb1e045a6",
 	"fz.0002/coresim-sde":     "12f7658042172bd7",
 	"fz.0002/coresim-simics":  "a2a305ab35f75ef4",
+	"fz.0002/sniper-8":        "04a168a762481026",
+	"fz.0002/gem5-nehalem":    "345bee4398daa0ab",
 	"fz.0003/perfle-1":        "af2e62ead5cf7c3b",
 	"fz.0003/perfle-8":        "1f3831469ba1da5a",
 	"fz.0003/coresim-sde":     "f67a1b7e9d62c15b",
 	"fz.0003/coresim-simics":  "6887438db01f3c2b",
+	"fz.0003/sniper-8":        "3e41ec8d164aef60",
+	"fz.0003/gem5-nehalem":    "e3ba12ecbcb74138",
 	"fz.0004/perfle-1":        "6ddaa5d3bd1df3f7",
 	"fz.0004/perfle-8":        "b41413f1bcdd59f8",
 	"fz.0004/coresim-sde":     "c3159f999668c71a",
 	"fz.0004/coresim-simics":  "ba2ab93d90ba4b40",
+	"fz.0004/sniper-8":        "9c518c7aaebc2cb0",
+	"fz.0004/gem5-nehalem":    "67abd7db62e5b629",
 }
 
 // timingDigest renders a timing result canonically and hashes it: every
@@ -323,14 +339,14 @@ func timingDigest(t *testing.T, v any) string {
 	return fmt.Sprintf("%x", sum[:8])
 }
 
-// TestTimingSameOnEveryEngine: both timing models read the program through
-// uarch.Feeder, so their results depend only on the retired instruction
-// stream. perfle's hardware model (1 and 8 cores) and CoreSim (SDE and
-// Simics front-ends) must report identical results on the default engine —
-// the hooked step reading the block cache's decoded pages — and on the
-// pure fetch/decode interpreter, across single- and multi-threaded,
-// self-modifying and generated programs; and both must match the recorded
-// golden digests.
+// TestTimingSameOnEveryEngine: every timing model reads the program
+// through the uarch driver, so its results depend only on the retired
+// instruction stream. perfle's hardware model (1 and 8 cores), CoreSim (SDE
+// and Simics front-ends), Sniper (8 Gainestown cores) and gem5 (Nehalem SE)
+// must report identical results on the default engine — the hooked step
+// reading the block cache's decoded pages — and on the pure fetch/decode
+// interpreter, across single- and multi-threaded, self-modifying and
+// generated programs; and all must match the recorded golden digests.
 func TestTimingSameOnEveryEngine(t *testing.T) {
 	type input struct {
 		name string
@@ -376,6 +392,14 @@ func TestTimingSameOnEveryEngine(t *testing.T) {
 			s := coresim.Attach(m, coresim.Skylake1(coresim.FrontendSimics))
 			err := m.Run()
 			return s.Finish(), err
+		}},
+		{"sniper-8", func(m *vm.Machine) (any, error) {
+			return sniper.SimulateMachine(m, sniper.Gainestown8(), sniper.EndCondition{})
+		}},
+		{"gem5-nehalem", func(m *vm.Machine) (any, error) {
+			cfg := gem5sim.NehalemSE()
+			cfg.AllowVector = true
+			return gem5sim.SimulateMachine(m, cfg)
 		}},
 	}
 	for _, in := range inputs {
