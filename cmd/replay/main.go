@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"elfie/internal/cli"
+	"elfie/internal/fault"
 	"elfie/internal/harness"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
@@ -88,7 +89,7 @@ func main() {
 	}
 	opts := pinplay.ReplayOptions{
 		Injection: *injection, SchedSeed: c.Seed, SchedJitter: *jitter,
-		Fault: plan,
+		Injector: fault.New(plan),
 	}
 	if *ckptEvery > 0 {
 		out := *ckptOut

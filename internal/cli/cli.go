@@ -86,7 +86,8 @@ func (f *FSFlag) Populate(fs *kernel.FS) error {
 func NewSession(mode harness.Mode, exe *elfobj.File, fs *kernel.FS, seed int64, jitter int, budget uint64, argv []string, plan *fault.Plan) (*harness.Session, error) {
 	return harness.New(harness.Config{
 		Mode: mode, Exe: exe, Argv: argv, FS: fs,
-		Seed: seed, Jitter: jitter, Budget: budget, Plan: plan,
+		Seed: seed, Jitter: jitter, Budget: budget,
+		Injector: fault.New(plan),
 	})
 }
 

@@ -1,28 +1,29 @@
-// Package farm is a dependency-aware job scheduler for the checkpoint
-// pipeline: it models the PinPoints flow (profile → SimPoint selection →
-// per-region log → convert → validate) as a DAG of jobs executed by a
-// bounded worker pool.
+// Package farm is the checkpoint pipeline's job scheduler: a bounded
+// worker pool that runs jobs FIFO in submission order. Ordering between
+// jobs is expressed by submission, not by declared dependencies: a job
+// that must follow another is submitted from the earlier job's OnDone (or
+// Run), which is how the PinPoints flow (profile → SimPoint selection →
+// per-region log → convert → lint) chains its stages.
 //
 // The scheduler is deliberately small and deterministic-friendly:
 //
-//   - Jobs carry explicit dependencies; a job becomes ready only when every
-//     dependency succeeded, and is skipped (with a typed error) when one
-//     failed.
-//   - Ready jobs dispatch FIFO in submission order, so a one-worker farm
-//     executes exactly the serial order and more workers only overlap
-//     independent jobs.
+//   - Jobs dispatch FIFO in submission order, so a one-worker farm executes
+//     exactly the serial order and more workers only overlap independent
+//     jobs.
 //   - Results are keyed by job ID, never by completion order: callers merge
 //     them in their own deterministic order, which is what makes pipeline
 //     output byte-identical regardless of worker count.
 //   - A job may consult a cache first (Probe); cache hits skip Run entirely
 //     and are counted separately, so "the warm re-run did zero work" is
 //     provable from the counters.
-//   - Failed jobs retry (bounded by Retries) when RetryIf classifies the
-//     error as retryable — e.g. a corrupt pinball read that a re-log fixes.
+//   - Failed jobs retry (bounded by Retries, delayed by the Backoff policy)
+//     when RetryIf classifies the error as retryable — e.g. a corrupt
+//     pinball read that a re-log fixes — and a wall-clock watchdog
+//     (Deadline, Interrupt) bounds each attempt.
 //
-// Jobs may submit further jobs while running (Add is safe during Run),
-// which is how "select regions" fans out into per-region work the moment
-// the selection is known.
+// Jobs may submit further jobs while running (Add is safe during Run and
+// from OnDone), which is how "select regions" fans out into per-region
+// work the moment the selection is known.
 package farm
 
 import (
@@ -34,9 +35,6 @@ import (
 	"time"
 )
 
-// ErrDependency marks a job skipped because a dependency failed.
-var ErrDependency = errors.New("farm: dependency failed")
-
 // Job is one schedulable unit of work.
 type Job struct {
 	// ID uniquely names the job within one farm.
@@ -44,9 +42,6 @@ type Job struct {
 	// Stage groups jobs for counters and wall-time accounting
 	// ("profile", "region", "measure", ...).
 	Stage string
-	// Deps lists job IDs that must succeed first. Every dependency must
-	// already be submitted when this job is added.
-	Deps []string
 	// Probe, when non-nil, is consulted before Run: returning true means
 	// the job's outcome is already available (a cache hit) and Run is
 	// skipped.
@@ -67,9 +62,9 @@ type Job struct {
 	// concurrently with Run and must be safe to call after Run returned.
 	Interrupt func()
 	// OnDone, when non-nil, runs on the worker after the job's result is
-	// final and before its dependents are released. It fires only for
-	// dispatched jobs (not for dependency-skipped ones) and may inspect
-	// the result and submit follow-up jobs — recovery paths, fan-out.
+	// final and before the job counts as finished, so a follow-up job it
+	// submits (the next stage, a recovery path, fan-out) keeps the farm
+	// running.
 	OnDone func(*Result)
 }
 
@@ -77,11 +72,11 @@ type Job struct {
 type Result struct {
 	ID    string
 	Stage string
-	// Err is nil on success; ErrDependency-wrapping on skip.
+	// Err is nil on success.
 	Err error
 	// Cached reports the job was satisfied by Probe without running.
 	Cached bool
-	// Attempts is the number of Run invocations (0 for cached/skipped).
+	// Attempts is the number of Run invocations (0 for cached jobs).
 	Attempts int
 	// RetryErrs holds the errors of failed attempts that were retried,
 	// in order — callers reconstruct recovery narratives from them.
@@ -98,7 +93,6 @@ type StageStats struct {
 	Run     int // jobs that executed Run successfully
 	Cached  int // jobs satisfied by Probe
 	Retried int // individual retry attempts
-	Skipped int // jobs skipped due to failed dependencies
 	Failed  int // jobs whose final attempt failed
 	// Wall is the summed busy time of the stage's jobs (not elapsed time:
 	// with N workers the stage's elapsed time can be Wall/N).
@@ -109,13 +103,13 @@ type StageStats struct {
 
 // Counters aggregates scheduler activity, totalled and per stage.
 type Counters struct {
-	Jobs, Run, Cached, Retried, Skipped, Failed int
-	Stages                                      map[string]StageStats
+	Jobs, Run, Cached, Retried, Failed int
+	Stages                             map[string]StageStats
 }
 
 func (c *Counters) String() string {
-	return fmt.Sprintf("jobs=%d run=%d cached=%d retried=%d skipped=%d failed=%d",
-		c.Jobs, c.Run, c.Cached, c.Retried, c.Skipped, c.Failed)
+	return fmt.Sprintf("jobs=%d run=%d cached=%d retried=%d failed=%d",
+		c.Jobs, c.Run, c.Cached, c.Retried, c.Failed)
 }
 
 // Outcome is a completed farm run.
@@ -127,26 +121,17 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
-// jobState tracks one submitted job through the scheduler.
-type jobState struct {
-	job     *Job
-	waiting int  // unmet dependencies
-	done    bool // result recorded
-	failed  bool
-}
-
 // Farm schedules jobs over a bounded worker pool.
 type Farm struct {
 	workers int
 	backoff *Backoff
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	jobs       map[string]*jobState
-	dependents map[string][]string // job ID -> IDs waiting on it
-	ready      []string            // FIFO ready queue, submission order
-	results    map[string]*Result
-	pending    int // submitted, not yet finished
+	mu      sync.Mutex
+	cond    *sync.Cond
+	ids     map[string]bool // every submitted job ID
+	ready   []*Job          // FIFO queue, submission order
+	results map[string]*Result
+	pending int // submitted, not yet finished
 }
 
 // New builds a farm with the given worker count; workers <= 0 means
@@ -156,10 +141,9 @@ func New(workers int) *Farm {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	f := &Farm{
-		workers:    workers,
-		jobs:       make(map[string]*jobState),
-		dependents: make(map[string][]string),
-		results:    make(map[string]*Result),
+		workers: workers,
+		ids:     make(map[string]bool),
+		results: make(map[string]*Result),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	return f
@@ -172,10 +156,8 @@ func (f *Farm) Workers() int { return f.workers }
 // of every job (nil disables delays, the default). Call before Run.
 func (f *Farm) SetBackoff(b *Backoff) { f.backoff = b }
 
-// Add submits a job. It is safe to call from inside a running job, which is
-// how one pipeline stage fans out into the next. Dependencies must already
-// be submitted; a dependency that already failed skips the new job
-// immediately.
+// Add submits a job. It is safe to call from inside a running job or its
+// OnDone, which is how one pipeline stage hands over to the next.
 func (f *Farm) Add(j *Job) error {
 	if j.ID == "" {
 		return errors.New("farm: job needs an ID")
@@ -185,42 +167,13 @@ func (f *Farm) Add(j *Job) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.jobs[j.ID]; dup {
+	if f.ids[j.ID] {
 		return fmt.Errorf("farm: duplicate job ID %q", j.ID)
 	}
-	st := &jobState{job: j}
-	for _, dep := range j.Deps {
-		ds, ok := f.jobs[dep]
-		if !ok {
-			return fmt.Errorf("farm: job %s depends on unknown job %q", j.ID, dep)
-		}
-		switch {
-		case ds.done && ds.failed:
-			// A failed dependency dooms the job; record the skip at
-			// finish time below.
-			st.waiting = -1
-		case ds.done:
-			// Satisfied already.
-		default:
-			st.waiting++
-			f.dependents[dep] = append(f.dependents[dep], j.ID)
-		}
-		if st.waiting == -1 {
-			break
-		}
-	}
-	f.jobs[j.ID] = st
+	f.ids[j.ID] = true
 	f.pending++
-	switch {
-	case st.waiting == -1:
-		f.finishLocked(j.ID, &Result{
-			ID: j.ID, Stage: j.Stage,
-			Err: fmt.Errorf("%w: %s", ErrDependency, j.ID),
-		})
-	case st.waiting == 0:
-		f.ready = append(f.ready, j.ID)
-		f.cond.Broadcast()
-	}
+	f.ready = append(f.ready, j)
+	f.cond.Broadcast()
 	return nil
 }
 
@@ -260,9 +213,6 @@ func (f *Farm) Run() (*Outcome, error) {
 		case r.Cached:
 			ss.Cached++
 			out.Counters.Cached++
-		case errors.Is(r.Err, ErrDependency):
-			ss.Skipped++
-			out.Counters.Skipped++
 		case r.Err != nil:
 			ss.Failed++
 			out.Counters.Failed++
@@ -275,7 +225,7 @@ func (f *Farm) Run() (*Outcome, error) {
 	return out, nil
 }
 
-// work is one worker's loop: pop the oldest ready job, execute, repeat,
+// work is one worker's loop: pop the oldest queued job, execute, repeat,
 // until no work remains or can appear.
 func (f *Farm) work() {
 	for {
@@ -290,9 +240,8 @@ func (f *Farm) work() {
 			f.mu.Unlock()
 			return
 		}
-		id := f.ready[0]
+		job := f.ready[0]
 		f.ready = f.ready[1:]
-		job := f.jobs[id].job
 		f.mu.Unlock()
 
 		res := f.execute(job)
@@ -301,7 +250,9 @@ func (f *Farm) work() {
 		}
 
 		f.mu.Lock()
-		f.finishLocked(id, res)
+		f.results[job.ID] = res
+		f.pending--
+		f.cond.Broadcast()
 		f.mu.Unlock()
 	}
 }
@@ -364,36 +315,6 @@ func safeProbe(job *Job, res *Result) (hit bool) {
 		}
 	}()
 	return job.Probe()
-}
-
-// finishLocked records a job's result and releases its dependents
-// (caller holds f.mu).
-func (f *Farm) finishLocked(id string, res *Result) {
-	st := f.jobs[id]
-	st.done = true
-	st.failed = res.Err != nil
-	f.results[id] = res
-	f.pending--
-
-	for _, depID := range f.dependents[id] {
-		ds := f.jobs[depID]
-		if ds.done {
-			continue
-		}
-		if st.failed {
-			f.finishLocked(depID, &Result{
-				ID: depID, Stage: ds.job.Stage,
-				Err: fmt.Errorf("%w: %s failed: %v", ErrDependency, id, res.Err),
-			})
-			continue
-		}
-		ds.waiting--
-		if ds.waiting == 0 {
-			f.ready = append(f.ready, depID)
-		}
-	}
-	delete(f.dependents, id)
-	f.cond.Broadcast()
 }
 
 // Stage returns one stage's counters, nil-map safe: asking about a stage

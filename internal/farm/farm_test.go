@@ -10,23 +10,33 @@ import (
 )
 
 func TestSerialOrderWithOneWorker(t *testing.T) {
+	// One worker runs jobs in submission order, and a job submitted from
+	// another's OnDone queues behind everything already submitted.
 	f := New(1)
 	var mu sync.Mutex
 	var order []string
-	add := func(id string, deps ...string) {
-		if err := f.Add(&Job{ID: id, Stage: "s", Deps: deps, Run: func() error {
+	var job func(id string, then ...string) *Job
+	job = func(id string, then ...string) *Job {
+		j := &Job{ID: id, Stage: "s", Run: func() error {
 			mu.Lock()
 			order = append(order, id)
 			mu.Unlock()
 			return nil
-		}}); err != nil {
+		}}
+		if len(then) > 0 {
+			j.OnDone = func(*Result) {
+				if err := f.Add(job(then[0], then[1:]...)); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		return j
+	}
+	for _, j := range []*Job{job("a", "c", "d"), job("b")} {
+		if err := f.Add(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	add("a")
-	add("b")
-	add("c", "a")
-	add("d", "b", "c")
 	out, err := f.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -37,37 +47,6 @@ func TestSerialOrderWithOneWorker(t *testing.T) {
 	}
 	if out.Counters.Run != 4 || out.Counters.Failed != 0 {
 		t.Errorf("counters: %s", &out.Counters)
-	}
-}
-
-func TestDependencyOrdering(t *testing.T) {
-	f := New(8)
-	var aDone, bDone atomic.Bool
-	if err := f.Add(&Job{ID: "a", Stage: "s", Run: func() error {
-		time.Sleep(10 * time.Millisecond)
-		aDone.Store(true)
-		return nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Add(&Job{ID: "b", Stage: "s", Deps: []string{"a"}, Run: func() error {
-		if !aDone.Load() {
-			return errors.New("b ran before a finished")
-		}
-		bDone.Store(true)
-		return nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := out.Results["b"]; r.Err != nil {
-		t.Fatal(r.Err)
-	}
-	if !bDone.Load() {
-		t.Fatal("b never ran")
 	}
 }
 
@@ -138,38 +117,6 @@ func TestRetryClassification(t *testing.T) {
 	}
 }
 
-func TestFailureSkipsDependents(t *testing.T) {
-	f := New(4)
-	boom := errors.New("boom")
-	if err := f.Add(&Job{ID: "root", Stage: "s", Run: func() error { return boom }}); err != nil {
-		t.Fatal(err)
-	}
-	ran := false
-	if err := f.Add(&Job{ID: "child", Stage: "s", Deps: []string{"root"},
-		Run: func() error { ran = true; return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Add(&Job{ID: "grandchild", Stage: "s", Deps: []string{"child"},
-		Run: func() error { ran = true; return nil }}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("dependent of a failed job ran")
-	}
-	for _, id := range []string{"child", "grandchild"} {
-		if r := out.Results[id]; !errors.Is(r.Err, ErrDependency) {
-			t.Errorf("%s: %v", id, r.Err)
-		}
-	}
-	if out.Counters.Failed != 1 || out.Counters.Skipped != 2 {
-		t.Errorf("counters: %s", &out.Counters)
-	}
-}
-
 func TestProbeCacheHit(t *testing.T) {
 	f := New(2)
 	ran := false
@@ -237,10 +184,6 @@ func TestAddValidation(t *testing.T) {
 	}
 	if err := f.Add(&Job{ID: "a", Stage: "s", Run: func() error { return nil }}); err == nil {
 		t.Error("duplicate ID accepted")
-	}
-	if err := f.Add(&Job{ID: "b", Stage: "s", Deps: []string{"nope"},
-		Run: func() error { return nil }}); err == nil {
-		t.Error("unknown dependency accepted")
 	}
 	if err := f.Add(&Job{ID: "", Stage: "s", Run: func() error { return nil }}); err == nil {
 		t.Error("empty ID accepted")

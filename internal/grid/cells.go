@@ -124,14 +124,14 @@ func (c *Cell) session(eng harness.Engine, budget uint64) (*harness.Session, err
 		return nil, err
 	}
 	return harness.New(harness.Config{
-		Mode:   harness.ModeMeasure,
-		Exe:    exe,
-		Argv:   []string{c.Recipe.Name},
-		FS:     recipeFS(c.Recipe),
-		Seed:   c.Seed,
-		Engine: eng,
-		Budget: budget,
-		Plan:   c.faultPlan(),
+		Mode:     harness.ModeMeasure,
+		Exe:      exe,
+		Argv:     []string{c.Recipe.Name},
+		FS:       recipeFS(c.Recipe),
+		Seed:     c.Seed,
+		Engine:   eng,
+		Budget:   budget,
+		Injector: fault.New(c.faultPlan()),
 	})
 }
 

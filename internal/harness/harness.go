@@ -184,13 +184,11 @@ type Config struct {
 	// instructions (0 = unbounded).
 	Budget uint64
 
-	// Plan arms fault injection with a session-lifetime injector;
-	// Injector arms a caller-owned injector instead (shared across
-	// sessions so rule budgets span a whole pipeline). Arming is uniform:
-	// kernel rules and VM rules always arm together, and a non-nil VM
-	// injector disables the decoded-block cache, so injected faults are
-	// never masked by a fast path.
-	Plan     *fault.Plan
+	// Injector arms fault injection (fault.New(plan); nil is off). Share
+	// one injector across sessions so rule budgets span a whole pipeline.
+	// Arming is uniform: kernel rules and VM rules always arm together,
+	// and a non-nil VM injector disables the decoded-block cache, so
+	// injected faults are never masked by a fast path.
 	Injector *fault.Injector
 }
 
@@ -221,9 +219,6 @@ func New(cfg Config) (*Session, error) {
 		return nil, fmt.Errorf("harness: SchedTrace needs a Pinball source")
 	}
 	s := &Session{cfg: cfg, Injector: cfg.Injector}
-	if s.Injector == nil {
-		s.Injector = fault.New(cfg.Plan) // nil plan -> nil injector
-	}
 	var ck *pinball.CheckpointMeta
 	if cfg.Pinball != nil {
 		if ck = cfg.Pinball.Meta.Checkpoint; ck != nil {

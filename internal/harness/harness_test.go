@@ -69,7 +69,7 @@ func TestFaultArmingUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{{Point: fault.SyscallError}}}
-	s, err := New(Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Plan: plan})
+	s, err := New(Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Injector: fault.New(plan)})
 	if err != nil {
 		t.Fatal(err)
 	}

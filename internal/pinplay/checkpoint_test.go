@@ -46,7 +46,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 	// The uninterrupted reference stream.
 	var ref []uint64
 	refRes, err := Replay(pb, kernel.New(kernel.NewFS(), 42), ReplayOptions{
-		Injection: true, Fault: quietPlan(), BeforeRun: streamHook(&ref),
+		Injection: true, Injector: fault.New(quietPlan()), BeforeRun: streamHook(&ref),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			var ckpt *pinball.Pinball
 			res1, err := Replay(pb, kernel.New(kernel.NewFS(), 43), ReplayOptions{
 				Injection: true,
-				Fault:     quietPlan(),
+				Injector:  fault.New(quietPlan()),
 				Ckpt: &harness.CkptOptions{
 					Name: "mt.ckpt",
 					Save: func(p *pinball.Pinball) error { ckpt = p; return nil },
@@ -116,7 +116,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			// checkpoint, not the environment.
 			var leg2 []uint64
 			res2, err := Replay(loaded, kernel.New(kernel.NewFS(), 44), ReplayOptions{
-				Injection: true, Fault: quietPlan(), BeforeRun: streamHook(&leg2),
+				Injection: true, Injector: fault.New(quietPlan()), BeforeRun: streamHook(&leg2),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -89,9 +89,9 @@ func TestDivergenceReportInjectedFault(t *testing.T) {
 		LogOptions{Name: "f", RegionStart: 100, RegionLength: 800}.Fat())
 	res, err := Replay(pb, kernel.New(kernel.NewFS(), 1), ReplayOptions{
 		Injection: true,
-		Fault: &fault.Plan{Seed: 2, Rules: []fault.Rule{
+		Injector: fault.New(&fault.Plan{Seed: 2, Rules: []fault.Rule{
 			{Point: fault.PageFault, AtRetired: 300},
-		}},
+		}}),
 	})
 	if err != nil {
 		t.Fatal(err)

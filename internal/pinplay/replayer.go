@@ -38,12 +38,9 @@ type ReplayOptions struct {
 	// up but before execution starts — the attachment point for timing
 	// simulators and other instrumentation over a replay.
 	BeforeRun func(m *vm.Machine)
-	// Fault, when non-nil, arms seeded fault injection on the replay: the
-	// plan's kernel rules apply to the replay kernel and its VM rules to
-	// the replay machine.
-	Fault *fault.Plan
-	// Injector arms a caller-owned fault injector instead of Fault, so
-	// rule budgets span a whole pipeline (see harness.Config.Injector).
+	// Injector, when non-nil, arms seeded fault injection on the replay:
+	// its kernel rules apply to the replay kernel and its VM rules to the
+	// replay machine (see harness.Config.Injector).
 	Injector *fault.Injector
 	// Ckpt, when non-nil, runs the replay through the checkpointing run
 	// loop: periodic mid-run checkpoints per Ckpt.Every, plus a final one
@@ -91,7 +88,6 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 		Mode:     harness.ModeReplay,
 		Pinball:  pb,
 		Kernel:   k,
-		Plan:     opts.Fault,
 		Injector: opts.Injector,
 	}
 	if opts.Injection {

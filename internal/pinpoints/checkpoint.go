@@ -27,8 +27,7 @@ import (
 // replayRegion is the Run body of one replay-stage attempt. It resumes from
 // the job's newest journaled checkpoint when one exists (otherwise it starts
 // from the region's pinball), replays with injection, and classifies the
-// outcome into the pipeline's failure taxonomy. Only a region whose replay
-// runs to completion is cached as a warm artifact.
+// outcome into the pipeline's failure taxonomy.
 func (b *Benchmark) replayRegion(rb *regionBuild, jobID string) error {
 	reg := rb.reg
 	pb := reg.Pinball
@@ -70,7 +69,6 @@ func (b *Benchmark) replayRegion(rb *regionBuild, jobID string) error {
 		return failf(FailUngracefulExit, "replay %s stopped short of its recorded length",
 			reg.Pinball.Name)
 	}
-	b.cacheRegion(reg)
 	return nil
 }
 

@@ -433,3 +433,26 @@ func TestBlockCacheThroughFarmParallel(t *testing.T) {
 		}
 	}
 }
+
+// panicOnPut is a store whose writes panic, standing in for a broken store
+// implementation.
+type panicOnPut struct{ store.Cache }
+
+func (panicOnPut) Put(string, string, store.FileSet) (*store.Entry, error) {
+	panic("store write")
+}
+
+// TestPrepareReturnsProfileError: a failed profile job never submits the
+// select job, and Prepare reports the profile's error.
+func TestPrepareReturnsProfileError(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.Store = panicOnPut{s}
+	b, err := Prepare(smallRecipe(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "job profile panicked") {
+		t.Fatalf("Prepare = %v, %v; want the profile job's error", b, err)
+	}
+}

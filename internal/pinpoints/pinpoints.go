@@ -174,9 +174,9 @@ type Benchmark struct {
 	// is nil), shared across region builds and ELFie runs so rule budgets
 	// span the whole pipeline deterministically.
 	inj *fault.Injector
-	// jr is the crash-safe run journal (nil without a store). Every farm
-	// job of the Prepare run is bracketed in it, and checkpointed replays
-	// record their checkpoint keys through it.
+	// jr is the crash-safe run journal, open only while Prepare runs with a
+	// store. Every farm job of the Prepare run is bracketed in it, and
+	// checkpointed replays record their checkpoint keys through it.
 	jr *farm.Journal
 	// cacheErrs counts store entries that failed integrity or parse checks
 	// and were rebuilt, plus failed cache writes — cache trouble degrades
@@ -233,8 +233,7 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 	}
 	b := &Benchmark{Recipe: r, Exe: exe, cfg: cfg, inj: fault.New(cfg.Fault)}
 
-	f := farm.New(cfg.Jobs)
-	f.SetBackoff(&farm.Backoff{Seed: uint64(cfg.Seed)})
+	f := b.newFarm(cfg.Jobs)
 	var slots []*regionBuild
 
 	if cfg.Store != nil {
@@ -251,9 +250,41 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 		}
 		jr.CrashAfter = cfg.crashAfter
 		b.jr = jr
-		defer jr.Close()
+		// The journal records this Prepare run only: later region chains
+		// (validation's alternates) run unjournaled.
+		defer func() {
+			jr.Close()
+			b.jr = nil
+		}()
 	}
 
+	selectJob := &farm.Job{
+		ID: "select", Stage: "select",
+		Run: func() error {
+			sel, err := simpoint.Select(b.Profile, simpoint.Options{
+				MaxK: cfg.MaxK, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return err
+			}
+			b.Selection = sel
+			// Fan out: one region chain per selected region, live while
+			// the farm runs.
+			slots = make([]*regionBuild, len(sel.Regions))
+			for i, s := range sel.Regions {
+				rb := &regionBuild{
+					b: b, f: f, id: fmt.Sprintf("region%d", i), sel: s,
+					slices: append([]int{s.SliceIndex}, s.Alternates...),
+				}
+				slots[i] = rb
+				if err := rb.submit(); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	var selectErr error
 	if err := b.addJob(f, &farm.Job{
 		ID: "profile", Stage: "profile",
 		Probe: func() bool { return b.useStore() && b.loadCachedProfile() },
@@ -273,30 +304,11 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 			}
 			return nil
 		},
-	}); err != nil {
-		return nil, err
-	}
-	if err := f.Add(&farm.Job{
-		ID: "select", Stage: "select", Deps: []string{"profile"},
-		Run: func() error {
-			sel, err := simpoint.Select(b.Profile, simpoint.Options{
-				MaxK: cfg.MaxK, Seed: cfg.Seed,
-			})
-			if err != nil {
-				return err
+		// The select job is not journaled (see addJob).
+		OnDone: func(res *farm.Result) {
+			if res.Err == nil {
+				selectErr = f.Add(selectJob)
 			}
-			b.Selection = sel
-			// Fan out: one log→convert chain per selected region, live
-			// while the farm runs.
-			slots = make([]*regionBuild, len(sel.Regions))
-			for i, s := range sel.Regions {
-				rb := &regionBuild{b: b, f: f, idx: i, sel: s}
-				slots[i] = rb
-				if err := rb.submit(s.SliceIndex); err != nil {
-					return err
-				}
-			}
-			return nil
 		},
 	}); err != nil {
 		return nil, err
@@ -315,10 +327,14 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 			return nil, fmt.Errorf("pinpoints: %s: %w", id, farm.ErrCrashed)
 		}
 	}
-	for _, id := range []string{"profile", "select"} {
-		if res := out.Results[id]; res.Err != nil {
-			return nil, res.Err
-		}
+	if res := out.Results["profile"]; res.Err != nil {
+		return nil, res.Err
+	}
+	if selectErr != nil {
+		return nil, selectErr
+	}
+	if res := out.Results["select"]; res.Err != nil {
+		return nil, res.Err
 	}
 
 	// Deterministic merge: selection order, never completion order.
@@ -348,31 +364,34 @@ func (b *Benchmark) addJob(f *farm.Farm, job *farm.Job) error {
 	return f.Add(job)
 }
 
+// newFarm builds a farm for region work with the pipeline's seeded retry
+// backoff.
+func (b *Benchmark) newFarm(workers int) *farm.Farm {
+	f := farm.New(workers)
+	f.SetBackoff(&farm.Backoff{Seed: uint64(b.cfg.Seed)})
+	return f
+}
+
 // ckptOn reports whether the checkpointed constrained-replay stage is armed.
 func (b *Benchmark) ckptOn() bool { return b.cfg.CkptEvery > 0 }
 
-// BuildRegion captures one slice (plus warm-up) as a pinball and converts
-// it to an ELFie, consulting the artifact store first when caching is on.
-// It is exported so validation can build alternates on demand.
-func (b *Benchmark) BuildRegion(sel simpoint.Region, slice int) (*Region, error) {
-	if b.useStore() {
-		if reg, ok := b.loadCachedRegion(sel, slice); ok {
-			return reg, nil
-		}
+// buildRegion builds slice as an ELFie for sel's region on demand — how
+// validation gets an alternate — by running the same stage chain Prepare
+// runs, alone on a one-worker farm: re-log retry, replay stage when armed,
+// and caching only once every stage passed. It returns nil when the slice
+// cannot be built.
+func (b *Benchmark) buildRegion(sel simpoint.Region, slice int) *Region {
+	rb := &regionBuild{
+		b: b, f: b.newFarm(1), id: fmt.Sprintf("slice%d", slice),
+		sel: sel, slices: []int{slice},
 	}
-	pb, err := b.logSlice(slice)
-	if err != nil {
-		return nil, err
+	if err := rb.submit(); err != nil {
+		return nil
 	}
-	reg, err := b.convertRegion(sel, slice, pb)
-	if err != nil {
-		return nil, err
+	if _, err := rb.f.Run(); err != nil {
+		return nil
 	}
-	if err := b.lintRegion(reg, b.claimStubFlip(slice)); err != nil {
-		return nil, err
-	}
-	b.cacheRegion(reg)
-	return reg, nil
+	return rb.reg
 }
 
 // regionWindow computes the capture window for a slice: warm-up clamped at

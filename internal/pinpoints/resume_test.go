@@ -2,9 +2,12 @@ package pinpoints
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -332,4 +335,96 @@ func TestFailureOfInterrupted(t *testing.T) {
 	if !errors.Is(err, harness.ErrInterrupted) {
 		t.Error("tagged interruption lost the harness.ErrInterrupted sentinel")
 	}
+}
+
+// putLog is a store.Cache that records, in write order, which slice each
+// region or checkpoint write belongs to.
+type putLog struct {
+	store.Cache
+	recipe string
+	mu     sync.Mutex
+	puts   []slicePut
+}
+
+type slicePut struct {
+	kind  string // "region" or "checkpoint"
+	slice int
+}
+
+func (p *putLog) Put(key, kind string, files store.FileSet) (*store.Entry, error) {
+	var meta regionMeta
+	if kind == "region" && json.Unmarshal(files["region.json"], &meta) == nil {
+		p.note(slicePut{kind, meta.SliceUsed})
+	}
+	return p.Cache.Put(key, kind, files)
+}
+
+func (p *putLog) PutChunked(key, kind string, files store.FileSet, chunkSize int) (*store.Entry, error) {
+	for name := range files {
+		var slice int
+		if _, err := fmt.Sscanf(name, p.recipe+".s%d.ckpt.text", &slice); err == nil {
+			p.note(slicePut{kind, slice})
+		}
+	}
+	return p.Cache.PutChunked(key, kind, files, chunkSize)
+}
+
+func (p *putLog) note(w slicePut) {
+	p.mu.Lock()
+	p.puts = append(p.puts, w)
+	p.mu.Unlock()
+}
+
+// TestValidationAlternatesReplayBeforeCaching runs validation without
+// sysstate, so failing ELFies fall back to alternates, with the
+// checkpointed replay stage armed: every alternate validation builds must
+// go through the same stage chain as Prepare's regions — replayed, with
+// its checkpoints in the store, before its region entry is cached.
+func TestValidationAlternatesReplayBeforeCaching(t *testing.T) {
+	recipe := fileInputRecipe(t)
+	cfg := smallConfig()
+	cfg.UseSysState = false
+	cfg.Jobs = 2
+	cfg.CkptEvery = 60_000
+	log := &putLog{Cache: openStore(t, t.TempDir()), recipe: recipe.Name}
+	cfg.Store = log
+	b, err := Prepare(recipe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.puts = nil // Prepare's farm has finished; keep validation's writes
+
+	v, err := ValidateNative(b, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alts := 0
+	for _, rc := range v.PerRegion {
+		if rc.UsedAlternate >= 0 {
+			alts++
+		}
+	}
+	if alts == 0 {
+		t.Fatalf("validation used no alternate: %s", v)
+	}
+	replayed := make(map[int]bool)
+	cached := 0
+	for _, w := range log.puts {
+		switch w.kind {
+		case "checkpoint":
+			replayed[w.slice] = true
+		case "region":
+			cached++
+			if !replayed[w.slice] {
+				t.Errorf("alternate slice %d cached before any replay checkpoint was stored", w.slice)
+			}
+		}
+	}
+	if cached < alts {
+		t.Errorf("validation cached %d alternates, used %d", cached, alts)
+	}
+	if n := b.CacheErrors(); n != 0 {
+		t.Errorf("cache errors: %d", n)
+	}
+	t.Logf("%s; %d alternates cached after replay", v, cached)
 }

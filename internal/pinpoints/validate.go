@@ -169,8 +169,8 @@ func (b *Benchmark) measureWithFallback(reg *Region, measure func(*Region) (floa
 			Kind: FailureOf(err), Err: err,
 		}
 		for ai, alt := range reg.Alternates {
-			altReg, aerr := b.BuildRegion(reg.Region, alt)
-			if aerr != nil {
+			altReg := b.buildRegion(reg.Region, alt)
+			if altReg == nil {
 				continue
 			}
 			if cpi, err = measure(altReg); err == nil {

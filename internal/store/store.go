@@ -284,24 +284,11 @@ func dirExists(dir string) bool {
 // hit is integrity-checked: the object's content is re-hashed and must
 // match its address, else ErrCorrupt. Hits refresh the entry's LastUsed.
 func (s *Store) Get(key string) (FileSet, *Entry, bool, error) {
-	s.mu.Lock()
-	e, ok := s.idx[key]
-	s.mu.Unlock()
+	files, e, ok, err := s.GetRaw(key)
 	if !ok {
-		return nil, nil, false, nil
-	}
-	files, err := s.readObject(e.Object)
-	if err != nil {
 		return nil, nil, false, err
 	}
 	if files, err = s.resolveChunks(files); err != nil {
-		return nil, nil, false, err
-	}
-	s.mu.Lock()
-	e.LastUsed = time.Now().UTC()
-	err = s.saveIndexLocked()
-	s.mu.Unlock()
-	if err != nil {
 		return nil, nil, false, err
 	}
 	return files, e, true, nil

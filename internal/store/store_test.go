@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -330,4 +331,33 @@ func TestConcurrentPutGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestConcurrentGetEntryIsACopy: the entry Get returns is the caller's own
+// copy, so reading it races with no later Get of the same key (each Get
+// rewrites the index entry's LastUsed under the store lock).
+func TestConcurrentGetEntryIsACopy(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("shared", "test", testFiles("copy")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, e, ok, err := s.Get("shared")
+			if err != nil || !ok {
+				t.Errorf("get: ok=%v err=%v", ok, err)
+				return
+			}
+			if e.LastUsed.IsZero() {
+				t.Error("hit did not refresh LastUsed")
+			}
+		}()
+	}
+	wg.Wait()
 }
