@@ -179,8 +179,8 @@ func (f *Farm) Add(j *Job) error {
 
 // Run executes all submitted jobs (including ones submitted while running)
 // and returns when every job has a result. Job failures are reported in the
-// outcome, not as a Run error.
-func (f *Farm) Run() (*Outcome, error) {
+// outcome.
+func (f *Farm) Run() *Outcome {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < f.workers; w++ {
@@ -222,7 +222,7 @@ func (f *Farm) Run() (*Outcome, error) {
 		}
 		out.Counters.Stages[r.Stage] = ss
 	}
-	return out, nil
+	return out
 }
 
 // work is one worker's loop: pop the oldest queued job, execute, repeat,

@@ -37,10 +37,7 @@ func TestSerialOrderWithOneWorker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	want := []string{"a", "b", "c", "d"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("order %v, want %v", order, want)
@@ -71,9 +68,7 @@ func TestWorkerPoolBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
+	f.Run()
 	if p := peak.Load(); p > workers {
 		t.Errorf("concurrency peak %d > %d workers", p, workers)
 	}
@@ -100,10 +95,7 @@ func TestRetryClassification(t *testing.T) {
 		Run: func() error { return fatal }}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	r := out.Results["flaky"]
 	if r.Err != nil || r.Attempts != 3 || len(r.RetryErrs) != 2 {
 		t.Errorf("flaky: %+v", r)
@@ -130,10 +122,7 @@ func TestProbeCacheHit(t *testing.T) {
 		Run:   func() error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	if ran {
 		t.Error("cache hit still ran the job")
 	}
@@ -162,10 +151,7 @@ func TestDynamicSubmission(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	if fanned.Load() != 10 {
 		t.Errorf("fanned %d/10", fanned.Load())
 	}
@@ -207,10 +193,7 @@ func TestParallelWallClock(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		out, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := f.Run()
 		return out.Elapsed
 	}
 	serial := elapsed(1)
@@ -230,10 +213,7 @@ func TestPanicContained(t *testing.T) {
 	if err := f.Add(&Job{ID: "ok", Stage: "s", Run: func() error { return nil }}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	if r := out.Results["bomb"]; r.Err == nil {
 		t.Error("panic not converted to error")
 	}

@@ -76,10 +76,7 @@ loop:
 			},
 		})
 	}
-	oc, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	oc := f.Run()
 	if oc.Counters.Failed != 0 || oc.Counters.Run != jobs {
 		t.Fatalf("farm counters: %s", oc.Counters.String())
 	}

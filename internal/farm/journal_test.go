@@ -64,10 +64,7 @@ func TestFarmBackoffAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	r := out.Results["flaky"]
 	if r.Err != nil || r.Attempts != 4 {
 		t.Fatalf("result: err=%v attempts=%d", r.Err, r.Attempts)
@@ -184,10 +181,7 @@ func TestAddJournaledSkipsDoneOnResume(t *testing.T) {
 	}
 	f := New(2)
 	addAll(f, jr, true)
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	jr.Close()
 	if out.Counters.Failed != 1 || out.Counters.Run != 2 || ran.Load() != 3 {
 		t.Fatalf("leg 1: %s ran=%d", out.Counters.String(), ran.Load())
@@ -202,10 +196,7 @@ func TestAddJournaledSkipsDoneOnResume(t *testing.T) {
 	defer jr2.Close()
 	f2 := New(2)
 	addAll(f2, jr2, false)
-	out2, err := f2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out2 := f2.Run()
 	if out2.Counters.Cached != 2 || out2.Counters.Run != 1 || ran.Load() != 1 {
 		t.Fatalf("resume: %s ran=%d (completed jobs re-done)", out2.Counters.String(), ran.Load())
 	}
@@ -218,10 +209,7 @@ func TestAddJournaledSkipsDoneOnResume(t *testing.T) {
 	defer jr3.Close()
 	f3 := New(2)
 	addAll(f3, jr3, false)
-	out3, err := f3.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out3 := f3.Run()
 	if out3.Counters.Cached != 3 || ran.Load() != 0 {
 		t.Fatalf("warm resume: %s ran=%d", out3.Counters.String(), ran.Load())
 	}
@@ -279,7 +267,7 @@ func TestWatchdogInterruptsOverdueJob(t *testing.T) {
 	}
 	done := make(chan *Outcome, 1)
 	go func() {
-		out, _ := f.Run()
+		out := f.Run()
 		done <- out
 	}()
 	select {
@@ -322,10 +310,7 @@ func TestWatchdogCheckpointThenRetryResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := f.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := f.Run()
 	r := out.Results["long"]
 	if r.Err != nil {
 		t.Fatalf("job never completed: %v (attempts=%d)", r.Err, r.Attempts)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,9 +62,11 @@ type Client struct {
 
 // TransferStats accounts one Push or Pull.
 type TransferStats struct {
-	// Sent/Received count blob payloads that actually moved.
+	// Sent/Received count payload units that actually moved: upload blobs
+	// and chunks, or a download's wire-chunk pieces and chunks.
 	Sent, Received int
-	// Skipped counts blobs negotiation proved the far side already had.
+	// Skipped counts units the far side already had (upload negotiation)
+	// or the near side already held (local chunks, a staged prefix).
 	Skipped int
 	// Bytes is the payload volume that moved.
 	Bytes int64
@@ -385,236 +388,324 @@ func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 }
 
 // Pull downloads the artifact under key into s, in its stored
-// representation, resuming any prior interrupted download: completed
-// chunks are never re-fetched (they are already local objects), and a
-// partially-downloaded top member continues from its last staged piece via
-// an HTTP Range request. A local entry already holding the registry's
-// object transfers zero bytes.
+// representation, resuming any prior interrupted download. The top object
+// crosses as one streamed GET of its canonical form (the bytes its content
+// address hashes); a download cut short continues from its last staged
+// piece via an HTTP Range request, and chunks already local — in the store
+// or staged by an interrupted pull — are never re-fetched. A local entry
+// already holding the registry's object transfers zero bytes.
 func (c *Client) Pull(s *store.Store, key string) (*store.Entry, *TransferStats, error) {
+	e, _, stats, err := c.pull(s, key)
+	return e, stats, err
+}
+
+// pull is Pull that also returns the top file set its commit verified, so
+// a caller can use the artifact without reading it back. The file set is
+// nil when the local copy was already current.
+func (c *Client) pull(s *store.Store, key string) (*store.Entry, store.FileSet, *TransferStats, error) {
 	stats := &TransferStats{}
 	var have string
 	if local, ok := s.Stat(key); ok {
 		have = local.Object
 	}
-	info, err := c.Stat(key, have)
-	if err != nil {
-		return nil, nil, err
-	}
-	if info == nil { // 304: local copy is current
-		local, _ := s.Stat(key)
-		return local, stats, nil
-	}
-	// The manifest is server-supplied and its names become client-side
-	// filesystem paths below — a malicious or compromised registry must
-	// not be able to smuggle a traversal like "../../x" into the stage
-	// (the server applies the same gates on its side of every transfer).
-	for name, size := range info.Top {
-		if name == "" || name != filepath.Base(name) {
-			return nil, stats, fmt.Errorf("%w: registry sent unsafe member name %q",
-				store.ErrCorrupt, name)
-		}
-		if size < 0 {
-			return nil, stats, fmt.Errorf("%w: registry sent member %s with size %d",
-				store.ErrCorrupt, name, size)
-		}
-	}
-	for _, ref := range info.Chunks {
-		if !store.ValidObjectID(ref.ID) {
-			return nil, stats, fmt.Errorf("%w: registry sent invalid chunk id %q",
-				store.ErrCorrupt, ref.ID)
-		}
-	}
-
 	// Durable stage: a pull killed at any instant resumes from what this
 	// directory already holds.
-	stage := filepath.Join(s.Root(), "xfer", "pull-"+uploadID(c.tenant(), key, info.Entry.Object))
-	if err := os.MkdirAll(stage, 0o755); err != nil {
-		return nil, nil, err
+	st := &pullStage{dir: filepath.Join(s.Root(), "xfer", "pull-"+uploadID(c.tenant(), key, ""))}
+	defer st.close()
+	kind, current, err := c.fetchObject(st, key, have, stats)
+	if err != nil {
+		return nil, nil, stats, err
 	}
-
-	top := make(store.FileSet, len(info.Top))
-	for name, size := range info.Top {
-		data, err := c.fetchMember(stage, key, name, size, stats)
-		if err != nil {
-			return nil, stats, err
+	if current { // 304: the local copy is the registry's object
+		st.discard()
+		local, _ := s.Stat(key)
+		return local, nil, stats, nil
+	}
+	// The body is server-supplied: its member names and chunk IDs are
+	// checked before they name anything on disk, and a refused body is
+	// wiped so the caller's retry starts clean.
+	top, err := store.ParseCanonical(st.buf)
+	var refs []string
+	if err == nil {
+		refs, err = store.ChunkRefsOf(top)
+	}
+	if err != nil {
+		st.discard()
+		return nil, nil, stats, err
+	}
+	chunks, err := c.fetchChunks(s, st.dir, refs, stats)
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	// The commit hashes the top once and refuses it unless it is the object
+	// the ETag named.
+	e, err := s.PutAssembled(key, kind, st.object, top, chunks)
+	if err != nil {
+		if errors.Is(err, store.ErrCorrupt) {
+			st.discard()
 		}
-		top[name] = data
+		return nil, nil, stats, err
 	}
-	if got := store.ObjectID(top); got != info.Entry.Object {
-		// Stale stage from an artifact that changed server-side mid-pull;
-		// self-heal by wiping and refusing (the caller's retry starts clean).
-		os.RemoveAll(stage)
-		return nil, stats, fmt.Errorf("%w: pulled object hashes to %.12s, registry declared %.12s",
-			store.ErrCorrupt, got, info.Entry.Object)
-	}
+	st.discard()
+	return e, top, stats, nil
+}
 
+// fetchChunks returns the data of every chunk in refs the store lacks:
+// from the stage when an interrupted pull left it there, else with one GET
+// each, staged durably before it counts.
+func (c *Client) fetchChunks(s *store.Store, dir string, refs []string, stats *TransferStats) (map[string][]byte, error) {
 	chunks := make(map[string][]byte)
-	for _, ref := range info.Chunks {
-		if s.HasObject(ref.ID) {
+	seen := make(map[string]bool)
+	for _, id := range refs {
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		if s.HasObject(id) {
 			stats.Skipped++
 			continue // incremental pull: shared pages already local
 		}
-		cpath := filepath.Join(stage, "c-"+ref.ID)
+		cpath := filepath.Join(dir, "c-"+id)
 		if data, err := os.ReadFile(cpath); err == nil &&
-			store.ObjectID(store.FileSet{"chunk": data}) == ref.ID {
-			chunks[ref.ID] = data // staged by the interrupted pull
+			store.ObjectID(store.FileSet{"chunk": data}) == id {
+			chunks[id] = data // staged by the interrupted pull
 			stats.Skipped++
 			continue
 		}
-		_, data, err := c.do("GET", c.turl("objects", ref.ID), nil, nil)
+		_, data, err := c.do("GET", c.turl("objects", id), nil, nil)
 		if err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		if store.ObjectID(store.FileSet{"chunk": data}) != ref.ID {
-			return nil, stats, fmt.Errorf("%w: chunk %.12s arrived damaged", store.ErrCorrupt, ref.ID)
+		if store.ObjectID(store.FileSet{"chunk": data}) != id {
+			return nil, fmt.Errorf("%w: chunk %.12s arrived damaged", store.ErrCorrupt, id)
 		}
 		if err := atomicWrite(cpath, data); err != nil {
-			return nil, stats, err
+			return nil, err
 		}
-		chunks[ref.ID] = data
+		chunks[id] = data
 		stats.Received++
 		stats.Bytes += int64(len(data))
 		if err := c.bump(); err != nil {
-			return nil, stats, err
-		}
-	}
-
-	e, err := s.PutAssembled(key, info.Entry.Kind, top, chunks)
-	if err != nil {
-		return nil, stats, err
-	}
-	os.RemoveAll(stage)
-	return e, stats, nil
-}
-
-// fetchMember downloads one top member with a single streamed Range GET
-// from the staged length to the end. The body is consumed in wire-chunk
-// pieces, each appended to a durable staged file and fsynced before the
-// next is read: the wire chunk is the unit of durability, accounting and
-// crash points, while the request count stays one per member. A stream
-// that breaks or answers 5xx is retried under the backoff policy with a
-// fresh Range from the fsynced length, so pieces staged by an earlier
-// interrupted pull never re-cross the network.
-func (c *Client) fetchMember(stage, key, name string, size int64, stats *TransferStats) ([]byte, error) {
-	path := filepath.Join(stage, "m-"+name)
-	staged, _ := os.ReadFile(path)
-	if int64(len(staged)) == size {
-		if size > 0 {
-			stats.Skipped++
-		}
-		return staged, nil
-	}
-	if int64(len(staged)) > size {
-		staged = nil // stale stage from a different version; start over
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
-	} else if len(staged) > 0 {
+	}
+	return chunks, nil
+}
+
+// pullStage is the durable state of one top-object download: a prefix of
+// the object's canonical form, appended and fsynced piece by piece to
+// <dir>/o-<object>.
+type pullStage struct {
+	dir    string
+	object string // the object the staged prefix belongs to; "" when none
+	buf    []byte // the staged prefix; the whole body once fetched
+	f      *os.File
+}
+
+func (st *pullStage) path() string { return filepath.Join(st.dir, "o-"+st.object) }
+
+// load picks up the prefix an interrupted pull left staged and opens it
+// for appending the rest of its body.
+func (st *pullStage) load() error {
+	ents, err := os.ReadDir(st.dir)
+	if err != nil {
+		return nil // nothing staged
+	}
+	for _, ent := range ents {
+		if id, ok := strings.CutPrefix(ent.Name(), "o-"); ok && store.ValidObjectID(id) {
+			st.object = id
+			if st.buf, err = os.ReadFile(st.path()); err != nil {
+				return err
+			}
+			st.f, err = os.OpenFile(st.path(), os.O_WRONLY|os.O_APPEND, 0o644)
+			return err
+		}
+	}
+	return nil
+}
+
+// restart empties the stage for a fresh body of object id.
+func (st *pullStage) restart(id string) error {
+	st.close()
+	if st.object != "" && st.object != id {
+		if err := os.Remove(st.path()); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	if err := os.MkdirAll(st.dir, 0o755); err != nil {
+		return err
+	}
+	st.object, st.buf = id, st.buf[:0]
+	f, err := os.OpenFile(st.path(), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	st.f = f
+	return err
+}
+
+// extend stages the n bytes just read past the end of buf: they are written
+// and fsynced before they count as staged.
+func (st *pullStage) extend(n int) error {
+	if _, err := st.f.Write(st.buf[len(st.buf) : len(st.buf)+n]); err != nil {
+		return err
+	}
+	if err := st.f.Sync(); err != nil {
+		return err
+	}
+	st.buf = st.buf[:len(st.buf)+n]
+	return nil
+}
+
+func (st *pullStage) close() {
+	if st.f != nil {
+		st.f.Close()
+		st.f = nil
+	}
+}
+
+// discard closes and removes the stage.
+func (st *pullStage) discard() {
+	st.close()
+	os.RemoveAll(st.dir)
+}
+
+// fetchObject fills the stage with key's top object in canonical form. It
+// reports current=true, staging nothing, when the registry's object is
+// have. The body is consumed in wire-chunk pieces, each fsynced to the
+// stage before the next is read: the wire chunk is the unit of durability,
+// accounting and crash points, while the request count stays one per
+// object. A stream that breaks or answers 5xx is retried under the backoff
+// policy with a fresh Range from the fsynced length; a stream that made
+// progress gets a fresh retry budget.
+func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferStats) (kind string, current bool, err error) {
+	if err := st.load(); err != nil {
+		return "", false, err
+	}
+	if len(st.buf) > 0 {
 		stats.Skipped++ // partial progress an interrupted pull left behind
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := append(make([]byte, 0, min(size, maxPresize)), staged...)
-
-	u := c.turl("artifacts", key, "files", name)
+	u := c.turl("artifacts", key, "object")
 	var lastErr error
 	for attempt := 1; attempt <= c.retries(); attempt++ {
 		if attempt > 1 && c.Backoff != nil {
 			time.Sleep(c.Backoff.Delay(u, attempt-1))
 		}
-		from := len(buf)
-		var retry bool
-		buf, retry, err = c.streamMember(f, u, name, size, buf, stats)
+		pieces := stats.Received
+		kind, current, retry, err := c.streamObject(st, u, have, stats)
 		if err == nil {
-			return buf, nil
+			return kind, current, nil
 		}
 		if !retry {
-			return nil, err
+			return "", false, err
 		}
 		lastErr = err
-		if len(buf) > from {
+		if stats.Received > pieces {
 			attempt = 0 // the stream made progress: fresh retry budget
 		}
 	}
-	return nil, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
+	return "", false, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
 }
 
-// maxPresize bounds how much of a member's manifest-declared size a pull
-// reserves up front; a larger member grows as its bytes arrive, so a
-// hostile manifest cannot make the client allocate ahead of the data.
+// maxPresize bounds how much of a body's announced length a pull reserves
+// up front; a larger body grows as its bytes arrive, so a hostile length
+// cannot make the client allocate ahead of the data.
 const maxPresize = 64 << 20
 
-// streamMember issues one GET for bytes len(buf)..size-1 of a member and
-// stages the body piece by piece. It returns buf extended by every
-// piece it durably staged, even on failure; retry marks failures (network
-// errors, a broken stream, 5xx) worth resuming from the new length.
-func (c *Client) streamMember(f *os.File, u, name string, size int64, buf []byte, stats *TransferStats) (_ []byte, retry bool, _ error) {
+// streamObject issues one GET for the object body past the staged prefix
+// and stages it piece by piece. retry marks failures (network errors, a
+// broken stream, 5xx) worth resuming from the new staged length.
+func (c *Client) streamObject(st *pullStage, u, have string, stats *TransferStats) (kind string, current, retry bool, err error) {
 	req, err := http.NewRequest("GET", u, nil)
 	if err != nil {
-		return buf, false, err
+		return "", false, false, err
 	}
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", len(buf), size-1))
+	if have != "" {
+		req.Header.Set("If-None-Match", `"`+have+`"`)
+	}
+	if len(st.buf) > 0 {
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", len(st.buf)))
+		req.Header.Set("If-Range", `"`+st.object+`"`)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return buf, true, err
+		return "", false, true, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return "", true, false, nil
+	}
+	kind = resp.Header.Get(KindHeader)
 	switch resp.StatusCode {
-	case http.StatusPartialContent:
-		var first, last, total int64
-		if _, err := fmt.Sscanf(resp.Header.Get("Content-Range"), "bytes %d-%d/%d", &first, &last, &total); err != nil ||
-			first != int64(len(buf)) || last != size-1 || total != size {
-			return buf, false, fmt.Errorf("%w: member %s: asked for bytes %d-%d/%d, got range %q",
-				store.ErrCorrupt, name, len(buf), size-1, size, resp.Header.Get("Content-Range"))
+	case http.StatusOK, http.StatusPartialContent, http.StatusRequestedRangeNotSatisfiable:
+		if kind == "" {
+			return "", false, false, fmt.Errorf("%w: GET %s: response names no entry kind", ErrRemote, u)
 		}
+	}
+	var total int64
+	switch resp.StatusCode {
 	case http.StatusOK:
-		// Server ignored the range and is sending everything: take it whole.
-		if resp.ContentLength >= 0 && resp.ContentLength != size {
-			return buf, false, fmt.Errorf("%w: member %s arrived %d bytes, manifest says %d",
-				store.ErrCorrupt, name, resp.ContentLength, size)
+		// A first request, or one whose Range was ignored or whose If-Range
+		// named an object the key no longer maps to: take the body whole.
+		id := strings.Trim(resp.Header.Get("ETag"), `"`)
+		if !store.ValidObjectID(id) {
+			return "", false, false, fmt.Errorf("%w: registry sent invalid object id %q", store.ErrCorrupt, id)
 		}
-		if err := f.Truncate(0); err != nil {
-			return buf, false, err
+		if resp.ContentLength < 0 {
+			return "", false, false, fmt.Errorf("%w: GET %s: body length not announced", ErrRemote, u)
 		}
-		buf = buf[:0]
+		if err := st.restart(id); err != nil {
+			return "", false, false, err
+		}
+		total = resp.ContentLength
+	case http.StatusPartialContent:
+		var first, last int64
+		if _, err := fmt.Sscanf(resp.Header.Get("Content-Range"), "bytes %d-%d/%d", &first, &last, &total); err != nil ||
+			first != int64(len(st.buf)) || last != total-1 || resp.Header.Get("ETag") != `"`+st.object+`"` {
+			return "", false, false, fmt.Errorf("%w: object %.12s: asked for bytes %d- of the staged object, got range %q of %s",
+				store.ErrCorrupt, st.object, len(st.buf), resp.Header.Get("Content-Range"), resp.Header.Get("ETag"))
+		}
+	case http.StatusRequestedRangeNotSatisfiable:
+		// If-Range matched, so the staged object is current; a range past
+		// its end means the whole body is already staged.
+		var size int64
+		if _, err := fmt.Sscanf(resp.Header.Get("Content-Range"), "bytes */%d", &size); err == nil && size == int64(len(st.buf)) {
+			return kind, false, false, nil
+		}
+		err := fmt.Errorf("GET %s: staged prefix of %.12s does not fit the object", u, st.object)
+		st.discard()
+		st.object, st.buf = "", nil
+		return "", false, true, err
 	default:
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		if retry, err := statusErr("GET", u, resp, data); err != nil {
-			return buf, retry, err
+			return "", false, retry, err
 		}
-		return buf, false, fmt.Errorf("%w: GET %s: unexpected %s", ErrRemote, u, resp.Status)
+		return "", false, false, fmt.Errorf("%w: GET %s: unexpected %s", ErrRemote, u, resp.Status)
 	}
 
+	if n := min(total, maxPresize) - int64(len(st.buf)); n > 0 {
+		st.buf = slices.Grow(st.buf, int(n))
+	}
 	wire := c.WireChunk
 	if wire <= 0 {
 		wire = DefaultWireChunk
 	}
-	for int64(len(buf)) < size {
-		n := int(min(int64(wire), size-int64(len(buf))))
-		buf = slices.Grow(buf, n)
-		piece := buf[len(buf) : len(buf)+n]
-		if _, err := io.ReadFull(resp.Body, piece); err != nil {
-			return buf, true, fmt.Errorf("GET %s: stream broke at byte %d: %w", u, len(buf), err)
+	for int64(len(st.buf)) < total {
+		n := int(min(int64(wire), total-int64(len(st.buf))))
+		st.buf = slices.Grow(st.buf, n)
+		if _, err := io.ReadFull(resp.Body, st.buf[len(st.buf):len(st.buf)+n]); err != nil {
+			return "", false, true, fmt.Errorf("GET %s: stream broke at byte %d: %w", u, len(st.buf), err)
 		}
-		if _, err := f.Write(piece); err != nil {
-			return buf, false, err
+		if err := st.extend(n); err != nil {
+			return "", false, false, err
 		}
-		if err := f.Sync(); err != nil {
-			return buf, false, err
-		}
-		buf = buf[:len(buf)+n]
 		stats.Received++
 		stats.Bytes += int64(n)
 		if err := c.bump(); err != nil {
-			return buf, false, err
+			return "", false, false, err
 		}
 	}
 	if n, _ := resp.Body.Read(make([]byte, 1)); n > 0 {
-		return buf, false, fmt.Errorf("%w: member %s arrived longer than the manifest's %d bytes",
-			store.ErrCorrupt, name, size)
+		return "", false, false, fmt.Errorf("%w: object %.12s arrived longer than its %d bytes",
+			store.ErrCorrupt, st.object, total)
 	}
-	return buf, false, nil
+	return kind, false, false, nil
 }

@@ -17,9 +17,12 @@
 //     chunks. Upload state is durable on the server (journal-style temp
 //     files keyed by a deterministic upload ID), so resume survives SIGKILL
 //     of either side.
-//   - Reads carry content-hash ETags (If-None-Match answers 304 with zero
-//     bytes) and honor HTTP Range, so an interrupted download continues
-//     from its last byte.
+//   - A download is one streamed GET of the top object's canonical form —
+//     the bytes its content address hashes — so the server reads and
+//     verifies the object once and the client hashes it once, when it
+//     commits. Reads carry content-hash ETags (If-None-Match answers 304
+//     with zero bytes) and honor HTTP Range with If-Range, so an
+//     interrupted download continues from its last staged byte.
 //   - Namespaces are per-tenant path prefixes with byte quotas and a GC
 //     age policy, layered over the store's index and GC.
 //
@@ -28,15 +31,16 @@
 //	GET  /v1/ping                                    liveness + protocol version
 //	GET  /v1/t/{tenant}                              tenant status (usage, quota)
 //	GET  /v1/t/{tenant}/entries                      index listing
-//	GET  /v1/t/{tenant}/artifacts/{key}              artifact manifest (ETag: object)
-//	GET  /v1/t/{tenant}/artifacts/{key}/files/{name} raw top member (Range, ETag)
-//	GET  /v1/t/{tenant}/objects/{id}                 raw chunk object (Range, ETag)
-//	POST /v1/t/{tenant}/uploads                      open/resume an upload (manifest in, needs out)
-//	GET  /v1/t/{tenant}/uploads/{id}                 upload status (remaining needs)
-//	PUT  /v1/t/{tenant}/uploads/{id}/blobs/{blob}    one blob or chunk (bytes, hash-verified)
-//	POST /v1/t/{tenant}/uploads/{id}/commit          assemble, verify, store; entry out
-//	POST /v1/t/{tenant}/verify?lint=1                server-side deep verify (store.VerifyWith)
-//	POST /v1/t/{tenant}/gc                           tenant-policy GC + orphan sweep
+//	GET  /v1/t/{tenant}/artifacts/{key}           artifact manifest (ETag: object)
+//	GET  /v1/t/{tenant}/artifacts/{key}/object    top object, canonical form (bytes; ETag: object,
+//	                                              Elfie-Kind: entry kind; Range, If-Range)
+//	GET  /v1/t/{tenant}/objects/{id}              raw chunk object (Range, ETag)
+//	POST /v1/t/{tenant}/uploads                   open/resume an upload (manifest in, needs out)
+//	GET  /v1/t/{tenant}/uploads/{id}              upload status (remaining needs)
+//	PUT  /v1/t/{tenant}/uploads/{id}/blobs/{blob} one blob or chunk (bytes, hash-verified)
+//	POST /v1/t/{tenant}/uploads/{id}/commit       assemble, verify, store; entry out
+//	POST /v1/t/{tenant}/verify?lint=1             server-side deep verify (store.VerifyWith)
+//	POST /v1/t/{tenant}/gc                        tenant-policy GC + orphan sweep
 package registry
 
 import (
@@ -48,7 +52,12 @@ import (
 
 // ProtocolVersion is bumped on incompatible wire changes; ping reports it
 // so mismatched clients fail fast instead of misparsing.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
+
+// KindHeader carries an artifact's entry kind on an object download, the
+// one index field the puller needs for its commit besides the object ID
+// (which the ETag carries).
+const KindHeader = "Elfie-Kind"
 
 // DefaultTenant is the namespace used when a client does not name one.
 const DefaultTenant = "default"
@@ -102,9 +111,10 @@ type UploadStatus struct {
 	Committed bool `json:"committed,omitempty"`
 }
 
-// ArtifactInfo describes a stored artifact for download: the index entry
-// (key relative to the tenant), the raw top members with their sizes, and
-// the chunk objects a puller must also fetch (minus those it already has).
+// ArtifactInfo describes a stored artifact: the index entry (key relative
+// to the tenant), the raw top members with their sizes, and the chunk
+// objects it references. Push reads it to learn whether the registry
+// already holds the artifact; a pull needs none of it.
 type ArtifactInfo struct {
 	Entry store.Entry      `json:"entry"`
 	Top   map[string]int64 `json:"top"`

@@ -46,9 +46,11 @@ func (p *PullThrough) Misses() int64 { return p.misses.Load() }
 func (p *PullThrough) Fills() int64  { return p.fills.Load() }
 
 // Get serves key from the local store, falling through to the registry on
-// a miss. A key absent on both sides is a plain miss; a registry that
-// cannot be reached surfaces its error (callers treat cache errors as
-// misses and rebuild, so a dead registry degrades to local-only work).
+// a miss. A filled artifact is served from the files the pull just
+// verified, not read back from disk. A key absent on both sides is a plain
+// miss; a registry that cannot be reached surfaces its error (callers treat
+// cache errors as misses and rebuild, so a dead registry degrades to
+// local-only work).
 func (p *PullThrough) Get(key string) (store.FileSet, *store.Entry, bool, error) {
 	files, e, ok, err := p.Local.Get(key)
 	if err != nil || ok {
@@ -57,7 +59,8 @@ func (p *PullThrough) Get(key string) (store.FileSet, *store.Entry, bool, error)
 		}
 		return files, e, ok, err
 	}
-	if _, _, err := p.Remote.Pull(p.Local, key); err != nil {
+	e, top, _, err := p.Remote.pull(p.Local, key)
+	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			p.misses.Add(1)
 			return nil, nil, false, nil
@@ -65,7 +68,13 @@ func (p *PullThrough) Get(key string) (store.FileSet, *store.Entry, bool, error)
 		return nil, nil, false, err
 	}
 	p.fills.Add(1)
-	return p.Local.Get(key)
+	if top == nil { // filled concurrently: the local copy is current
+		return p.Local.Get(key)
+	}
+	if files, err = p.Local.Resolve(top); err != nil {
+		return nil, nil, false, err
+	}
+	return files, e, true, nil
 }
 
 // Put stores locally and, with PushOnPut, publishes upstream.

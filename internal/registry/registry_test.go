@@ -2,6 +2,9 @@ package registry
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -28,14 +32,14 @@ type transferLog struct {
 	blobPuts     map[string]int // blob id -> times received
 	objGets      map[string]int // chunk object id -> times served
 	manifestGets int            // artifact manifest GETs (one object read each)
-	memberGets   []memberGet    // top-member GETs, in arrival order
+	topGets      []topGet       // top-object GETs (one object read each), in arrival order
 }
 
-// memberGet records one top-member GET: the member, the Range header the
-// server saw ("" when none), and the payload bytes it wrote back.
-type memberGet struct {
-	name, rng string
-	bytes     int64
+// topGet records one top-object GET: the Range and If-Range headers the
+// server saw ("" when none) and the payload bytes it wrote back.
+type topGet struct {
+	rng, ifRange string
+	bytes        int64
 }
 
 // countingWriter counts the payload bytes a handler writes.
@@ -68,23 +72,23 @@ func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		l.manifestGets++
 	}
 	l.mu.Unlock()
-	if r.Method == http.MethodGet && len(parts) >= 2 && parts[len(parts)-2] == "files" {
+	if r.Method == http.MethodGet && len(parts) >= 3 && parts[len(parts)-3] == "artifacts" && last == "object" {
 		cw := &countingWriter{ResponseWriter: w}
 		l.next.ServeHTTP(cw, r)
 		l.mu.Lock()
-		l.memberGets = append(l.memberGets, memberGet{name: last, rng: r.Header.Get("Range"), bytes: cw.n})
+		l.topGets = append(l.topGets, topGet{rng: r.Header.Get("Range"), ifRange: r.Header.Get("If-Range"), bytes: cw.n})
 		l.mu.Unlock()
 		return
 	}
 	l.next.ServeHTTP(w, r)
 }
 
-// snapshot returns the manifest GET count and a copy of the member GETs
-// logged so far.
-func (l *transferLog) snapshot() (int, []memberGet) {
+// snapshot returns the manifest GET count and a copy of the top-object
+// GETs logged so far.
+func (l *transferLog) snapshot() (int, []topGet) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.manifestGets, append([]memberGet(nil), l.memberGets...)
+	return l.manifestGets, append([]topGet(nil), l.topGets...)
 }
 
 // stripRange drops the Range header before the registry sees it, standing
@@ -438,11 +442,36 @@ func regionLike() store.FileSet {
 	}
 }
 
-// TestPullIsOneGetPerMember pins the linear cost of a pull: each top
-// member crosses in one streamed GET, the payload on the wire is exactly
-// the artifact's logical size, and the server reads the object once per
-// member plus once for the manifest — never once per wire chunk.
-func TestPullIsOneGetPerMember(t *testing.T) {
+// canonicalSize is the length of a file set's canonical form: per member,
+// two 8-byte length frames, the name and the data.
+func canonicalSize(files store.FileSet) int64 {
+	var n int64
+	for name, data := range files {
+		n += 16 + int64(len(name)+len(data))
+	}
+	return n
+}
+
+// objectBody fetches the canonical body the registry serves for key.
+func objectBody(t *testing.T, srv *httptest.Server, key string) []byte {
+	t.Helper()
+	resp, err := http.Get(srv.URL + "/v1/t/default/artifacts/" + key + "/object")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("object GET: %s %v", resp.Status, err)
+	}
+	return body
+}
+
+// TestPullIsOneGetPerObject pins the cost of a pull: the top object crosses
+// in one streamed GET and no manifest GET, so the server reads the object
+// once; the payload on the wire is exactly the object's canonical size, and
+// the client stages it in one piece per wire chunk.
+func TestPullIsOneGetPerObject(t *testing.T) {
 	_, tl, srv := testRegistry(t, ServerOptions{})
 	a, b := localStore(t), localStore(t)
 	files := regionLike()
@@ -460,43 +489,32 @@ func TestPullIsOneGetPerMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Object != e.Object {
-		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	if got.Object != e.Object || got.Kind != "region" {
+		t.Fatalf("pulled object %.12s (%s), pushed %.12s (region)", got.Object, got.Kind, e.Object)
 	}
 
 	manifests, gets := tl.snapshot()
-	perMember := make(map[string]int)
-	var wire int64
-	for _, g := range gets {
-		perMember[g.name]++
-		wire += g.bytes
+	if manifests != manifestsBefore {
+		t.Errorf("pull made %d manifest GETs, want none", manifests-manifestsBefore)
 	}
-	var logical int64
-	pieces := 0
-	for name, data := range files {
-		if perMember[name] != 1 {
-			t.Errorf("member %s fetched in %d GETs, want 1", name, perMember[name])
-		}
-		logical += int64(len(data))
-		pieces += (len(data) + DefaultWireChunk - 1) / DefaultWireChunk
+	if len(gets) != 1 {
+		t.Fatalf("pull made %d object GETs, want 1", len(gets))
 	}
-	if wire != logical || stats.Bytes != logical {
-		t.Errorf("payload on the wire %d B, client counted %d B; logical size %d B", wire, stats.Bytes, logical)
+	size := canonicalSize(files)
+	if gets[0].bytes != size || stats.Bytes != size {
+		t.Errorf("payload on the wire %d B, client counted %d B; canonical size %d B", gets[0].bytes, stats.Bytes, size)
 	}
-	if stats.Received != pieces {
+	if pieces := int((size + DefaultWireChunk - 1) / DefaultWireChunk); stats.Received != pieces {
 		t.Errorf("client accounted %d pieces, want %d (one per wire chunk)", stats.Received, pieces)
-	}
-	if reads := manifests - manifestsBefore + len(gets); reads > len(files)+1 {
-		t.Errorf("server read the object %d times for a %d-member pull", reads, len(files))
 	}
 }
 
-// stagedMember returns the bytes a crashed pull left staged for member.
-func stagedMember(t *testing.T, s *store.Store, member string) []byte {
+// stagedBody returns the bytes a crashed pull left staged for its object.
+func stagedBody(t *testing.T, s *store.Store) []byte {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(s.Root(), "xfer", "pull-*", "m-"+member))
+	paths, err := filepath.Glob(filepath.Join(s.Root(), "xfer", "pull-*", "o-*"))
 	if err != nil || len(paths) != 1 {
-		t.Fatalf("staged %s: %v %v", member, paths, err)
+		t.Fatalf("staged body: %v %v", paths, err)
 	}
 	data, err := os.ReadFile(paths[0])
 	if err != nil {
@@ -505,14 +523,14 @@ func stagedMember(t *testing.T, s *store.Store, member string) []byte {
 	return data
 }
 
-// TestPullResumesMidStream kills a pull inside a multi-piece member and
-// resumes it: the resumed GET asks for exactly the bytes after the
-// fsynced stage, so no completed piece crosses the wire twice.
+// TestPullResumesMidStream kills a pull inside a multi-piece object body
+// and resumes it: the resumed GET asks for exactly the bytes after the
+// fsynced stage, pinned to the staged object by If-Range, so no completed
+// piece crosses the wire twice.
 func TestPullResumesMidStream(t *testing.T) {
 	_, tl, srv := testRegistry(t, ServerOptions{})
 	a, b := localStore(t), localStore(t)
-	big := noise(5*256+100, 7)
-	files := store.FileSet{"big": big, "meta": []byte("meta"), "note": []byte("note")}
+	files := store.FileSet{"big": noise(5*256+100, 7), "meta": []byte("meta"), "note": []byte("note")}
 	e, err := a.Put("region", "region", files)
 	if err != nil {
 		t.Fatal(err)
@@ -520,18 +538,18 @@ func TestPullResumesMidStream(t *testing.T) {
 	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
 		t.Fatal(err)
 	}
+	body := objectBody(t, srv, "region")
 
-	// Three pieces in, whatever the member order, the kill lands inside
-	// "big": the two small members are one piece each, big is six.
+	// Three pieces of a six-piece body.
 	c := testClient(srv, "")
 	c.CrashAfter = 3
 	_, crashed, err := c.Pull(b, "region")
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
-	staged := stagedMember(t, b, "big")
-	if len(staged) == 0 || len(staged) >= len(big) || !bytes.HasPrefix(big, staged) {
-		t.Fatalf("crash left %d staged bytes of big (%d), want a proper prefix", len(staged), len(big))
+	staged := stagedBody(t, b)
+	if len(staged) != 3*256 || !bytes.HasPrefix(body, staged) {
+		t.Fatalf("crash left %d staged bytes of %d, want a %d-byte prefix", len(staged), len(body), 3*256)
 	}
 	_, before := tl.snapshot()
 
@@ -543,22 +561,14 @@ func TestPullResumesMidStream(t *testing.T) {
 		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
 	}
 	_, gets := tl.snapshot()
-	want := fmt.Sprintf("bytes=%d-%d", len(staged), len(big)-1)
-	var sawBig bool
-	for _, g := range gets[len(before):] {
-		if g.name == "big" {
-			if sawBig || g.rng != want {
-				t.Errorf("resumed GET of big asked for %q, want one GET for %q", g.rng, want)
-			}
-			sawBig = true
-		}
+	gets = gets[len(before):]
+	wantRange, wantIf := fmt.Sprintf("bytes=%d-", len(staged)), `"`+e.Object+`"`
+	if len(gets) != 1 || gets[0].rng != wantRange || gets[0].ifRange != wantIf {
+		t.Errorf("resume made GETs %+v, want one with Range %q and If-Range %q", gets, wantRange, wantIf)
 	}
-	if !sawBig {
-		t.Error("resume never fetched the rest of big")
-	}
-	if total := crashed.Bytes + resumed.Bytes; total != int64(len(big)+8) {
+	if total := crashed.Bytes + resumed.Bytes; total != int64(len(body)) {
 		t.Errorf("crashed %d B + resumed %d B moved, want %d B: a piece crossed twice",
-			crashed.Bytes, resumed.Bytes, len(big)+8)
+			crashed.Bytes, resumed.Bytes, len(body))
 	}
 	if dups := tl.duplicates(); len(dups) > 0 {
 		t.Fatalf("resumed pull re-fetched completed units: %v", dups)
@@ -566,6 +576,43 @@ func TestPullResumesMidStream(t *testing.T) {
 	rep, err := b.Verify()
 	if err != nil || !rep.OK() {
 		t.Fatalf("local store after mid-stream resume: err=%v problems=%v", err, rep.Problems)
+	}
+}
+
+// TestPullResumesFullyStagedBody: a pull killed after its last piece was
+// staged resumes with a Range past the end; the registry answers 416 for
+// the still-current object and the staged body commits with no payload
+// crossing again.
+func TestPullResumesFullyStagedBody(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	files := store.FileSet{"big": noise(3*256-19, 5)} // 16+3+749 = 768 B: three pieces
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(srv, "")
+	c.CrashAfter = 3
+	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	if n := len(stagedBody(t, b)); int64(n) != canonicalSize(files) {
+		t.Fatalf("crash staged %d bytes, want the whole %d-byte body", n, canonicalSize(files))
+	}
+	got, stats, err := testClient(srv, "").Pull(b, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Object != e.Object || got.Kind != "region" || stats.Bytes != 0 {
+		t.Fatalf("resume committed %.12s (%s) moving %d B, want %.12s (region) moving 0 B",
+			got.Object, got.Kind, stats.Bytes, e.Object)
+	}
+	_, gets := tl.snapshot()
+	if last := gets[len(gets)-1]; last.rng != "bytes=768-" {
+		t.Errorf("resume asked for %q, want %q", last.rng, "bytes=768-")
 	}
 }
 
@@ -588,7 +635,7 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestPullRetriesBrokenStream: a member stream that dies mid-body is
+// TestPullRetriesBrokenStream: an object stream that dies mid-body is
 // retried with a Range from the fsynced length, so the pull completes
 // without a piece crossing twice. The stream breaks twice on a client
 // allowed two attempts: a break after progress must not use up the
@@ -599,7 +646,7 @@ func TestPullRetriesBrokenStream(t *testing.T) {
 	cuts := 2
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		if strings.Contains(r.URL.Path, "/files/") && cuts > 0 {
+		if strings.HasSuffix(r.URL.Path, "/object") && cuts > 0 {
 			cuts--
 			w = &cutWriter{ResponseWriter: w, left: 600}
 		}
@@ -608,8 +655,8 @@ func TestPullRetriesBrokenStream(t *testing.T) {
 	}))
 	t.Cleanup(flaky.Close)
 	a, b := localStore(t), localStore(t)
-	big := noise(6*256+10, 11)
-	e, err := a.Put("region", "region", store.FileSet{"big": big})
+	files := store.FileSet{"big": noise(6*256+10, 11)}
+	e, err := a.Put("region", "region", files)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,38 +676,40 @@ func TestPullRetriesBrokenStream(t *testing.T) {
 	for _, g := range gets {
 		ranges = append(ranges, g.rng)
 	}
-	want := []string{"bytes=0-1545", "bytes=512-1545", "bytes=1024-1545"}
+	want := []string{"", "bytes=512-", "bytes=1024-"}
 	if strings.Join(ranges, " ") != strings.Join(want, " ") {
-		t.Fatalf("member GETs asked for %q, want %q", ranges, want)
+		t.Fatalf("object GETs asked for %q, want %q", ranges, want)
 	}
-	if stats.Bytes != int64(len(big)) || stats.Received != 7 {
-		t.Errorf("moved %d B in %d pieces, want %d B in 7", stats.Bytes, stats.Received, len(big))
+	size := canonicalSize(files) // 1565 B: seven 256-byte pieces
+	if stats.Bytes != size || stats.Received != 7 {
+		t.Errorf("moved %d B in %d pieces, want %d B in 7", stats.Bytes, stats.Received, size)
 	}
 }
 
 // TestPullRestartsWhenRangeIgnored: a server that ignores Range answers
-// 200 with the whole member; the client must truncate its partial stage
-// and take the member from byte 0, not append the full body to it.
+// 200 with the whole body; the client must truncate its partial stage and
+// take the body from byte 0, not append the full body to it.
 func TestPullRestartsWhenRangeIgnored(t *testing.T) {
 	_, tl, srv := testRegistry(t, ServerOptions{})
 	noRange := httptest.NewServer(stripRange(tl))
 	t.Cleanup(noRange.Close)
 	a, b := localStore(t), localStore(t)
-	big := noise(6*256, 9)
-	e, err := a.Put("region", "region", store.FileSet{"big": big})
+	files := store.FileSet{"big": noise(6*256, 9)}
+	e, err := a.Put("region", "region", files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
 		t.Fatal(err)
 	}
+	body := objectBody(t, srv, "region")
 
 	c := testClient(srv, "")
 	c.CrashAfter = 3
 	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
-	if n := len(stagedMember(t, b, "big")); n != 3*256 {
+	if n := len(stagedBody(t, b)); n != 3*256 {
 		t.Fatalf("first crash staged %d bytes, want %d", n, 3*256)
 	}
 
@@ -671,8 +720,8 @@ func TestPullRestartsWhenRangeIgnored(t *testing.T) {
 	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
-	if staged := stagedMember(t, b, "big"); !bytes.Equal(staged, big[:2*256]) {
-		t.Fatalf("after a 200 restart the stage holds %d bytes, want the member's first %d", len(staged), 2*256)
+	if staged := stagedBody(t, b); !bytes.Equal(staged, body[:2*256]) {
+		t.Fatalf("after a 200 restart the stage holds %d bytes, want the body's first %d", len(staged), 2*256)
 	}
 
 	got, stats, err := testClient(noRange, "").Pull(b, "region")
@@ -682,8 +731,8 @@ func TestPullRestartsWhenRangeIgnored(t *testing.T) {
 	if got.Object != e.Object {
 		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
 	}
-	if stats.Bytes != int64(len(big)) {
-		t.Errorf("range-ignoring pull moved %d B, want the whole member's %d B", stats.Bytes, len(big))
+	if stats.Bytes != int64(len(body)) {
+		t.Errorf("range-ignoring pull moved %d B, want the whole body's %d B", stats.Bytes, len(body))
 	}
 	_, gets := tl.snapshot()
 	if last := gets[len(gets)-1]; last.rng != "" {
@@ -718,34 +767,96 @@ func TestSlashKeysRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangeRead exercises the raw HTTP Range surface a partial fetch uses.
+// TestRangeRead exercises the raw HTTP surface of an object download: the
+// body is the canonical form the ETag's object ID hashes, Range and
+// If-Range are honored, and If-None-Match answers 304.
 func TestRangeRead(t *testing.T) {
 	_, _, srv := testRegistry(t, ServerOptions{})
 	a := localStore(t)
 	payload := bytes.Repeat([]byte("0123456789"), 100)
-	if _, err := a.Put("k", "test", store.FileSet{"data": payload}); err != nil {
+	e, err := a.Put("k", "test", store.FileSet{"data": payload})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := testClient(srv, "").Push(a, "k"); err != nil {
 		t.Fatal(err)
 	}
+	// name length, name, data length, data.
+	want := binary.LittleEndian.AppendUint64(nil, 4)
+	want = append(want, "data"...)
+	want = binary.LittleEndian.AppendUint64(want, uint64(len(payload)))
+	want = append(want, payload...)
+	if sum := sha256.Sum256(want); hex.EncodeToString(sum[:]) != e.Object {
+		t.Fatal("canonical form does not hash to the object ID")
+	}
 
-	req, _ := http.NewRequest("GET", srv.URL+"/v1/t/default/artifacts/k/files/data", nil)
-	req.Header.Set("Range", "bytes=100-199")
-	resp, err := http.DefaultClient.Do(req)
+	get := func(hdr ...string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest("GET", srv.URL+"/v1/t/default/artifacts/k/object", nil)
+		for i := 0; i < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	etag := `"` + e.Object + `"`
+	resp, body := get()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) ||
+		resp.Header.Get("ETag") != etag || resp.Header.Get(KindHeader) != "test" {
+		t.Fatalf("full read: %s, %d bytes, ETag %s, kind %q", resp.Status, len(body),
+			resp.Header.Get("ETag"), resp.Header.Get(KindHeader))
+	}
+	resp, body = get("Range", "bytes=100-199", "If-Range", etag)
+	if resp.StatusCode != http.StatusPartialContent || !bytes.Equal(body, want[100:200]) {
+		t.Fatalf("range read: %s, %d bytes", resp.Status, len(body))
+	}
+	// An If-Range naming another object voids the range: the whole body.
+	resp, body = get("Range", "bytes=100-199", "If-Range", `"`+strings.Repeat("0", 64)+`"`)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("stale If-Range: %s, %d bytes", resp.Status, len(body))
+	}
+	resp, body = get("If-None-Match", etag)
+	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+		t.Fatalf("If-None-Match: %s, %d bytes", resp.Status, len(body))
+	}
+}
+
+// TestServerRefusesCorruptObject: an object damaged on the server's disk is
+// refused with 422 before any of its bytes are sent, and the puller stages
+// and commits nothing.
+func TestServerRefusesCorruptObject(t *testing.T) {
+	serverStore, tl, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	e, err := a.Put("k", "region", regionLike())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusPartialContent {
-		t.Fatalf("status %s, want 206", resp.Status)
-	}
-	got, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if _, err := testClient(srv, "").Push(a, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload[100:200]) {
-		t.Fatalf("range read returned wrong bytes (%d)", len(got))
+	corruptObjectFile(t, serverStore.Root(), e.Object)
+
+	_, _, err = testClient(srv, "").Pull(b, "k")
+	if !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "422") {
+		t.Fatalf("pull of a corrupt object: %v, want a 422 rejection", err)
+	}
+	_, gets := tl.snapshot()
+	if last := gets[len(gets)-1]; last.bytes > 1024 {
+		t.Errorf("server sent %d bytes for a corrupt object, want only its error", last.bytes)
+	}
+	if _, ok := b.Stat("k"); ok {
+		t.Fatal("corrupt object reached the local store")
+	}
+	if staged, _ := filepath.Glob(filepath.Join(b.Root(), "xfer", "*", "*")); len(staged) > 0 {
+		t.Fatalf("corrupt object left a stage: %v", staged)
 	}
 }
 
@@ -1066,62 +1177,91 @@ func TestStagedBytesCountAgainstQuota(t *testing.T) {
 	}
 }
 
-// TestPullRejectsHostileManifest: the download manifest is server-supplied,
-// and its member names and chunk IDs become client-side file paths — a
-// malicious registry must not write outside the pull stage.
-func TestPullRejectsHostileManifest(t *testing.T) {
-	serveInfo := func(info ArtifactInfo) *httptest.Server {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, info)
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		return srv
-	}
-	entry := store.Entry{Key: "evil", Kind: "test", Object: strings.Repeat("ab", 32)}
-
-	srv := serveInfo(ArtifactInfo{Entry: entry, Top: map[string]int64{"../escape": 4}})
-	b := localStore(t)
-	c := &Client{Base: srv.URL, Retries: 1}
-	if _, _, err := c.Pull(b, "evil"); err == nil || !errors.Is(err, store.ErrCorrupt) ||
-		!strings.Contains(err.Error(), "unsafe member name") {
-		t.Fatalf("traversal member name accepted: %v", err)
-	}
-
-	srv2 := serveInfo(ArtifactInfo{Entry: entry, Top: map[string]int64{},
-		Chunks: []BlobRef{{ID: "../../../../etc/passwd", Size: 4}}})
-	c2 := &Client{Base: srv2.URL, Retries: 1}
-	if _, _, err := c2.Pull(b, "evil"); err == nil || !errors.Is(err, store.ErrCorrupt) ||
-		!strings.Contains(err.Error(), "invalid chunk id") {
-		t.Fatalf("traversal chunk id accepted: %v", err)
-	}
-	// Nothing was staged for either attempt: validation runs before any
-	// filesystem path is built.
-	if _, err := os.Stat(filepath.Join(b.Root(), "xfer")); !os.IsNotExist(err) {
-		t.Fatal("hostile manifest reached the pull stage")
-	}
-}
-
-// TestPullRejectsNegativeMemberSize: a manifest's member sizes size the
-// client's buffers, so a negative one is refused before anything is staged.
-func TestPullRejectsNegativeMemberSize(t *testing.T) {
+// hostileRegistry serves one fixed object body for every key, under the
+// given ETag, as a malicious or broken registry would.
+func hostileRegistry(t *testing.T, etag string, body []byte) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, ArtifactInfo{
-			Entry: store.Entry{Key: "evil", Kind: "test", Object: strings.Repeat("ab", 32)},
-			Top:   map[string]int64{"f": -1},
-		})
+	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}/object", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"`+etag+`"`)
+		w.Header().Set(KindHeader, "test")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
+	return srv
+}
+
+// frame is one member of a canonical body, framed by hand.
+func frame(name string, data []byte) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(data)))
+	return append(b, data...)
+}
+
+func sha(body []byte) string {
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestPullRejectsHostileManifest: the object body is server-supplied, and
+// the member names and chunk IDs it carries would become client-side file
+// paths — a malicious registry must not write outside the pull stage,
+// commit a body that is not the object its ETag names, or leave a refused
+// body staged.
+func TestPullRejectsHostileManifest(t *testing.T) {
+	traversal := frame("../escape", []byte("evil"))
+	badChunk := frame("chunks.json",
+		[]byte(`{"version":1,"chunk_size":4096,"members":{"m":{"size":4,"chunks":["../../../../etc/passwd"]}}}`))
+	honest := frame("f", []byte("fine"))
+	for _, tc := range []struct {
+		name, etag string
+		body       []byte
+		want       string
+	}{
+		{"traversal member name", sha(traversal), traversal, "unsafe member name"},
+		{"traversal chunk id", sha(badChunk), badChunk, "invalid chunk id"},
+		{"traversal object id", "../../x", honest, "invalid object id"},
+		{"body of another object", strings.Repeat("ab", 32), honest, "hashes to"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := localStore(t)
+			c := &Client{Base: hostileRegistry(t, tc.etag, tc.body).URL, Retries: 1}
+			if _, _, err := c.Pull(b, "evil"); !errors.Is(err, store.ErrCorrupt) ||
+				!strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("hostile body accepted or misreported: %v, want %q", err, tc.want)
+			}
+			if staged, _ := filepath.Glob(filepath.Join(b.Root(), "xfer", "*", "*")); len(staged) > 0 {
+				t.Fatalf("refused body left a stage: %v", staged)
+			}
+			if _, err := os.Stat(filepath.Join(b.Root(), "xfer", "escape")); !os.IsNotExist(err) {
+				t.Fatal("hostile member name escaped the stage")
+			}
+			if len(b.Entries()) != 0 {
+				t.Fatal("hostile body reached the store")
+			}
+		})
+	}
+}
+
+// TestPullRejectsNegativeMemberSize: a body's length frames size the
+// client's reads, so a length that is negative as a signed integer (or
+// otherwise runs past the body) is refused, and nothing stays staged.
+func TestPullRejectsNegativeMemberSize(t *testing.T) {
+	body := binary.LittleEndian.AppendUint64(nil, 1)
+	body = append(body, 'f')
+	body = binary.LittleEndian.AppendUint64(body, ^uint64(0)) // -1
+	body = append(body, "data"...)
 	b := localStore(t)
-	c := &Client{Base: srv.URL, Retries: 1}
-	if _, _, err := c.Pull(b, "evil"); !errors.Is(err, store.ErrCorrupt) {
+	c := &Client{Base: hostileRegistry(t, sha(body), body).URL, Retries: 1}
+	if _, _, err := c.Pull(b, "evil"); !errors.Is(err, store.ErrCorrupt) ||
+		!strings.Contains(err.Error(), "runs past") {
 		t.Fatalf("negative member size accepted: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(b.Root(), "xfer")); !os.IsNotExist(err) {
-		t.Fatal("negative member size reached the pull stage")
+	if staged, _ := filepath.Glob(filepath.Join(b.Root(), "xfer", "*", "*")); len(staged) > 0 {
+		t.Fatalf("negative member size left a stage: %v", staged)
 	}
 }
 

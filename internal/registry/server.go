@@ -111,7 +111,7 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/t/{tenant}", sv.tenantized(sv.handleTenantStatus))
 	mux.HandleFunc("GET /v1/t/{tenant}/entries", sv.tenantized(sv.handleEntries))
 	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}", sv.tenantized(sv.handleArtifact))
-	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}/files/{name}", sv.tenantized(sv.handleArtifactFile))
+	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}/object", sv.tenantized(sv.handleArtifactObject))
 	mux.HandleFunc("GET /v1/t/{tenant}/objects/{id}", sv.tenantized(sv.handleObject))
 	mux.HandleFunc("POST /v1/t/{tenant}/uploads", sv.tenantized(sv.handleUploadOpen))
 	mux.HandleFunc("GET /v1/t/{tenant}/uploads/{id}", sv.tenantized(sv.handleUploadStatus))
@@ -205,23 +205,34 @@ func (sv *Server) artifactInfo(e *store.Entry, tenant string) (*ArtifactInfo, er
 	return info, nil
 }
 
-func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
+// lookupArtifact resolves the request's key to its index entry and sets
+// the content-hash ETag, the object ID. A client holding that object (its
+// If-None-Match names it) is answered 304 from the index without reading
+// the object, so it transfers zero bytes. ok=false means the response is
+// already written.
+func (sv *Server) lookupArtifact(w http.ResponseWriter, r *http.Request, tenant string) (e *store.Entry, ok bool) {
 	key := r.PathValue("key")
 	if !validKey(key) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid key"))
-		return
+		return nil, false
 	}
-	e, ok := sv.store.Stat(tenantPrefix(tenant) + key)
+	e, ok = sv.store.Stat(tenantPrefix(tenant) + key)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no artifact %s", key))
-		return
+		return nil, false
 	}
-	// Content-hash ETag: a client holding the same object ID transfers
-	// zero bytes.
 	etag := `"` + e.Object + `"`
 	w.Header().Set("ETag", etag)
 	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
 		w.WriteHeader(http.StatusNotModified)
+		return nil, false
+	}
+	return e, true
+}
+
+func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
+	e, ok := sv.lookupArtifact(w, r, tenant)
+	if !ok {
 		return
 	}
 	info, err := sv.artifactInfo(e, tenant)
@@ -232,32 +243,25 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request, tenant 
 	writeJSON(w, http.StatusOK, info)
 }
 
-func (sv *Server) handleArtifactFile(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
-	key, name := r.PathValue("key"), r.PathValue("name")
-	if !validKey(key) || name != filepath.Base(name) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid key or member name"))
-		return
-	}
-	e, ok := sv.store.Stat(tenantPrefix(tenant) + key)
+// handleArtifactObject serves an artifact's top object as its canonical
+// form, the bytes its content address hashes. The object is read and
+// verified once, before any header goes out, so a damaged object is refused
+// with the store's error status instead of being half-sent. The ETag also
+// serves If-Range: a resumed download keeps its Range only while the key
+// still maps to the object its staged prefix belongs to.
+func (sv *Server) handleArtifactObject(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
+	e, ok := sv.lookupArtifact(w, r, tenant)
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no artifact %s", key))
 		return
 	}
-	top, err := sv.store.ReadObject(e.Object)
+	body, err := sv.store.ReadCanonical(e.Object)
 	if err != nil {
 		writeStoreErr(w, err)
 		return
 	}
-	data, ok := top[name]
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("artifact %s has no member %s", key, name))
-		return
-	}
-	// ServeContent supplies Range, If-Range, and If-None-Match semantics
-	// over the in-memory member; the ETag pins the exact object+member.
-	w.Header().Set("ETag", `"`+e.Object+`:`+name+`"`)
+	w.Header().Set(KindHeader, e.Kind)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	http.ServeContent(w, r, name, e.CreatedAt, bytes.NewReader(data))
+	http.ServeContent(w, r, "", e.CreatedAt, bytes.NewReader(body))
 }
 
 // tenantChunks returns the set of chunk object IDs the tenant's entries
@@ -659,13 +663,6 @@ func (sv *Server) handleUploadCommit(w http.ResponseWriter, r *http.Request, ten
 		}
 		top[name] = buf
 	}
-	// The assembled top must hash to the declared object — the same
-	// end-to-end integrity check the store applies on every read.
-	if got := store.ObjectID(top); got != man.Object {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("assembled object hashes to %.12s, manifest declared %.12s", got, man.Object))
-		return
-	}
 	chunks := make(map[string][]byte)
 	for _, c := range man.Chunks {
 		data, err := os.ReadFile(filepath.Join(dir, "b-"+c.ID))
@@ -678,7 +675,10 @@ func (sv *Server) handleUploadCommit(w http.ResponseWriter, r *http.Request, ten
 		}
 		chunks[c.ID] = data
 	}
-	e, err := sv.store.PutAssembled(storeKey, man.Kind, top, chunks)
+	// The assembled top must hash to the declared object — the same
+	// end-to-end integrity check the store applies on every read. The
+	// commit hashes it once and refuses a mismatch before writing anything.
+	e, err := sv.store.PutAssembled(storeKey, man.Kind, man.Object, top, chunks)
 	if err != nil {
 		writeStoreErr(w, err)
 		return

@@ -47,7 +47,7 @@ func (s *Store) PutChunked(key, kind string, files FileSet, chunkSize int) (*Ent
 	if err != nil {
 		return nil, err
 	}
-	return s.PutAssembled(key, kind, top, chunks)
+	return s.putAssembled(key, kind, ObjectID(top), top, chunks)
 }
 
 // ChunkPlan splits a file set exactly as PutChunked stores it: members of
@@ -94,12 +94,23 @@ func ChunkPlan(files FileSet, chunkSize int) (top FileSet, chunks map[string][]b
 }
 
 // PutAssembled stores a pre-assembled top object together with the chunk
-// objects its manifest references — the commit primitive for both PutChunked
-// and a network transfer that moves an artifact's stored representation
-// verbatim (so its content addresses survive the wire unchanged). Chunk data
+// objects its manifest references — the commit primitive for a network
+// transfer that moves an artifact's stored representation verbatim (so its
+// content addresses survive the wire unchanged). id is the object the
+// sender named: the top is hashed once, and unless it hashes to id the
+// commit is refused with ErrCorrupt before anything is written. Chunk data
 // present in chunks is verified against its ID before being written; a
 // manifest reference with no data supplied must already exist in the store.
-func (s *Store) PutAssembled(key, kind string, top FileSet, chunks map[string][]byte) (*Entry, error) {
+func (s *Store) PutAssembled(key, kind, id string, top FileSet, chunks map[string][]byte) (*Entry, error) {
+	if got := ObjectID(top); got != id {
+		return nil, fmt.Errorf("%w: assembled object hashes to %s, expected %s", ErrCorrupt, shortID(got), shortID(id))
+	}
+	return s.putAssembled(key, kind, id, top, chunks)
+}
+
+// putAssembled is PutAssembled for a top whose content address id the
+// caller computed itself.
+func (s *Store) putAssembled(key, kind, id string, top FileSet, chunks map[string][]byte) (*Entry, error) {
 	// Chunk objects are pinned until the top object's index entry lands (the
 	// Put below), so a concurrent GC never orphan-sweeps a chunk before the
 	// manifest referencing it is live.
@@ -133,7 +144,7 @@ func (s *Store) PutAssembled(key, kind string, top FileSet, chunks map[string][]
 				ErrCorrupt, shortID(id))
 		}
 	}
-	return s.Put(key, kind, top)
+	return s.put(key, kind, id, top)
 }
 
 // ChunkRefsOf parses a top file set's chunk manifest and returns the chunk
@@ -166,10 +177,10 @@ func ChunkRefsOf(top FileSet) ([]string, error) {
 	return ids, nil
 }
 
-// resolveChunks reassembles a top object's chunked members. File sets
-// without a chunk manifest pass through unchanged. Every chunk object is
-// integrity-checked like any other object read.
-func (s *Store) resolveChunks(files FileSet) (FileSet, error) {
+// Resolve reassembles a top object's chunked members from the store's chunk
+// objects. File sets without a chunk manifest pass through unchanged. Every
+// chunk object is integrity-checked like any other object read.
+func (s *Store) Resolve(files FileSet) (FileSet, error) {
 	mdata, ok := files[chunkManifestName]
 	if !ok {
 		return files, nil
@@ -191,7 +202,7 @@ func (s *Store) resolveChunks(files FileSet) (FileSet, error) {
 				return nil, fmt.Errorf("%w: member %s: invalid chunk id %q",
 					ErrCorrupt, name, shortID(id))
 			}
-			part, err := s.readObject(id)
+			part, err := s.ReadObject(id)
 			if err != nil {
 				return nil, fmt.Errorf("member %s: %w", name, err)
 			}

@@ -62,7 +62,7 @@ func TestPutChunkedRoundTrip(t *testing.T) {
 	}
 
 	// The top object holds the manifest, not the image.
-	top, err := s.readObject(e.Object)
+	top, err := s.ReadObject(e.Object)
 	if err != nil {
 		t.Fatal(err)
 	}

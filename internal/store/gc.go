@@ -160,13 +160,13 @@ func (s *Store) VerifyWith(opts VerifyOptions) (*VerifyReport, error) {
 			continue
 		}
 		rep.Checked++
-		files, err := s.readObject(e.Object)
+		files, err := s.ReadObject(e.Object)
 		if err != nil {
 			rep.Problems = append(rep.Problems, VerifyProblem{Key: e.Key, Object: e.Object, Err: err})
 			continue
 		}
 		if _, chunked := files[chunkManifestName]; chunked {
-			if files, err = s.resolveChunks(files); err != nil {
+			if files, err = s.Resolve(files); err != nil {
 				rep.Problems = append(rep.Problems, VerifyProblem{Key: e.Key, Object: e.Object, Err: err})
 				continue
 			}

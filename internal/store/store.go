@@ -26,8 +26,6 @@ package store
 
 import (
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -164,36 +162,21 @@ func (s *Store) objectDir(id string) string {
 	return filepath.Join(s.root, "objects", id[:2], id)
 }
 
-// ObjectID computes the content address of a file set: the hex SHA-256
-// over a canonical serialization (files ordered by name, lengths framed).
-func ObjectID(files FileSet) string {
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	var frame [8]byte
-	for _, name := range names {
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(name)))
-		h.Write(frame[:])
-		h.Write([]byte(name))
-		binary.LittleEndian.PutUint64(frame[:], uint64(len(files[name])))
-		h.Write(frame[:])
-		h.Write(files[name])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Put stores a file set under a cache key. Identical content deduplicates:
 // if an object with the same content address already exists, no bytes are
 // rewritten and the key simply references the existing object. The write is
 // atomic (staged under tmp/, renamed into place).
 func (s *Store) Put(key, kind string, files FileSet) (*Entry, error) {
+	return s.put(key, kind, ObjectID(files), files)
+}
+
+// put stores files, whose content address the caller has computed as id.
+// The entry returned is a copy: the live index entry's LastUsed is
+// rewritten by concurrent hits.
+func (s *Store) put(key, kind, id string, files FileSet) (*Entry, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("store: refusing to put empty file set for key %s", key)
 	}
-	id := ObjectID(files)
 	objDir := s.objectDir(id)
 	// Pinned until the index entry below is saved: the on-disk object must
 	// not look like an orphan to a concurrent GC in the meantime.
@@ -230,7 +213,8 @@ func (s *Store) Put(key, kind string, files FileSet) (*Entry, error) {
 	if err := s.saveIndexLocked(); err != nil {
 		return nil, err
 	}
-	return e, nil
+	cp := *e
+	return &cp, nil
 }
 
 // writeObject stages files in tmp/ and renames the staged directory to
@@ -258,7 +242,7 @@ func (s *Store) writeObject(objDir string, files FileSet) error {
 		return err
 	}
 	for name, data := range files {
-		if name != filepath.Base(name) {
+		if !validMemberName(name) {
 			return fmt.Errorf("store: invalid object file name %q", name)
 		}
 		if err := writeFileSync(filepath.Join(stage, name), data); err != nil {
@@ -288,39 +272,10 @@ func (s *Store) Get(key string) (FileSet, *Entry, bool, error) {
 	if !ok {
 		return nil, nil, false, err
 	}
-	if files, err = s.resolveChunks(files); err != nil {
+	if files, err = s.Resolve(files); err != nil {
 		return nil, nil, false, err
 	}
 	return files, e, true, nil
-}
-
-// readObject loads an object directory and verifies its content address.
-func (s *Store) readObject(id string) (FileSet, error) {
-	objDir := s.objectDir(id)
-	entries, err := os.ReadDir(objDir)
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: object %s missing", ErrCorrupt, shortID(id))
-	}
-	if err != nil {
-		return nil, err
-	}
-	files := make(FileSet, len(entries))
-	for _, ent := range entries {
-		if ent.IsDir() {
-			return nil, fmt.Errorf("%w: object %s contains a directory %q",
-				ErrCorrupt, shortID(id), ent.Name())
-		}
-		data, err := os.ReadFile(filepath.Join(objDir, ent.Name()))
-		if err != nil {
-			return nil, err
-		}
-		files[ent.Name()] = data
-	}
-	if got := ObjectID(files); got != id {
-		return nil, fmt.Errorf("%w: object %s re-hashes to %s (content tampered or damaged)",
-			ErrCorrupt, shortID(id), shortID(got))
-	}
-	return files, nil
 }
 
 // Delete removes a cache entry. The underlying object survives if other
@@ -375,13 +330,15 @@ func ValidObjectID(id string) bool {
 }
 
 // ReadObject loads and integrity-verifies the object with the given content
-// address. Chunked members are NOT resolved: the caller gets the raw stored
+// address: one canonical read, split into members that alias its buffer.
+// Chunked members are NOT resolved: the caller gets the raw stored
 // representation (a chunk object reads back as its single "chunk" member).
 func (s *Store) ReadObject(id string) (FileSet, error) {
-	if !ValidObjectID(id) {
-		return nil, fmt.Errorf("%w: invalid object id %q", ErrCorrupt, shortID(id))
+	body, err := s.ReadCanonical(id)
+	if err != nil {
+		return nil, err
 	}
-	return s.readObject(id)
+	return ParseCanonical(body)
 }
 
 // GetRaw is Get without chunk resolution: the entry's top object exactly as
@@ -395,7 +352,7 @@ func (s *Store) GetRaw(key string) (FileSet, *Entry, bool, error) {
 	if !ok {
 		return nil, nil, false, nil
 	}
-	files, err := s.readObject(e.Object)
+	files, err := s.ReadObject(e.Object)
 	if err != nil {
 		return nil, nil, false, err
 	}
