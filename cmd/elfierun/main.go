@@ -14,8 +14,9 @@
 // pulls a missing artifact through from a registry first.
 //
 // Exit codes: the guest's exit status on a clean run; 3 when the run died on
-// a fault (injected or organic) instead of exiting; 2 for corrupt inputs;
-// 1 for internal errors.
+// a fault (injected or organic) instead of exiting, or when the -max budget
+// stopped it with threads still alive (the retired count goes to stderr); 2
+// for corrupt inputs; 1 for internal errors.
 package main
 
 import (
@@ -90,6 +91,11 @@ func main() {
 	cli.PrintRunSummary(m)
 	if m.FatalFault != nil {
 		fmt.Fprintf(os.Stderr, "error (divergence): run died on %v\n", m.FatalFault)
+		os.Exit(cli.ExitDivergence)
+	}
+	if n := m.AliveCount(); n > 0 {
+		fmt.Fprintf(os.Stderr, "error (divergence): budget stopped the run at %d retired instructions with %d threads alive\n",
+			m.GlobalRetired, n)
 		os.Exit(cli.ExitDivergence)
 	}
 	os.Exit(m.ExitStatus)

@@ -197,6 +197,10 @@ func TestELFieRunsAndExitsGracefully(t *testing.T) {
 	if c := pcs[0].Count(m.Threads[0]); c != res.PerfPeriods[0] {
 		t.Errorf("counter = %d, want %d", c, res.PerfPeriods[0])
 	}
+	// A single-threaded region keeps the plain per-thread exit.
+	if pcs[0].ExitGroup {
+		t.Error("single-threaded ELFie counter flagged exit-group")
+	}
 }
 
 func TestELFieStateRestoredExactly(t *testing.T) {
@@ -297,6 +301,10 @@ func TestMultiThreadedELFie(t *testing.T) {
 		}
 		if c := pcs[0].Count(th); c != res.PerfPeriods[i] {
 			t.Errorf("thread %d counted %d, want %d", i, c, res.PerfPeriods[i])
+		}
+		// Only the counted thread's overflow ends the process.
+		if pcs[0].ExitGroup != (i == 0) {
+			t.Errorf("thread %d exit-group = %v", i, pcs[0].ExitGroup)
 		}
 	}
 }

@@ -116,14 +116,20 @@ const (
 type PerfAttr struct {
 	Period  uint64 // retired-instruction count before the event fires
 	Handler uint64 // PC to redirect the thread to; 0 with ExitOnOverflow set
-	Flags   uint64 // bit 0: exit the thread on overflow instead of jumping
+	Flags   uint64 // bit 0: exit on overflow instead of jumping; bit 1: exit the process
 }
 
 // PerfAttrSize is the size of the guest attribute block.
 const PerfAttrSize = 24
 
-// PerfExitOnOverflow is the PerfAttr flag requesting thread exit at overflow.
-const PerfExitOnOverflow = 1
+// PerfAttr flags.
+const (
+	// PerfExitOnOverflow requests thread exit at overflow.
+	PerfExitOnOverflow = 1
+	// PerfExitGroupOnOverflow, with PerfExitOnOverflow, widens the exit to
+	// the whole process: the counted thread's overflow ends every thread.
+	PerfExitGroupOnOverflow = 2
+)
 
 // Action tells the VM what thread-level effect a system call has.
 type Action uint8

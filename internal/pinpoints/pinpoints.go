@@ -595,11 +595,22 @@ func (b *Benchmark) ELFieSession(reg *Region, seed int64) (*harness.Session, err
 	return s, nil
 }
 
-// Completed reports whether a finished ELFie run reached its graceful exit.
+// Completed reports whether a finished ELFie run ended where its region
+// ends: no fault, no thread still alive, and either the counted thread's
+// (thread 0's) counter fired, or the program exited on its own with status
+// 0 after thread 0 retired its whole period — a final partial slice ends on
+// the program's exit_group, before the overflow check can run. A machine
+// stopped by its instruction budget or a stop request has live threads and
+// never counts as completed.
 func Completed(m *vm.Machine) bool {
-	if m.FatalFault != nil || len(m.Threads) == 0 {
+	if m.FatalFault != nil || len(m.Threads) == 0 || m.AliveCount() > 0 {
 		return false
 	}
-	pcs := m.Threads[0].PerfCounters()
-	return len(pcs) == 1 && pcs[0].Fired
+	t0 := m.Threads[0]
+	pcs := t0.PerfCounters()
+	if len(pcs) != 1 {
+		return false
+	}
+	p := pcs[0]
+	return p.Fired || (m.ExitStatus == 0 && t0.ExitStatus == 0 && p.Count(t0) >= p.Period)
 }

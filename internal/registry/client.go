@@ -290,20 +290,26 @@ func (c *Client) GC() (*GCResult, error) {
 // artifacts pushed before — is skipped, so a near-identical checkpoint
 // costs only its dirty pages.
 func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
-	top, e, ok, err := s.GetRaw(key)
-	if err != nil {
-		return nil, err
-	}
+	e, ok := s.Stat(key)
 	if !ok {
 		return nil, fmt.Errorf("%w: no local entry %s", ErrNotFound, key)
 	}
 	stats := &TransferStats{}
 
 	// Warm path: the registry already has this exact object under this key.
-	if info, err := c.Stat(key, ""); err == nil && info.Entry.Object == e.Object {
+	// Both sides answer from their index: the server's 304 reads no object,
+	// and the local object is read only when it has to be uploaded.
+	if info, err := c.Stat(key, e.Object); err == nil && info == nil {
 		return stats, nil
 	} else if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, err
+	}
+	top, e, ok, err := s.GetRaw(key)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: no local entry %s", ErrNotFound, key)
 	}
 
 	// Declare everything, learn what is missing.

@@ -290,9 +290,10 @@ func TestSecondPushShipsOnlyDirtyPages(t *testing.T) {
 }
 
 // TestWarmTransfersAreZero: pushing content the registry holds, or pulling
-// content the local store holds, moves no payload at all.
+// content the local store holds, moves no payload at all, and a warm push
+// reads no object on the server.
 func TestWarmTransfersAreZero(t *testing.T) {
-	_, tl, srv := testRegistry(t, ServerOptions{})
+	serverStore, tl, srv := testRegistry(t, ServerOptions{})
 	a, b := localStore(t), localStore(t)
 	c := testClient(srv, "")
 
@@ -302,9 +303,20 @@ func TestWarmTransfersAreZero(t *testing.T) {
 	if _, err := c.Push(a, "k"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Push(a, "k") // warm push: ETag short-circuits
-	if err != nil {
+	// Warm push: the server's index answers If-None-Match with a 304. Hide
+	// the server's copy of the object meanwhile, so a push that read it
+	// would fail.
+	e, _ := a.Stat("k")
+	objDir := filepath.Join(serverStore.Root(), "objects", e.Object[:2], e.Object)
+	if err := os.Rename(objDir, objDir+".hidden"); err != nil {
 		t.Fatal(err)
+	}
+	st, err := c.Push(a, "k")
+	if err := os.Rename(objDir+".hidden", objDir); err != nil {
+		t.Fatal(err)
+	}
+	if err != nil {
+		t.Fatalf("warm push read the server's object: %v", err)
 	}
 	if st.Sent != 0 || st.Bytes != 0 {
 		t.Fatalf("warm push moved %d blobs / %d bytes", st.Sent, st.Bytes)

@@ -458,15 +458,20 @@ func (m *Machine) stepBlock(t *Thread, pc uint64, ins isa.Inst) {
 }
 
 // checkPerfOverflow fires any due perf counters (the graceful-exit
-// mechanism). It returns true when an overflow exited the thread. The block
-// executor bounds its batches so this check still fires at the exact
-// overflow instruction (see blockBudget).
+// mechanism). It returns true when an overflow exited the thread, or the
+// whole process for an ExitGroup counter. The block executor bounds its
+// batches so this check still fires at the exact overflow instruction (see
+// blockBudget).
 func (m *Machine) checkPerfOverflow(t *Thread) bool {
 	for _, p := range t.perf {
 		if !p.Fired && t.Retired-p.base >= p.Period {
 			p.Fired = true
 			if p.ExitOnOverflow {
-				m.exitThread(t, 0)
+				if p.ExitGroup {
+					m.exitGroup(0)
+				} else {
+					m.exitThread(t, 0)
+				}
 				return true
 			}
 			t.Regs.PC = p.Handler
@@ -514,6 +519,7 @@ func (m *Machine) doSyscall(t *Thread) (yielded bool, exit, status int) {
 			Period:         res.Perf.Period,
 			Handler:        res.Perf.Handler,
 			ExitOnOverflow: res.Perf.Flags&kernel.PerfExitOnOverflow != 0,
+			ExitGroup:      res.Perf.Flags&kernel.PerfExitGroupOnOverflow != 0,
 			base:           t.Retired + 1, // counting starts after this call
 		})
 	case kernel.ActYield:

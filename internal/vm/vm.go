@@ -41,8 +41,10 @@ type PerfCounter struct {
 	Period         uint64
 	Handler        uint64
 	ExitOnOverflow bool
-	Fired          bool
-	base           uint64 // thread Retired when armed
+	// ExitGroup widens ExitOnOverflow's exit to the whole process.
+	ExitGroup bool
+	Fired     bool
+	base      uint64 // thread Retired when armed
 }
 
 // Count returns the counter's current value for a thread.
@@ -56,6 +58,7 @@ type PerfCounterState struct {
 	Period         uint64 `json:"period"`
 	Handler        uint64 `json:"handler,omitempty"`
 	ExitOnOverflow bool   `json:"exit_on_overflow,omitempty"`
+	ExitGroup      bool   `json:"exit_group,omitempty"`
 	Fired          bool   `json:"fired,omitempty"`
 	Count          uint64 `json:"count"`
 }
@@ -71,6 +74,7 @@ func (t *Thread) PerfState() []PerfCounterState {
 			Period:         p.Period,
 			Handler:        p.Handler,
 			ExitOnOverflow: p.ExitOnOverflow,
+			ExitGroup:      p.ExitGroup,
 			Fired:          p.Fired,
 			Count:          p.Count(t),
 		}
@@ -89,6 +93,7 @@ func (t *Thread) RestorePerf(states []PerfCounterState) {
 			Period:         st.Period,
 			Handler:        st.Handler,
 			ExitOnOverflow: st.ExitOnOverflow,
+			ExitGroup:      st.ExitGroup,
 			Fired:          st.Fired,
 			base:           t.Retired - st.Count,
 		})

@@ -317,6 +317,71 @@ attr:
 	}
 }
 
+func TestPerfCounterExitGroup(t *testing.T) {
+	// Thread 0 spawns a worker that spins forever, then arms a counter
+	// flagged exit-group: its overflow must end the whole process at the
+	// exact instruction, on the chained engine and the interpreter alike.
+	const src = `
+		.text
+		.global _start
+_start:
+		movi r0, 56      # clone
+		movi r1, 0
+		limm r2, stk+4096
+		limm r3, worker
+		syscall
+		movi r0, 298
+		limm r1, attr
+		syscall
+spin:
+		addi r2, r2, 1
+		jmp  spin
+worker:
+		addi r3, r3, 1
+		jmp  worker
+		.data
+attr:
+		.quad 1000       # period
+		.quad 0          # handler
+		.quad 3          # flags: exit on overflow, whole process
+		.bss
+stk:	.space 4096
+	`
+	var retired [2]uint64
+	for i, interp := range []bool{false, true} {
+		m := load(t, src, 1)
+		m.DisableBlockCache = interp
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Halted || m.AliveCount() != 0 || m.ExitStatus != 0 || m.FatalFault != nil {
+			t.Fatalf("interp=%v: halted=%v alive=%d exit=%d fault=%v",
+				interp, m.Halted, m.AliveCount(), m.ExitStatus, m.FatalFault)
+		}
+		t0 := m.Threads[0]
+		pcs := t0.PerfCounters()
+		if len(pcs) != 1 || !pcs[0].Fired || !pcs[0].ExitGroup || pcs[0].Count(t0) != 1000 {
+			t.Fatalf("interp=%v: counters %+v", interp, pcs)
+		}
+		retired[i] = m.GlobalRetired
+	}
+	if retired[0] != retired[1] || retired[0] > 10_000 {
+		t.Errorf("retired chained=%d interp=%d", retired[0], retired[1])
+	}
+}
+
+func TestPerfStateKeepsExitGroup(t *testing.T) {
+	th := &Thread{Retired: 500}
+	th.perf = []*PerfCounter{{Period: 900, ExitOnOverflow: true, ExitGroup: true, base: 100}}
+	st := th.PerfState()
+	back := &Thread{Retired: 7}
+	back.RestorePerf(st)
+	p := back.PerfCounters()[0]
+	if !p.ExitOnOverflow || !p.ExitGroup || p.Count(back) != 400 {
+		t.Errorf("restored %+v count %d", *p, p.Count(back))
+	}
+}
+
 func TestPerfCounterHandler(t *testing.T) {
 	// Overflow redirects to a handler that exits with a distinct status.
 	m := run(t, `
