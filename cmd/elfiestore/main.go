@@ -35,7 +35,7 @@ import (
 func main() {
 	c := cli.Register(cli.FlagStore | cli.FlagRemote)
 	crashAfter := flag.Int("crash-after", 0,
-		"abort after N completed blob transfers (transfer-resume testing)")
+		"abort after N completed pieces or chunks (transfer-resume testing)")
 	flag.Parse()
 
 	if c.StoreDir == "" || flag.NArg() < 1 {
@@ -231,8 +231,8 @@ func main() {
 func reportTransfer(verb, key string, st *registry.TransferStats, err error) {
 	if err != nil {
 		if errors.Is(err, registry.ErrCrashed) && st != nil {
-			fmt.Fprintf(os.Stderr, "%s %s: crashed after %d sent / %d received / %d skipped\n",
-				verb, key, st.Sent, st.Received, st.Skipped)
+			fmt.Fprintf(os.Stderr, "%s %s: crashed after %d sent / %d received (%d bytes) / %d skipped\n",
+				verb, key, st.Sent, st.Received, st.Bytes, st.Skipped)
 		}
 		return
 	}
@@ -241,8 +241,8 @@ func reportTransfer(verb, key string, st *registry.TransferStats, err error) {
 		fmt.Printf("%s %s: up to date (0 bytes)\n", verb, key)
 		return
 	}
-	fmt.Printf("%s %s: %d blobs, %d bytes (%d skipped as already present)\n",
-		verb, key, moved, st.Bytes, st.Skipped)
+	fmt.Printf("%s %s: %d pieces and chunks, %d bytes (%d skipped as already present, resumed at byte %d)\n",
+		verb, key, moved, st.Bytes, st.Skipped, st.Resumed)
 }
 
 // short abbreviates a hex ID for display.

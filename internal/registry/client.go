@@ -23,7 +23,7 @@ import (
 var ErrNotFound = errors.New("registry: not found")
 
 // ErrCrashed is returned once a test-configured crash point is reached —
-// it simulates the client process being SIGKILLed between blob transfers,
+// it simulates the client process being SIGKILLed between completed pieces,
 // the exact point a resumed transfer must pick up from.
 var ErrCrashed = errors.New("registry: transfer crashed (simulated)")
 
@@ -47,14 +47,15 @@ type Client struct {
 	Backoff *farm.Backoff
 	// Retries is attempts per request (default 4).
 	Retries int
-	// WireChunk is the upload blob granularity (default DefaultWireChunk).
+	// WireChunk is the piece size of a streamed object transfer (default
+	// DefaultWireChunk).
 	WireChunk int
 	// CrashAfter, when positive, makes the client return ErrCrashed after
-	// that many blob/chunk transfers — the test hook for killing a
+	// that many piece/chunk transfers — the test hook for killing a
 	// transfer between completed units.
 	CrashAfter int
 
-	// transferred counts completed blob/chunk payload transfers (uploads
+	// transferred counts completed piece/chunk payload transfers (uploads
 	// and downloads), the currency of resume proofs: a resumed transfer's
 	// count plus the crashed one's must equal a cold transfer's.
 	transferred atomic.Int64
@@ -62,14 +63,17 @@ type Client struct {
 
 // TransferStats accounts one Push or Pull.
 type TransferStats struct {
-	// Sent/Received count payload units that actually moved: upload blobs
-	// and chunks, or a download's wire-chunk pieces and chunks.
+	// Sent/Received count payload units that actually moved: the object's
+	// wire-chunk pieces and chunk objects, in either direction.
 	Sent, Received int
 	// Skipped counts units the far side already had (upload negotiation)
 	// or the near side already held (local chunks, a staged prefix).
 	Skipped int
 	// Bytes is the payload volume that moved.
 	Bytes int64
+	// Resumed is the length of the object prefix an interrupted transfer
+	// had staged on the receiving side, which this one did not move again.
+	Resumed int64
 }
 
 // Transferred reports the client's lifetime completed payload transfers.
@@ -94,6 +98,13 @@ func (c *Client) retries() int {
 		return c.Retries
 	}
 	return 4
+}
+
+func (c *Client) wire() int {
+	if c.WireChunk > 0 {
+		return c.WireChunk
+	}
+	return DefaultWireChunk
 }
 
 func (c *Client) turl(parts ...string) string {
@@ -284,10 +295,12 @@ func (c *Client) GC() (*GCResult, error) {
 }
 
 // Push uploads the artifact stored under key in s to the registry, in its
-// stored representation (top object + referenced chunk objects), resuming
-// any prior interrupted upload of the same content. Content the registry
-// already holds — the whole artifact, or individual chunks shared with
-// artifacts pushed before — is skipped, so a near-identical checkpoint
+// stored representation, resuming any prior interrupted upload of the same
+// content. The top object crosses as one streamed PUT of its canonical form
+// (read and verified once here, hashed once by the server's commit),
+// continuing from whatever prefix the server has staged; chunk objects
+// travel whole, and those the registry already holds — shared with
+// artifacts pushed before — are skipped, so a near-identical checkpoint
 // costs only its dirty pages.
 func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 	e, ok := s.Stat(key)
@@ -304,93 +317,195 @@ func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 	} else if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, err
 	}
-	top, e, ok, err := s.GetRaw(key)
+	body, err := s.ReadCanonical(e.Object)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("%w: no local entry %s", ErrNotFound, key)
-	}
-
-	// Declare everything, learn what is missing.
-	man := UploadManifest{Key: key, Kind: e.Kind, Object: e.Object, Top: make(map[string]MemberPlan)}
-	payload := make(map[string][]byte) // blob/chunk id -> bytes
-	for name, data := range top {
-		plan := planMember(data, c.WireChunk)
-		man.Top[name] = plan
-		off := int64(0)
-		for _, b := range plan.Blobs {
-			payload[b.ID] = data[off : off+b.Size]
-			off += b.Size
-		}
+	top, err := store.ParseCanonical(body)
+	if err != nil {
+		return nil, err
 	}
 	refs, err := store.ChunkRefsOf(top)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[string]bool)
+	man := UploadManifest{Key: key, Kind: e.Kind, Object: e.Object, Size: int64(len(body))}
+	chunks := make(map[string][]byte)
 	for _, id := range refs {
-		if seen[id] {
+		if _, dup := chunks[id]; dup {
 			continue
 		}
-		seen[id] = true
 		part, err := s.ReadObject(id)
 		if err != nil {
 			return nil, err
 		}
+		chunks[id] = part["chunk"]
 		man.Chunks = append(man.Chunks, BlobRef{ID: id, Size: int64(len(part["chunk"]))})
-		payload[id] = part["chunk"]
 	}
+	// A resumed stage that fails the commit's hash was torn — an OS crash
+	// lost some of its unsynced pages. The server wiped it; send the body
+	// whole, once.
+	for fresh := false; ; fresh = true {
+		resumed, err := c.upload(&man, body, chunks, stats)
+		if err == nil || !resumed || fresh || !errors.Is(err, store.ErrCorrupt) {
+			return stats, err
+		}
+	}
+}
 
-	manBytes, err := json.Marshal(&man)
+// upload runs one upload session: open or reattach, stream the object past
+// its staged prefix, send the chunks the server lacks, commit. resumed
+// reports that the server already held part of the object. A commit the
+// server refuses as damaged (422) is reported as store.ErrCorrupt.
+func (c *Client) upload(man *UploadManifest, body []byte, chunks map[string][]byte, stats *TransferStats) (resumed bool, err error) {
+	manBytes, err := json.Marshal(man)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	_, data, err := c.do("POST", c.turl("uploads"), nil, manBytes)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	var st UploadStatus
 	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("registry: upload status: %v", err)
+		return false, fmt.Errorf("registry: upload status: %v", err)
 	}
 	if st.Committed {
-		return stats, nil
+		return false, nil
 	}
-	need := append(append([]string{}, st.NeedBlobs...), st.NeedChunks...)
-	stats.Skipped = len(payload) - len(need)
-
-	// Ship only the missing units; each PUT is individually retried, and
+	if resumed = st.Staged > 0; resumed {
+		stats.Skipped++ // partial progress an interrupted push left staged
+		stats.Resumed = st.Staged
+	}
+	if err := c.sendObject(st.ID, body, st.Staged, stats); err != nil {
+		return resumed, err
+	}
+	stats.Skipped += len(chunks) - len(st.NeedChunks)
+	// Ship only the missing chunks; each PUT is individually retried, and
 	// the crash hook fires between completed units — exactly where a real
 	// SIGKILL would leave a resumable boundary.
-	for _, id := range need {
-		data, ok := payload[id]
+	for _, id := range st.NeedChunks {
+		data, ok := chunks[id]
 		if !ok {
-			return nil, fmt.Errorf("registry: server needs undeclared blob %s", id)
+			return resumed, fmt.Errorf("registry: server needs undeclared chunk %s", id)
 		}
 		if _, _, err := c.do("PUT", c.turl("uploads", st.ID, "blobs", id), nil, data); err != nil {
-			return nil, err
+			return resumed, err
 		}
 		stats.Sent++
 		stats.Bytes += int64(len(data))
 		if err := c.bump(); err != nil {
-			return stats, err
+			return resumed, err
 		}
 	}
 
-	_, data, err = c.do("POST", c.turl("uploads", st.ID, "commit"), nil, nil)
+	resp, data, err := c.do("POST", c.turl("uploads", st.ID, "commit"), nil, nil)
 	if err != nil {
-		return nil, err
+		if resp != nil && resp.StatusCode == http.StatusUnprocessableEntity {
+			err = fmt.Errorf("%w: %w", store.ErrCorrupt, err)
+		}
+		return resumed, err
 	}
 	var committed store.Entry
 	if err := json.Unmarshal(data, &committed); err != nil {
-		return nil, fmt.Errorf("registry: commit response: %v", err)
+		return resumed, fmt.Errorf("registry: commit response: %v", err)
 	}
-	if committed.Object != e.Object {
-		return nil, fmt.Errorf("registry: committed object %.12s, pushed %.12s",
-			committed.Object, e.Object)
+	if committed.Object != man.Object {
+		return resumed, fmt.Errorf("registry: committed object %.12s, pushed %.12s",
+			committed.Object, man.Object)
 	}
-	return stats, nil
+	return resumed, nil
+}
+
+// sendObject streams body past the server's staged prefix in one PUT. A
+// PUT that breaks, answers 5xx, or finds the stage moved under it (409) is
+// retried under the backoff policy from the staged length the server then
+// reports; a PUT that made progress gets a fresh retry budget.
+func (c *Client) sendObject(id string, body []byte, staged int64, stats *TransferStats) error {
+	u := c.turl("uploads", id, "object")
+	for attempt := 1; ; attempt++ {
+		if staged > int64(len(body)) {
+			return fmt.Errorf("%w: upload %s: server staged %d bytes of a %d-byte object",
+				ErrRemote, id, staged, len(body))
+		}
+		if staged == int64(len(body)) {
+			return nil
+		}
+		retry, err := c.putObject(u, body, staged, stats)
+		if err == nil || !retry {
+			return err
+		}
+		if attempt >= c.retries() {
+			return fmt.Errorf("registry: PUT %s failed after %d attempts: %w", u, c.retries(), err)
+		}
+		if c.Backoff != nil {
+			time.Sleep(c.Backoff.Delay(u, attempt))
+		}
+		_, data, serr := c.do("GET", c.turl("uploads", id), nil, nil)
+		var st UploadStatus
+		if serr == nil {
+			serr = json.Unmarshal(data, &st)
+		}
+		if serr != nil {
+			return fmt.Errorf("registry: upload %s status after %v: %w", id, err, serr)
+		}
+		if st.Staged > staged {
+			// The failed PUT staged a prefix of its range: it moved.
+			if err := c.account(st.Staged-staged, stats); err != nil {
+				return err
+			}
+			attempt = 0 // progress: fresh retry budget
+		}
+		staged = st.Staged
+	}
+}
+
+// putObject sends body[from:] in one PUT whose Content-Range places it
+// after the staged prefix. With the crash hook armed it sends only the
+// pieces before the crash point, so the server stages exactly what a kill
+// there would leave. The bytes a 2xx acknowledges are accounted one tick
+// per wire-chunk piece. retry marks failures (network errors, 5xx, a stage
+// that moved) worth resuming from the server's staged length.
+func (c *Client) putObject(u string, body []byte, from int64, stats *TransferStats) (retry bool, err error) {
+	wire := int64(c.wire())
+	to := int64(len(body))
+	if c.CrashAfter > 0 {
+		left := max(int64(c.CrashAfter)-c.transferred.Load(), 1)
+		to = min(to, from+left*wire)
+	}
+	req, err := http.NewRequest("PUT", u, bytes.NewReader(body[from:to]))
+	if err != nil {
+		return false, err
+	}
+	req.Header.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to-1, len(body)))
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return true, err
+	}
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusConflict {
+		return true, fmt.Errorf("PUT %s: %s: %s", u, resp.Status, remoteError(data))
+	}
+	if retry, err := statusErr("PUT", u, resp, data); err != nil {
+		return retry, err
+	}
+	return false, c.account(to-from, stats)
+}
+
+// account books n bytes the server staged as sent wire-chunk pieces, one
+// crash-hook tick each.
+func (c *Client) account(n int64, stats *TransferStats) error {
+	wire := int64(c.wire())
+	var crashed error
+	for ; n > 0; n -= min(n, wire) {
+		stats.Sent++
+		stats.Bytes += min(n, wire)
+		if err := c.bump(); err != nil {
+			crashed = err
+		}
+	}
+	return crashed
 }
 
 // Pull downloads the artifact under key into s, in its stored
@@ -414,46 +529,63 @@ func (c *Client) pull(s *store.Store, key string) (*store.Entry, store.FileSet, 
 	if local, ok := s.Stat(key); ok {
 		have = local.Object
 	}
-	// Durable stage: a pull killed at any instant resumes from what this
-	// directory already holds.
+	// The stage is a resumption hint: a pull killed at any instant resumes
+	// from what this directory holds, and the commit's hash checks it.
 	st := &pullStage{dir: filepath.Join(s.Root(), "xfer", "pull-"+uploadID(c.tenant(), key, ""))}
 	defer st.close()
-	kind, current, err := c.fetchObject(st, key, have, stats)
+	// A resumed stage that fails the commit's hash was torn — an OS crash
+	// lost some of its unsynced pages. Drop it and take the body whole,
+	// once, instead of failing the pull (a pull-through cache would treat
+	// the failure as a miss and rebuild the artifact locally). Any other
+	// refused body is wiped, so the caller's retry starts clean.
+	for fresh := false; ; fresh = true {
+		e, top, resumed, err := c.pullOnce(s, st, key, have, stats)
+		if !errors.Is(err, store.ErrCorrupt) {
+			return e, top, stats, err
+		}
+		if !resumed || fresh {
+			st.discard()
+			return nil, nil, stats, err
+		}
+		if err := st.drop(); err != nil {
+			return nil, nil, stats, err
+		}
+	}
+}
+
+// pullOnce fetches key's object into the stage and commits it. resumed
+// reports that the stage held a prefix of the body before this call.
+func (c *Client) pullOnce(s *store.Store, st *pullStage, key, have string, stats *TransferStats) (e *store.Entry, top store.FileSet, resumed bool, err error) {
+	kind, current, resumed, err := c.fetchObject(st, key, have, stats)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, resumed, err
 	}
 	if current { // 304: the local copy is the registry's object
 		st.discard()
 		local, _ := s.Stat(key)
-		return local, nil, stats, nil
+		return local, nil, false, nil
 	}
 	// The body is server-supplied: its member names and chunk IDs are
-	// checked before they name anything on disk, and a refused body is
-	// wiped so the caller's retry starts clean.
-	top, err := store.ParseCanonical(st.buf)
+	// checked before they name anything on disk.
+	top, err = store.ParseCanonical(st.buf)
 	var refs []string
 	if err == nil {
 		refs, err = store.ChunkRefsOf(top)
 	}
 	if err != nil {
-		st.discard()
-		return nil, nil, stats, err
+		return nil, nil, resumed, err
 	}
 	chunks, err := c.fetchChunks(s, st.dir, refs, stats)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, resumed, err
 	}
 	// The commit hashes the top once and refuses it unless it is the object
 	// the ETag named.
-	e, err := s.PutAssembled(key, kind, st.object, top, chunks)
-	if err != nil {
-		if errors.Is(err, store.ErrCorrupt) {
-			st.discard()
-		}
-		return nil, nil, stats, err
+	if e, err = s.PutAssembled(key, kind, st.object, top, chunks); err != nil {
+		return nil, nil, resumed, err
 	}
 	st.discard()
-	return e, top, stats, nil
+	return e, top, resumed, nil
 }
 
 // fetchChunks returns the data of every chunk in refs the store lacks:
@@ -498,9 +630,10 @@ func (c *Client) fetchChunks(s *store.Store, dir string, refs []string, stats *T
 	return chunks, nil
 }
 
-// pullStage is the durable state of one top-object download: a prefix of
-// the object's canonical form, appended and fsynced piece by piece to
-// <dir>/o-<object>.
+// pullStage is the resumable state of one top-object download: a prefix of
+// the object's canonical form, appended piece by piece to <dir>/o-<object>
+// without fsync. A killed process leaves the appended pieces in the page
+// cache; an OS crash can tear them, which the commit's hash catches.
 type pullStage struct {
 	dir    string
 	object string // the object the staged prefix belongs to; "" when none
@@ -547,13 +680,10 @@ func (st *pullStage) restart(id string) error {
 	return err
 }
 
-// extend stages the n bytes just read past the end of buf: they are written
-// and fsynced before they count as staged.
+// extend stages the n bytes just read past the end of buf: they are
+// written to the stage file before they count as staged.
 func (st *pullStage) extend(n int) error {
 	if _, err := st.f.Write(st.buf[len(st.buf) : len(st.buf)+n]); err != nil {
-		return err
-	}
-	if err := st.f.Sync(); err != nil {
 		return err
 	}
 	st.buf = st.buf[:len(st.buf)+n]
@@ -573,20 +703,35 @@ func (st *pullStage) discard() {
 	os.RemoveAll(st.dir)
 }
 
+// drop forgets the staged body, leaving nothing for the next fetch to
+// resume from. Staged chunks stay: each is re-hashed before it is reused.
+func (st *pullStage) drop() error {
+	st.close()
+	if st.object != "" {
+		if err := os.Remove(st.path()); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	st.object, st.buf = "", nil
+	return nil
+}
+
 // fetchObject fills the stage with key's top object in canonical form. It
 // reports current=true, staging nothing, when the registry's object is
-// have. The body is consumed in wire-chunk pieces, each fsynced to the
-// stage before the next is read: the wire chunk is the unit of durability,
+// have, and resumed=true when an interrupted pull had left a prefix staged.
+// The body is consumed in wire-chunk pieces, each appended to the stage
+// before the next is read: the wire chunk is the unit of staging,
 // accounting and crash points, while the request count stays one per
 // object. A stream that breaks or answers 5xx is retried under the backoff
-// policy with a fresh Range from the fsynced length; a stream that made
+// policy with a fresh Range from the staged length; a stream that made
 // progress gets a fresh retry budget.
-func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferStats) (kind string, current bool, err error) {
+func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferStats) (kind string, current, resumed bool, err error) {
 	if err := st.load(); err != nil {
-		return "", false, err
+		return "", false, false, err
 	}
-	if len(st.buf) > 0 {
+	if resumed = len(st.buf) > 0; resumed {
 		stats.Skipped++ // partial progress an interrupted pull left behind
+		stats.Resumed = int64(len(st.buf))
 	}
 	u := c.turl("artifacts", key, "object")
 	var lastErr error
@@ -597,17 +742,17 @@ func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferSta
 		pieces := stats.Received
 		kind, current, retry, err := c.streamObject(st, u, have, stats)
 		if err == nil {
-			return kind, current, nil
+			return kind, current, resumed, nil
 		}
 		if !retry {
-			return "", false, err
+			return "", false, resumed, err
 		}
 		lastErr = err
 		if stats.Received > pieces {
 			attempt = 0 // the stream made progress: fresh retry budget
 		}
 	}
-	return "", false, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
+	return "", false, resumed, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
 }
 
 // maxPresize bounds how much of a body's announced length a pull reserves
@@ -690,10 +835,7 @@ func (c *Client) streamObject(st *pullStage, u, have string, stats *TransferStat
 	if n := min(total, maxPresize) - int64(len(st.buf)); n > 0 {
 		st.buf = slices.Grow(st.buf, int(n))
 	}
-	wire := c.WireChunk
-	if wire <= 0 {
-		wire = DefaultWireChunk
-	}
+	wire := c.wire()
 	for int64(len(st.buf)) < total {
 		n := int(min(int64(wire), total-int64(len(st.buf))))
 		st.buf = slices.Grow(st.buf, n)

@@ -10,19 +10,23 @@
 //     plus the page-chunk objects its manifest references — so content
 //     addresses survive the network unchanged and a pulled artifact is
 //     byte-identical (same object ID) to the pushed one.
-//   - Upload is negotiated: the client declares every blob it intends to
-//     send, the server answers with the subset it is missing, and only
-//     those move. Re-pushing a near-identical checkpoint ships only the
-//     pages it dirtied; resuming a killed push re-sends zero completed
-//     chunks. Upload state is durable on the server (journal-style temp
-//     files keyed by a deterministic upload ID), so resume survives SIGKILL
-//     of either side.
-//   - A download is one streamed GET of the top object's canonical form —
-//     the bytes its content address hashes — so the server reads and
-//     verifies the object once and the client hashes it once, when it
-//     commits. Reads carry content-hash ETags (If-None-Match answers 304
-//     with zero bytes) and honor HTTP Range with If-Range, so an
-//     interrupted download continues from its last staged byte.
+//   - An upload is one streamed PUT of the top object's canonical form —
+//     the bytes its content address hashes — into a server-side stage that
+//     resumes from its length, plus the chunk objects the server says it
+//     lacks (dedup negotiation: re-pushing a near-identical checkpoint
+//     ships only the pages it dirtied). The client reads and verifies the
+//     object once and the server hashes it once, when it commits.
+//   - A download is the mirror: one streamed GET of the canonical form, so
+//     the server reads and verifies the object once and the client hashes
+//     it once, when it commits. Reads carry content-hash ETags
+//     (If-None-Match answers 304 with zero bytes) and honor HTTP Range with
+//     If-Range, so an interrupted download continues from its last staged
+//     byte.
+//   - A transfer stage on either side is a resumption hint, not a durable
+//     record: it is appended without fsync, a killed process resumes from
+//     it, and the commit's hash catches a stage an OS crash tore (the
+//     transfer then re-sends the body whole, once). Only the store commit
+//     and the upload session's manifest are fsynced.
 //   - Namespaces are per-tenant path prefixes with byte quotas and a GC
 //     age policy, layered over the store's index and GC.
 //
@@ -35,10 +39,13 @@
 //	GET  /v1/t/{tenant}/artifacts/{key}/object    top object, canonical form (bytes; ETag: object,
 //	                                              Elfie-Kind: entry kind; Range, If-Range)
 //	GET  /v1/t/{tenant}/objects/{id}              raw chunk object (Range, ETag)
-//	POST /v1/t/{tenant}/uploads                   open/resume an upload (manifest in, needs out)
-//	GET  /v1/t/{tenant}/uploads/{id}              upload status (remaining needs)
-//	PUT  /v1/t/{tenant}/uploads/{id}/blobs/{blob} one blob or chunk (bytes, hash-verified)
-//	POST /v1/t/{tenant}/uploads/{id}/commit       assemble, verify, store; entry out
+//	POST /v1/t/{tenant}/uploads                   open/resume an upload (manifest in; staged
+//	                                              length and needed chunks out)
+//	GET  /v1/t/{tenant}/uploads/{id}              upload status (staged length, needed chunks)
+//	PUT  /v1/t/{tenant}/uploads/{id}/object       top object, canonical form (bytes; Content-Range
+//	                                              starting at the staged length)
+//	PUT  /v1/t/{tenant}/uploads/{id}/blobs/{blob} one chunk object (bytes, hash-verified)
+//	POST /v1/t/{tenant}/uploads/{id}/commit       parse, hash, store; entry out
 //	POST /v1/t/{tenant}/verify?lint=1             server-side deep verify (store.VerifyWith)
 //	POST /v1/t/{tenant}/gc                        tenant-policy GC + orphan sweep
 package registry
@@ -52,7 +59,7 @@ import (
 
 // ProtocolVersion is bumped on incompatible wire changes; ping reports it
 // so mismatched clients fail fast instead of misparsing.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // KindHeader carries an artifact's entry kind on an object download, the
 // one index field the puller needs for its commit besides the object ID
@@ -62,49 +69,46 @@ const KindHeader = "Elfie-Kind"
 // DefaultTenant is the namespace used when a client does not name one.
 const DefaultTenant = "default"
 
-// DefaultWireChunk is how finely top-object members are split into wire
-// blobs for resumable upload: big enough to amortize per-request overhead,
-// small enough that a killed transfer loses little.
+// DefaultWireChunk is the piece size of a streamed transfer: the unit of
+// accounting, crash-hook ticks and resume granularity in both directions,
+// while the request count stays one per object.
 const DefaultWireChunk = 64 << 10
 
-// BlobRef names one transferable unit: ID is the hex SHA-256 of the raw
-// bytes for wire blobs, or the store content address for chunk objects.
+// BlobRef names one chunk object by its store content address.
 type BlobRef struct {
 	ID   string `json:"id"`
 	Size int64  `json:"size"`
 }
 
-// MemberPlan is how one top-object member travels: split into wire blobs,
-// concatenated in order on the far side.
-type MemberPlan struct {
-	Size  int64     `json:"size"`
-	Blobs []BlobRef `json:"blobs"`
-}
-
 // UploadManifest is the client's opening declaration: the artifact's
-// identity and every blob that reassembles it. POSTing the same manifest
-// again reattaches to the same upload (the upload ID is a deterministic
-// function of tenant, key, and object), which is what makes resume free.
+// identity, the length of the top object's canonical form, and the chunk
+// objects its manifest references. POSTing the same manifest again
+// reattaches to the same upload (the upload ID is a deterministic function
+// of tenant, key, and object), which is what makes resume free.
 type UploadManifest struct {
 	Key  string `json:"key"`
 	Kind string `json:"kind"`
 	// Object is the top object's content address; commit fails unless the
-	// assembled bytes hash to exactly this.
-	Object string                `json:"object"`
-	Top    map[string]MemberPlan `json:"top"`
+	// staged canonical form hashes to exactly this.
+	Object string `json:"object"`
+	// Size is the length of the top object's canonical form: the object PUT
+	// may not run past it, and commit waits until the stage holds all of it.
+	Size int64 `json:"size"`
 	// Chunks are the store chunk objects the top's manifest references,
 	// transferred whole under their content addresses.
 	Chunks []BlobRef `json:"chunks"`
 }
 
-// UploadStatus is the server's answer: what it still needs. An empty need
-// set means the client can commit immediately.
+// UploadStatus is the server's answer: what it still needs. Staged equal to
+// the declared size and no needed chunks means the client can commit.
 type UploadStatus struct {
 	ID string `json:"id"`
-	// NeedBlobs / NeedChunks list the IDs not yet present server-side —
+	// Staged is how many bytes of the canonical form the server holds; the
+	// next object PUT starts there.
+	Staged int64 `json:"staged"`
+	// NeedChunks lists the chunk IDs not yet present server-side —
 	// everything else is already staged or already in the store and must
 	// not be re-sent.
-	NeedBlobs  []string `json:"need_blobs,omitempty"`
 	NeedChunks []string `json:"need_chunks,omitempty"`
 	// Committed reports the artifact is already stored with this exact
 	// object ID; the transfer is a no-op.
@@ -179,14 +183,6 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// blobID is the wire hash: hex SHA-256 over raw bytes. Distinct from
-// store.ObjectID (which frames names and lengths); wire blobs are anonymous
-// byte ranges, so the raw hash is the honest identity.
-func blobID(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // uploadID derives the deterministic resume handle for one (tenant, key,
 // object) transfer: a client killed mid-push re-derives the same ID and
 // reattaches to the server's staged state.
@@ -198,23 +194,4 @@ func uploadID(tenant, key, object string) string {
 	h.Write([]byte{0})
 	h.Write([]byte(object))
 	return hex.EncodeToString(h.Sum(nil))[:24]
-}
-
-// planMember splits one member into wire blobs of at most wire bytes.
-func planMember(data []byte, wire int) MemberPlan {
-	if wire <= 0 {
-		wire = DefaultWireChunk
-	}
-	p := MemberPlan{Size: int64(len(data))}
-	for off := 0; off < len(data); off += wire {
-		end := off + wire
-		if end > len(data) {
-			end = len(data)
-		}
-		p.Blobs = append(p.Blobs, BlobRef{ID: blobID(data[off:end]), Size: int64(end - off)})
-	}
-	if len(data) == 0 {
-		p.Blobs = append(p.Blobs, BlobRef{ID: blobID(nil), Size: 0})
-	}
-	return p
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,16 +24,40 @@ import (
 )
 
 // transferLog wraps the registry handler and records every payload
-// transfer, so tests can prove "zero re-sent chunks" structurally: a blob
-// PUT or chunk GET that repeats is a protocol failure, not just waste.
+// transfer, so tests can prove "zero re-sent chunks" structurally: a chunk
+// PUT or GET that repeats, or an object byte range uploaded twice, is a
+// protocol failure, not just waste.
 type transferLog struct {
 	next http.Handler
 
 	mu           sync.Mutex
-	blobPuts     map[string]int // blob id -> times received
+	blobPuts     map[string]int // chunk id -> times received
 	objGets      map[string]int // chunk object id -> times served
 	manifestGets int            // artifact manifest GETs (one object read each)
 	topGets      []topGet       // top-object GETs (one object read each), in arrival order
+	topPuts      []topPut       // top-object PUTs, in arrival order
+	opens        int            // upload-open POSTs
+	commits      int            // upload-commit POSTs
+}
+
+// topPut records one top-object PUT: its upload, the first byte of its
+// Content-Range, and how many body bytes the handler consumed.
+type topPut struct {
+	upload string
+	first  int64
+	bytes  int64
+}
+
+// countingReader counts the bytes a handler reads from a request body.
+type countingReader struct {
+	io.ReadCloser
+	n int64
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.ReadCloser.Read(p)
+	r.n += int64(n)
+	return n, err
 }
 
 // topGet records one top-object GET: the Range and If-Range headers the
@@ -71,12 +96,29 @@ func (l *transferLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet && len(parts) >= 2 && parts[len(parts)-2] == "artifacts" {
 		l.manifestGets++
 	}
+	if r.Method == http.MethodPost && last == "uploads" {
+		l.opens++
+	}
+	if r.Method == http.MethodPost && last == "commit" {
+		l.commits++
+	}
 	l.mu.Unlock()
 	if r.Method == http.MethodGet && len(parts) >= 3 && parts[len(parts)-3] == "artifacts" && last == "object" {
 		cw := &countingWriter{ResponseWriter: w}
 		l.next.ServeHTTP(cw, r)
 		l.mu.Lock()
 		l.topGets = append(l.topGets, topGet{rng: r.Header.Get("Range"), ifRange: r.Header.Get("If-Range"), bytes: cw.n})
+		l.mu.Unlock()
+		return
+	}
+	if r.Method == http.MethodPut && len(parts) >= 3 && parts[len(parts)-3] == "uploads" && last == "object" {
+		var first int64
+		fmt.Sscanf(r.Header.Get("Content-Range"), "bytes %d-", &first)
+		cr := &countingReader{ReadCloser: r.Body}
+		r.Body = cr
+		l.next.ServeHTTP(w, r)
+		l.mu.Lock()
+		l.topPuts = append(l.topPuts, topPut{upload: parts[len(parts)-2], first: first, bytes: cr.n})
 		l.mu.Unlock()
 		return
 	}
@@ -106,7 +148,7 @@ func (l *transferLog) duplicates() []string {
 	var dups []string
 	for id, n := range l.blobPuts {
 		if n > 1 {
-			dups = append(dups, fmt.Sprintf("blob %s put %d times", id[:12], n))
+			dups = append(dups, fmt.Sprintf("chunk %s put %d times", id[:12], n))
 		}
 	}
 	for id, n := range l.objGets {
@@ -114,7 +156,29 @@ func (l *transferLog) duplicates() []string {
 			dups = append(dups, fmt.Sprintf("chunk %s fetched %d times", id[:12], n))
 		}
 	}
+	puts := append([]topPut(nil), l.topPuts...)
+	sort.Slice(puts, func(i, j int) bool {
+		if puts[i].upload != puts[j].upload {
+			return puts[i].upload < puts[j].upload
+		}
+		return puts[i].first < puts[j].first
+	})
+	for i := 1; i < len(puts); i++ {
+		prev, p := puts[i-1], puts[i]
+		if p.upload == prev.upload && p.bytes > 0 && p.first < prev.first+prev.bytes {
+			dups = append(dups, fmt.Sprintf("upload %s: bytes %d-%d sent again from %d",
+				p.upload, prev.first, prev.first+prev.bytes-1, p.first))
+		}
+	}
 	return dups
+}
+
+// uploads returns the open and commit counts and a copy of the top-object
+// PUTs logged so far.
+func (l *transferLog) uploads() (opens, commits int, puts []topPut) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.opens, l.commits, append([]topPut(nil), l.topPuts...)
 }
 
 // testRegistry spins up a registry server over a fresh store.
@@ -270,8 +334,8 @@ func TestSecondPushShipsOnlyDirtyPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// What must move: the 3 dirty chunk objects plus the new top object
-	// (chunks.json changed, so its wire blobs are new). The 61 clean pages
-	// — the bulk of the checkpoint — must not cross the wire again.
+	// (chunks.json changed), in its canonical form. The 61 clean pages —
+	// the bulk of the checkpoint — must not cross the wire again.
 	if stats.Skipped < 61 {
 		t.Fatalf("second push skipped only %d chunk objects; dedup negotiation failed", stats.Skipped)
 	}
@@ -279,11 +343,7 @@ func TestSecondPushShipsOnlyDirtyPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var topBytes int64
-	for _, data := range top2 {
-		topBytes += int64(len(data))
-	}
-	if max := 3*128 + topBytes; stats.Bytes > max {
+	if max := 3*128 + canonicalSize(top2); stats.Bytes > max {
 		t.Fatalf("second push moved %d bytes, want at most %d (3 dirty pages + top object)",
 			stats.Bytes, max)
 	}
@@ -338,9 +398,9 @@ func TestWarmTransfersAreZero(t *testing.T) {
 }
 
 // TestPushResumesAfterCrash kills the pushing client between completed
-// blob transfers — the moral equivalent of SIGKILL — and proves the
-// resumed push re-sends zero completed chunks and the committed artifact
-// is intact.
+// pieces and chunk transfers — the moral equivalent of SIGKILL — and proves
+// the resumed push re-sends no completed chunk and no staged byte range,
+// and the committed artifact is intact.
 func TestPushResumesAfterCrash(t *testing.T) {
 	serverStore, tl, srv := testRegistry(t, ServerOptions{})
 	a := localStore(t)
@@ -371,7 +431,7 @@ func TestPushResumesAfterCrash(t *testing.T) {
 		t.Fatal("test never exercised a crash; lower the crash stride")
 	}
 	if dups := tl.duplicates(); len(dups) > 0 {
-		t.Fatalf("resumed pushes re-sent completed blobs: %v", dups)
+		t.Fatalf("resumed pushes re-sent completed units: %v", dups)
 	}
 	got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "ckpt")
 	if !ok || got.Object != e.Object {
@@ -1084,19 +1144,11 @@ func TestChunkReadsAreTenantScoped(t *testing.T) {
 	}
 }
 
-// TestGCSweepsAbandonedUploads: an upload session opened and never
-// committed is reclaimed by tenant GC once idle past the grace window —
-// staged blobs must not accumulate forever.
-func TestGCSweepsAbandonedUploads(t *testing.T) {
-	serverStore, _, srv := testRegistry(t, ServerOptions{})
-	c := testClient(srv, "")
-	top := store.FileSet{"f": []byte("abandoned")}
-	man := UploadManifest{
-		Key: "aband", Kind: "test", Object: store.ObjectID(top),
-		Top: map[string]MemberPlan{
-			"f": {Size: int64(len(top["f"])), Blobs: []BlobRef{{ID: blobID(top["f"]), Size: int64(len(top["f"]))}}},
-		},
-	}
+// openUpload declares an upload of the canonical body under key by hand,
+// as a client would before streaming it, and returns the server's answer.
+func openUpload(t *testing.T, c *Client, key string, body []byte) UploadStatus {
+	t.Helper()
+	man := UploadManifest{Key: key, Kind: "test", Object: sha(body), Size: int64(len(body))}
 	manBytes, err := json.Marshal(&man)
 	if err != nil {
 		t.Fatal(err)
@@ -1109,13 +1161,49 @@ func TestGCSweepsAbandonedUploads(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.do("PUT", c.turl("uploads", st.ID, "blobs", man.Top["f"].Blobs[0].ID),
-		nil, top["f"]); err != nil {
+	return st
+}
+
+// putRange uploads body[from:to] of a declared upload as one object PUT.
+func putRange(c *Client, id string, body []byte, from, to int) error {
+	hdr := http.Header{}
+	hdr.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", from, to-1, len(body)))
+	_, _, err := c.do("PUT", c.turl("uploads", id, "object"), hdr, body[from:to])
+	return err
+}
+
+// backdate sets the mtime of an upload session's directory and of every
+// file in it to when.
+func backdate(t *testing.T, dir string, when time.Time) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if err := os.Chtimes(filepath.Join(dir, ent.Name()), when, when); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Chtimes(dir, when, when); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGCSweepsAbandonedUploads: an upload session opened and never
+// committed is reclaimed by tenant GC once idle past the grace window —
+// staged bytes must not accumulate forever.
+func TestGCSweepsAbandonedUploads(t *testing.T) {
+	serverStore, _, srv := testRegistry(t, ServerOptions{})
+	c := testClient(srv, "")
+	body := frame("f", []byte("abandoned"))
+	st := openUpload(t, c, "aband", body)
+	if err := putRange(c, st.ID, body, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(serverStore.Root(), "uploads", DefaultTenant, st.ID)
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("session dir not staged: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "object")); err != nil {
+		t.Fatalf("object prefix not staged: %v", err)
 	}
 
 	// Fresh sessions survive GC (someone may still resume them)…
@@ -1127,10 +1215,7 @@ func TestGCSweepsAbandonedUploads(t *testing.T) {
 		t.Fatalf("GC swept a fresh upload session: %+v", res)
 	}
 	// …but a session idle past the grace is debris.
-	old := time.Now().Add(-2 * uploadGrace)
-	if err := os.Chtimes(dir, old, old); err != nil {
-		t.Fatal(err)
-	}
+	backdate(t, dir, time.Now().Add(-2*uploadGrace))
 	res, err = c.GC()
 	if err != nil {
 		t.Fatal(err)
@@ -1143,48 +1228,64 @@ func TestGCSweepsAbandonedUploads(t *testing.T) {
 	}
 }
 
-// TestStagedBytesCountAgainstQuota: parking blobs across never-committed
-// sessions is charged like committed bytes — the quota cannot be bypassed
-// by simply not committing.
+// TestGCKeepsUploadWithFreshStage: appending to the object stage refreshes
+// the stage file's mtime but not its directory's, so GC must judge a
+// session by its newest file. A session whose directory is old but whose
+// stage grew within the grace survives; once its stage is idle too, it is
+// reclaimed.
+func TestGCKeepsUploadWithFreshStage(t *testing.T) {
+	serverStore, _, srv := testRegistry(t, ServerOptions{})
+	c := testClient(srv, "")
+	body := frame("f", noise(600, 13))
+	st := openUpload(t, c, "busy", body)
+	if err := putRange(c, st.ID, body, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(serverStore.Root(), "uploads", DefaultTenant, st.ID)
+	old := time.Now().Add(-2 * uploadGrace)
+	backdate(t, dir, old)
+	if err := putRange(c, st.ID, body, 100, 300); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := os.Stat(dir); err != nil || time.Since(info.ModTime()) < uploadGrace {
+		t.Fatalf("appending refreshed the session directory's mtime (%v); the test needs it stale", err)
+	}
+	res, err := c.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StaleUploads != 0 {
+		t.Fatalf("GC swept an upload whose stage grew within the grace: %+v", res)
+	}
+	backdate(t, dir, old)
+	if res, err = c.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if res.StaleUploads != 1 {
+		t.Fatalf("idle upload not swept: %+v", res)
+	}
+}
+
+// TestStagedBytesCountAgainstQuota: parking object bytes across
+// never-committed sessions is charged like committed bytes — the quota
+// cannot be bypassed by simply not committing.
 func TestStagedBytesCountAgainstQuota(t *testing.T) {
 	_, _, srv := testRegistry(t, ServerOptions{
 		Tenants: map[string]Tenant{"q": {Quota: 1024}},
 	})
 	c := testClient(srv, "q")
-	open := func(key string, payload []byte) UploadStatus {
-		t.Helper()
-		top := store.FileSet{"f": payload}
-		man := UploadManifest{
-			Key: key, Kind: "test", Object: store.ObjectID(top),
-			Top: map[string]MemberPlan{
-				"f": {Size: int64(len(payload)), Blobs: []BlobRef{{ID: blobID(payload), Size: int64(len(payload))}}},
-			},
-		}
-		manBytes, err := json.Marshal(&man)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, data, err := c.do("POST", c.turl("uploads"), nil, manBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st UploadStatus
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	one := bytes.Repeat([]byte("a"), 600)
-	two := bytes.Repeat([]byte("b"), 600)
-	st1 := open("k1", one)
-	if _, _, err := c.do("PUT", c.turl("uploads", st1.ID, "blobs", blobID(one)), nil, one); err != nil {
-		t.Fatalf("first staged blob within quota rejected: %v", err)
+	one := frame("f", bytes.Repeat([]byte("a"), 600))
+	two := frame("f", bytes.Repeat([]byte("b"), 600))
+	st1 := openUpload(t, c, "k1", one)
+	if err := putRange(c, st1.ID, one, 0, len(one)); err != nil {
+		t.Fatalf("first staged object within quota rejected: %v", err)
 	}
 	// Each session alone fits the 1 KiB quota, so admission lets both
-	// open; the second blob PUT would park 1200 staged bytes and must be
-	// refused.
-	st2 := open("k2", two)
-	if _, _, err := c.do("PUT", c.turl("uploads", st2.ID, "blobs", blobID(two)), nil, two); !errors.Is(err, ErrRemote) {
+	// open; streaming the second object would park 1234 staged bytes and
+	// must be refused.
+	st2 := openUpload(t, c, "k2", two)
+	if err := putRange(c, st2.ID, two, 0, len(two)); !errors.Is(err, ErrRemote) ||
+		!strings.Contains(err.Error(), "quota") {
 		t.Fatalf("staged bytes bypassed the quota: %v", err)
 	}
 }
@@ -1277,19 +1378,17 @@ func TestPullRejectsNegativeMemberSize(t *testing.T) {
 	}
 }
 
-// TestServerRejectsCorruptUpload: a blob that does not hash to its
-// declared ID is refused at the door, and a manifest whose assembly does
-// not hash to its declared object never lands in the store.
+// TestServerRejectsCorruptUpload: an object body that does not hash to its
+// declared ID is staged like any other (a stage is only a resumption hint),
+// but commit refuses it with 422, wipes its stage, and leaves the store
+// untouched; a range that does not continue the stage is refused on
+// receipt.
 func TestServerRejectsCorruptUpload(t *testing.T) {
 	serverStore, _, srv := testRegistry(t, ServerOptions{})
-	man := UploadManifest{
-		Key: "evil", Kind: "test",
-		Object: strings.Repeat("ab", 32),
-		Top: map[string]MemberPlan{
-			"f": {Size: 4, Blobs: []BlobRef{{ID: blobID([]byte("good")), Size: 4}}},
-		},
-	}
 	c := testClient(srv, "")
+	good := frame("f", []byte("good"))
+	evil := frame("f", []byte("evil"))
+	man := UploadManifest{Key: "evil", Kind: "test", Object: sha(good), Size: int64(len(good))}
 	manBytes, err := json.Marshal(&man)
 	if err != nil {
 		t.Fatal(err)
@@ -1303,21 +1402,261 @@ func TestServerRejectsCorruptUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wrong bytes for the declared blob: rejected.
-	if _, _, err := c.do("PUT", c.turl("uploads", st.ID, "blobs", man.Top["f"].Blobs[0].ID),
-		nil, []byte("evil")); !errors.Is(err, ErrRemote) {
-		t.Fatalf("corrupt blob accepted: %v", err)
+	// A range past the declared size, or one that skips the staged
+	// prefix, never reaches the stage.
+	if err := putRange(c, st.ID, append(evil, 'x'), 0, len(evil)+1); !errors.Is(err, ErrRemote) {
+		t.Fatalf("range past the declared size accepted: %v", err)
 	}
-	// Right bytes, but the assembled object cannot hash to the fake
-	// object ID: commit refused, store untouched.
-	if _, _, err := c.do("PUT", c.turl("uploads", st.ID, "blobs", man.Top["f"].Blobs[0].ID),
-		nil, []byte("good")); err != nil {
+	if err := putRange(c, st.ID, evil, 4, len(evil)); !errors.Is(err, ErrRemote) {
+		t.Fatalf("range past the staged prefix accepted: %v", err)
+	}
+	// Wrong bytes for the declared object: staged, then refused at commit.
+	if err := putRange(c, st.ID, evil, 0, len(evil)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.do("POST", c.turl("uploads", st.ID, "commit"), nil, nil); !errors.Is(err, ErrRemote) {
-		t.Fatalf("corrupt commit accepted: %v", err)
+	resp, _, err := c.do("POST", c.turl("uploads", st.ID, "commit"), nil, nil)
+	if !errors.Is(err, ErrRemote) || resp == nil || resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("corrupt commit: %v, want a 422 refusal", err)
 	}
 	if len(serverStore.Entries()) != 0 {
 		t.Fatal("corrupt upload reached the store")
+	}
+	if _, err := os.Stat(filepath.Join(serverStore.Root(), "uploads", DefaultTenant, st.ID)); !os.IsNotExist(err) {
+		t.Fatalf("corrupt upload left its stage: %v", err)
+	}
+}
+
+// TestPushIsOnePutPerObject pins the cost of a push, the mirror of
+// TestPullIsOneGetPerObject: an unchunked artifact crosses as one open, one
+// streamed object PUT and one commit, with no chunk PUTs; the payload on the
+// wire is exactly the object's canonical size, accounted one piece per wire
+// chunk.
+func TestPushIsOnePutPerObject(t *testing.T) {
+	serverStore, tl, srv := testRegistry(t, ServerOptions{})
+	a := localStore(t)
+	files := regionLike()
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := (&Client{Base: srv.URL, Retries: 2}).Push(a, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "region"); !ok || got.Object != e.Object {
+		t.Fatalf("pushed artifact not committed as %.12s", e.Object)
+	}
+	opens, commits, puts := tl.uploads()
+	if opens != 1 || commits != 1 || len(puts) != 1 {
+		t.Errorf("push made %d opens, %d object PUTs, %d commits; want 1 each", opens, len(puts), commits)
+	}
+	tl.mu.Lock()
+	chunkPuts := len(tl.blobPuts)
+	tl.mu.Unlock()
+	if chunkPuts != 0 {
+		t.Errorf("push of an unchunked artifact made %d chunk PUTs, want none", chunkPuts)
+	}
+	size := canonicalSize(files)
+	if len(puts) == 0 || puts[0].bytes != size || stats.Bytes != size {
+		t.Errorf("object PUTs %+v, client counted %d B; canonical size %d B", puts, stats.Bytes, size)
+	}
+	if pieces := int((size + DefaultWireChunk - 1) / DefaultWireChunk); stats.Sent != pieces {
+		t.Errorf("client accounted %d pieces, want %d (one per wire chunk)", stats.Sent, pieces)
+	}
+}
+
+// tearStage zeroes the second half of a staged prefix: what unsynced pages
+// can look like after an OS crash. The length stays, so a resume trusts it.
+func tearStage(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data[len(data)/2:])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPullRecoversTornStage: a resumed stage that fails the commit's hash is
+// dropped and the body fetched whole once, in the same call, so the pull
+// lands the right object instead of failing. The wire carries the resumed
+// range plus one whole body.
+func TestPullRecoversTornStage(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	files := store.FileSet{"big": noise(6*256+40, 17), "meta": []byte("meta")}
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "").Push(a, "region"); err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(srv, "")
+	c.CrashAfter = 3
+	if _, _, err := c.Pull(b, "region"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(b.Root(), "xfer", "pull-*", "o-*"))
+	if len(paths) != 1 {
+		t.Fatalf("staged bodies: %v", paths)
+	}
+	tearStage(t, paths[0])
+	_, before := tl.snapshot()
+
+	got, stats, err := testClient(srv, "").Pull(b, "region")
+	if err != nil {
+		t.Fatalf("pull over a torn stage: %v", err)
+	}
+	if got.Object != e.Object {
+		t.Fatalf("pulled object %.12s, pushed %.12s", got.Object, e.Object)
+	}
+	_, gets := tl.snapshot()
+	gets = gets[len(before):]
+	size := canonicalSize(files)
+	if len(gets) != 2 || gets[0].rng != "bytes=768-" || gets[1].rng != "" {
+		t.Fatalf("recovery made GETs %+v, want the resumed range then the whole body", gets)
+	}
+	if want := size - 3*256 + size; gets[0].bytes+gets[1].bytes != want || stats.Bytes != want {
+		t.Errorf("wire carried %d B, client counted %d B; want the resumed range plus one body, %d B",
+			gets[0].bytes+gets[1].bytes, stats.Bytes, want)
+	}
+	if rep, err := b.Verify(); err != nil || !rep.OK() {
+		t.Fatalf("local store after torn-stage recovery: err=%v problems=%v", err, rep.Problems)
+	}
+}
+
+// TestPushRecoversTornStage is the upload mirror: the server's commit
+// refuses a resumed stage an OS crash tore and wipes it, and the push sends
+// the body whole once more in the same call.
+func TestPushRecoversTornStage(t *testing.T) {
+	serverStore, tl, srv := testRegistry(t, ServerOptions{})
+	a := localStore(t)
+	files := store.FileSet{"big": noise(6*256+40, 19), "meta": []byte("meta")}
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(srv, "")
+	c.CrashAfter = 3
+	if _, err := c.Push(a, "region"); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(serverStore.Root(), "uploads", DefaultTenant, "*", "object"))
+	if len(paths) != 1 {
+		t.Fatalf("staged objects: %v", paths)
+	}
+	tearStage(t, paths[0])
+
+	stats, err := testClient(srv, "").Push(a, "region")
+	if err != nil {
+		t.Fatalf("push over a torn stage: %v", err)
+	}
+	if got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "region"); !ok || got.Object != e.Object {
+		t.Fatal("push over a torn stage did not commit the object")
+	}
+	size := canonicalSize(files)
+	_, commits, puts := tl.uploads()
+	if commits != 2 || len(puts) != 3 || puts[1].first != 3*256 || puts[2].first != 0 {
+		t.Fatalf("recovery made %d commits and PUTs %+v, want the resumed range, a refused commit, then the whole body",
+			commits, puts)
+	}
+	if want := size - 3*256 + size; stats.Bytes != want {
+		t.Errorf("resumed push moved %d B, want the resumed range plus one body, %d B", stats.Bytes, want)
+	}
+}
+
+// TestPushResumeReportsStagedPrefix: a push resumed after a crash starts at
+// the server's staged length and says so, and the two pushes together move
+// the body exactly once.
+func TestPushResumeReportsStagedPrefix(t *testing.T) {
+	_, tl, srv := testRegistry(t, ServerOptions{})
+	a := localStore(t)
+	files := store.FileSet{"big": noise(5*256+7, 23)}
+	if _, err := a.Put("region", "region", files); err != nil {
+		t.Fatal(err)
+	}
+	c := testClient(srv, "")
+	c.CrashAfter = 2
+	crashed, err := c.Push(a, "region")
+	if !errors.Is(err, ErrCrashed) {
+		t.Fatalf("want simulated crash, got %v", err)
+	}
+	resumed, err := testClient(srv, "").Push(a, "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crashed.Bytes != 2*256 || resumed.Resumed != crashed.Bytes ||
+		crashed.Bytes+resumed.Bytes != canonicalSize(files) {
+		t.Errorf("crashed push moved %d B, resumed push found %d B staged and moved %d B; body is %d B",
+			crashed.Bytes, resumed.Resumed, resumed.Bytes, canonicalSize(files))
+	}
+	if dups := tl.duplicates(); len(dups) > 0 {
+		t.Fatalf("resumed push re-sent staged bytes: %v", dups)
+	}
+}
+
+// TestConcurrentPushesAndGC: pushes of distinct artifacts, each killed
+// mid-stream and resumed, run at once beside tenant GCs; every artifact
+// lands whole and no byte range crosses twice.
+func TestConcurrentPushesAndGC(t *testing.T) {
+	serverStore, tl, srv := testRegistry(t, ServerOptions{})
+	a := localStore(t)
+	const n = 4
+	want := make([]string, n)
+	for i := range want {
+		e, err := a.Put(fmt.Sprintf("r%d", i), "region", store.FileSet{"big": noise(8*256+i, uint32(30+i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = e.Object
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(key string) {
+			defer wg.Done()
+			c := testClient(srv, "")
+			c.CrashAfter = 3
+			if _, err := c.Push(a, key); !errors.Is(err, ErrCrashed) {
+				t.Errorf("push %s: want simulated crash, got %v", key, err)
+				return
+			}
+			if _, err := testClient(srv, "").Push(a, key); err != nil {
+				t.Errorf("resumed push %s: %v", key, err)
+			}
+		}(fmt.Sprintf("r%d", i))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if _, err := testClient(srv, "").GC(); err != nil {
+				t.Errorf("gc: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	for i, obj := range want {
+		if got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + fmt.Sprintf("r%d", i)); !ok || got.Object != obj {
+			t.Errorf("r%d not committed as %.12s", i, obj)
+		}
+	}
+	if dups := tl.duplicates(); len(dups) > 0 {
+		t.Fatalf("concurrent pushes re-sent staged bytes: %v", dups)
+	}
+}
+
+// TestPingRefusesOtherVersion: a client fails fast against a registry that
+// speaks another protocol version instead of misparsing its answers.
+func TestPingRefusesOtherVersion(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, PingResponse{OK: true, Version: ProtocolVersion - 1})
+	}))
+	t.Cleanup(srv.Close)
+	if err := (&Client{Base: srv.URL}).Ping(); err == nil || !strings.Contains(err.Error(), "protocol version") {
+		t.Fatalf("ping across protocol versions: %v", err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -40,8 +41,10 @@ type ServerOptions struct {
 	// Lint arms elflint on the deep-verify endpoint, so the registry can
 	// attest it would never serve an artifact the static verifier rejects.
 	Lint bool
-	// MaxBlob bounds a single uploaded blob (0 = 16 MiB) — the server
-	// refuses to buffer more than this per request.
+	// MaxBlob bounds a single uploaded chunk object or upload manifest
+	// (0 = 16 MiB) — the server refuses to buffer more than this per
+	// request. The top object streams to disk and is bounded by its
+	// declared size instead.
 	MaxBlob int64
 }
 
@@ -52,9 +55,10 @@ type Server struct {
 	store *store.Store
 	opts  ServerOptions
 
-	// upMu serializes upload-session create/commit transitions (blob PUTs
-	// within a session are naturally parallel: distinct files).
-	upMu sync.Mutex
+	// sessMu guards sessions, the locks of the upload sessions some request
+	// is using (see lockSession).
+	sessMu   sync.Mutex
+	sessions map[string]*sessionLock
 
 	// chunkMu guards chunkSets, the per-tenant cache of which chunk object
 	// IDs the tenant's entries reference (see tenantChunks).
@@ -75,7 +79,8 @@ func NewServer(s *store.Store, opts ServerOptions) *Server {
 	if opts.MaxBlob <= 0 {
 		opts.MaxBlob = 16 << 20
 	}
-	return &Server{store: s, opts: opts, chunkSets: make(map[string]*chunkSet)}
+	return &Server{store: s, opts: opts, chunkSets: make(map[string]*chunkSet),
+		sessions: make(map[string]*sessionLock)}
 }
 
 var (
@@ -115,7 +120,8 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/t/{tenant}/objects/{id}", sv.tenantized(sv.handleObject))
 	mux.HandleFunc("POST /v1/t/{tenant}/uploads", sv.tenantized(sv.handleUploadOpen))
 	mux.HandleFunc("GET /v1/t/{tenant}/uploads/{id}", sv.tenantized(sv.handleUploadStatus))
-	mux.HandleFunc("PUT /v1/t/{tenant}/uploads/{id}/blobs/{blob}", sv.tenantized(sv.handleUploadBlob))
+	mux.HandleFunc("PUT /v1/t/{tenant}/uploads/{id}/object", sv.tenantized(sv.handleUploadObject))
+	mux.HandleFunc("PUT /v1/t/{tenant}/uploads/{id}/blobs/{blob}", sv.tenantized(sv.handleUploadChunk))
 	mux.HandleFunc("POST /v1/t/{tenant}/uploads/{id}/commit", sv.tenantized(sv.handleUploadCommit))
 	mux.HandleFunc("POST /v1/t/{tenant}/verify", sv.tenantized(sv.handleVerify))
 	mux.HandleFunc("POST /v1/t/{tenant}/gc", sv.tenantized(sv.handleGC))
@@ -326,18 +332,72 @@ func (sv *Server) handleObject(w http.ResponseWriter, r *http.Request, tenant st
 	http.ServeContent(w, r, id, time.Time{}, bytes.NewReader(data))
 }
 
-// uploadDir is one upload session's durable staging directory.
+// uploadDir is one upload session's staging directory: manifest.json (the
+// fsynced declaration), object (the canonical form's staged prefix) and one
+// b-<id> file per received chunk object.
 func (sv *Server) uploadDir(tenant, id string) string {
 	return filepath.Join(sv.store.Root(), "uploads", tenant, id)
 }
 
+// sessionLock serializes the requests that touch one upload session's
+// stage: open and status read its length, an object PUT appends to it,
+// commit and GC remove it. refs counts holders and waiters, so the lock
+// leaves the map when the last one does.
+type sessionLock struct {
+	mu   sync.Mutex
+	refs int
+}
+
+// lockSession takes the lock of one upload session and returns its release.
+// A retried PUT waits here until the handler still draining its broken
+// predecessor has appended what arrived, so the stage length it checks is
+// final.
+func (sv *Server) lockSession(tenant, id string) (unlock func()) {
+	name := tenant + "/" + id
+	sv.sessMu.Lock()
+	l := sv.sessions[name]
+	if l == nil {
+		l = &sessionLock{}
+		sv.sessions[name] = l
+	}
+	l.refs++
+	sv.sessMu.Unlock()
+	l.mu.Lock()
+	return func() {
+		l.mu.Unlock()
+		sv.sessMu.Lock()
+		if l.refs--; l.refs == 0 {
+			delete(sv.sessions, name)
+		}
+		sv.sessMu.Unlock()
+	}
+}
+
 // uploadGrace is how long an upload session may sit idle before a tenant GC
-// treats it as abandoned. Every staged blob renames a file into the session
-// directory and refreshes its mtime, so an actively resumed upload is never
-// at risk — only sessions nobody has touched for this long.
+// treats it as abandoned. Idle is measured from sessionModTime, which every
+// staged chunk and every append to the object stage refreshes, so an
+// actively resumed upload is never at risk — only sessions nobody has
+// touched for this long.
 const uploadGrace = time.Hour
 
-// stagedBytes sums the tenant's staged upload blobs across all sessions —
+// sessionModTime is when an upload session last changed: the newest mtime
+// of its directory and the files in it. Appending to the object stage
+// refreshes only that file's mtime, not the directory's.
+func sessionModTime(dir string) time.Time {
+	var newest time.Time
+	if info, err := os.Stat(dir); err == nil {
+		newest = info.ModTime()
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, ent := range ents {
+		if info, err := ent.Info(); err == nil && info.ModTime().After(newest) {
+			newest = info.ModTime()
+		}
+	}
+	return newest
+}
+
+// stagedBytes sums the tenant's staged upload bytes across all sessions —
 // bytes parked on the server that no committed entry accounts for yet.
 func (sv *Server) stagedBytes(tenant string) int64 {
 	var n int64
@@ -349,6 +409,16 @@ func (sv *Server) stagedBytes(tenant string) int64 {
 			return nil
 		})
 	return n
+}
+
+// usedExcept is the tenant's committed logical bytes, less those of the
+// entry under key, which an upload to key would replace.
+func (sv *Server) usedExcept(tenant, key string) int64 {
+	_, used := sv.tenantUsage(tenant)
+	if e, ok := sv.store.Stat(tenantPrefix(tenant) + key); ok {
+		used -= sv.store.LogicalSize(e)
+	}
+	return used
 }
 
 // loadManifest reads an upload session's manifest; ok=false if the session
@@ -368,25 +438,15 @@ func (sv *Server) loadManifest(tenant, id string) (*UploadManifest, bool, error)
 	return &man, true, nil
 }
 
-// uploadNeeds computes what an upload session still lacks: declared wire
-// blobs without a staged file, and declared chunk objects neither staged
+// uploadNeeds computes what an upload session still lacks: the tail of the
+// object past its staged prefix, and declared chunk objects neither staged
 // nor already in the store — the dedup negotiation that makes re-uploads
 // ship only new content.
 func (sv *Server) uploadNeeds(tenant, id string, man *UploadManifest) UploadStatus {
 	st := UploadStatus{ID: id}
 	dir := sv.uploadDir(tenant, id)
-	staged := func(blob string) bool {
-		_, err := os.Stat(filepath.Join(dir, "b-"+blob))
-		return err == nil
-	}
-	seen := make(map[string]bool)
-	for _, plan := range man.Top {
-		for _, b := range plan.Blobs {
-			if !seen[b.ID] && !staged(b.ID) {
-				st.NeedBlobs = append(st.NeedBlobs, b.ID)
-			}
-			seen[b.ID] = true
-		}
+	if info, err := os.Stat(filepath.Join(dir, "object")); err == nil {
+		st.Staged = info.Size()
 	}
 	// In closed-tenant mode the "already in the store" shortcut is scoped
 	// to chunks this tenant already references: acknowledging another
@@ -399,8 +459,10 @@ func (sv *Server) uploadNeeds(tenant, id string, man *UploadManifest) UploadStat
 	if len(sv.opts.Tenants) > 0 {
 		authorized = sv.tenantChunks(tenant)
 	}
+	seen := make(map[string]bool)
 	for _, c := range man.Chunks {
-		have := staged(c.ID) ||
+		_, err := os.Stat(filepath.Join(dir, "b-"+c.ID))
+		have := err == nil ||
 			(sv.store.HasObject(c.ID) && (authorized == nil || authorized[c.ID]))
 		if !seen[c.ID] && !have {
 			st.NeedChunks = append(st.NeedChunks, c.ID)
@@ -418,29 +480,14 @@ func validateManifest(man *UploadManifest) error {
 	if man.Kind == "" {
 		return fmt.Errorf("missing kind")
 	}
-	if len(man.Object) != 64 {
+	if !store.ValidObjectID(man.Object) {
 		return fmt.Errorf("invalid object id")
 	}
-	if len(man.Top) == 0 {
-		return fmt.Errorf("empty top file set")
-	}
-	for name, plan := range man.Top {
-		if name != filepath.Base(name) || name == "" {
-			return fmt.Errorf("invalid member name %q", name)
-		}
-		var total int64
-		for _, b := range plan.Blobs {
-			if len(b.ID) != 64 || b.Size < 0 {
-				return fmt.Errorf("member %s: invalid blob ref", name)
-			}
-			total += b.Size
-		}
-		if total != plan.Size {
-			return fmt.Errorf("member %s: blobs sum to %d, size says %d", name, total, plan.Size)
-		}
+	if man.Size <= 0 {
+		return fmt.Errorf("invalid object size %d", man.Size)
 	}
 	for _, c := range man.Chunks {
-		if len(c.ID) != 64 || c.Size < 0 {
+		if !store.ValidObjectID(c.ID) || c.Size < 0 {
 			return fmt.Errorf("invalid chunk ref")
 		}
 	}
@@ -464,14 +511,19 @@ func (sv *Server) handleUploadOpen(w http.ResponseWriter, r *http.Request, tenan
 		return
 	}
 	// Admission control up front: reject an upload that cannot fit, before
-	// the client ships a single byte.
-	if err := sv.quotaCheck(tenant, pol, &man); err != nil {
+	// the client ships a single byte. The declared sizes are all there is
+	// to go on yet: the canonical form (framing included) and the chunks.
+	incoming := man.Size
+	for _, c := range man.Chunks {
+		incoming += c.Size
+	}
+	if err := sv.quotaCheck(tenant, pol, man.Key, incoming); err != nil {
 		writeErr(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
 
-	sv.upMu.Lock()
-	defer sv.upMu.Unlock()
+	unlock := sv.lockSession(tenant, id)
+	defer unlock()
 	dir := sv.uploadDir(tenant, id)
 	if existing, ok, err := sv.loadManifest(tenant, id); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -489,35 +541,24 @@ func (sv *Server) handleUploadOpen(w http.ResponseWriter, r *http.Request, tenan
 			writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
-	} else if existing.Object != man.Object {
+	} else if existing.Object != man.Object || existing.Size != man.Size {
 		// Deterministic IDs make this unreachable unless hashes collide or
-		// a client lies; refuse rather than mix two artifacts' blobs.
-		writeErr(w, http.StatusConflict, fmt.Errorf("upload %s already open for object %s", id, existing.Object))
+		// a client lies; refuse rather than mix two artifacts' bytes.
+		writeErr(w, http.StatusConflict, fmt.Errorf("upload %s already open for object %s (%d bytes)",
+			id, existing.Object, existing.Size))
 		return
 	}
 	writeJSON(w, http.StatusOK, sv.uploadNeeds(tenant, id, &man))
 }
 
-// quotaCheck admits an incoming artifact against the tenant's byte quota.
-// Replacing an existing key frees that key's logical bytes first.
-func (sv *Server) quotaCheck(tenant string, pol Tenant, man *UploadManifest) error {
+// quotaCheck admits incoming logical bytes for key against the tenant's
+// byte quota. Replacing an existing key frees that key's logical bytes
+// first.
+func (sv *Server) quotaCheck(tenant string, pol Tenant, key string, incoming int64) error {
 	if pol.Quota <= 0 {
 		return nil
 	}
-	var incoming int64
-	for name, plan := range man.Top {
-		if name != "chunks.json" {
-			incoming += plan.Size
-		}
-	}
-	for _, c := range man.Chunks {
-		incoming += c.Size
-	}
-	_, used := sv.tenantUsage(tenant)
-	if e, ok := sv.store.Stat(tenantPrefix(tenant) + man.Key); ok {
-		used -= sv.store.LogicalSize(e)
-	}
-	if used+incoming > pol.Quota {
+	if used := sv.usedExcept(tenant, key); used+incoming > pol.Quota {
 		return fmt.Errorf("tenant %s over quota: %d used + %d incoming > %d",
 			tenant, used, incoming, pol.Quota)
 	}
@@ -526,6 +567,8 @@ func (sv *Server) quotaCheck(tenant string, pol Tenant, man *UploadManifest) err
 
 func (sv *Server) handleUploadStatus(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
 	id := r.PathValue("id")
+	unlock := sv.lockSession(tenant, id)
+	defer unlock()
 	man, ok, err := sv.loadManifest(tenant, id)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -538,7 +581,90 @@ func (sv *Server) handleUploadStatus(w http.ResponseWriter, r *http.Request, ten
 	writeJSON(w, http.StatusOK, sv.uploadNeeds(tenant, id, man))
 }
 
-func (sv *Server) handleUploadBlob(w http.ResponseWriter, r *http.Request, tenant string, pol Tenant) {
+// handleUploadObject appends one byte range of the top object's canonical
+// form to the session's stage. The range must start at the staged length
+// and end inside the declared size; the body is read in wire-chunk pieces
+// into one fixed buffer (never sized from a declaration) and appended
+// without fsync — the stage is a resumption hint that commit's hash checks.
+// Each piece is charged against the quota before it is appended. A body
+// that ends early keeps what arrived, which is where the next PUT resumes.
+func (sv *Server) handleUploadObject(w http.ResponseWriter, r *http.Request, tenant string, pol Tenant) {
+	id := r.PathValue("id")
+	unlock := sv.lockSession(tenant, id)
+	defer unlock()
+	man, ok, err := sv.loadManifest(tenant, id)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no upload %s", id))
+		return
+	}
+	var first, last, size int64
+	if _, err := fmt.Sscanf(r.Header.Get("Content-Range"), "bytes %d-%d/%d", &first, &last, &size); err != nil ||
+		size != man.Size || first < 0 || last < first || last >= size {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("Content-Range %q does not fit the declared %d-byte object",
+			r.Header.Get("Content-Range"), man.Size))
+		return
+	}
+	f, err := os.OpenFile(filepath.Join(sv.uploadDir(tenant, id), "object"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	if first != info.Size() {
+		writeErr(w, http.StatusConflict, fmt.Errorf("range starts at byte %d, the stage holds %d", first, info.Size()))
+		return
+	}
+	// Staged bytes are charged as they land, not only at upload-open:
+	// otherwise a tenant could park unbounded never-committed bytes across
+	// many sessions. The tenant's usage is summed once per request.
+	budget := int64(-1)
+	if pol.Quota > 0 {
+		budget = pol.Quota - sv.usedExcept(tenant, man.Key) - sv.stagedBytes(tenant)
+	}
+	want := last - first + 1
+	buf := make([]byte, min(want, DefaultWireChunk))
+	var got int64
+	for got < want {
+		n, rerr := io.ReadFull(r.Body, buf[:min(int64(len(buf)), want-got)])
+		if budget >= 0 && got+int64(n) > budget {
+			writeErr(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("tenant %s over quota: staged upload bytes would exceed %d", tenant, pol.Quota))
+			return
+		}
+		if _, err := f.Write(buf[:n]); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		got += int64(n)
+		if rerr != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("body ended at byte %d of range %d-%d", first+got, first, last))
+			return
+		}
+	}
+	if n, _ := r.Body.Read(buf[:1]); n > 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("body runs past its range %d-%d", first, last))
+		return
+	}
+	if err := f.Close(); err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleUploadChunk stages one chunk object the session declared, verified
+// under its content address on receipt and renamed into place after an
+// fsync, so a chunk counted as present is whole.
+func (sv *Server) handleUploadChunk(w http.ResponseWriter, r *http.Request, tenant string, pol Tenant) {
 	id, blob := r.PathValue("id"), r.PathValue("blob")
 	man, ok, err := sv.loadManifest(tenant, id)
 	if err != nil {
@@ -549,9 +675,8 @@ func (sv *Server) handleUploadBlob(w http.ResponseWriter, r *http.Request, tenan
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no upload %s", id))
 		return
 	}
-	isChunk, declared := blobRole(man, blob)
-	if !declared {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("blob %s not declared by upload %s", blob, id))
+	if !slices.ContainsFunc(man.Chunks, func(c BlobRef) bool { return c.ID == blob }) {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("chunk %s not declared by upload %s", blob, id))
 		return
 	}
 	data, err := io.ReadAll(io.LimitReader(r.Body, sv.opts.MaxBlob+1))
@@ -560,38 +685,18 @@ func (sv *Server) handleUploadBlob(w http.ResponseWriter, r *http.Request, tenan
 		return
 	}
 	if int64(len(data)) > sv.opts.MaxBlob {
-		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("blob exceeds %d bytes", sv.opts.MaxBlob))
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("chunk exceeds %d bytes", sv.opts.MaxBlob))
 		return
 	}
-	// Hash-verify on receipt: a corrupt blob is rejected at the door, in
-	// the hash domain its role demands.
-	if isChunk {
-		if store.ObjectID(store.FileSet{"chunk": data}) != blob {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("chunk %s does not hash to its id", blob))
-			return
-		}
-	} else if blobID(data) != blob {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("blob %s does not hash to its id", blob))
+	if store.ObjectID(store.FileSet{"chunk": data}) != blob {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("chunk %s does not hash to its id", blob))
 		return
 	}
-	// Staged bytes are charged against the quota as they land, not only at
-	// upload-open: otherwise a tenant could park unbounded never-committed
-	// blobs across many sessions. Replacing an existing key frees that
-	// key's logical bytes, mirroring quotaCheck's admission.
-	if pol.Quota > 0 {
-		_, used := sv.tenantUsage(tenant)
-		if e, ok := sv.store.Stat(tenantPrefix(tenant) + man.Key); ok {
-			used -= sv.store.LogicalSize(e)
-		}
-		if used+sv.stagedBytes(tenant)+int64(len(data)) > pol.Quota {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("tenant %s over quota: staged upload bytes would exceed %d", tenant, pol.Quota))
-			return
-		}
+	if pol.Quota > 0 && sv.usedExcept(tenant, man.Key)+sv.stagedBytes(tenant)+int64(len(data)) > pol.Quota {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("tenant %s over quota: staged upload bytes would exceed %d", tenant, pol.Quota))
+		return
 	}
-	// Stage atomically and durably: rename guarantees a half-written blob
-	// is never counted as present, fsync guarantees a counted blob
-	// survives a server kill.
 	if err := atomicWrite(filepath.Join(sv.uploadDir(tenant, id), "b-"+blob), data); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -599,28 +704,16 @@ func (sv *Server) handleUploadBlob(w http.ResponseWriter, r *http.Request, tenan
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// blobRole reports whether an ID is declared by the manifest and whether it
-// is a store chunk object (vs a wire blob of a top member).
-func blobRole(man *UploadManifest, id string) (isChunk, declared bool) {
-	for _, c := range man.Chunks {
-		if c.ID == id {
-			return true, true
-		}
-	}
-	for _, plan := range man.Top {
-		for _, b := range plan.Blobs {
-			if b.ID == id {
-				return false, true
-			}
-		}
-	}
-	return false, false
-}
-
+// handleUploadCommit lands a complete upload: it parses the staged
+// canonical form (refusing hostile frames), charges its logical size
+// against the quota, and commits through PutAssembled under the declared
+// object, which hashes the top once. A stage that does not parse or hash
+// — damaged in flight, or torn by an OS crash under the unsynced stage — is
+// wiped, so the client's retry starts from byte 0.
 func (sv *Server) handleUploadCommit(w http.ResponseWriter, r *http.Request, tenant string, pol Tenant) {
 	id := r.PathValue("id")
-	sv.upMu.Lock()
-	defer sv.upMu.Unlock()
+	unlock := sv.lockSession(tenant, id)
+	defer unlock()
 	man, ok, err := sv.loadManifest(tenant, id)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
@@ -632,36 +725,33 @@ func (sv *Server) handleUploadCommit(w http.ResponseWriter, r *http.Request, ten
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no upload %s", id))
 		return
 	}
+	dir := sv.uploadDir(tenant, id)
 	storeKey := tenantPrefix(tenant) + man.Key
 	if e, ok := sv.store.Stat(storeKey); ok && e.Object == man.Object {
-		os.RemoveAll(sv.uploadDir(tenant, id))
+		os.RemoveAll(dir)
 		writeJSON(w, http.StatusOK, e)
 		return
 	}
-	if st := sv.uploadNeeds(tenant, id, man); len(st.NeedBlobs) > 0 || len(st.NeedChunks) > 0 {
+	if st := sv.uploadNeeds(tenant, id, man); st.Staged != man.Size || len(st.NeedChunks) > 0 {
 		writeErr(w, http.StatusConflict,
-			fmt.Errorf("upload %s incomplete: %d blobs, %d chunks missing",
-				id, len(st.NeedBlobs), len(st.NeedChunks)))
+			fmt.Errorf("upload %s incomplete: %d of %d object bytes staged, %d chunks missing",
+				id, st.Staged, man.Size, len(st.NeedChunks)))
 		return
 	}
-	if err := sv.quotaCheck(tenant, pol, man); err != nil {
+	body, err := os.ReadFile(filepath.Join(dir, "object"))
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	top, err := store.ParseCanonical(body)
+	if err != nil {
+		os.RemoveAll(dir)
+		writeStoreErr(w, err)
+		return
+	}
+	if err := sv.quotaCheck(tenant, pol, man.Key, store.LogicalSizeOf(top)); err != nil {
 		writeErr(w, http.StatusRequestEntityTooLarge, err)
 		return
-	}
-
-	dir := sv.uploadDir(tenant, id)
-	top := make(store.FileSet, len(man.Top))
-	for name, plan := range man.Top {
-		buf := make([]byte, 0, plan.Size)
-		for _, b := range plan.Blobs {
-			part, err := os.ReadFile(filepath.Join(dir, "b-"+b.ID))
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-			buf = append(buf, part...)
-		}
-		top[name] = buf
 	}
 	chunks := make(map[string][]byte)
 	for _, c := range man.Chunks {
@@ -675,11 +765,11 @@ func (sv *Server) handleUploadCommit(w http.ResponseWriter, r *http.Request, ten
 		}
 		chunks[c.ID] = data
 	}
-	// The assembled top must hash to the declared object — the same
-	// end-to-end integrity check the store applies on every read. The
-	// commit hashes it once and refuses a mismatch before writing anything.
 	e, err := sv.store.PutAssembled(storeKey, man.Kind, man.Object, top, chunks)
 	if err != nil {
+		if errors.Is(err, store.ErrCorrupt) {
+			os.RemoveAll(dir)
+		}
 		writeStoreErr(w, err)
 		return
 	}
@@ -735,24 +825,31 @@ func (sv *Server) handleGC(w http.ResponseWriter, r *http.Request, tenant string
 	res.TmpDebris = rep.TmpDebris
 	res.BytesReclaimed = rep.BytesReclaimed
 	// Abandoned upload sessions: opened, never committed, idle past the
-	// grace. An active session's directory mtime refreshes on every staged
-	// blob, so the age gate only catches uploads nobody will resume — the
-	// same rule the store applies to tmp/ staging debris.
+	// grace. An active session's newest file refreshes with every staged
+	// chunk and every append to the object stage, so the age gate only
+	// catches uploads nobody will resume — the same rule the store applies
+	// to tmp/ staging debris. The age is re-read under the session lock, so
+	// a PUT that was streaming when the scan saw the session keeps it.
 	updir := filepath.Join(sv.store.Root(), "uploads", tenant)
 	if sessions, err := os.ReadDir(updir); err == nil {
 		for _, sess := range sessions {
-			info, err := sess.Info()
-			if err != nil || time.Since(info.ModTime()) < uploadGrace {
+			dir := filepath.Join(updir, sess.Name())
+			if time.Since(sessionModTime(dir)) < uploadGrace {
 				continue
 			}
-			sv.upMu.Lock()
-			err = os.RemoveAll(filepath.Join(updir, sess.Name()))
-			sv.upMu.Unlock()
+			unlock := sv.lockSession(tenant, sess.Name())
+			stale := time.Since(sessionModTime(dir)) >= uploadGrace
+			if stale {
+				err = os.RemoveAll(dir)
+			}
+			unlock()
 			if err != nil {
 				writeErr(w, http.StatusInternalServerError, err)
 				return
 			}
-			res.StaleUploads++
+			if stale {
+				res.StaleUploads++
+			}
 		}
 	}
 	writeJSON(w, http.StatusOK, res)
