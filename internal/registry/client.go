@@ -30,6 +30,10 @@ var ErrCrashed = errors.New("registry: transfer crashed (simulated)")
 // ErrRemote wraps a non-retryable registry rejection (4xx).
 var ErrRemote = errors.New("registry: remote rejected request")
 
+// errStageRefused marks an upload commit the registry refused (422) because
+// the staged object did not parse or hash; the server has wiped the session.
+var errStageRefused = errors.New("registry: staged object refused at commit")
+
 // Client talks to one registry on behalf of one tenant. The zero value is
 // not usable; set Base. All transfers are resumable: a client killed at any
 // instant re-runs the same Push/Pull and moves only what is still missing.
@@ -124,51 +128,61 @@ func (c *Client) bump() error {
 	return nil
 }
 
-// do issues one request with retry: transient failures (network errors,
-// 5xx) back off and retry under the farm policy; 4xx rejections and
-// 404s fail immediately. body is re-sendable bytes (nil for none). The
-// response body is fully read and returned.
-func (c *Client) do(method, u string, hdr http.Header, body []byte) (*http.Response, []byte, error) {
+// retry runs one request step until it succeeds or fails for good: the
+// one retry policy of every request. A failure the step marks retryable
+// (a network error, a broken stream, 5xx) backs off under the farm policy
+// and runs the step again; a step that made progress — moved bytes a
+// resumed step need not move again — earns a fresh retry budget.
+func (c *Client) retry(method, u string, step func() (retry, progress bool, err error)) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.retries(); attempt++ {
 		if attempt > 1 && c.Backoff != nil {
 			time.Sleep(c.Backoff.Delay(u, attempt-1))
 		}
+		retry, progress, err := step()
+		if err == nil || !retry {
+			return err
+		}
+		lastErr = err
+		if progress {
+			attempt = 0
+		}
+	}
+	return fmt.Errorf("registry: %s %s failed after %d attempts: %w",
+		method, u, c.retries(), lastErr)
+}
+
+// do issues one request with retry: transient failures (network errors,
+// 5xx) back off and retry; 4xx rejections and 404s fail immediately, with
+// the response. body is re-sendable bytes (nil for none). The response
+// body is fully read and returned.
+func (c *Client) do(method, u string, hdr http.Header, body []byte) (resp *http.Response, data []byte, err error) {
+	err = c.retry(method, u, func() (bool, bool, error) {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequest(method, u, rd)
 		if err != nil {
-			return nil, nil, err
+			return false, false, err
 		}
 		for k, vs := range hdr {
 			for _, v := range vs {
 				req.Header.Add(k, v)
 			}
 		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			lastErr = err
-			continue
+		if resp, err = c.httpClient().Do(req); err != nil {
+			return true, false, err
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err = io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			lastErr = err
-			continue
+			return true, false, err
 		}
-		if retry, err := statusErr(method, u, resp, data); err != nil {
-			if retry {
-				lastErr = err
-				continue
-			}
-			return resp, data, err
-		}
-		return resp, data, nil
-	}
-	return nil, nil, fmt.Errorf("registry: %s %s failed after %d attempts: %w",
-		method, u, c.retries(), lastErr)
+		retry, err := statusErr(method, u, resp, data)
+		return retry, false, err
+	})
+	return resp, data, err
 }
 
 // statusErr classifies a response status: nil for success, a retryable
@@ -342,43 +356,42 @@ func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 		chunks[id] = part["chunk"]
 		man.Chunks = append(man.Chunks, BlobRef{ID: id, Size: int64(len(part["chunk"]))})
 	}
-	// A resumed stage that fails the commit's hash was torn — an OS crash
-	// lost some of its unsynced pages. The server wiped it; send the body
-	// whole, once.
-	for fresh := false; ; fresh = true {
-		resumed, err := c.upload(&man, body, chunks, stats)
-		if err == nil || !resumed || fresh || !errors.Is(err, store.ErrCorrupt) {
-			return stats, err
-		}
+	// A stage that fails the commit's hash was torn: an OS crash under the
+	// server lost some of its unsynced pages, before this push resumed it
+	// or after this push sent it. The server wiped the session; send the
+	// body whole, once more.
+	err = c.upload(&man, body, chunks, stats)
+	if errors.Is(err, errStageRefused) {
+		err = c.upload(&man, body, chunks, stats)
 	}
+	return stats, err
 }
 
 // upload runs one upload session: open or reattach, stream the object past
-// its staged prefix, send the chunks the server lacks, commit. resumed
-// reports that the server already held part of the object. A commit the
-// server refuses as damaged (422) is reported as store.ErrCorrupt.
-func (c *Client) upload(man *UploadManifest, body []byte, chunks map[string][]byte, stats *TransferStats) (resumed bool, err error) {
+// its staged prefix, send the chunks the server lacks, commit. A commit the
+// server refuses as damaged (422) is reported as errStageRefused.
+func (c *Client) upload(man *UploadManifest, body []byte, chunks map[string][]byte, stats *TransferStats) error {
 	manBytes, err := json.Marshal(man)
 	if err != nil {
-		return false, err
+		return err
 	}
 	_, data, err := c.do("POST", c.turl("uploads"), nil, manBytes)
 	if err != nil {
-		return false, err
+		return err
 	}
 	var st UploadStatus
 	if err := json.Unmarshal(data, &st); err != nil {
-		return false, fmt.Errorf("registry: upload status: %v", err)
+		return fmt.Errorf("registry: upload status: %v", err)
 	}
 	if st.Committed {
-		return false, nil
+		return nil
 	}
-	if resumed = st.Staged > 0; resumed {
+	if st.Staged > 0 {
 		stats.Skipped++ // partial progress an interrupted push left staged
 		stats.Resumed = st.Staged
 	}
 	if err := c.sendObject(st.ID, body, st.Staged, stats); err != nil {
-		return resumed, err
+		return err
 	}
 	stats.Skipped += len(chunks) - len(st.NeedChunks)
 	// Ship only the missing chunks; each PUT is individually retried, and
@@ -387,77 +400,71 @@ func (c *Client) upload(man *UploadManifest, body []byte, chunks map[string][]by
 	for _, id := range st.NeedChunks {
 		data, ok := chunks[id]
 		if !ok {
-			return resumed, fmt.Errorf("registry: server needs undeclared chunk %s", id)
+			return fmt.Errorf("registry: server needs undeclared chunk %s", id)
 		}
 		if _, _, err := c.do("PUT", c.turl("uploads", st.ID, "blobs", id), nil, data); err != nil {
-			return resumed, err
+			return err
 		}
 		stats.Sent++
 		stats.Bytes += int64(len(data))
 		if err := c.bump(); err != nil {
-			return resumed, err
+			return err
 		}
 	}
 
 	resp, data, err := c.do("POST", c.turl("uploads", st.ID, "commit"), nil, nil)
 	if err != nil {
 		if resp != nil && resp.StatusCode == http.StatusUnprocessableEntity {
-			err = fmt.Errorf("%w: %w", store.ErrCorrupt, err)
+			err = fmt.Errorf("%w: %w", errStageRefused, err)
 		}
-		return resumed, err
+		return err
 	}
 	var committed store.Entry
 	if err := json.Unmarshal(data, &committed); err != nil {
-		return resumed, fmt.Errorf("registry: commit response: %v", err)
+		return fmt.Errorf("registry: commit response: %v", err)
 	}
 	if committed.Object != man.Object {
-		return resumed, fmt.Errorf("registry: committed object %.12s, pushed %.12s",
+		return fmt.Errorf("registry: committed object %.12s, pushed %.12s",
 			committed.Object, man.Object)
 	}
-	return resumed, nil
+	return nil
 }
 
 // sendObject streams body past the server's staged prefix in one PUT. A
 // PUT that breaks, answers 5xx, or finds the stage moved under it (409) is
-// retried under the backoff policy from the staged length the server then
-// reports; a PUT that made progress gets a fresh retry budget.
+// retried from the staged length the server then reports; bytes the
+// failed PUT staged count as progress.
 func (c *Client) sendObject(id string, body []byte, staged int64, stats *TransferStats) error {
 	u := c.turl("uploads", id, "object")
-	for attempt := 1; ; attempt++ {
+	var broke error // the last PUT's failure; nil before the first PUT
+	return c.retry("PUT", u, func() (retry, progress bool, err error) {
+		if broke != nil {
+			_, data, err := c.do("GET", c.turl("uploads", id), nil, nil)
+			var st UploadStatus
+			if err == nil {
+				err = json.Unmarshal(data, &st)
+			}
+			if err != nil {
+				return false, false, fmt.Errorf("registry: upload %s status after %v: %w", id, broke, err)
+			}
+			if progress = st.Staged > staged; progress {
+				// The failed PUT staged a prefix of its range: it moved.
+				if err := c.account(st.Staged-staged, stats); err != nil {
+					return false, true, err
+				}
+			}
+			staged = st.Staged
+		}
 		if staged > int64(len(body)) {
-			return fmt.Errorf("%w: upload %s: server staged %d bytes of a %d-byte object",
+			return false, progress, fmt.Errorf("%w: upload %s: server staged %d bytes of a %d-byte object",
 				ErrRemote, id, staged, len(body))
 		}
 		if staged == int64(len(body)) {
-			return nil
+			return false, progress, nil
 		}
-		retry, err := c.putObject(u, body, staged, stats)
-		if err == nil || !retry {
-			return err
-		}
-		if attempt >= c.retries() {
-			return fmt.Errorf("registry: PUT %s failed after %d attempts: %w", u, c.retries(), err)
-		}
-		if c.Backoff != nil {
-			time.Sleep(c.Backoff.Delay(u, attempt))
-		}
-		_, data, serr := c.do("GET", c.turl("uploads", id), nil, nil)
-		var st UploadStatus
-		if serr == nil {
-			serr = json.Unmarshal(data, &st)
-		}
-		if serr != nil {
-			return fmt.Errorf("registry: upload %s status after %v: %w", id, err, serr)
-		}
-		if st.Staged > staged {
-			// The failed PUT staged a prefix of its range: it moved.
-			if err := c.account(st.Staged-staged, stats); err != nil {
-				return err
-			}
-			attempt = 0 // progress: fresh retry budget
-		}
-		staged = st.Staged
-	}
+		retry, broke = c.putObject(u, body, staged, stats)
+		return retry, progress, broke
+	})
 }
 
 // putObject sends body[from:] in one PUT whose Content-Range places it
@@ -734,25 +741,15 @@ func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferSta
 		stats.Resumed = int64(len(st.buf))
 	}
 	u := c.turl("artifacts", key, "object")
-	var lastErr error
-	for attempt := 1; attempt <= c.retries(); attempt++ {
-		if attempt > 1 && c.Backoff != nil {
-			time.Sleep(c.Backoff.Delay(u, attempt-1))
-		}
+	err = c.retry("GET", u, func() (retry, progress bool, err error) {
 		pieces := stats.Received
-		kind, current, retry, err := c.streamObject(st, u, have, stats)
-		if err == nil {
-			return kind, current, resumed, nil
-		}
-		if !retry {
-			return "", false, resumed, err
-		}
-		lastErr = err
-		if stats.Received > pieces {
-			attempt = 0 // the stream made progress: fresh retry budget
-		}
+		kind, current, retry, err = c.streamObject(st, u, have, stats)
+		return retry, stats.Received > pieces, err
+	})
+	if err != nil {
+		return "", false, resumed, err
 	}
-	return "", false, resumed, fmt.Errorf("registry: GET %s failed after %d attempts: %w", u, c.retries(), lastErr)
+	return kind, current, resumed, nil
 }
 
 // maxPresize bounds how much of a body's announced length a pull reserves

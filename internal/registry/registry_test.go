@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1290,6 +1291,99 @@ func TestStagedBytesCountAgainstQuota(t *testing.T) {
 	}
 }
 
+// TestStagedBytesPastQuotaRefusePuts: once the tenant's staged bytes
+// exceed its quota — opening one more session can push them past it, since
+// its manifest is staged too — every object PUT is refused with 413 before
+// it stages a byte, however little it carries.
+func TestStagedBytesPastQuotaRefusePuts(t *testing.T) {
+	const quota = 1024
+	serverStore, _, srv := testRegistry(t, ServerOptions{
+		Tenants: map[string]Tenant{"q": {Quota: quota}},
+	})
+	c := testClient(srv, "q")
+	staged := func() (n int64) {
+		filepath.Walk(filepath.Join(serverStore.Root(), "uploads", "q"),
+			func(_ string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() {
+					n += info.Size()
+				}
+				return nil
+			})
+		return n
+	}
+	body := frame("f", bytes.Repeat([]byte("a"), 600))
+	st := openUpload(t, c, "k0", body)
+	if err := putRange(c, st.ID, body, 0, len(body)); err != nil {
+		t.Fatalf("first staged object within quota rejected: %v", err)
+	}
+	// Each further session fits admission on its own; its manifest alone
+	// grows the staged total.
+	for i := 1; staged() <= quota; i++ {
+		if i > 16 {
+			t.Fatalf("session manifests never pushed staged bytes past the quota (%d B)", staged())
+		}
+		st = openUpload(t, c, fmt.Sprintf("k%d", i), body)
+	}
+	before := staged()
+	hdr := http.Header{}
+	hdr.Set("Content-Range", fmt.Sprintf("bytes 0-9/%d", len(body)))
+	resp, _, err := c.do("PUT", c.turl("uploads", st.ID, "object"), hdr, body[:10])
+	if !errors.Is(err, ErrRemote) || resp == nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT with %d staged bytes over a %d B quota: %v, want a 413 refusal", before, quota, err)
+	}
+	_, data, err := c.do("GET", c.turl("uploads", st.ID), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var now UploadStatus
+	if err := json.Unmarshal(data, &now); err != nil {
+		t.Fatal(err)
+	}
+	if now.Staged != 0 || staged() != before {
+		t.Fatalf("refused PUT staged %d B (tenant staged %d B, was %d B)", now.Staged, staged(), before)
+	}
+}
+
+// TestQuotaAdmissionAtTheEdge: upload-open admits on the bytes the session
+// will stage — the canonical form, framing included — while commit charges
+// the logical size. An artifact whose logical size fills the quota exactly
+// is refused at open, before a byte moves; given room for its staged form,
+// it commits and is charged its logical size.
+func TestQuotaAdmissionAtTheEdge(t *testing.T) {
+	files := store.FileSet{"f": noise(2000, 41)}
+	logical, size := int64(2000), canonicalSize(files)
+	serverStore, tl, srv := testRegistry(t, ServerOptions{
+		Tenants: map[string]Tenant{
+			"edge": {Quota: logical},
+			"room": {Quota: size + 1024},
+		},
+	})
+	a := localStore(t)
+	if _, err := a.Put("k", "test", files); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testClient(srv, "edge").Push(a, "k"); !errors.Is(err, ErrRemote) ||
+		!strings.Contains(err.Error(), fmt.Sprintf("%d incoming", size)) {
+		t.Fatalf("push of %d staged bytes under a %d B quota: %v, want refusal at open", size, logical, err)
+	}
+	if opens, _, puts := tl.uploads(); opens != 1 || len(puts) != 0 {
+		t.Fatalf("refused push made %d opens and object PUTs %+v, want one open and no PUT", opens, puts)
+	}
+	if ents, _ := os.ReadDir(filepath.Join(serverStore.Root(), "uploads", "edge")); len(ents) != 0 {
+		t.Fatalf("refused open left %d sessions", len(ents))
+	}
+	if _, err := testClient(srv, "room").Push(a, "k"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := testClient(srv, "room").Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LogicalBytes != logical {
+		t.Fatalf("committed artifact charged %d B, want its logical size %d B", st.LogicalBytes, logical)
+	}
+}
+
 // hostileRegistry serves one fixed object body for every key, under the
 // given ETag, as a malicious or broken registry would.
 func hostileRegistry(t *testing.T, etag string, body []byte) *httptest.Server {
@@ -1565,6 +1659,77 @@ func TestPushRecoversTornStage(t *testing.T) {
 	}
 	if want := size - 3*256 + size; stats.Bytes != want {
 		t.Errorf("resumed push moved %d B, want the resumed range plus one body, %d B", stats.Bytes, want)
+	}
+}
+
+// TestPushRecoversStageTornAfterUpload: an OS crash under the server can
+// tear a stage the client sent whole, without killing the client. The
+// commit's 422 then restarts the push once from byte 0 even though the push
+// resumed nothing; a second refusal fails the push as a remote rejection,
+// not as corrupt local input.
+func TestPushRecoversStageTornAfterUpload(t *testing.T) {
+	serverStore, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := newTransferLog(NewServer(serverStore, ServerOptions{}).Handler())
+	var tears atomic.Int32 // commits whose stage is torn before they run
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/commit") && tears.Add(-1) >= 0 {
+			paths, _ := filepath.Glob(filepath.Join(serverStore.Root(), "uploads", DefaultTenant, "*", "object"))
+			for _, path := range paths {
+				if data, err := os.ReadFile(path); err == nil {
+					clear(data[len(data)/2:])
+					err = os.WriteFile(path, data, 0o644)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		tl.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	a := localStore(t)
+	files := store.FileSet{"big": noise(6*256+40, 29), "meta": []byte("meta")}
+	e, err := a.Put("region", "region", files)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tears.Store(1)
+	stats, err := testClient(srv, "").Push(a, "region")
+	if err != nil {
+		t.Fatalf("push over a stage torn after upload: %v", err)
+	}
+	if got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "region"); !ok || got.Object != e.Object {
+		t.Fatal("push over a stage torn after upload did not commit the object")
+	}
+	size := canonicalSize(files)
+	_, commits, puts := tl.uploads()
+	if commits != 2 || len(puts) != 2 || puts[0].first != 0 || puts[1].first != 0 ||
+		puts[0].bytes != size || puts[1].bytes != size {
+		t.Fatalf("recovery made %d commits and PUTs %+v, want the whole body, a refused commit, the whole body again",
+			commits, puts)
+	}
+	if stats.Resumed != 0 || stats.Bytes != 2*size {
+		t.Errorf("push resumed %d B and moved %d B, want nothing resumed and two whole bodies, %d B",
+			stats.Resumed, stats.Bytes, 2*size)
+	}
+
+	if _, err := a.Put("other", "region", store.FileSet{"big": noise(300, 31)}); err != nil {
+		t.Fatal(err)
+	}
+	tears.Store(1 << 20)
+	_, err = testClient(srv, "").Push(a, "other")
+	if !errors.Is(err, ErrRemote) || errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("push whose stage tears every time: %v, want a remote rejection", err)
+	}
+	if _, commits2, _ := tl.uploads(); commits2-commits != 2 {
+		t.Fatalf("push whose stage tears every time made %d commits, want 2 (one restart)", commits2-commits)
+	}
+	if _, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "other"); ok {
+		t.Fatal("torn upload reached the store")
 	}
 }
 

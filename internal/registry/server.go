@@ -512,7 +512,10 @@ func (sv *Server) handleUploadOpen(w http.ResponseWriter, r *http.Request, tenan
 	}
 	// Admission control up front: reject an upload that cannot fit, before
 	// the client ships a single byte. The declared sizes are all there is
-	// to go on yet: the canonical form (framing included) and the chunks.
+	// to go on yet: the canonical form (framing included) and the chunks,
+	// the bytes the session will stage. For an unchunked artifact that is
+	// its logical size, which commit charges, plus the framing: an upload
+	// within its framing of the quota is refused here, not mid-stream.
 	incoming := man.Size
 	for _, c := range man.Chunks {
 		incoming += c.Size
@@ -625,8 +628,9 @@ func (sv *Server) handleUploadObject(w http.ResponseWriter, r *http.Request, ten
 	}
 	// Staged bytes are charged as they land, not only at upload-open:
 	// otherwise a tenant could park unbounded never-committed bytes across
-	// many sessions. The tenant's usage is summed once per request.
-	budget := int64(-1)
+	// many sessions. The tenant's usage is summed once per request; a
+	// budget already below zero refuses the first piece.
+	var budget int64
 	if pol.Quota > 0 {
 		budget = pol.Quota - sv.usedExcept(tenant, man.Key) - sv.stagedBytes(tenant)
 	}
@@ -635,7 +639,7 @@ func (sv *Server) handleUploadObject(w http.ResponseWriter, r *http.Request, ten
 	var got int64
 	for got < want {
 		n, rerr := io.ReadFull(r.Body, buf[:min(int64(len(buf)), want-got)])
-		if budget >= 0 && got+int64(n) > budget {
+		if pol.Quota > 0 && got+int64(n) > budget {
 			writeErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("tenant %s over quota: staged upload bytes would exceed %d", tenant, pol.Quota))
 			return
