@@ -18,8 +18,9 @@
 //     provable from the counters.
 //   - Failed jobs retry (bounded by Retries, delayed by the Backoff policy)
 //     when RetryIf classifies the error as retryable — e.g. a corrupt
-//     pinball read that a re-log fixes — and a wall-clock watchdog
-//     (Deadline, Interrupt) bounds each attempt.
+//     pinball read that a re-log fixes, or a replay attempt its own bounds
+//     interrupted after checkpointing. Bounding an attempt is the job's
+//     business: the farm never stops a running Run.
 //
 // Jobs may submit further jobs while running (Add is safe during Run and
 // from OnDone), which is how "select regions" fans out into per-region
@@ -52,15 +53,6 @@ type Job struct {
 	Retries int
 	// RetryIf classifies an error as retryable; nil means never retry.
 	RetryIf func(error) bool
-	// Deadline, with Interrupt set, arms a wall-clock watchdog around each
-	// Run attempt: an attempt still running after Deadline gets Interrupt
-	// called (from a timer goroutine). Interrupt must ask the work to stop
-	// itself — e.g. vm.Machine.RequestStop, which checkpoints and returns
-	// ErrInterrupted — rather than stop it forcibly.
-	Deadline time.Duration
-	// Interrupt is the watchdog's stop request (see Deadline). It may fire
-	// concurrently with Run and must be safe to call after Run returned.
-	Interrupt func()
 	// OnDone, when non-nil, runs on the worker after the job's result is
 	// final and before the job counts as finished, so a follow-up job it
 	// submits (the next stage, a recovery path, fan-out) keeps the farm
@@ -273,7 +265,7 @@ func (f *Farm) execute(job *Job) *Result {
 	}
 	for {
 		res.Attempts++
-		err := f.runAttempt(job)
+		err := safeRun(job)
 		if err == nil {
 			res.Err = nil
 			return res
@@ -285,16 +277,6 @@ func (f *Farm) execute(job *Job) *Result {
 		res.RetryErrs = append(res.RetryErrs, err)
 		res.Backoff += f.backoff.wait(job.ID, res.Attempts)
 	}
-}
-
-// runAttempt invokes one Run attempt, arming the job's wall-clock watchdog
-// around it when configured.
-func (f *Farm) runAttempt(job *Job) error {
-	if job.Deadline > 0 && job.Interrupt != nil {
-		tm := time.AfterFunc(job.Deadline, job.Interrupt)
-		defer tm.Stop()
-	}
-	return safeRun(job)
 }
 
 // safeRun invokes Run, converting a panic into an error so one bad job

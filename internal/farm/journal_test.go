@@ -244,81 +244,3 @@ func TestJournalCrashAfterStopsAppends(t *testing.T) {
 		t.Errorf("replayed %d records, want the 3 pre-crash ones", n)
 	}
 }
-
-func TestWatchdogInterruptsOverdueJob(t *testing.T) {
-	f := New(1)
-	stop := make(chan struct{})
-	interrupted := errors.New("interrupted by watchdog")
-	err := f.Add(&Job{
-		ID: "hung", Stage: "replay",
-		Deadline:  20 * time.Millisecond,
-		Interrupt: func() { close(stop) },
-		Run: func() error {
-			select {
-			case <-stop:
-				return interrupted
-			case <-time.After(10 * time.Second):
-				return nil // would hang the farm without the watchdog
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *Outcome, 1)
-	go func() {
-		out := f.Run()
-		done <- out
-	}()
-	select {
-	case out := <-done:
-		if !errors.Is(out.Results["hung"].Err, interrupted) {
-			t.Errorf("result: %v", out.Results["hung"].Err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired; farm hung")
-	}
-}
-
-// TestWatchdogCheckpointThenRetryResumes is the full robustness loop at the
-// farm level: a job overruns its deadline, the watchdog interrupts it, the
-// interruption "checkpoints" progress, and the retry resumes from that
-// checkpoint and completes — forward progress across attempts.
-func TestWatchdogCheckpointThenRetryResumes(t *testing.T) {
-	f := New(1)
-	f.SetBackoff(&Backoff{Base: time.Millisecond, Sleep: func(time.Duration) {}})
-	var ckpt atomic.Int64 // persisted progress
-	var stopped atomic.Bool
-	errInterrupted := errors.New("interrupted")
-	err := f.Add(&Job{
-		ID: "long", Stage: "replay", Retries: 10,
-		RetryIf:   func(err error) bool { return errors.Is(err, errInterrupted) },
-		Deadline:  15 * time.Millisecond,
-		Interrupt: func() { stopped.Store(true) },
-		Run: func() error {
-			stopped.Store(false)
-			for i := ckpt.Load(); i < 40; i++ { // resume from checkpoint
-				if stopped.Load() {
-					ckpt.Store(i) // checkpoint-then-return
-					return errInterrupted
-				}
-				time.Sleep(time.Millisecond)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := f.Run()
-	r := out.Results["long"]
-	if r.Err != nil {
-		t.Fatalf("job never completed: %v (attempts=%d)", r.Err, r.Attempts)
-	}
-	if r.Attempts < 2 {
-		t.Errorf("attempts = %d; watchdog never interrupted, test proves nothing", r.Attempts)
-	}
-	if len(r.RetryErrs) == 0 || !errors.Is(r.RetryErrs[0], errInterrupted) {
-		t.Errorf("retry errors: %v", r.RetryErrs)
-	}
-}

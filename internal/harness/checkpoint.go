@@ -3,6 +3,8 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
@@ -22,9 +24,10 @@ import (
 // at their absolute counts, and serializes the scheduler's PRNG so the
 // quantum sequence continues mid-stream.
 
-// ErrInterrupted is returned by RunCheckpointed when an external
-// RequestStop cut the run short; the final checkpoint was saved before it
-// is returned, so the caller can retry from it.
+// ErrInterrupted is returned by RunCheckpointed when the attempt's Budget
+// or Deadline, or an external RequestStop, cut the run short; the final
+// checkpoint was saved before it is returned, so the caller can retry from
+// it.
 var ErrInterrupted = errors.New("harness: run interrupted")
 
 // InjectCursor walks a pinball's syscall-effect log in per-thread program
@@ -218,41 +221,52 @@ type CkptOptions struct {
 	// Save persists each checkpoint (to a store, a directory, ...). It is
 	// called on every periodic checkpoint and on interruption.
 	Save func(*pinball.Pinball) error
+	// Budget bounds the attempt to this many retired instructions (0 =
+	// unbounded): the run stops at exactly its starting count plus Budget,
+	// checkpoints and returns ErrInterrupted. The session's own end (its
+	// budget reached, no thread left) wins when both land together.
+	Budget uint64
+	// Deadline bounds the attempt's wall-clock time (0 = none): once it
+	// passes, the run stops at the next instruction boundary, checkpoints
+	// and returns ErrInterrupted. A deadline that passes during Save ends
+	// the attempt at that checkpoint.
+	Deadline time.Duration
 }
 
 // RunCheckpointed runs the session to completion, taking periodic
-// checkpoints and a final one if an external RequestStop (a watchdog)
-// interrupts the run — in which case it returns ErrInterrupted after the
-// checkpoint is saved, so the caller can resume from it.
+// checkpoints and a final one when the attempt is cut short — by its
+// Budget or Deadline, or by an external RequestStop — in which case it
+// returns ErrInterrupted after the checkpoint is saved, so the caller can
+// resume from it.
 func (s *Session) RunCheckpointed(opts CkptOptions) error {
 	if opts.Name == "" {
 		opts.Name = s.originName() + ".ckpt"
 	}
 	m := s.Machine
+	// expired is sticky because Machine.Run clears a pending stop request
+	// when each segment starts: a deadline that passes between segments
+	// (during Save) would otherwise be lost.
+	var expired atomic.Bool
+	if opts.Deadline > 0 {
+		tm := time.AfterFunc(opts.Deadline, func() {
+			expired.Store(true)
+			m.RequestStop()
+		})
+		defer tm.Stop()
+	}
+	var attemptEnd uint64
+	if opts.Budget > 0 {
+		attemptEnd = m.GlobalRetired + opts.Budget
+	}
 	for {
-		target := s.budget
+		target := clip(s.budget, attemptEnd)
 		if opts.Every > 0 {
-			next := m.GlobalRetired + opts.Every
-			if target == 0 || next < target {
-				target = next
-			}
+			target = clip(target, m.GlobalRetired+opts.Every)
 		}
 		m.MaxInstructions = target
 		before := m.GlobalRetired
 		if err := s.Run(); err != nil {
 			return err
-		}
-		if m.StopRequested() {
-			if opts.Save != nil {
-				pb, err := s.CheckpointState(opts.Name)
-				if err != nil {
-					return err
-				}
-				if err := opts.Save(pb); err != nil {
-					return err
-				}
-			}
-			return WrapRun(s.cfg.Mode, ErrInterrupted)
 		}
 		if m.Halted || m.AliveCount() == 0 {
 			return nil
@@ -260,11 +274,10 @@ func (s *Session) RunCheckpointed(opts CkptOptions) error {
 		if s.budget > 0 && m.GlobalRetired >= s.budget {
 			return nil
 		}
-		if m.GlobalRetired == before {
-			return nil // no forward progress; avoid spinning
-		}
-		if opts.Every == 0 {
-			return nil
+		stopped := m.StopRequested() || expired.Load() ||
+			(attemptEnd > 0 && m.GlobalRetired >= attemptEnd)
+		if !stopped && (m.GlobalRetired == before || opts.Every == 0) {
+			return nil // no forward progress, or nothing left to checkpoint
 		}
 		if opts.Save != nil {
 			pb, err := s.CheckpointState(opts.Name)
@@ -275,5 +288,17 @@ func (s *Session) RunCheckpointed(opts CkptOptions) error {
 				return err
 			}
 		}
+		if stopped || expired.Load() {
+			return WrapRun(s.cfg.Mode, ErrInterrupted)
+		}
 	}
+}
+
+// clip lowers an instruction target to bound; zero means unbounded for
+// both.
+func clip(target, bound uint64) uint64 {
+	if bound > 0 && (target == 0 || bound < target) {
+		return bound
+	}
+	return target
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"elfie/internal/asm"
 	"elfie/internal/isa"
@@ -497,5 +498,213 @@ msg:	.ascii "done\n"
 	if resumed.Machine.Threads[0].Regs.GPR != ref.Machine.Threads[0].Regs.GPR {
 		t.Errorf("final registers diverge:\nresumed %v\nref     %v",
 			resumed.Machine.Threads[0].Regs.GPR, ref.Machine.Threads[0].Regs.GPR)
+	}
+}
+
+// TestCkptBudgetStopsExactly bounds attempts by CkptOptions.Budget alone —
+// no OnIns hook, so the chained core runs unless the engine is forced to
+// the interpreter — and checks each stop lands exactly at the attempt's
+// starting count plus Budget. Resuming from the first attempt's checkpoint
+// must retire the same (tid, pc) stream as the uninterrupted run from that
+// point on, so the stop left the scheduler mid-quantum exactly where an
+// uninterrupted run would be.
+func TestCkptBudgetStopsExactly(t *testing.T) {
+	exe, err := asm.Program(twoThreadProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 21, Jitter: 37}
+	record := func(s *Session, out *[]uint64) {
+		s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+			*out = append(*out, uint64(th.TID)<<48|pc)
+		}
+	}
+	var ref []uint64
+	refS, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record(refS, &ref)
+	if err := refS.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	const budget = 4999
+	for _, interp := range []bool{false, true} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Machine.DisableBlockCache = interp
+		var ckpts []*pinball.Pinball
+		opts := CkptOptions{
+			Name:   "budget.ckpt",
+			Save:   func(p *pinball.Pinball) error { ckpts = append(ckpts, p); return nil },
+			Budget: budget,
+		}
+		for attempt := uint64(1); attempt <= 2; attempt++ {
+			if err := s.RunCheckpointed(opts); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("interp=%v attempt %d: want ErrInterrupted, got %v", interp, attempt, err)
+			}
+			if got := s.Machine.GlobalRetired; got != attempt*budget {
+				t.Fatalf("interp=%v attempt %d stopped at %d, want %d", interp, attempt, got, attempt*budget)
+			}
+			if len(ckpts) != int(attempt) || ckpts[attempt-1].Meta.Checkpoint.GlobalRetired != attempt*budget {
+				t.Fatalf("interp=%v attempt %d: no checkpoint at the stop", interp, attempt)
+			}
+		}
+
+		var leg2 []uint64
+		resumed, err := New(Config{Mode: ModeNative, Pinball: roundTripCkpt(t, ckpts[0]), Seed: 12345})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(resumed, &leg2)
+		if err := resumed.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := ref[budget:]
+		if len(leg2) != len(want) {
+			t.Fatalf("interp=%v: resumed stream %d, uninterrupted remainder %d", interp, len(leg2), len(want))
+		}
+		for i := range want {
+			if leg2[i] != want[i] {
+				t.Fatalf("interp=%v: streams diverge at instruction %d", interp, budget+i)
+			}
+		}
+	}
+
+	// The session's own end wins over an attempt budget that lands with it.
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunCheckpointed(CkptOptions{Budget: uint64(len(ref))}); err != nil {
+		t.Fatalf("budget equal to the whole run: %v", err)
+	}
+	if s.Machine.AliveCount() != 0 || s.Machine.GlobalRetired != uint64(len(ref)) {
+		t.Fatalf("run ended at %d with %d threads alive", s.Machine.GlobalRetired, s.Machine.AliveCount())
+	}
+}
+
+// TestCkptDeadlineInterruptsOverdueRun: a run that would never end on its
+// own (a guest spin loop) is stopped by its wall-clock Deadline, and the
+// checkpoint it saves on the way out is a valid resumable pinball.
+func TestCkptDeadlineInterruptsOverdueRun(t *testing.T) {
+	exe, err := asm.Program(`
+	.text
+	.global _start
+_start:
+	addi r1, r1, 1
+	jmp  _start
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ckpt *pinball.Pinball
+	done := make(chan error, 1)
+	go func() {
+		done <- s.RunCheckpointed(CkptOptions{
+			Name:     "spin.ckpt",
+			Save:     func(p *pinball.Pinball) error { ckpt = p; return nil },
+			Deadline: 20 * time.Millisecond,
+		})
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("want ErrInterrupted, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadline never stopped the run")
+	}
+	if ckpt == nil || ckpt.Meta.Checkpoint.GlobalRetired != s.Machine.GlobalRetired {
+		t.Fatal("no checkpoint at the interruption point")
+	}
+	roundTripCkpt(t, ckpt)
+}
+
+// TestCkptDeadlineDuringSaveResumes is the checkpoint-then-retry loop under
+// a deadline shorter than one Save: the deadline passes while a periodic
+// checkpoint is being saved, so every attempt ends at that checkpoint, and
+// retries resuming from it still finish the run with the uninterrupted
+// run's totals and exit status. A deadline lost during Save would let the
+// first attempt run to the end.
+func TestCkptDeadlineDuringSaveResumes(t *testing.T) {
+	exe, err := asm.Program(`
+	.text
+	.global _start
+_start:
+	limm r1, 60000
+loop:
+	addi r2, r2, 1
+	xor  r3, r3, r2
+	cmp  r2, r1
+	jnz  loop
+	mov  r1, r3
+	andi r1, r1, 127
+	movi r0, 231        # exit_group(r3 & 127)
+	syscall
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 3}
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	const every = 50_000
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done, interrupted uint64 // instructions retired by finished attempts
+	for attempt := 1; ; attempt++ {
+		if attempt > 100 {
+			t.Fatalf("no completion after %d attempts", attempt-1)
+		}
+		var ckpt *pinball.Pinball
+		err := s.RunCheckpointed(CkptOptions{
+			Every: every,
+			Save: func(p *pinball.Pinball) error {
+				time.Sleep(40 * time.Millisecond)
+				ckpt = p
+				return nil
+			},
+			Deadline: 5 * time.Millisecond,
+		})
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrInterrupted) || ckpt == nil {
+			t.Fatalf("attempt %d: err=%v ckpt=%v", attempt, err, ckpt != nil)
+		}
+		if s.Machine.GlobalRetired > every {
+			t.Fatalf("attempt %d ran %d instructions past its first checkpoint", attempt, s.Machine.GlobalRetired)
+		}
+		interrupted++
+		done += s.Machine.GlobalRetired
+		if s, err = New(Config{Mode: ModeNative, Pinball: roundTripCkpt(t, ckpt), Seed: 77}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if interrupted == 0 {
+		t.Fatal("the deadline never interrupted an attempt")
+	}
+	if !s.Machine.Halted || s.Machine.ExitStatus != ref.Machine.ExitStatus {
+		t.Errorf("resumed run exit %d (halted %v), uninterrupted %d",
+			s.Machine.ExitStatus, s.Machine.Halted, ref.Machine.ExitStatus)
+	}
+	if got := done + s.Machine.GlobalRetired; got != ref.Machine.GlobalRetired {
+		t.Errorf("attempts retired %d in total, uninterrupted %d", got, ref.Machine.GlobalRetired)
 	}
 }

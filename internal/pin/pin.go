@@ -34,8 +34,6 @@ type Tool struct {
 	SyscallFast   func(t *vm.Thread, num uint64) (ret uint64, ok bool)
 	OnSyscall     func(t *vm.Thread, num uint64, res kernel.Result)
 	OnFault       func(t *vm.Thread, f *mem.Fault) bool
-	OnThreadStart func(t *vm.Thread)
-	OnThreadExit  func(t *vm.Thread)
 }
 
 // Engine composes tools onto one machine's hooks. It keeps no state of its
@@ -121,18 +119,6 @@ func (e *Engine) Attach(t *Tool) {
 		h.OnFault = next
 		if prev != nil {
 			h.OnFault = func(th *vm.Thread, f *mem.Fault) bool { return prev(th, f) || next(th, f) }
-		}
-	}
-	if prev, next := h.OnThreadStart, t.OnThreadStart; next != nil {
-		h.OnThreadStart = next
-		if prev != nil {
-			h.OnThreadStart = func(th *vm.Thread) { prev(th); next(th) }
-		}
-	}
-	if prev, next := h.OnThreadExit, t.OnThreadExit; next != nil {
-		h.OnThreadExit = next
-		if prev != nil {
-			h.OnThreadExit = func(th *vm.Thread) { prev(th); next(th) }
 		}
 	}
 }

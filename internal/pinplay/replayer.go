@@ -26,9 +26,6 @@ type ReplayOptions struct {
 	// Injection is off.
 	SchedSeed   int64
 	SchedJitter int
-	// MaxFactor bounds runaway replays at MaxFactor x the recorded region
-	// length (default 4).
-	MaxFactor uint64
 	// Observe, when non-nil, is called for every system call satisfied
 	// from the log during injected replay, before its effects are applied.
 	// Replay-based analyses (the sysstate tool) use it to watch the
@@ -44,7 +41,8 @@ type ReplayOptions struct {
 	Injector *fault.Injector
 	// Ckpt, when non-nil, runs the replay through the checkpointing run
 	// loop: periodic mid-run checkpoints per Ckpt.Every, plus a final one
-	// if a watchdog interrupts the run (ReplayResult.Interrupted).
+	// when Ckpt.Budget, Ckpt.Deadline or a RequestStop interrupts the run
+	// (ReplayResult.Interrupted).
 	Ckpt *harness.CkptOptions
 }
 
@@ -66,11 +64,15 @@ type ReplayResult struct {
 	Divergence *DivergenceReport
 	// InjectedSyscalls counts calls satisfied from the log.
 	InjectedSyscalls int
-	// Interrupted reports that an external RequestStop (a watchdog) cut
-	// the run short; with ReplayOptions.Ckpt set, the final checkpoint was
-	// saved before Replay returned.
+	// Interrupted reports that the attempt's bounds (ReplayOptions.Ckpt)
+	// or a RequestStop cut the run short; with ReplayOptions.Ckpt set, the
+	// final checkpoint was saved before Replay returned.
 	Interrupted bool
 }
+
+// maxFactor bounds a free-running (injection off) replay at this multiple
+// of the recorded region length.
+const maxFactor = 4
 
 // Replay re-executes a pinball region. With injection on, system calls are
 // skipped and their recorded side effects injected, and the recorded thread
@@ -80,9 +82,6 @@ type ReplayResult struct {
 func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayResult, error) {
 	if len(pb.Regs) == 0 {
 		return nil, fmt.Errorf("pinplay: pinball has no threads")
-	}
-	if opts.MaxFactor == 0 {
-		opts.MaxFactor = 4
 	}
 	cfg := harness.Config{
 		Mode:     harness.ModeReplay,
@@ -99,7 +98,7 @@ func Replay(pb *pinball.Pinball, k *kernel.Kernel, opts ReplayOptions) (*ReplayR
 		cfg.Sched = harness.SchedJittered
 		cfg.Jitter = opts.SchedJitter
 		cfg.Seed = opts.SchedSeed
-		cfg.Budget = pb.Meta.TotalInstructions * opts.MaxFactor
+		cfg.Budget = pb.Meta.TotalInstructions * maxFactor
 	}
 	s, err := harness.New(cfg)
 	if err != nil {

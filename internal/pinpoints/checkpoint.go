@@ -4,9 +4,9 @@ package pinpoints
 // live mid-run checkpointing meets the pipeline: each region's fat pinball
 // is re-executed under injection, dropping a resumable checkpoint pinball
 // into the artifact store every Config.CkptEvery retired instructions and
-// journaling its store key. Two watchdogs bound each attempt — the farm's
-// wall-clock deadline (Config.ReplayDeadline) and an instruction budget
-// (Config.ReplayBudget) — and both stop the machine cooperatively, so the
+// journaling its store key. Two bounds cap each attempt — a wall-clock
+// deadline (Config.ReplayDeadline) and an instruction budget
+// (Config.ReplayBudget) — and the harness run loop enforces both, so the
 // interrupted attempt checkpoints before it returns and the retry (or a
 // later -resume invocation) continues from exactly where it stopped.
 
@@ -15,13 +15,10 @@ import (
 
 	"elfie/internal/farm"
 	"elfie/internal/harness"
-	"elfie/internal/isa"
 	"elfie/internal/kernel"
-	"elfie/internal/pin"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
 	"elfie/internal/store"
-	"elfie/internal/vm"
 )
 
 // replayRegion is the Run body of one replay-stage attempt. It resumes from
@@ -43,15 +40,11 @@ func (b *Benchmark) replayRegion(rb *regionBuild, jobID string) error {
 		Injection: true,
 		Injector:  b.inj,
 		Ckpt: &harness.CkptOptions{
-			Every: b.cfg.CkptEvery,
-			Name:  ckName,
-			Save:  func(ck *pinball.Pinball) error { return b.saveCheckpoint(jobID, ck) },
-		},
-		BeforeRun: func(m *vm.Machine) {
-			// Publish the machine so the farm's wall-clock watchdog can
-			// RequestStop it from the timer goroutine.
-			rb.replayM.Store(m)
-			b.armReplayBudget(m)
+			Every:    b.cfg.CkptEvery,
+			Name:     ckName,
+			Save:     func(ck *pinball.Pinball) error { return b.saveCheckpoint(jobID, ck) },
+			Budget:   b.cfg.ReplayBudget,
+			Deadline: b.cfg.ReplayDeadline,
 		},
 	})
 	if err != nil {
@@ -70,27 +63,6 @@ func (b *Benchmark) replayRegion(rb *regionBuild, jobID string) error {
 			reg.Pinball.Name)
 	}
 	return nil
-}
-
-// armReplayBudget installs the instruction-budget watchdog: after
-// Config.ReplayBudget instructions retire in this attempt, the machine is
-// asked to stop (checkpoint-then-interrupt), bounding work per attempt while
-// the checkpoint keeps progress monotone across attempts.
-func (b *Benchmark) armReplayBudget(m *vm.Machine) {
-	budget := b.cfg.ReplayBudget
-	if budget == 0 {
-		return
-	}
-	var retired uint64
-	pin.NewEngine(m).Attach(&pin.Tool{
-		Name: "replay-budget",
-		OnIns: func(t *vm.Thread, pc uint64, ins isa.Inst) {
-			retired++
-			if retired == budget {
-				m.RequestStop()
-			}
-		},
-	})
 }
 
 // saveCheckpoint persists one mid-run checkpoint: chunked into the store

@@ -3,13 +3,11 @@ package pinpoints
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"elfie/internal/farm"
 	"elfie/internal/harness"
 	"elfie/internal/pinball"
 	"elfie/internal/simpoint"
-	"elfie/internal/vm"
 )
 
 // regionBuild drives one region through the farm as a chain of attempts,
@@ -54,11 +52,6 @@ type regionBuild struct {
 	// fromCache marks reg as a warm store hit: it passed every stage before
 	// it was stored, so the later stages probe through instead of re-running.
 	fromCache bool
-	// replayM holds the machine of the in-flight checkpointed replay
-	// attempt, so the farm's watchdog (wall-clock deadline) can request a
-	// cooperative stop from its timer goroutine. Atomic because Interrupt
-	// may fire concurrently with Run.
-	replayM atomic.Pointer[vm.Machine]
 }
 
 // submit starts the current attempt: it builds the attempt's stage table
@@ -108,23 +101,17 @@ func (rb *regionBuild) submit() error {
 	if b.ckptOn() {
 		// The checkpointed constrained-replay stage: re-execute the region's
 		// fat pinball under injection, dropping a resumable checkpoint into
-		// the store every CkptEvery instructions. Watchdogs (wall-clock
-		// deadline here, instruction budget inside replayRegion) interrupt an
+		// the store every CkptEvery instructions. The attempt's deadline and
+		// instruction budget (enforced by the harness run loop) interrupt an
 		// overrunning attempt after it checkpoints; the retry resumes from
 		// that checkpoint, so work is bounded per attempt but monotone across
 		// attempts.
 		replayID := id("replay")
 		chain = append(chain, &farm.Job{
 			ID: replayID, Stage: "replay", Probe: cached,
-			Retries:  replayRetries,
-			RetryIf:  func(err error) bool { return errors.Is(err, harness.ErrInterrupted) },
-			Deadline: b.cfg.ReplayDeadline,
-			Interrupt: func() {
-				if m := rb.replayM.Load(); m != nil {
-					m.RequestStop()
-				}
-			},
-			Run: func() error { return b.replayRegion(rb, replayID) },
+			Retries: replayRetries,
+			RetryIf: func(err error) bool { return errors.Is(err, harness.ErrInterrupted) },
+			Run:     func() error { return b.replayRegion(rb, replayID) },
 		})
 	}
 	// The last stage's Run is where an attempt succeeds, so only a region
@@ -146,9 +133,10 @@ func (rb *regionBuild) submit() error {
 	return b.addJob(rb.f, chain[0])
 }
 
-// replayRetries bounds how many watchdog interruptions one replay job
-// absorbs before the region is charged a FailInterrupted. Each retry resumes
-// from the newest checkpoint, so the bound caps wall time, not progress.
+// replayRetries bounds how many budget or deadline interruptions one replay
+// job absorbs before the region is charged a FailInterrupted. Each retry
+// resumes from the newest checkpoint, so the bound caps wall time, not
+// progress.
 const replayRetries = 8
 
 // done is every stage's OnDone. A failure advances recovery; a success

@@ -177,6 +177,50 @@ func TestReplayBudgetWatchdogResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// slowCkptStore is a store.Cache whose checkpoint writes take a fixed
+// time, longer than the replay deadline under test.
+type slowCkptStore struct {
+	store.Cache
+	delay time.Duration
+}
+
+func (s slowCkptStore) PutChunked(key, kind string, files store.FileSet, chunkSize int) (*store.Entry, error) {
+	time.Sleep(s.delay)
+	return s.Cache.PutChunked(key, kind, files, chunkSize)
+}
+
+// TestReplayDeadlineDuringCheckpointSave gives each replay attempt a
+// deadline shorter than one checkpoint write, so the deadline always passes
+// while a periodic checkpoint is being saved. The attempt must end at that
+// checkpoint — a deadline lost between run segments lets every attempt run
+// to the end — and the retries resuming from it must still finish every
+// region.
+func TestReplayDeadlineDuringCheckpointSave(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Store = slowCkptStore{Cache: openStore(t, t.TempDir()), delay: 150 * time.Millisecond}
+	cfg.MaxK = 2
+	cfg.Jobs = 1
+	cfg.CkptEvery = 100_000
+	cfg.ReplayDeadline = 60 * time.Millisecond
+	b, err := Prepare(smallRecipe(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Regions) == 0 {
+		t.Fatal("no regions")
+	}
+	rs := b.JobStats.Stage("replay")
+	if rs.Retried == 0 {
+		t.Errorf("the deadline never interrupted a replay attempt: %+v", rs)
+	}
+	if rs.Failed != 0 {
+		t.Errorf("replay stage failed jobs: %+v", rs)
+	}
+	if len(b.Degradation.Events) != 0 {
+		t.Errorf("deadline interruptions dropped or degraded regions: %+v", b.Degradation.Events)
+	}
+}
+
 // TestCrashMidFlightResumesByteIdentical is the crash-recovery contract: a
 // -j 8 store-backed run is killed mid-flight (simulated crash between journal
 // records), then re-invoked with Resume. The resumed run must succeed, redo

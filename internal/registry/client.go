@@ -242,26 +242,17 @@ func (c *Client) Entries() ([]store.Entry, error) {
 	return out, nil
 }
 
-// Stat fetches an artifact's manifest; ErrNotFound if absent. A non-empty
-// haveObject is sent as If-None-Match: when the registry holds exactly that
-// object, Stat returns (nil, nil) — "you are current", zero bytes moved.
-func (c *Client) Stat(key, haveObject string) (*ArtifactInfo, error) {
-	hdr := http.Header{}
-	if haveObject != "" {
-		hdr.Set("If-None-Match", `"`+haveObject+`"`)
-	}
-	resp, data, err := c.do("GET", c.turl("artifacts", key), hdr, nil)
+// holds reports whether the registry maps key to exactly object. It asks
+// with a HEAD of the artifact's object carrying If-None-Match, which the
+// registry answers from its index: 304 when it holds object, 200 when it
+// holds another. ErrNotFound when key is absent.
+func (c *Client) holds(key, object string) (bool, error) {
+	hdr := http.Header{"If-None-Match": {`"` + object + `"`}}
+	resp, _, err := c.do("HEAD", c.turl("artifacts", key, "object"), hdr, nil)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	if resp.StatusCode == http.StatusNotModified {
-		return nil, nil
-	}
-	var info ArtifactInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		return nil, fmt.Errorf("registry: artifact manifest: %v", err)
-	}
-	return &info, nil
+	return resp.StatusCode == http.StatusNotModified, nil
 }
 
 // Status reports the tenant's usage and policy.
@@ -326,7 +317,7 @@ func (c *Client) Push(s *store.Store, key string) (*TransferStats, error) {
 	// Warm path: the registry already has this exact object under this key.
 	// Both sides answer from their index: the server's 304 reads no object,
 	// and the local object is read only when it has to be uploaded.
-	if info, err := c.Stat(key, e.Object); err == nil && info == nil {
+	if held, err := c.holds(key, e.Object); held {
 		return stats, nil
 	} else if err != nil && !errors.Is(err, ErrNotFound) {
 		return nil, err

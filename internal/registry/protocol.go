@@ -21,7 +21,9 @@
 //     it once, when it commits. Reads carry content-hash ETags
 //     (If-None-Match answers 304 with zero bytes) and honor HTTP Range with
 //     If-Range, so an interrupted download continues from its last staged
-//     byte.
+//     byte. A HEAD of the same URL with If-None-Match is a push's warm
+//     check: 304 when the key holds the pusher's object, 200 when it holds
+//     another, answered from the index without reading either.
 //   - A transfer stage on either side is a resumption hint, not a durable
 //     record: it is appended without fsync, a killed process resumes from
 //     it, and the commit's hash catches a stage an OS crash tore (the
@@ -35,9 +37,9 @@
 //	GET  /v1/ping                                    liveness + protocol version
 //	GET  /v1/t/{tenant}                              tenant status (usage, quota)
 //	GET  /v1/t/{tenant}/entries                      index listing
-//	GET  /v1/t/{tenant}/artifacts/{key}           artifact manifest (ETag: object)
 //	GET  /v1/t/{tenant}/artifacts/{key}/object    top object, canonical form (bytes; ETag: object,
-//	                                              Elfie-Kind: entry kind; Range, If-Range)
+//	                                              Elfie-Kind: entry kind; Range, If-Range); HEAD
+//	                                              answers from the index (If-None-Match: 304)
 //	GET  /v1/t/{tenant}/objects/{id}              raw chunk object (Range, ETag)
 //	POST /v1/t/{tenant}/uploads                   open/resume an upload (manifest in; staged
 //	                                              length and needed chunks out)
@@ -53,13 +55,11 @@ package registry
 import (
 	"crypto/sha256"
 	"encoding/hex"
-
-	"elfie/internal/store"
 )
 
 // ProtocolVersion is bumped on incompatible wire changes; ping reports it
 // so mismatched clients fail fast instead of misparsing.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // KindHeader carries an artifact's entry kind on an object download, the
 // one index field the puller needs for its commit besides the object ID
@@ -113,18 +113,6 @@ type UploadStatus struct {
 	// Committed reports the artifact is already stored with this exact
 	// object ID; the transfer is a no-op.
 	Committed bool `json:"committed,omitempty"`
-}
-
-// ArtifactInfo describes a stored artifact: the index entry (key relative
-// to the tenant), the raw top members with their sizes, and the chunk
-// objects it references. Push reads it to learn whether the registry
-// already holds the artifact; a pull needs none of it.
-type ArtifactInfo struct {
-	Entry store.Entry      `json:"entry"`
-	Top   map[string]int64 `json:"top"`
-	// Chunks lists referenced chunk objects with sizes, so a puller can
-	// budget and skip ones it already holds.
-	Chunks []BlobRef `json:"chunks,omitempty"`
 }
 
 // Problem is one verification failure, wire-safe (errors as strings) and

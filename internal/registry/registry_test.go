@@ -398,6 +398,38 @@ func TestWarmTransfersAreZero(t *testing.T) {
 	}
 }
 
+// TestPushCheckReadsNoObject: the push's "already there?" check is
+// answered from the registry's index even when the key holds a different
+// object, so re-pointing a key reads nothing of what it held before.
+func TestPushCheckReadsNoObject(t *testing.T) {
+	serverStore, _, srv := testRegistry(t, ServerOptions{})
+	a, b := localStore(t), localStore(t)
+	c := testClient(srv, "")
+	old, err := a.Put("k", "region", store.FileSet{"f": []byte("old")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push(a, "k"); err != nil {
+		t.Fatal(err)
+	}
+	objDir := filepath.Join(serverStore.Root(), "objects", old.Object[:2], old.Object)
+	if err := os.Rename(objDir, objDir+".hidden"); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Rename(objDir+".hidden", objDir)
+
+	next, err := b.Put("k", "region", store.FileSet{"f": []byte("new")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Push(b, "k"); err != nil {
+		t.Fatalf("push over another object read it: %v", err)
+	}
+	if got, ok := serverStore.Stat(tenantPrefix(DefaultTenant) + "k"); !ok || got.Object != next.Object {
+		t.Fatalf("key not re-pointed to the pushed object: %+v", got)
+	}
+}
+
 // TestPushResumesAfterCrash kills the pushing client between completed
 // pieces and chunk transfers — the moral equivalent of SIGKILL — and proves
 // the resumed push re-sends no completed chunk and no staged byte range,
@@ -598,7 +630,7 @@ func stagedBody(t *testing.T, s *store.Store) []byte {
 
 // TestPullResumesMidStream kills a pull inside a multi-piece object body
 // and resumes it: the resumed GET asks for exactly the bytes after the
-// fsynced stage, pinned to the staged object by If-Range, so no completed
+// staged prefix, pinned to the staged object by If-Range, so no completed
 // piece crosses the wire twice.
 func TestPullResumesMidStream(t *testing.T) {
 	_, tl, srv := testRegistry(t, ServerOptions{})
@@ -835,7 +867,7 @@ func TestSlashKeysRoundTrip(t *testing.T) {
 		t.Fatalf("slash key artifact mismatched: ok=%v", ok)
 	}
 	// Traversal-shaped keys are refused at the door.
-	if _, err := c.Stat("../../etc/passwd", ""); !errors.Is(err, ErrRemote) {
+	if _, err := c.holds("../../etc/passwd", ea.Object); !errors.Is(err, ErrRemote) {
 		t.Fatalf("traversal key accepted: %v", err)
 	}
 }
@@ -952,7 +984,7 @@ func TestTenantIsolationAndQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	// beta cannot see alpha's artifact.
-	if _, err := testClient(srv, "beta").Stat("k", ""); !errors.Is(err, ErrNotFound) {
+	if _, err := testClient(srv, "beta").holds("k", ""); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("tenant isolation broken: %v", err)
 	}
 	// beta's quota refuses the 2 KiB artifact at upload-open time.
@@ -1084,7 +1116,7 @@ func TestPullThroughCache(t *testing.T) {
 	if _, err := wt.Put("produced", "region", store.FileSet{"f": []byte("fresh")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := testClient(srv, "").Stat("produced", ""); err != nil {
+	if _, err := testClient(srv, "").holds("produced", ""); err != nil {
 		t.Fatalf("PushOnPut did not publish: %v", err)
 	}
 }

@@ -115,7 +115,6 @@ func (sv *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/t/{tenant}", sv.tenantized(sv.handleTenantStatus))
 	mux.HandleFunc("GET /v1/t/{tenant}/entries", sv.tenantized(sv.handleEntries))
-	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}", sv.tenantized(sv.handleArtifact))
 	mux.HandleFunc("GET /v1/t/{tenant}/artifacts/{key}/object", sv.tenantized(sv.handleArtifactObject))
 	mux.HandleFunc("GET /v1/t/{tenant}/objects/{id}", sv.tenantized(sv.handleObject))
 	mux.HandleFunc("POST /v1/t/{tenant}/uploads", sv.tenantized(sv.handleUploadOpen))
@@ -181,36 +180,6 @@ func (sv *Server) handleEntries(w http.ResponseWriter, r *http.Request, tenant s
 	writeJSON(w, http.StatusOK, out)
 }
 
-// artifactInfo builds the download manifest for one entry.
-func (sv *Server) artifactInfo(e *store.Entry, tenant string) (*ArtifactInfo, error) {
-	top, err := sv.store.ReadObject(e.Object)
-	if err != nil {
-		return nil, err
-	}
-	refs, err := store.ChunkRefsOf(top)
-	if err != nil {
-		return nil, err
-	}
-	info := &ArtifactInfo{Entry: *e, Top: make(map[string]int64, len(top))}
-	info.Entry.Key = strings.TrimPrefix(e.Key, tenantPrefix(tenant))
-	for name, data := range top {
-		info.Top[name] = int64(len(data))
-	}
-	seen := make(map[string]bool)
-	for _, id := range refs {
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		part, err := sv.store.ReadObject(id)
-		if err != nil {
-			return nil, err
-		}
-		info.Chunks = append(info.Chunks, BlobRef{ID: id, Size: int64(len(part["chunk"]))})
-	}
-	return info, nil
-}
-
 // lookupArtifact resolves the request's key to its index entry and sets
 // the content-hash ETag, the object ID. A client holding that object (its
 // If-None-Match names it) is answered 304 from the index without reading
@@ -236,28 +205,21 @@ func (sv *Server) lookupArtifact(w http.ResponseWriter, r *http.Request, tenant 
 	return e, true
 }
 
-func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
-	e, ok := sv.lookupArtifact(w, r, tenant)
-	if !ok {
-		return
-	}
-	info, err := sv.artifactInfo(e, tenant)
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
-}
-
 // handleArtifactObject serves an artifact's top object as its canonical
 // form, the bytes its content address hashes. The object is read and
 // verified once, before any header goes out, so a damaged object is refused
 // with the store's error status instead of being half-sent. The ETag also
 // serves If-Range: a resumed download keeps its Range only while the key
-// still maps to the object its staged prefix belongs to.
+// still maps to the object its staged prefix belongs to. A HEAD (which the
+// GET route also matches) is a push's warm check: the ETag already answers
+// it, so the object is not read.
 func (sv *Server) handleArtifactObject(w http.ResponseWriter, r *http.Request, tenant string, _ Tenant) {
 	e, ok := sv.lookupArtifact(w, r, tenant)
 	if !ok {
+		return
+	}
+	if r.Method == http.MethodHead {
+		w.WriteHeader(http.StatusOK)
 		return
 	}
 	body, err := sv.store.ReadCanonical(e.Object)

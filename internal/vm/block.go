@@ -146,10 +146,10 @@ type decodeTable struct {
 
 // fastPathOK reports whether execution may use the block fast path. Any
 // per-instruction observation hook forces the step path so hooks fire in
-// order; SyscallFilter/OnSyscall/OnFault and the thread hooks are
-// compatible with the fast path because syscalls the chain cannot retire
-// inline and faults fall back to step semantics, and OnBlock because the
-// chain reports its runs at every exit.
+// order; SyscallFilter/OnSyscall/OnFault are compatible with the fast
+// path because syscalls the chain cannot retire inline and faults fall
+// back to step semantics, and OnBlock because the chain reports its runs
+// at every exit.
 func (m *Machine) fastPathOK() bool {
 	h := &m.Hooks
 	return !m.DisableBlockCache && m.FaultInj == nil &&

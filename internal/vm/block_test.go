@@ -144,7 +144,7 @@ func TestRemapInvalidation(t *testing.T) {
 }
 
 // fastPathOK: per-instruction observation hooks force the step path;
-// syscall/fault/thread hooks are fast-path compatible.
+// syscall/fault hooks are fast-path compatible.
 func TestFastPathSelection(t *testing.T) {
 	m := &Machine{}
 	if !m.fastPathOK() {
@@ -152,10 +152,9 @@ func TestFastPathSelection(t *testing.T) {
 	}
 	m.Hooks.SyscallFilter = func(*Thread, uint64) (kernel.Result, bool) { return kernel.Result{}, false }
 	m.Hooks.OnFault = func(*Thread, *mem.Fault) bool { return false }
-	m.Hooks.OnThreadStart = func(*Thread) {}
 	m.Hooks.OnBlock = func(*Thread, []isa.DecInst, int) {}
 	if !m.fastPathOK() {
-		t.Error("syscall/fault/thread/block hooks must not disable the fast path")
+		t.Error("syscall/fault/block hooks must not disable the fast path")
 	}
 	m.Hooks.OnIns = func(*Thread, uint64, isa.Inst) {}
 	if m.fastPathOK() {

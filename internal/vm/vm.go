@@ -142,9 +142,6 @@ type Hooks struct {
 	// OnFault may handle a memory fault (e.g. by injecting a logged page);
 	// returning true retries the faulting instruction.
 	OnFault func(t *Thread, f *mem.Fault) bool
-	// OnThreadStart/OnThreadExit bracket a thread's life.
-	OnThreadStart func(t *Thread)
-	OnThreadExit  func(t *Thread)
 }
 
 // Scheduler picks the next thread to run and learns how far it got.
@@ -447,9 +444,6 @@ func (m *Machine) Reset(k *kernel.Kernel, proc *kernel.Process) {
 func (m *Machine) AddThread(regs isa.RegFile) *Thread {
 	t := &Thread{TID: len(m.Threads), Regs: regs, Alive: true}
 	m.Threads = append(m.Threads, t)
-	if m.Hooks.OnThreadStart != nil {
-		m.Hooks.OnThreadStart(t)
-	}
 	return t
 }
 
@@ -465,8 +459,9 @@ func (m *Machine) AliveCount() int {
 }
 
 // RequestStop makes Run return at the next instruction boundary. Timing
-// simulators use it to implement (PC, count) end conditions; farm watchdogs
-// call it from other goroutines to trigger checkpoint-then-kill.
+// simulators use it to implement (PC, count) end conditions; a
+// checkpointed run's wall-clock deadline calls it from a timer goroutine
+// to trigger checkpoint-then-stop.
 func (m *Machine) RequestStop() { m.stopReq.Store(true) }
 
 // StopRequested reports whether a stop request is pending (Run clears it
@@ -518,16 +513,13 @@ func (m *Machine) PendingQuantum() (tid, n int) {
 	return m.lastTID, 0
 }
 
-// exitThread marks t dead and fires the exit hook.
+// exitThread marks t dead.
 func (m *Machine) exitThread(t *Thread, status int) {
 	if !t.Alive {
 		return
 	}
 	t.Alive = false
 	t.ExitStatus = status
-	if m.Hooks.OnThreadExit != nil {
-		m.Hooks.OnThreadExit(t)
-	}
 }
 
 // exitGroup terminates the whole process.

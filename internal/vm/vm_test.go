@@ -646,23 +646,6 @@ tls:	.quad 99
 	}
 }
 
-func TestThreadHooks(t *testing.T) {
-	starts, exits := 0, 0
-	m := load(t, `
-		.text
-		.global _start
-_start:
-`+exitSnippet, 1)
-	// Thread 0 was created by NewLoaded before hooks were set; count only
-	// via exit hook plus a fresh machine for the start hook.
-	m.Hooks.OnThreadExit = func(th *Thread) { exits++ }
-	m.Run()
-	if exits != 1 {
-		t.Errorf("exits = %d", exits)
-	}
-	_ = starts
-}
-
 func TestRoundRobinStateRoundTrip(t *testing.T) {
 	m := &Machine{Threads: []*Thread{
 		{TID: 0, Alive: true}, {TID: 1, Alive: true}, {TID: 2, Alive: true},
