@@ -25,10 +25,10 @@ import (
 
 func main() {
 	gridPath := flag.String("grid", "", "grid spec (JSON), required")
-	out := flag.String("out", "out", "output directory (journal, cells, report)")
+	out := flag.String("out", "out", "output directory (cells, report)")
 	jobs := flag.Int("j", 0, "grid worker count (0 = GOMAXPROCS)")
 	repeats := flag.Int("repeats", 0, "override per-cell repeats (0 = grid's values)")
-	resume := flag.Bool("resume", false, "resume a crashed run from its journal")
+	resume := flag.Bool("resume", false, "resume a killed run: reuse the cell rows it persisted")
 	quiet := flag.Bool("q", false, "suppress per-cell progress")
 	noSummary := flag.Bool("no-summary", false, "skip the summary table on stdout")
 	flag.Parse()

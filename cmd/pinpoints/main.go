@@ -9,11 +9,11 @@
 //	pinpoints -bench 602.gcc_t -validate native
 //	pinpoints -bench 602.gcc_t -validate sim
 //	pinpoints -bench 602.gcc_t -store cache -ckpt-every 200000
-//	pinpoints -bench 602.gcc_t -store cache -resume
 //
-// With -store, every run keeps a crash-safe journal in the store directory;
-// a run killed at any instant is resumed with -resume, skipping completed
-// work and continuing interrupted checkpointed replays mid-region.
+// With -store, the store is the run's resume state: re-running a killed
+// run with the same flags serves every profile and region the killed run
+// stored, and continues each interrupted checkpointed replay from its
+// region's newest checkpoint.
 package main
 
 import (
@@ -37,8 +37,6 @@ func main() {
 	warmup := flag.Uint64("warmup", 800_000, "warm-up region (instructions)")
 	maxK := flag.Int("maxk", 50, "maximum number of phases")
 	trials := flag.Int("trials", 1, "native validation trials")
-	resume := flag.Bool("resume", false,
-		"resume a crashed or killed run from the store's journal (requires -store)")
 	ckptEvery := flag.Uint64("ckpt-every", 0,
 		"checkpointed replay stage: checkpoint every N instructions (0 = off)")
 	c := cli.Register(cli.FlagSeed | cli.FlagJobs | cli.FlagStore | cli.FlagRemote)
@@ -73,16 +71,13 @@ func main() {
 	cfg := pinpoints.Config{
 		SliceSize: *slice, WarmupSize: *warmup, MaxK: *maxK,
 		Seed: c.Seed, UseSysState: true, Jobs: c.Jobs,
-		Resume: *resume, CkptEvery: *ckptEvery,
+		CkptEvery: *ckptEvery,
 	}
 	cache, err := c.OpenCache()
 	if err != nil {
 		cli.DieClassified(err)
 	}
 	cfg.Store = cache
-	if *resume && cache == nil {
-		cli.Die(fmt.Errorf("-resume needs -store: the run journal lives in the store directory"))
-	}
 	b, err := pinpoints.Prepare(recipe, cfg)
 	if err != nil {
 		cli.DieClassified(err)

@@ -11,6 +11,7 @@ import (
 	"elfie/internal/cli"
 	"elfie/internal/farm"
 	"elfie/internal/results"
+	"elfie/internal/store"
 )
 
 // Runner executes a grid spec.
@@ -20,20 +21,15 @@ type Runner struct {
 	Jobs int
 	// Repeats, when > 0, overrides every cell's repeat count.
 	Repeats int
-	// OutDir holds the journal, per-cell rows, and the final report
-	// artifacts.
+	// OutDir holds the per-cell rows and the final report artifacts.
 	OutDir string
-	// Resume replays the journal in OutDir: cells recorded done with a
-	// persisted row are not re-run. It refuses an OutDir whose grid.json
-	// stamp does not match Spec and Repeats. Without Resume, the out
-	// directory's journal and rows are cleared first.
+	// Resume reuses the rows persisted in OutDir: a cell whose row parses
+	// is not re-run. It refuses an OutDir whose grid.json stamp does not
+	// match Spec and Repeats. Without Resume, the out directory's rows are
+	// cleared first.
 	Resume bool
 	// Log receives progress lines (nil = quiet).
 	Log io.Writer
-
-	// CrashAfter, when > 0, makes the journal refuse appends after that
-	// many records — the test hook simulating SIGKILL between cells.
-	CrashAfter int
 }
 
 // AssertFailure is one failed grid assertion.
@@ -50,8 +46,8 @@ type RunResult struct {
 	Failures []results.Cell
 	// AssertFailures lists failed declarative assertions.
 	AssertFailures []AssertFailure
-	// Executed counts cells actually run this invocation (excludes
-	// journal-resumed ones) — the "zero re-run" resume guarantee is
+	// Executed counts cells actually run this invocation (excludes ones
+	// resumed from their rows) — the "zero re-run" resume guarantee is
 	// checked against this.
 	Executed int
 	Counters farm.Counters
@@ -78,9 +74,10 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// cellPath is where a cell's finished row is persisted. The journal's
-// "done" plus this row is what makes resume re-run zero completed cells:
-// the journal proves completion, the row carries the result.
+// cellPath is where a cell's finished row is persisted. The row is both the
+// cell's result and its completion proof: it is published whole (synced,
+// then renamed into place), so a row that parses belongs to a cell that
+// finished, and resume re-runs exactly the cells without one.
 func (r *Runner) cellPath(c *Cell) string {
 	return filepath.Join(r.OutDir, "cells", c.FileID()+".json")
 }
@@ -102,7 +99,7 @@ func (r *Runner) saveRow(c *Cell, row *results.Cell) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(r.cellPath(c), append(buf, '\n'), 0o644)
+	return store.WriteFileAtomic(r.cellPath(c), append(buf, '\n'))
 }
 
 // Run expands, executes, aggregates, and asserts.
@@ -115,7 +112,6 @@ func (r *Runner) Run() (*RunResult, error) {
 		r.OutDir = "out"
 	}
 	cellDir := filepath.Join(r.OutDir, "cells")
-	journalPath := filepath.Join(r.OutDir, "journal.jsonl")
 	stamp, err := json.MarshalIndent(struct {
 		Spec    *Spec
 		Repeats int
@@ -126,7 +122,6 @@ func (r *Runner) Run() (*RunResult, error) {
 	stampPath := filepath.Join(r.OutDir, "grid.json")
 	if !r.Resume {
 		// A fresh run never trusts stale state.
-		os.Remove(journalPath)
 		os.RemoveAll(cellDir)
 	} else if old, err := os.ReadFile(stampPath); err != nil || !bytes.Equal(old, stamp) {
 		return nil, fmt.Errorf("%w: cannot resume %s: its grid.json is missing or records a different grid or -repeats",
@@ -138,26 +133,16 @@ func (r *Runner) Run() (*RunResult, error) {
 	if err := os.WriteFile(stampPath, stamp, 0o644); err != nil {
 		return nil, err
 	}
-	jr, err := farm.OpenJournal(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	defer jr.Close()
-	jr.CrashAfter = r.CrashAfter
-
 	rr := &RunResult{Report: results.New(r.Spec.Name)}
 	f := farm.New(r.Jobs)
 	executed := make([]bool, len(cells))
 	for i := range cells {
 		c := &cells[i]
 		i := i
-		if err := f.AddJournaled(jr, &farm.Job{
+		if err := f.Add(&farm.Job{
 			ID:    c.ID,
 			Stage: c.Exp.Name,
 			Probe: func() bool {
-				if !jr.Done(c.ID) {
-					return false
-				}
 				_, ok := r.loadRow(c)
 				return ok
 			},
@@ -183,8 +168,8 @@ func (r *Runner) Run() (*RunResult, error) {
 	}
 
 	// Aggregate: every cell's persisted row, in expansion order. A cell
-	// with no row (journal crash before its write) is recorded as an
-	// internal failure so the report always covers the full grid.
+	// with no row (its write failed) is recorded as an internal failure so
+	// the report always covers the full grid.
 	for i := range cells {
 		c := &cells[i]
 		row, ok := r.loadRow(c)

@@ -168,61 +168,92 @@ func mustCorpus(t *testing.T, name string) workloads.Recipe {
 	return e.Recipe
 }
 
-// TestResumeAfterCrash: a SIGKILL mid-grid (simulated via the journal's
-// CrashAfter hook) resumes with zero re-runs of journal-completed cells.
+// TestResumeAfterCrash: a cell's persisted row is its completion proof, so
+// a run killed mid-grid — modelled as an out directory where one finished
+// row is missing and another is torn — resumes by re-running exactly those
+// two cells. A cell whose row cannot be written still shows up in the
+// report, as a synthesized failure row.
 func TestResumeAfterCrash(t *testing.T) {
 	out := t.TempDir()
 	spec := vmSpec("crash", "decode_heavy", "mem_stream", "syscall_dense", "sys.dense")
+	var log bytes.Buffer
+	run := func() *RunResult {
+		t.Helper()
+		log.Reset()
+		rr, err := (&Runner{Spec: spec, OutDir: out, Jobs: 1, Resume: true, Log: &log}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rr
+	}
+	ran := func() (ids []string) {
+		for _, line := range strings.Split(log.String(), "\n") {
+			if id, ok := strings.CutPrefix(line, "run  "); ok {
+				ids = append(ids, id)
+			}
+		}
+		return ids
+	}
 
-	// Each journaled cell appends a start and a done record. Refusing the
-	// 5th append kills the run mid-cell-3: cells 1-2 complete, cell 3 runs
-	// but its done record is lost, cell 4 never starts.
-	r := &Runner{Spec: spec, OutDir: out, Jobs: 1, CrashAfter: 5}
-	rr, err := r.Run()
+	if rr, err := (&Runner{Spec: spec, OutDir: out, Jobs: 1}).Run(); err != nil || rr.Executed != 4 {
+		t.Fatalf("fresh run: %v, want all 4 cells executed", err)
+	}
+	cells, err := spec.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Executed != 3 {
-		t.Fatalf("crashed run executed %d cells, want 3", rr.Executed)
+	r := &Runner{OutDir: out}
+	byWorkload := map[string]*Cell{}
+	for i := range cells {
+		byWorkload[cells[i].Recipe.Name] = &cells[i]
 	}
-	// The report still covers the full grid: the never-started cell shows
-	// up as a synthesized failure row.
-	if len(rr.Report.Cells) != 4 {
-		t.Fatalf("crashed report covers %d cells, want 4", len(rr.Report.Cells))
-	}
-	if len(rr.Failures) != 1 || rr.Failures[0].Workload != "sys.dense" {
-		t.Fatalf("crashed run failures: %+v", rr.Failures)
-	}
-
-	// Resume: the journal says cells 1-2 are done and their rows exist, so
-	// only cell 3 (torn done record) and cell 4 (never ran) re-run.
-	r2 := &Runner{Spec: spec, OutDir: out, Jobs: 1, Resume: true}
-	rr2, err := r2.Run()
-	if err != nil {
+	lost, torn := byWorkload["decode_heavy"], byWorkload["mem_stream"]
+	if err := os.Remove(r.cellPath(lost)); err != nil {
 		t.Fatal(err)
 	}
-	if rr2.Executed != 2 {
-		t.Fatalf("resume executed %d cells, want 2 (zero re-runs of completed cells)", rr2.Executed)
+	if err := os.Truncate(r.cellPath(torn), 40); err != nil {
+		t.Fatal(err)
 	}
-	if rr2.Counters.Cached != 2 {
-		t.Fatalf("resume cached %d cells, want 2", rr2.Counters.Cached)
+
+	rr := run()
+	if got, want := strings.Join(ran(), ","), lost.ID+","+torn.ID; got != want {
+		t.Fatalf("resume re-ran %q, want exactly %q", got, want)
 	}
-	if len(rr2.Failures) != 0 {
-		t.Fatalf("resume left failures: %+v", rr2.Failures)
+	if rr.Executed != 2 || rr.Counters.Cached != 2 {
+		t.Fatalf("resume executed %d and cached %d cells, want 2 and 2", rr.Executed, rr.Counters.Cached)
 	}
-	if len(rr2.Report.Cells) != 4 {
-		t.Fatalf("resumed report covers %d cells, want 4", len(rr2.Report.Cells))
+	if len(rr.Failures) != 0 || len(rr.Report.Cells) != 4 {
+		t.Fatalf("resumed report: %d cells, failures %+v", len(rr.Report.Cells), rr.Failures)
 	}
-	for _, c := range rr2.Report.Cells {
+	for _, c := range rr.Report.Cells {
 		if c.Status != "ok" || c.MIPS.Max <= 0 {
 			t.Fatalf("resumed cell not healthy: %+v", c)
 		}
 	}
 
+	// A directory where a row belongs: the cell re-runs, its row cannot be
+	// published, and the report still covers the full grid.
+	blocked := byWorkload["syscall_dense"]
+	path := r.cellPath(blocked)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rr = run()
+	if got := strings.Join(ran(), ","); got != blocked.ID {
+		t.Fatalf("resume re-ran %q, want only %q", got, blocked.ID)
+	}
+	if len(rr.Report.Cells) != 4 || len(rr.Failures) != 1 || rr.Failures[0].Workload != "syscall_dense" ||
+		rr.Failures[0].Error == "" {
+		t.Fatalf("unwritable row: report has %d cells, failures %+v", len(rr.Report.Cells), rr.Failures)
+	}
+
 	// A fresh (non-resume) run distrusts all prior state and re-runs
 	// everything.
-	r3 := &Runner{Spec: spec, OutDir: out, Jobs: 1}
-	rr3, err := r3.Run()
+	os.RemoveAll(path)
+	rr3, err := (&Runner{Spec: spec, OutDir: out, Jobs: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

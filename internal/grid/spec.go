@@ -2,7 +2,8 @@
 // cmd/elfiebench: a grid file names experiments (workloads × modes × jobs ×
 // fault rates × seeds, with repeats and warmup axes), the runner expands
 // them into cells, executes every cell through internal/harness sessions on
-// an internal/farm worker pool with a crash-safe journal, and emits one
+// an internal/farm worker pool, persisting each cell's row as it finishes
+// (a killed run resumes from the rows), and emits one
 // internal/results report (JSON + CSV + summary, plus BENCH_vm.json and its
 // history when the grid asks for them). grids/paper.json regenerates the
 // paper's tables and figures at reduced scale, grids/paper-full.json at

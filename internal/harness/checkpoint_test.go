@@ -282,6 +282,54 @@ func TestJitteredCheckpointBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSegmentedRunKeepsSchedule: a live two-thread run that RunCheckpointed
+// splits into segments retires the same (tid, pc) stream as the same run
+// uninterrupted. A segment's clip ends the quantum in flight; the remainder
+// stays owed to the same thread, as it does for a run resumed from the
+// segment's checkpoint, instead of rotating to the next thread.
+func TestSegmentedRunKeepsSchedule(t *testing.T) {
+	exe, err := asm.Program(twoThreadProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 21, Jitter: 37}
+	run := func(every uint64) (stream []uint64, saves int) {
+		t.Helper()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+			stream = append(stream, uint64(th.TID)<<48|pc)
+		}
+		err = s.RunCheckpointed(CkptOptions{
+			Every: every,
+			Save:  func(*pinball.Pinball) error { saves++; return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Machine.AliveCount() != 0 {
+			t.Fatalf("every=%d: run did not finish", every)
+		}
+		return stream, saves
+	}
+	ref, _ := run(0)
+	seg, saves := run(4999)
+	if saves == 0 {
+		t.Fatal("the segmented run took no checkpoint")
+	}
+	for i := range min(len(ref), len(seg)) {
+		if seg[i] != ref[i] {
+			t.Fatalf("streams diverge at instruction %d (tid %d pc %#x vs tid %d pc %#x)",
+				i, seg[i]>>48, seg[i]&(1<<48-1), ref[i]>>48, ref[i]&(1<<48-1))
+		}
+	}
+	if len(seg) != len(ref) {
+		t.Fatalf("segmented stream %d instructions, uninterrupted %d", len(seg), len(ref))
+	}
+}
+
 // TestInjectCursorRemaining exercises the cursor bookkeeping directly.
 func TestInjectCursorRemaining(t *testing.T) {
 	effects := []pinball.SyscallEffect{

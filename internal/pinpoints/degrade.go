@@ -33,8 +33,9 @@ const (
 	FailLint FailureKind = "lint"
 	// FailInterrupted: a watchdog (wall-clock deadline or instruction
 	// budget) interrupted the region's checkpointed replay and its retry
-	// budget ran out. The last checkpoint is journaled, so a later -resume
-	// continues the replay instead of restarting it.
+	// budget ran out. The last checkpoint stays in the store under the
+	// region's checkpoint key, so a re-run continues the replay instead of
+	// restarting it.
 	FailInterrupted FailureKind = "interrupted"
 	// FailInternal: anything else.
 	FailInternal FailureKind = "internal"

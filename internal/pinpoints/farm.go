@@ -8,6 +8,7 @@ import (
 	"elfie/internal/harness"
 	"elfie/internal/pinball"
 	"elfie/internal/simpoint"
+	"elfie/internal/store"
 )
 
 // regionBuild drives one region through the farm as a chain of attempts,
@@ -52,12 +53,17 @@ type regionBuild struct {
 	// fromCache marks reg as a warm store hit: it passed every stage before
 	// it was stored, so the later stages probe through instead of re-running.
 	fromCache bool
+	// ckpt holds the newest checkpoint of this build's replay while the
+	// store is not trusted (see saveCheckpoint), for its retries to resume
+	// from.
+	ckpt store.FileSet
 }
 
 // submit starts the current attempt: it builds the attempt's stage table
 // and submits its first stage.
 func (rb *regionBuild) submit() error {
 	b, k, slice := rb.b, rb.attempt, rb.slices[rb.attempt]
+	rb.ckpt = nil // an in-memory checkpoint belongs to one attempt's slice
 	id := func(stage string) string { return fmt.Sprintf("%s.a%d.%s", rb.id, k, stage) }
 	cached := func() bool { return rb.fromCache }
 	// Claimed now, in submission order, not when the lint job runs: the
@@ -106,12 +112,11 @@ func (rb *regionBuild) submit() error {
 		// overrunning attempt after it checkpoints; the retry resumes from
 		// that checkpoint, so work is bounded per attempt but monotone across
 		// attempts.
-		replayID := id("replay")
 		chain = append(chain, &farm.Job{
-			ID: replayID, Stage: "replay", Probe: cached,
+			ID: id("replay"), Stage: "replay", Probe: cached,
 			Retries: replayRetries,
 			RetryIf: func(err error) bool { return errors.Is(err, harness.ErrInterrupted) },
-			Run:     func() error { return b.replayRegion(rb, replayID) },
+			Run:     func() error { return b.replayRegion(rb) },
 		})
 	}
 	// The last stage's Run is where an attempt succeeds, so only a region
@@ -130,7 +135,7 @@ func (rb *regionBuild) submit() error {
 		next := chain[i+1:]
 		job.OnDone = func(res *farm.Result) { rb.done(res, next) }
 	}
-	return b.addJob(rb.f, chain[0])
+	return rb.f.Add(chain[0])
 }
 
 // replayRetries bounds how many budget or deadline interruptions one replay
@@ -153,7 +158,7 @@ func (rb *regionBuild) done(res *farm.Result, next []*farm.Job) {
 	case res.Err != nil:
 		rb.fail(res.Err)
 	case len(next) > 0:
-		if err := rb.b.addJob(rb.f, next[0]); err != nil {
+		if err := rb.f.Add(next[0]); err != nil {
 			rb.fail(err)
 		}
 	case rb.ev != nil && rb.attempt == 0:

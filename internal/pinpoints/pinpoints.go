@@ -8,10 +8,7 @@
 package pinpoints
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"time"
 
@@ -69,27 +66,21 @@ type Config struct {
 	// disabled while Fault is armed: injected corruption must strike live
 	// paths, and a corrupted read must never be served back as warm.
 	//
-	// A non-nil Store also arms the crash-safe run journal
-	// (<store>/journal.jsonl): every job lifecycle event is fsynced before
-	// it is acted on, so a killed run leaves a replayable record of what
-	// finished and where mid-run checkpoints live.
+	// The store is also the run's resume state: a re-run of a killed run
+	// serves every region and profile the killed run stored, and a replay
+	// continues from its region's newest checkpoint (see CkptEvery).
 	//
 	// Store is an interface so a registry-backed pull-through cache can
 	// stand in for a plain local store: artifact misses then fall through
 	// to a remote registry before the pipeline rebuilds anything.
 	Store store.Cache
-	// Resume replays the store's run journal instead of starting it fresh:
-	// completed jobs are skipped (the store supplies their artifacts) and
-	// interrupted checkpointed replays continue from their newest journaled
-	// checkpoint. Without Resume, Prepare truncates the journal — a fresh
-	// run never trusts a stale one. Requires Store.
-	Resume bool
 	// CkptEvery, when nonzero, appends a checkpointed constrained-replay
 	// stage to every region build: the region's fat pinball is replayed
 	// with injection, taking a live mid-run checkpoint each CkptEvery
-	// retired instructions. Checkpoints are chunked into Store (page-level
-	// dedup keeps a checkpoint series cheap) and journaled, so a crashed or
-	// watchdog-killed replay resumes mid-region on the next run.
+	// retired instructions. Checkpoints are chunked into Store under one
+	// key per region, each overwriting the last (page-level dedup keeps a
+	// checkpoint series cheap), so a watchdog-interrupted replay resumes
+	// mid-region on its retry, and a killed one on the next run.
 	CkptEvery uint64
 	// ReplayBudget is the instruction-budget watchdog for the replay stage:
 	// an attempt that retires this many instructions is interrupted
@@ -101,11 +92,6 @@ type Config struct {
 	// attempt still running after this long is interrupted the same way.
 	// 0 means no deadline.
 	ReplayDeadline time.Duration
-
-	// crashAfter, when positive, makes the run journal refuse appends after
-	// that many records — the test hook simulating the process dying
-	// between journal writes (see farm.Journal.CrashAfter).
-	crashAfter int
 }
 
 func (c *Config) defaults() {
@@ -174,10 +160,6 @@ type Benchmark struct {
 	// is nil), shared across region builds and ELFie runs so rule budgets
 	// span the whole pipeline deterministically.
 	inj *fault.Injector
-	// jr is the crash-safe run journal, open only while Prepare runs with a
-	// store. Every farm job of the Prepare run is bracketed in it, and
-	// checkpointed replays record their checkpoint keys through it.
-	jr *farm.Journal
 	// cacheErrs counts store entries that failed integrity or parse checks
 	// and were rebuilt, plus failed cache writes — cache trouble degrades
 	// to a miss, never to a wrong artifact, but it is never silent.
@@ -224,9 +206,6 @@ func (b *Benchmark) NewMachine(seed int64) (*vm.Machine, error) {
 // order, so the output is byte-identical regardless of worker count.
 func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 	cfg.defaults()
-	if cfg.Resume && cfg.Store == nil {
-		return nil, fmt.Errorf("pinpoints: Resume requires a Store (the journal lives there)")
-	}
 	exe, err := workloads.Build(r)
 	if err != nil {
 		return nil, err
@@ -235,28 +214,6 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 
 	f := b.newFarm(cfg.Jobs)
 	var slots []*regionBuild
-
-	if cfg.Store != nil {
-		path := filepath.Join(cfg.Store.Root(), "journal.jsonl")
-		if !cfg.Resume {
-			// A fresh run never trusts a stale journal.
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return nil, err
-			}
-		}
-		jr, err := farm.OpenJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		jr.CrashAfter = cfg.crashAfter
-		b.jr = jr
-		// The journal records this Prepare run only: later region chains
-		// (validation's alternates) run unjournaled.
-		defer func() {
-			jr.Close()
-			b.jr = nil
-		}()
-	}
 
 	selectJob := &farm.Job{
 		ID: "select", Stage: "select",
@@ -285,7 +242,7 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 		},
 	}
 	var selectErr error
-	if err := b.addJob(f, &farm.Job{
+	if err := f.Add(&farm.Job{
 		ID: "profile", Stage: "profile",
 		Probe: func() bool { return b.useStore() && b.loadCachedProfile() },
 		Run: func() error {
@@ -304,7 +261,6 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 			}
 			return nil
 		},
-		// The select job is not journaled (see addJob).
 		OnDone: func(res *farm.Result) {
 			if res.Err == nil {
 				selectErr = f.Add(selectJob)
@@ -316,14 +272,6 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 
 	out := f.Run()
 	b.JobStats = out.Counters
-	// A journal crash is fatal, never a degradable region failure: the run's
-	// record of what happened is gone mid-write, so the only safe move is to
-	// stop and let a -resume invocation replay the journal's valid prefix.
-	for id, res := range out.Results {
-		if errors.Is(res.Err, farm.ErrCrashed) {
-			return nil, fmt.Errorf("pinpoints: %s: %w", id, farm.ErrCrashed)
-		}
-	}
 	if res := out.Results["profile"]; res.Err != nil {
 		return nil, res.Err
 	}
@@ -348,17 +296,6 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 			ErrAllRegionsFailed, r.Name, len(b.Selection.Regions))
 	}
 	return b, nil
-}
-
-// addJob submits a job through the run journal when one is open, so every
-// lifecycle event of the Prepare run is fsynced before it is acted on. The
-// "select" job is the exception (see Prepare): its effect is in-memory
-// fan-out, which a journal-done skip could not reconstruct.
-func (b *Benchmark) addJob(f *farm.Farm, job *farm.Job) error {
-	if b.jr != nil {
-		return f.AddJournaled(b.jr, job)
-	}
-	return f.Add(job)
 }
 
 // newFarm builds a farm for region work with the pipeline's seeded retry

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"elfie/internal/farm"
+	"elfie/internal/fault"
 	"elfie/internal/harness"
 	"elfie/internal/store"
 )
@@ -26,21 +26,31 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return s
 }
 
-// journalRecords re-opens the run journal at the store dir and returns every
-// replayed record.
-func journalRecords(t *testing.T, dir string) []farm.Record {
-	t.Helper()
-	jr, err := farm.OpenJournal(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
+// ckptTraffic is a store.Cache that counts reads and writes of checkpoint
+// keys.
+type ckptTraffic struct {
+	store.Cache
+	gets, puts atomic.Int32
+}
+
+func (c *ckptTraffic) Get(key string) (store.FileSet, *store.Entry, bool, error) {
+	if strings.HasPrefix(key, "ckpt/") {
+		c.gets.Add(1)
 	}
-	defer jr.Close()
-	return jr.Records()
+	return c.Cache.Get(key)
+}
+
+func (c *ckptTraffic) PutChunked(key, kind string, files store.FileSet, chunkSize int) (*store.Entry, error) {
+	if strings.HasPrefix(key, "ckpt/") {
+		c.puts.Add(1)
+	}
+	return c.Cache.PutChunked(key, kind, files, chunkSize)
 }
 
 // TestCheckpointedReplayStage arms the live-checkpointing replay stage on a
 // store-backed pipeline: every region's fat pinball is replayed with periodic
-// mid-run checkpoints chunked into the store and journaled. The checkpoints
+// mid-run checkpoints chunked into the store under the region's checkpoint
+// key. The checkpoints
 // must pass the store's deep verify (they are resumable pinballs, not blobs),
 // and a warm re-run must skip the replay stage entirely — the region was
 // cached only after its replay completed.
@@ -74,18 +84,26 @@ func TestCheckpointedReplayStage(t *testing.T) {
 		t.Fatalf("clean replays recorded failures: %+v", cold.Degradation.Events)
 	}
 
-	// The journal recorded checkpoint keys for the replay jobs.
-	var ckptRecs int
-	for _, r := range journalRecords(t, dir) {
-		if r.Event == farm.EvCkpt {
-			if r.Stage != "replay" || !strings.HasPrefix(r.Ckpt, "ckpt/") {
-				t.Errorf("malformed checkpoint record: %+v", r)
-			}
-			ckptRecs++
+	// Each region's replay left its newest checkpoint under the region's
+	// checkpoint key, one entry per region.
+	st := openStore(t, dir)
+	for _, reg := range cold.Regions {
+		key, err := cold.ckptKey(reg.SliceUsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := st.Stat(key); !ok || e.Kind != "checkpoint" {
+			t.Errorf("slice %d: no checkpoint entry under %s", reg.SliceUsed, key)
 		}
 	}
-	if ckptRecs == 0 {
-		t.Error("no checkpoint records journaled")
+	var ckpts int
+	for _, e := range st.Entries() {
+		if e.Kind == "checkpoint" {
+			ckpts++
+		}
+	}
+	if ckpts != n {
+		t.Errorf("store holds %d checkpoint entries for %d regions", ckpts, n)
 	}
 
 	// Every stored checkpoint is a valid, resumable pinball, and the store
@@ -119,7 +137,7 @@ func TestCheckpointedReplayStage(t *testing.T) {
 // TestReplayBudgetWatchdogResumesFromCheckpoint bounds each replay attempt to
 // an instruction budget smaller than the region length: the watchdog
 // interrupts every long attempt (checkpoint-then-stop) and the retry resumes
-// from the journaled checkpoint. Long regions can only complete if resumption
+// from the checkpoint the attempt stored. Long regions can only complete if resumption
 // actually works — a from-scratch retry would hit the same budget wall every
 // time and drop the region — so zero degradation events is the proof.
 func TestReplayBudgetWatchdogResumesFromCheckpoint(t *testing.T) {
@@ -158,22 +176,20 @@ func TestReplayBudgetWatchdogResumesFromCheckpoint(t *testing.T) {
 		t.Errorf("replay stage failed jobs: %+v", rs)
 	}
 
-	// The journal shows the interruption/resume cycle: a long region's
-	// replay job has multiple start records with checkpoints in between.
-	starts := make(map[string]int)
-	for _, r := range journalRecords(t, dir) {
-		if r.Stage == "replay" && r.Event == farm.EvStart {
-			starts[r.Job]++
-		}
+	// Every long region was interrupted at least once, and its newest
+	// checkpoint is in the store: the retries had something to resume from.
+	if rs.Retried < long {
+		t.Errorf("%d replay retries for %d long regions: %+v", rs.Retried, long, rs)
 	}
-	var resumed int
-	for _, nStarts := range starts {
-		if nStarts >= 2 {
-			resumed++
+	st := cfg.Store.(*store.Store)
+	for _, reg := range b.Regions {
+		key, err := b.ckptKey(reg.SliceUsed)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if resumed == 0 {
-		t.Errorf("journal shows no resumed replay job: %v", starts)
+		if _, ok := st.Stat(key); !ok {
+			t.Errorf("slice %d: replay left no checkpoint in the store", reg.SliceUsed)
+		}
 	}
 }
 
@@ -221,12 +237,12 @@ func TestReplayDeadlineDuringCheckpointSave(t *testing.T) {
 	}
 }
 
-// TestCrashMidFlightResumesByteIdentical is the crash-recovery contract: a
-// -j 8 store-backed run is killed mid-flight (simulated crash between journal
-// records), then re-invoked with Resume. The resumed run must succeed, redo
-// none of the work whose results survived (completed region chains and the
-// profile are served from the store), and produce artifacts byte-identical to
-// an uninterrupted run.
+// TestCrashMidFlightResumesByteIdentical is the crash-recovery contract: the
+// store is a run's only resume state, so a run killed mid-flight is modelled
+// as a store holding the profile and only some regions — here a -j 8 run's
+// store with half its region entries deleted. The re-run must re-log
+// exactly the missing regions, serve the rest and the profile from the
+// store, and produce artifacts byte-identical to an uninterrupted run.
 func TestCrashMidFlightResumesByteIdentical(t *testing.T) {
 	// The uninterrupted reference.
 	refCfg := smallConfig()
@@ -235,44 +251,70 @@ func TestCrashMidFlightResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(ref.Selection.Regions)
-	if n == 0 {
-		t.Fatal("no regions selected")
+	n := len(ref.Regions)
+	if n < 2 {
+		t.Fatalf("%d regions selected, want at least 2", n)
 	}
 
-	// Leg 1: same pipeline against a fresh store, dying after 2+5n journal
-	// appends — partway through the region chains (the full run writes 2+6n).
+	// Leg 1 fills a fresh store; the "crash" then loses every other region.
 	dir := t.TempDir()
-	crashAt := 2 + 5*n
 	cfg1 := smallConfig()
 	cfg1.Jobs = 8
-	cfg1.Store = openStore(t, dir)
-	cfg1.crashAfter = crashAt
-	if _, err := Prepare(smallRecipe(), cfg1); !errors.Is(err, farm.ErrCrashed) {
-		t.Fatalf("crashed run returned %v, want %v", err, farm.ErrCrashed)
+	st := openStore(t, dir)
+	cfg1.Store = st
+	b1, err := Prepare(smallRecipe(), cfg1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	leg1 := journalRecords(t, dir)
-	if len(leg1) != crashAt {
-		t.Fatalf("leg 1 journal has %d records, want exactly %d", len(leg1), crashAt)
+	lost := map[int]bool{}
+	for i, reg := range b1.Regions {
+		if i%2 != 0 {
+			continue
+		}
+		key, err := b1.regionCacheKey(reg.SliceUsed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		lost[reg.SliceUsed] = true
 	}
 
-	// Leg 2: resume. It must complete cleanly.
+	// Leg 2: the re-run is the resume. It must complete cleanly.
 	cfg2 := smallConfig()
 	cfg2.Jobs = 8
-	cfg2.Store = openStore(t, dir)
-	cfg2.Resume = true
+	log := &putLog{Cache: openStore(t, dir), recipe: smallRecipe().Name}
+	cfg2.Store = log
 	b2, err := Prepare(smallRecipe(), cfg2)
 	if err != nil {
-		t.Fatalf("resume failed: %v", err)
+		t.Fatalf("re-run failed: %v", err)
 	}
 	if len(b2.Degradation.Events) != 0 {
-		t.Fatalf("resume recorded failures: %+v", b2.Degradation.Events)
+		t.Fatalf("re-run recorded failures: %+v", b2.Degradation.Events)
+	}
+
+	// Exactly the lost regions were re-logged (and re-cached); the rest and
+	// the profile were served from the store.
+	ls := b2.JobStats.Stage("log")
+	if ls.Run != len(lost) || ls.Cached != n-len(lost) {
+		t.Errorf("log stage: %+v, want %d run and %d cached", ls, len(lost), n-len(lost))
+	}
+	if ps := b2.JobStats.Stage("profile"); ps.Run != 0 || ps.Cached != 1 {
+		t.Errorf("profile re-ran: %+v", ps)
+	}
+	relogged := map[int]bool{}
+	for _, w := range log.puts {
+		relogged[w.slice] = true
+	}
+	if fmt.Sprint(relogged) != fmt.Sprint(lost) {
+		t.Errorf("re-run cached slices %v, want exactly the lost %v", relogged, lost)
 	}
 
 	// Byte-identical artifacts: the crash+resume pair equals the
 	// uninterrupted run, region for region.
-	if len(b2.Regions) != len(ref.Regions) {
-		t.Fatalf("region count: resumed %d, reference %d", len(b2.Regions), len(ref.Regions))
+	if len(b2.Regions) != n {
+		t.Fatalf("region count: resumed %d, reference %d", len(b2.Regions), n)
 	}
 	er, e2 := elfieBytes(t, ref), elfieBytes(t, b2)
 	for i := range er {
@@ -284,52 +326,104 @@ func TestCrashMidFlightResumesByteIdentical(t *testing.T) {
 			t.Errorf("region %d: resumed ELFie differs from uninterrupted build", i)
 		}
 	}
+}
 
-	// Zero re-done completed work: a region whose chain finished before the
-	// crash (its lint is journaled done, so its artifact is in the store)
-	// must not run any job again; same for the profile. Mid-chain jobs may
-	// legitimately re-run — their in-memory results died with the process.
-	all := journalRecords(t, dir)
-	leg2 := all[crashAt:]
-	restarted := func(prefix string) bool {
-		for _, r := range leg2 {
-			if r.Event == farm.EvStart && strings.HasPrefix(r.Job, prefix) {
-				return true
-			}
-		}
-		return false
+// TestRerunResumesReplayFromStoredCheckpoint: a store that holds a region's
+// checkpoint but not its region entry — a run killed during that region's
+// replay — makes the next Prepare resume the replay from the checkpoint. The
+// first run's replays end with their last periodic checkpoint less than
+// CkptEvery from the end, so under a budget above CkptEvery but below the
+// region length the resumed replay completes in its first attempt, where a
+// replay from the region pinball would need a retry.
+func TestRerunResumesReplayFromStoredCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallConfig()
+	cfg.Jobs = 4
+	cfg.CkptEvery = 60_000
+	st := openStore(t, dir)
+	cfg.Store = st
+	b1, err := Prepare(smallRecipe(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var completed int
-	for _, r := range leg1 {
-		if r.Event != farm.EvDone {
-			continue
-		}
-		switch {
-		case r.Job == "profile":
-			if restarted("profile") {
-				t.Error("completed profile re-ran after resume")
-			}
-		case strings.HasSuffix(r.Job, ".lint"):
-			region := strings.SplitN(r.Job, ".", 2)[0] // "region<idx>"
-			completed++
-			if restarted(region + ".") {
-				t.Errorf("completed %s re-ran after resume", region)
-			}
+	cfg.ReplayBudget = 100_000
+	var victim *Region
+	for _, reg := range b1.Regions {
+		if reg.Warmup+cfg.SliceSize > cfg.ReplayBudget {
+			victim = reg
+			break
 		}
 	}
-	if completed > 0 && b2.JobStats.Cached == 0 {
-		t.Errorf("leg 1 completed %d regions but resume cached nothing: %s",
-			completed, &b2.JobStats)
+	if victim == nil {
+		t.Fatal("no region longer than the replay budget")
 	}
-	t.Logf("crash at %d appends: %d/%d regions completed pre-crash; resume: %s",
-		crashAt, completed, n, &b2.JobStats)
+	key, err := b1.regionCacheKey(victim.SliceUsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Delete(key); err != nil {
+		t.Fatal(err)
+	}
+
+	traffic := &ckptTraffic{Cache: openStore(t, dir)}
+	cfg.Store = traffic
+	b2, err := Prepare(smallRecipe(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b2.Degradation.Events) != 0 {
+		t.Fatalf("re-run recorded failures: %+v", b2.Degradation.Events)
+	}
+	rs := b2.JobStats.Stage("replay")
+	if rs.Run != 1 || rs.Retried != 0 || rs.Failed != 0 {
+		t.Errorf("replay stage: %+v, want one job that finished in its first attempt", rs)
+	}
+	if traffic.gets.Load() != 1 {
+		t.Errorf("re-run read %d checkpoints, want 1", traffic.gets.Load())
+	}
+}
+
+// TestFaultPlanNeverLoadsForeignCheckpoint: under a fault plan the store is
+// not trusted, for checkpoints as for regions. A fresh Prepare over a store
+// full of another run's checkpoints reads none of them and publishes none
+// of its own, yet its budget-interrupted replays still finish, resuming
+// from the checkpoints their own attempts kept. The plan has no rules, so
+// any failure is the mechanism's.
+func TestFaultPlanNeverLoadsForeignCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := smallConfig()
+	cfg.Jobs = 4
+	cfg.CkptEvery = 123_000
+	cfg.Store = openStore(t, dir)
+	if _, err := Prepare(smallRecipe(), cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	traffic := &ckptTraffic{Cache: openStore(t, dir)}
+	cfg.Store = traffic
+	cfg.Fault = &fault.Plan{Seed: 1}
+	cfg.ReplayBudget = 170_000
+	b, err := Prepare(smallRecipe(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, p := traffic.gets.Load(), traffic.puts.Load(); g != 0 || p != 0 {
+		t.Errorf("fault-plan run read %d and wrote %d store checkpoints, want none", g, p)
+	}
+	rs := b.JobStats.Stage("replay")
+	if rs.Retried == 0 {
+		t.Errorf("no replay attempt was interrupted: %+v", rs)
+	}
+	if rs.Failed != 0 || len(b.Degradation.Events) != 0 {
+		t.Errorf("interrupted replays did not resume: %+v, events %+v", rs, b.Degradation.Events)
+	}
 }
 
 // TestChaosReplayStageRecovers arms a one-shot forced-ungraceful-exit fault
 // with the checkpointed replay stage on at -j 8: the fault strikes one armed
 // replay machine, the divergence is classified and recovered through an
 // alternate, and the accounting invariant (recovered + dropped == injected)
-// holds end to end with the journal and checkpoint store in the loop.
+// holds end to end with the checkpointed replay stage in the loop.
 func TestChaosReplayStageRecovers(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Fault = chaosPlans()["forced-ungraceful-exit"]
@@ -471,4 +565,51 @@ func TestValidationAlternatesReplayBeforeCaching(t *testing.T) {
 		t.Errorf("cache errors: %d", n)
 	}
 	t.Logf("%s; %d alternates cached after replay", v, cached)
+}
+
+// TestValidationAlternatesResumeUnderBudget: validation builds alternates
+// with the same stage chain as Prepare, so under a replay budget below an
+// alternate's region length its replay is interrupted and resumes from its
+// own checkpoints like Prepare's do. Every alternate validation replays
+// completes and is cached.
+func TestValidationAlternatesResumeUnderBudget(t *testing.T) {
+	recipe := fileInputRecipe(t)
+	cfg := smallConfig()
+	cfg.UseSysState = false
+	cfg.Jobs = 2
+	cfg.CkptEvery = 60_000
+	cfg.ReplayBudget = 100_000
+	log := &putLog{Cache: openStore(t, t.TempDir()), recipe: recipe.Name}
+	cfg.Store = log
+	b, err := Prepare(recipe, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.puts = nil // Prepare's farm has finished; keep validation's writes
+
+	v, err := ValidateNative(b, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, cached := map[int]bool{}, map[int]bool{}
+	for _, w := range log.puts {
+		if w.kind == "checkpoint" {
+			replayed[w.slice] = true
+		} else {
+			cached[w.slice] = true
+		}
+	}
+	long := 0
+	for slice := range replayed {
+		if !cached[slice] {
+			t.Errorf("alternate slice %d replayed but was never cached", slice)
+		}
+		if _, warmup := b.regionWindow(slice); warmup+cfg.SliceSize > cfg.ReplayBudget {
+			long++
+		}
+	}
+	if long == 0 {
+		t.Fatalf("no alternate longer than the replay budget was replayed: %s", v)
+	}
+	t.Logf("%s; %d alternates replayed, %d past the budget", v, len(replayed), long)
 }

@@ -615,7 +615,7 @@ func (c *Client) fetchChunks(s *store.Store, dir string, refs []string, stats *T
 		if store.ObjectID(store.FileSet{"chunk": data}) != id {
 			return nil, fmt.Errorf("%w: chunk %.12s arrived damaged", store.ErrCorrupt, id)
 		}
-		if err := atomicWrite(cpath, data); err != nil {
+		if err := store.WriteFileAtomic(cpath, data); err != nil {
 			return nil, err
 		}
 		chunks[id] = data

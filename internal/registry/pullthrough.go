@@ -35,8 +35,8 @@ func NewPullThrough(local *store.Store, remote *Client) *PullThrough {
 	return &PullThrough{Local: local, Remote: remote}
 }
 
-// Root returns the local store's root (journals and staging live with the
-// local side).
+// Root returns the local store's root (staging lives with the local
+// side).
 func (p *PullThrough) Root() string { return p.Local.Root() }
 
 // Hits/Misses/Fills report Get outcomes: served locally, absent everywhere,

@@ -1309,14 +1309,15 @@ func TestStagedBytesCountAgainstQuota(t *testing.T) {
 	c := testClient(srv, "q")
 	one := frame("f", bytes.Repeat([]byte("a"), 600))
 	two := frame("f", bytes.Repeat([]byte("b"), 600))
+	// Each session alone fits the 1 KiB quota, and nothing but a manifest
+	// is staged when the second opens, so admission lets both open;
+	// streaming the second object would park 1234 staged bytes and must be
+	// refused.
 	st1 := openUpload(t, c, "k1", one)
+	st2 := openUpload(t, c, "k2", two)
 	if err := putRange(c, st1.ID, one, 0, len(one)); err != nil {
 		t.Fatalf("first staged object within quota rejected: %v", err)
 	}
-	// Each session alone fits the 1 KiB quota, so admission lets both
-	// open; streaming the second object would park 1234 staged bytes and
-	// must be refused.
-	st2 := openUpload(t, c, "k2", two)
 	if err := putRange(c, st2.ID, two, 0, len(two)); !errors.Is(err, ErrRemote) ||
 		!strings.Contains(err.Error(), "quota") {
 		t.Fatalf("staged bytes bypassed the quota: %v", err)
@@ -1326,15 +1327,18 @@ func TestStagedBytesCountAgainstQuota(t *testing.T) {
 // TestStagedBytesPastQuotaRefusePuts: once the tenant's staged bytes
 // exceed its quota — opening one more session can push them past it, since
 // its manifest is staged too — every object PUT is refused with 413 before
-// it stages a byte, however little it carries.
+// it stages a byte, however little it carries, and so is every fresh
+// session: upload-open charges the tenant's staged bytes, so manifests
+// cannot pile up past the quota.
 func TestStagedBytesPastQuotaRefusePuts(t *testing.T) {
 	const quota = 1024
 	serverStore, _, srv := testRegistry(t, ServerOptions{
 		Tenants: map[string]Tenant{"q": {Quota: quota}},
 	})
 	c := testClient(srv, "q")
+	uploads := filepath.Join(serverStore.Root(), "uploads", "q")
 	staged := func() (n int64) {
-		filepath.Walk(filepath.Join(serverStore.Root(), "uploads", "q"),
+		filepath.Walk(uploads,
 			func(_ string, info os.FileInfo, err error) error {
 				if err == nil && !info.IsDir() {
 					n += info.Size()
@@ -1348,18 +1352,19 @@ func TestStagedBytesPastQuotaRefusePuts(t *testing.T) {
 	if err := putRange(c, st.ID, body, 0, len(body)); err != nil {
 		t.Fatalf("first staged object within quota rejected: %v", err)
 	}
-	// Each further session fits admission on its own; its manifest alone
-	// grows the staged total.
+	// Each further session declares a small object that fits beside the
+	// staged bytes; its manifest alone grows the staged total.
+	small := frame("f", []byte("0123456789"))
 	for i := 1; staged() <= quota; i++ {
 		if i > 16 {
 			t.Fatalf("session manifests never pushed staged bytes past the quota (%d B)", staged())
 		}
-		st = openUpload(t, c, fmt.Sprintf("k%d", i), body)
+		st = openUpload(t, c, fmt.Sprintf("k%d", i), small)
 	}
 	before := staged()
 	hdr := http.Header{}
-	hdr.Set("Content-Range", fmt.Sprintf("bytes 0-9/%d", len(body)))
-	resp, _, err := c.do("PUT", c.turl("uploads", st.ID, "object"), hdr, body[:10])
+	hdr.Set("Content-Range", fmt.Sprintf("bytes 0-9/%d", len(small)))
+	resp, _, err := c.do("PUT", c.turl("uploads", st.ID, "object"), hdr, small[:10])
 	if !errors.Is(err, ErrRemote) || resp == nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("PUT with %d staged bytes over a %d B quota: %v, want a 413 refusal", before, quota, err)
 	}
@@ -1373,6 +1378,21 @@ func TestStagedBytesPastQuotaRefusePuts(t *testing.T) {
 	}
 	if now.Staged != 0 || staged() != before {
 		t.Fatalf("refused PUT staged %d B (tenant staged %d B, was %d B)", now.Staged, staged(), before)
+	}
+
+	// A fresh session is refused at open, before it writes a manifest.
+	sessions, _ := os.ReadDir(uploads)
+	man, err := json.Marshal(&UploadManifest{Key: "late", Kind: "test", Object: sha(small), Size: int64(len(small))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, _, err = c.do("POST", c.turl("uploads"), nil, man)
+	if !errors.Is(err, ErrRemote) || resp == nil || resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("open with %d staged bytes over a %d B quota: %v, want a 413 refusal", before, quota, err)
+	}
+	if after, _ := os.ReadDir(uploads); len(after) != len(sessions) || staged() != before {
+		t.Fatalf("refused open left %d sessions (was %d), %d staged bytes (was %d)",
+			len(after), len(sessions), staged(), before)
 	}
 }
 

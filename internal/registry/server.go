@@ -89,7 +89,7 @@ var (
 )
 
 // validKey accepts store keys, including slash-separated ones like
-// ckpt/<job>/<icount> (clients percent-encode the slashes; the router keeps
+// ckpt/<region key> (clients percent-encode the slashes; the router keeps
 // them in one path segment). Keys are index names, never filesystem paths,
 // but ".." segments are refused anyway.
 func validKey(key string) bool {
@@ -472,46 +472,54 @@ func (sv *Server) handleUploadOpen(w http.ResponseWriter, r *http.Request, tenan
 		writeJSON(w, http.StatusOK, UploadStatus{ID: id, Committed: true})
 		return
 	}
-	// Admission control up front: reject an upload that cannot fit, before
-	// the client ships a single byte. The declared sizes are all there is
-	// to go on yet: the canonical form (framing included) and the chunks,
-	// the bytes the session will stage. For an unchunked artifact that is
-	// its logical size, which commit charges, plus the framing: an upload
-	// within its framing of the quota is refused here, not mid-stream.
-	incoming := man.Size
-	for _, c := range man.Chunks {
-		incoming += c.Size
-	}
-	if err := sv.quotaCheck(tenant, pol, man.Key, incoming); err != nil {
-		writeErr(w, http.StatusRequestEntityTooLarge, err)
-		return
-	}
-
 	unlock := sv.lockSession(tenant, id)
 	defer unlock()
-	dir := sv.uploadDir(tenant, id)
-	if existing, ok, err := sv.loadManifest(tenant, id); err != nil {
+	existing, ok, err := sv.loadManifest(tenant, id)
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
-	} else if !ok {
-		// Fresh session: persist the manifest durably before acknowledging,
-		// journal-style — a server killed after the ack still knows the
-		// session on restart.
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		data, _ := json.MarshalIndent(&man, "", " ")
-		if err := atomicWrite(filepath.Join(dir, "manifest.json"), data); err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else if existing.Object != man.Object || existing.Size != man.Size {
+	}
+	if ok && (existing.Object != man.Object || existing.Size != man.Size) {
 		// Deterministic IDs make this unreachable unless hashes collide or
 		// a client lies; refuse rather than mix two artifacts' bytes.
 		writeErr(w, http.StatusConflict, fmt.Errorf("upload %s already open for object %s (%d bytes)",
 			id, existing.Object, existing.Size))
 		return
+	}
+	// Admission control up front: reject an upload that cannot fit, before
+	// the client ships a single byte. The declared sizes are all there is
+	// to go on yet: the canonical form (framing included) and the chunks,
+	// the bytes the session will stage. For an unchunked artifact that is
+	// its logical size, which commit charges, plus the framing: an upload
+	// within its framing of the quota is refused here, not mid-stream. A
+	// fresh session also pays for every byte the tenant already has staged,
+	// so sessions (each an fsynced manifest) cannot pile up past the quota;
+	// a re-opened one's own stage is already inside its declared size.
+	incoming := man.Size
+	for _, c := range man.Chunks {
+		incoming += c.Size
+	}
+	if !ok && pol.Quota > 0 {
+		incoming += sv.stagedBytes(tenant)
+	}
+	if err := sv.quotaCheck(tenant, pol, man.Key, incoming); err != nil {
+		writeErr(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	if !ok {
+		// Fresh session: persist the manifest durably before acknowledging,
+		// so a server killed after the ack still knows the session on
+		// restart.
+		dir := sv.uploadDir(tenant, id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		data, _ := json.MarshalIndent(&man, "", " ")
+		if err := store.WriteFileAtomic(filepath.Join(dir, "manifest.json"), data); err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, sv.uploadNeeds(tenant, id, &man))
 }
@@ -663,7 +671,7 @@ func (sv *Server) handleUploadChunk(w http.ResponseWriter, r *http.Request, tena
 			fmt.Errorf("tenant %s over quota: staged upload bytes would exceed %d", tenant, pol.Quota))
 		return
 	}
-	if err := atomicWrite(filepath.Join(sv.uploadDir(tenant, id), "b-"+blob), data); err != nil {
+	if err := store.WriteFileAtomic(filepath.Join(sv.uploadDir(tenant, id), "b-"+blob), data); err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -819,31 +827,6 @@ func (sv *Server) handleGC(w http.ResponseWriter, r *http.Request, tenant string
 		}
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// atomicWrite stages data beside path and renames it into place, fsyncing
-// first — the same torn-write discipline as the store and the farm journal.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".part"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -401,11 +401,19 @@ func (s *Store) saveIndexLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.indexPath() + ".tmp"
+	return WriteFileAtomic(s.indexPath(), data)
+}
+
+// WriteFileAtomic publishes data at path through a synced temporary file:
+// it writes path+".tmp", fsyncs and closes it, then renames it over path.
+// A reader sees the old file or the whole new one, never a torn or zeroed
+// one, even across an OS crash. Writers of one path must not overlap.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
 	if err := writeFileSync(tmp, data); err != nil {
 		return err
 	}
-	return os.Rename(tmp, s.indexPath())
+	return os.Rename(tmp, path)
 }
 
 // writeFileSync is os.WriteFile plus an fsync before close. Every file that

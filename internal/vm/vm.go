@@ -169,9 +169,8 @@ type RoundRobin struct {
 	rng     uint64 // splitmix64 state
 	last    int
 	// resid is a quantum remainder owed to last before normal rotation
-	// resumes: a checkpoint taken mid-quantum records how much of the
-	// granted quantum was still unexecuted, and the restored scheduler
-	// grants exactly that first.
+	// resumes: when a run stops mid-quantum (Machine.Run sets it, and a
+	// checkpoint records it), the next run grants exactly that first.
 	resid int
 }
 
@@ -491,6 +490,15 @@ func (m *Machine) Run() error {
 		ran := m.runThread(m.Threads[tid], quantum)
 		m.Sched.Ran(tid, ran)
 		m.lastTID, m.lastGranted, m.lastClipped, m.lastRan = tid, granted, quantum, ran
+	}
+	// A quantum the clip or a stop request cut short is still owed: the
+	// next Run continues it, exactly as a run resumed from a checkpoint
+	// taken here does, so splitting a run into segments never changes its
+	// schedule.
+	if rr, ok := m.Sched.(*RoundRobin); ok {
+		if _, n := m.PendingQuantum(); n > 0 {
+			rr.resid = n
+		}
 	}
 	return nil
 }
