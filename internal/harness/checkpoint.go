@@ -22,7 +22,9 @@ import (
 // rewrites RegionLength to the per-thread *remainders*, rebases the
 // virtual clock so guest time continues seamlessly, re-arms perf counters
 // at their absolute counts, and serializes the scheduler's PRNG so the
-// quantum sequence continues mid-stream.
+// quantum sequence continues mid-stream. The checkpoint's
+// RegionStartIcount records where it was taken, so Session.Icount still
+// counts from the program's start.
 
 // ErrInterrupted is returned by RunCheckpointed when the attempt's Budget
 // or Deadline, or an external RequestStop, cut the run short; the final
@@ -159,11 +161,11 @@ func (s *Session) CheckpointState(name string) (*pinball.Pinball, error) {
 		RegionLength:      regionLen,
 		TotalInstructions: total,
 		Fat:               true,
+		RegionStartIcount: s.Icount(),
 		BrkStart:          proc.BrkStart,
 		Brk:               proc.Brk,
 	}
 	if orig != nil {
-		pb.Meta.RegionStartIcount = orig.Meta.RegionStartIcount + m.GlobalRetired
 		pb.Meta.StackRegions = orig.Meta.StackRegions
 		if orig.Meta.WarmupLength > m.GlobalRetired {
 			pb.Meta.WarmupLength = orig.Meta.WarmupLength - m.GlobalRetired
@@ -176,6 +178,7 @@ func (s *Session) CheckpointState(name string) (*pinball.Pinball, error) {
 		Threads:            threads,
 		ClockBase:          k.Clock.Now(m.GlobalRetired),
 		ClockNanosPerInstr: k.Clock.NanosPerInstr,
+		ClockIcount:        k.Clock.IcountBase + m.GlobalRetired,
 		BudgetRemaining:    budgetRem,
 		Sched:              sst,
 		Proc:               proc.State(),

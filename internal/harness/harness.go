@@ -307,8 +307,9 @@ func (s *Session) build(k *kernel.Kernel, seed int64, reuse *vm.Machine) (*vm.Ma
 			// (the resumed machine restarts its icount at zero).
 			proc.RestoreState(ck.Proc)
 			k.Clock = kernel.Clock{
-				BaseNanos:     ck.ClockBase,
+				BaseNanos:     ck.ClockBase - uint64(float64(ck.ClockIcount)*ck.ClockNanosPerInstr),
 				NanosPerInstr: ck.ClockNanosPerInstr,
+				IcountBase:    ck.ClockIcount,
 			}
 		}
 	}
@@ -393,6 +394,18 @@ func (s *Session) scheduler(pol SchedPolicy, seed int64) vm.Scheduler {
 	default:
 		return vm.NewRoundRobin(DefaultQuantum, 0, 0)
 	}
+}
+
+// Icount returns the session's position in its program's instruction
+// stream: the machine's GlobalRetired, which restarts at zero in a
+// session resumed from a checkpoint, plus the count its pinball source
+// starts at (RegionStartIcount — for a checkpoint, where it was taken).
+func (s *Session) Icount() uint64 {
+	n := s.Machine.GlobalRetired
+	if pb := s.cfg.Pinball; pb != nil {
+		n += pb.Meta.RegionStartIcount
+	}
+	return n
 }
 
 // Run executes the machine, wrapping any mid-run error in a *RunError

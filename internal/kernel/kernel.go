@@ -203,11 +203,16 @@ type Clock struct {
 	BaseNanos     uint64 // virtual boot time
 	NanosPerInstr float64
 	JitterNanos   uint64 // seeded per-run offset, models run-to-run variation
+	// IcountBase is the instruction count the run had reached before the
+	// machine's own count started: a resumed checkpoint's position. Time
+	// is computed from the whole count, so a resumed run reads exactly
+	// the times the uninterrupted run would have read.
+	IcountBase uint64
 }
 
 // Now returns virtual nanoseconds since the epoch after icount instructions.
 func (c Clock) Now(icount uint64) uint64 {
-	return c.BaseNanos + c.JitterNanos + uint64(float64(icount)*c.NanosPerInstr)
+	return c.BaseNanos + c.JitterNanos + uint64(float64(c.IcountBase+icount)*c.NanosPerInstr)
 }
 
 // Kernel holds machine-wide kernel state.

@@ -1,6 +1,10 @@
 package kernel
 
-import "sort"
+import (
+	"sort"
+
+	"elfie/internal/mem"
+)
 
 // This file implements kernel-state serialization for live checkpoints: a
 // mid-run pinball must carry not just the guest's registers and memory but
@@ -44,8 +48,7 @@ type FDState struct {
 }
 
 // ProcState is the serializable kernel-side state of a process, minus the
-// address space (the pinball's page image covers that) and ImageRegions
-// (a logging-only concern that checkpoints do not need).
+// address space (the pinball's page image covers that).
 type ProcState struct {
 	FDs      []FDState `json:"fds"`
 	Cwd      string    `json:"cwd"`
@@ -58,6 +61,9 @@ type ProcState struct {
 	Stdout   []byte    `json:"stdout,omitempty"`
 	Stderr   []byte    `json:"stderr,omitempty"`
 	NextFD   int       `json:"next_fd"`
+	// ImageRegions are the main executable's loadable segments, which a
+	// region logged from a resumed checkpoint captures under WholeImage.
+	ImageRegions []mem.Region `json:"image_regions,omitempty"`
 }
 
 // State snapshots the process's kernel-side state.
@@ -73,6 +79,8 @@ func (p *Process) State() ProcState {
 		Stdout:   append([]byte(nil), p.Stdout...),
 		Stderr:   append([]byte(nil), p.Stderr...),
 		NextFD:   p.nextFD,
+
+		ImageRegions: append([]mem.Region(nil), p.ImageRegions...),
 	}
 	nums := make([]int, 0, len(p.FDs))
 	for n := range p.FDs {
@@ -103,6 +111,7 @@ func (p *Process) RestoreState(st ProcState) {
 	p.Stdout = append([]byte(nil), st.Stdout...)
 	p.Stderr = append([]byte(nil), st.Stderr...)
 	p.nextFD = st.NextFD
+	p.ImageRegions = append([]mem.Region(nil), st.ImageRegions...)
 	p.FDs = make(map[int]*FD, len(st.FDs))
 	for _, f := range st.FDs {
 		fd := &FD{Path: f.Path, Offset: f.Offset, Flags: f.Flags, Stream: f.Stream}

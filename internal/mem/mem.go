@@ -14,6 +14,12 @@
 //     TLB is flushed whenever the page table or protections change
 //     (Map/Unmap).
 //
+//   - The TLB refill is also where first-touch tracking hooks in: while a
+//     callback is armed (TrackFirstTouch), only pages already reported sit
+//     in the data TLBs, so the refill sees every page's first guest read or
+//     write and reports it before the access — the PinPlay logger's data-
+//     page capture, with no per-access instrumentation.
+//
 //   - Every page carries a generation stamp drawn from a monotonic
 //     address-space clock. The stamp changes whenever the page is (re)mapped
 //     or — for executable pages — written. The VM's decoded-block cache keys
@@ -106,6 +112,9 @@ type tlbEntry struct {
 // protNeed maps an access kind to the protection bit it requires.
 var protNeed = [3]int{AccessRead: ProtRead, AccessWrite: ProtWrite, AccessExec: ProtExec}
 
+// protUntracked is a protection bit no page carries (see AddrSpace.need).
+const protUntracked = 8
+
 // AddrSpace is one process's paged virtual address space.
 type AddrSpace struct {
 	pages map[uint64]*page // page number -> page
@@ -114,11 +123,23 @@ type AddrSpace struct {
 	// clock is the monotonic generation source; it advances on every
 	// mapping change and on every write that lands on an executable page.
 	clock uint64
+	// need is the protection bit pageFor requires per access kind:
+	// protNeed, except that armed first-touch tracking sets the data kinds
+	// to a bit no page carries, so their TLB misses leave pageFor for the
+	// general path (pageForTouch).
+	need [3]int
+	// onTouch is the armed first-touch callback (nil = off) and touched
+	// the pages it has reported (see TrackFirstTouch).
+	onTouch func(base uint64)
+	touched map[uint64]struct{}
+	// kernel marks the accesses under way as the kernel's own copy-in and
+	// copy-out (see SetKernelAccess).
+	kernel bool
 }
 
 // NewAddrSpace returns an empty address space.
 func NewAddrSpace() *AddrSpace {
-	return &AddrSpace{pages: make(map[uint64]*page)}
+	return &AddrSpace{pages: make(map[uint64]*page), need: protNeed}
 }
 
 // PageNum returns the page number containing addr.
@@ -129,19 +150,79 @@ func PageBase(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 
 // pageFor translates pn for the given access kind through the TLB, filling
 // on miss. It returns nil when the page is unmapped or lacks the required
-// protection; the slow paths classify the fault.
+// protection; the slow paths classify the fault. While first-touch
+// tracking is armed, a data-TLB miss also returns nil (see need): every
+// caller then takes the general path, access, which reports the page
+// first.
 func (as *AddrSpace) pageFor(pn uint64, kind Access) *page {
 	e := &as.tlb[kind][pn&tlbMask]
 	if e.p != nil && e.pn == pn {
 		return e.p
 	}
 	p := as.pages[pn]
-	if p == nil || p.prot&protNeed[kind] == 0 {
+	if p == nil || p.prot&as.need[kind] == 0 {
 		return nil
 	}
 	e.pn, e.p = pn, p
 	return p
 }
+
+// pageForTouch is pageFor on the general access path. While first-touch
+// tracking is armed, a guest data access to a page not yet reported
+// reports it first — even when the access is about to fault, as an
+// instrumented access would — and a kernel access to such a page is
+// served without a TLB fill, so the guest's own first access still misses
+// and is reported.
+func (as *AddrSpace) pageForTouch(pn uint64, kind Access) *page {
+	if as.onTouch == nil || kind == AccessExec {
+		return as.pageFor(pn, kind)
+	}
+	e := &as.tlb[kind][pn&tlbMask]
+	if e.p != nil && e.pn == pn {
+		return e.p
+	}
+	if _, seen := as.touched[pn]; !seen {
+		if as.kernel {
+			return as.lookup(pn, kind)
+		}
+		as.touched[pn] = struct{}{}
+		as.onTouch(pn << PageShift)
+	}
+	p := as.lookup(pn, kind)
+	if p != nil {
+		e.pn, e.p = pn, p
+	}
+	return p
+}
+
+// lookup returns page pn when it is mapped with the protection kind needs.
+func (as *AddrSpace) lookup(pn uint64, kind Access) *page {
+	p := as.pages[pn]
+	if p == nil || p.prot&protNeed[kind] == 0 {
+		return nil
+	}
+	return p
+}
+
+// TrackFirstTouch arms first-touch tracking: from now on fn is called with
+// a page's base address before the first guest read or write that touches
+// the page — every page of a page-straddling access, and also a page whose
+// access then faults — once per page. Instruction fetches and the kernel's
+// copy-in and copy-out (SetKernelAccess) are not reported. Arming flushes
+// the TLB, so pages a run before it warmed are reported too; nil disarms.
+func (as *AddrSpace) TrackFirstTouch(fn func(base uint64)) {
+	as.onTouch, as.touched, as.need = fn, nil, protNeed
+	if fn != nil {
+		as.touched = make(map[uint64]struct{})
+		as.need[AccessRead], as.need[AccessWrite] = protUntracked, protUntracked
+	}
+	as.flushTLB()
+}
+
+// SetKernelAccess marks the accesses that follow as the kernel's own
+// copy-in and copy-out (true) or the guest's (false). Kernel accesses never
+// fire the first-touch callback.
+func (as *AddrSpace) SetKernelAccess(on bool) { as.kernel = on }
 
 // flushTLB invalidates every cached translation (mapping or protection
 // change).
@@ -275,7 +356,7 @@ func (as *AddrSpace) access(addr uint64, buf []byte, kind Access) error {
 	last := PageNum(addr + uint64(len(buf)) - 1)
 	if first != last {
 		for pn := first; pn <= last; pn++ {
-			if as.pageFor(pn, kind) == nil {
+			if as.pageForTouch(pn, kind) == nil {
 				fa := pn << PageShift
 				if pn == first {
 					fa = addr
@@ -286,7 +367,7 @@ func (as *AddrSpace) access(addr uint64, buf []byte, kind Access) error {
 	}
 	for done := 0; done < len(buf); {
 		pn := PageNum(addr)
-		p := as.pageFor(pn, kind)
+		p := as.pageForTouch(pn, kind)
 		if p == nil {
 			return as.faultAt(addr, kind)
 		}
@@ -372,11 +453,10 @@ func (as *AddrSpace) StoreFast(addr, v uint64, size int) bool {
 // must be dropped whenever the address-space clock advances or a syscall
 // runs.
 func (as *AddrSpace) ReadPage(addr uint64) *[PageSize]byte {
-	p := as.pageFor(PageNum(addr), AccessRead)
-	if p == nil {
-		return nil
+	if p := as.pageFor(addr>>PageShift, AccessRead); p != nil {
+		return &p.data
 	}
-	return &p.data
+	return nil
 }
 
 // WritePage is ReadPage for stores. Executable pages always return nil —

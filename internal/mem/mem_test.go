@@ -402,3 +402,83 @@ func TestCloneGenerations(t *testing.T) {
 		t.Errorf("parent sees clone write: %v %v", buf, err)
 	}
 }
+
+// TestFirstTouchOncePerPageBeforeAccess: the armed callback fires once per
+// page, before the first read, write or page-straddling access — seeing
+// the page as it was — and also before an access that then faults. Every
+// guest path (the TLB-backed fast accessors and the general copy) is
+// covered, with the TLB warmed before arming; fetches and kernel accesses
+// are not reported.
+func TestFirstTouchOncePerPageBeforeAccess(t *testing.T) {
+	as := NewAddrSpace()
+	as.Map(0x1000, 0x6000, ProtRW)
+	as.Map(0x8000, 0x1000, ProtRead)
+	as.Map(0x9000, 0x1000, ProtRX)
+	// Warm every TLB kind on every page before arming.
+	for pn := uint64(1); pn < 10; pn++ {
+		as.LoadFast(pn<<PageShift, 8)
+		as.StoreFast(pn<<PageShift, 0, 8)
+	}
+	as.ExecGen(0x9000)
+
+	var order []uint64
+	seenFirst := map[uint64]uint64{} // page -> first word when reported
+	as.TrackFirstTouch(func(base uint64) {
+		order = append(order, base)
+		var b [8]byte
+		as.ReadNoFault(base, b[:])
+		seenFirst[base] = leU64(b[:])
+	})
+	as.WriteNoFault(0x2000, []byte{7}) // instrumentation writes are silent
+
+	if !as.StoreFast(0x2000, 0x99, 8) { // write: reported before the store
+		as.WriteU64(0x2000, 0x99)
+	}
+	if _, ok := as.LoadFast(0x3000, 8); !ok { // read
+		as.ReadU64(0x3000)
+	}
+	as.ReadPage(0x3000)
+	as.Write(0x4ffc, []byte{1, 2, 3, 4, 5, 6, 7, 8}) // straddles pages 4 and 5
+	as.SetKernelAccess(true)
+	as.Write(0x6000, []byte{1}) // kernel copy-out: silent, and no TLB fill
+	buf := make([]byte, 8)
+	as.Read(0x6000, buf)
+	as.SetKernelAccess(false)
+	as.Fetch(0x9000, buf)     // fetch: not reported
+	as.Write(0x8000, buf)     // protection fault: still reported first
+	as.Read(0x7000_0000, buf) // unmapped: reported, then faults
+	// The fast accessors hand a first touch to the general path.
+	if as.ReadPage(0x6000) != nil {
+		t.Error("ReadPage handed out an unreported page")
+	}
+	as.Read(0x6000, buf)       // guest's first touch after the kernel's
+	as.WritePage(0x2000)       // repeats stay silent
+	as.Read(0x4ff8, buf)       // ...straddling ones too
+	as.StoreFast(0x5000, 1, 8) // ...and through a refilled TLB
+	as.flushTLB()              // evictions do not re-report
+	as.LoadFast(0x2000, 8)     // (a miss while tracking falls to Read)
+	as.Read(0x2000, buf)
+
+	want := []uint64{0x2000, 0x3000, 0x4000, 0x5000, 0x8000, 0x7000_0000, 0x6000}
+	if len(order) != len(want) {
+		t.Fatalf("reported %#x, want %#x", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("reported %#x, want %#x", order, want)
+		}
+	}
+	if seenFirst[0x2000] != 7 {
+		t.Errorf("page 0x2000 reported with %#x, want its content before the store (7)", seenFirst[0x2000])
+	}
+	if v, _ := as.ReadU64(0x2000); v != 0x99 {
+		t.Errorf("store lost: %#x", v)
+	}
+
+	as.TrackFirstTouch(nil)
+	n := len(order)
+	as.Read(0x1000, buf)
+	if len(order) != n {
+		t.Error("disarmed tracking still reports")
+	}
+}

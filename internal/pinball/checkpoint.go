@@ -67,6 +67,12 @@ type CheckpointMeta struct {
 	// original run had already accumulated (jitter included).
 	ClockBase          uint64  `json:"clock_base"`
 	ClockNanosPerInstr float64 `json:"clock_nanos_per_instr"`
+	// ClockIcount is the instruction count the clock had reached at the
+	// checkpoint (kernel.Clock.IcountBase plus GlobalRetired). Resume
+	// computes time from it, so the rebased clock reads exactly what the
+	// uninterrupted run's would: rebasing by ClockBase alone rounds each
+	// later reading down once more. 0 in checkpoints that predate it.
+	ClockIcount uint64 `json:"clock_icount,omitempty"`
 	// BudgetRemaining is how many more instructions the interrupted run was
 	// allowed to retire (0 = unbounded).
 	BudgetRemaining uint64 `json:"budget_remaining,omitempty"`

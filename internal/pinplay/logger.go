@@ -49,6 +49,23 @@ func (o LogOptions) IsFat() bool { return o.WholeImage && o.PagesEarly }
 // a pinball, and leaves the machine stopped at region end. The machine must
 // be freshly loaded and use a deterministic scheduler.
 func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
+	return logAt(m, 0, opts)
+}
+
+// LogSession is Log on a harness session, which may resume a mid-run
+// checkpoint (Session.CheckpointState): RegionStart and the pinball's
+// RegionStartIcount count from the program's start either way
+// (Session.Icount), so a region logged from a snapshot taken at or before
+// its start is byte-identical to one logged from a fresh session.
+func LogSession(s *harness.Session, opts LogOptions) (*pinball.Pinball, error) {
+	if at := s.Icount(); opts.RegionStart < at {
+		return nil, fmt.Errorf("pinplay: session is at instruction %d, past region start %d", at, opts.RegionStart)
+	}
+	return logAt(s.Machine, s.Icount()-s.Machine.GlobalRetired, opts)
+}
+
+// logAt is Log on a machine whose GlobalRetired counts from base.
+func logAt(m *vm.Machine, base uint64, opts LogOptions) (*pinball.Pinball, error) {
 	if opts.RegionLength == 0 {
 		return nil, fmt.Errorf("pinplay: zero region length")
 	}
@@ -57,14 +74,14 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 	}
 
 	// Phase 1: fast-forward to the region start.
-	if opts.RegionStart > 0 {
-		m.MaxInstructions = opts.RegionStart
+	if opts.RegionStart > base+m.GlobalRetired {
+		m.MaxInstructions = opts.RegionStart - base
 		if err := harness.WrapRun(harness.ModeLog, m.Run()); err != nil {
 			return nil, err
 		}
 		if m.Halted || m.AliveCount() == 0 {
 			return nil, fmt.Errorf("pinplay: program ended at %d instructions, before region start %d",
-				m.GlobalRetired, opts.RegionStart)
+				base+m.GlobalRetired, opts.RegionStart)
 		}
 	}
 
@@ -75,7 +92,7 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 		RegionLength:      make([]uint64, len(m.Threads)),
 		WarmupLength:      opts.WarmupLength,
 		Fat:               opts.IsFat(),
-		RegionStartIcount: m.GlobalRetired,
+		RegionStartIcount: base + m.GlobalRetired,
 		BrkStart:          m.Proc.BrkStart,
 		Brk:               m.Proc.Brk,
 	}
@@ -95,7 +112,7 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 	}
 	pb.Meta.StackRegions = mergeRanges(pb.Meta.StackRegions)
 
-	lg := newLoggerTool(m, opts, pb)
+	lg := newLoggerTool(m, pb)
 
 	// Eager page capture.
 	if opts.PagesEarly {
@@ -108,12 +125,16 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 		}
 	}
 
-	// Phase 2: run the region under instrumentation, then give the caller
-	// back its own hooks whether or not the run succeeded.
+	// Phase 2: run the region on the chained core with the logger
+	// attached, then give the caller back its own hooks whether or not the
+	// run succeeded.
 	saved := m.Hooks
+	as := m.Proc.AS
 	pin.NewEngine(m).Attach(&lg.Tool)
-	m.MaxInstructions = pb.Meta.RegionStartIcount + opts.RegionLength
+	as.TrackFirstTouch(lg.capturePage)
+	m.MaxInstructions = m.GlobalRetired + opts.RegionLength
 	err := harness.WrapRun(harness.ModeLog, m.Run())
+	as.TrackFirstTouch(nil)
 	m.Hooks = saved
 	if err != nil {
 		return nil, err
@@ -134,11 +155,10 @@ func Log(m *vm.Machine, opts LogOptions) (*pinball.Pinball, error) {
 	// bodies. Fall back to the last executed instruction.
 	if lg.lastAtomicPC != 0 {
 		pb.Meta.EndPC = lg.lastAtomicPC
-		pb.Meta.EndCount = lg.pcCounts[lg.lastAtomicPC]
 	} else {
 		pb.Meta.EndPC = lg.lastPC
-		pb.Meta.EndCount = lg.pcCounts[lg.lastPC]
 	}
+	pb.Meta.EndCount = lg.executions(pb.Meta.EndPC)
 	pb.Sched = lg.sched
 	pb.Syscalls = lg.syscalls
 	pb.SortPages()
@@ -191,17 +211,25 @@ func mergeRanges(rs [][2]uint64) [][2]uint64 {
 	return out
 }
 
-// loggerTool is the pintool that performs region capture.
+// loggerTool is the pintool that performs region capture. It observes only
+// block-granular events, so the region runs on the chained core: retired
+// runs (OnBlock) give the schedule, the end condition and the code pages;
+// the address space's first-touch callback gives the data pages, each
+// captured before the access that first touches it; SyscallFilter (which
+// declines every call) and OnSyscall bracket each system call.
 type loggerTool struct {
 	pin.Tool
-	m    *vm.Machine
-	opts LogOptions
-	pb   *pinball.Pinball
+	m  *vm.Machine
+	pb *pinball.Pinball
 
 	captured     map[uint64]bool // page number -> captured
 	sched        []vm.SchedRecord
 	syscalls     []pinball.SyscallEffect
 	startRetired []uint64
+	// runs counts the visits of each multi-instruction run of the block
+	// cache; single-instruction runs, which may come from the step path's
+	// reused scratch slot, are counted per PC in pcCounts instead.
+	runs         map[runKey]*runCount
 	pcCounts     map[uint64]uint64
 	lastPC       uint64
 	lastAtomicPC uint64
@@ -209,10 +237,29 @@ type loggerTool struct {
 	preArgs      map[int][5]uint64
 }
 
-func newLoggerTool(m *vm.Machine, opts LogOptions, pb *pinball.Pinball) *loggerTool {
+// runKey identifies a retired run of the block cache: decoded blocks are
+// never modified once built, so a run is its first instruction's address
+// in the cache plus its length. runCount holds the run itself, which keeps
+// the cache memory alive, so the address cannot be reused while the logger
+// runs.
+type runKey struct {
+	first *isa.DecInst
+	n     int
+}
+
+// runCount is one run's visit count, with the index of its last atomic
+// instruction (-1 if none).
+type runCount struct {
+	ins    []isa.DecInst
+	visits uint64
+	atomic int
+}
+
+func newLoggerTool(m *vm.Machine, pb *pinball.Pinball) *loggerTool {
 	lg := &loggerTool{
-		m: m, opts: opts, pb: pb,
+		m: m, pb: pb,
 		captured: make(map[uint64]bool),
+		runs:     make(map[runKey]*runCount),
 		pcCounts: make(map[uint64]uint64),
 		preFS:    make(map[int]uint64),
 		preGS:    make(map[int]uint64),
@@ -223,15 +270,16 @@ func newLoggerTool(m *vm.Machine, opts LogOptions, pb *pinball.Pinball) *loggerT
 		lg.startRetired[i] = t.Retired
 	}
 	lg.Tool.Name = "pinplay-logger"
-	lg.Tool.OnIns = lg.onIns
-	lg.Tool.OnMemRead = lg.onMem
-	lg.Tool.OnMemWrite = lg.onMem
+	lg.Tool.OnBlock = lg.onBlock
+	lg.Tool.SyscallFilter = lg.preSyscall
 	lg.Tool.OnSyscall = lg.onSyscall
 	return lg
 }
 
-// capturePage records a page's current content once. Because instruction
-// and memory hooks fire before the access takes effect, first-touch capture
+// capturePage records a page's current content once. Data pages arrive
+// from the first-touch callback, which fires before the access; code
+// pages arrive after their run retired, which left them unchanged — a
+// store into a page is itself a first touch. Either way the capture
 // observes the page as it was at region start.
 func (lg *loggerTool) capturePage(addr uint64) {
 	pn := mem.PageNum(addr)
@@ -258,35 +306,93 @@ func (lg *loggerTool) captureRange(addr, size uint64) {
 	}
 }
 
-func (lg *loggerTool) onIns(t *vm.Thread, pc uint64, ins isa.Inst) {
-	// Schedule trace.
-	if n := len(lg.sched); n > 0 && lg.sched[n-1].TID == t.TID {
-		lg.sched[n-1].N++
-	} else {
-		lg.sched = append(lg.sched, vm.SchedRecord{TID: t.TID, N: 1})
-	}
-	// Code pages.
-	lg.captureRange(pc, ins.Len())
-	// End-condition profiling.
-	lg.pcCounts[pc]++
-	lg.lastPC = pc
-	switch ins.Op {
+// isAtomic reports the read-modify-write instructions the end condition
+// prefers.
+func isAtomic(op isa.Op) bool {
+	switch op {
 	case isa.XADD, isa.XCHG, isa.CMPXCHG:
-		lg.lastAtomicPC = pc
+		return true
 	}
-	// Pre-syscall state for side-effect detection.
-	if ins.Op == isa.SYSCALL {
-		lg.preFS[t.TID] = t.Regs.FSBase
-		lg.preGS[t.TID] = t.Regs.GSBase
-		lg.preArgs[t.TID] = [5]uint64{
-			t.Regs.GPR[isa.R1], t.Regs.GPR[isa.R2], t.Regs.GPR[isa.R3],
-			t.Regs.GPR[isa.R4], t.Regs.GPR[isa.R5],
+	return false
+}
+
+// onBlock records reps back-to-back retirements of the run ins by t.
+func (lg *loggerTool) onBlock(t *vm.Thread, ins []isa.DecInst, reps int) {
+	if len(ins) == 0 || reps < 1 {
+		return
+	}
+	// Schedule trace.
+	n := uint64(len(ins)) * uint64(reps)
+	if k := len(lg.sched); k > 0 && lg.sched[k-1].TID == t.TID {
+		lg.sched[k-1].N += n
+	} else {
+		lg.sched = append(lg.sched, vm.SchedRecord{TID: t.TID, N: n})
+	}
+	last := &ins[len(ins)-1]
+	lg.lastPC = last.PC()
+	if len(ins) == 1 {
+		pc := lg.lastPC
+		lg.captureRange(pc, last.Next-pc)
+		lg.pcCounts[pc] += uint64(reps)
+		if isAtomic(last.Op) {
+			lg.lastAtomicPC = pc
 		}
+		return
+	}
+	rc := lg.run(ins)
+	rc.visits += uint64(reps)
+	if rc.atomic >= 0 {
+		lg.lastAtomicPC = ins[rc.atomic].PC()
 	}
 }
 
-func (lg *loggerTool) onMem(t *vm.Thread, addr uint64, size int) {
-	lg.captureRange(addr, uint64(size))
+// run returns the visit count of the multi-instruction run ins, creating
+// it — and capturing the run's code pages — on the first visit.
+func (lg *loggerTool) run(ins []isa.DecInst) *runCount {
+	key := runKey{&ins[0], len(ins)}
+	rc := lg.runs[key]
+	if rc == nil {
+		// First visit: capture the code pages and find the last atomic
+		// instruction.
+		rc = &runCount{ins: ins, atomic: -1}
+		for i := range ins {
+			pc := ins[i].PC()
+			lg.captureRange(pc, ins[i].Next-pc)
+			if isAtomic(ins[i].Op) {
+				rc.atomic = i
+			}
+		}
+		lg.runs[key] = rc
+	}
+	return rc
+}
+
+// executions returns how many times the instruction at pc retired in the
+// region.
+func (lg *loggerTool) executions(pc uint64) uint64 {
+	n := lg.pcCounts[pc]
+	for _, rc := range lg.runs {
+		for i := range rc.ins {
+			if rc.ins[i].PC() == pc {
+				n += rc.visits
+			}
+		}
+	}
+	return n
+}
+
+// preSyscall records the state side-effect detection compares against —
+// the argument registers and segment bases before the call — and declines
+// the call, so the kernel runs it. The chained core hands every system
+// call to the step path with its state fully spilled.
+func (lg *loggerTool) preSyscall(t *vm.Thread, num uint64) (kernel.Result, bool) {
+	lg.preFS[t.TID] = t.Regs.FSBase
+	lg.preGS[t.TID] = t.Regs.GSBase
+	lg.preArgs[t.TID] = [5]uint64{
+		t.Regs.GPR[isa.R1], t.Regs.GPR[isa.R2], t.Regs.GPR[isa.R3],
+		t.Regs.GPR[isa.R4], t.Regs.GPR[isa.R5],
+	}
+	return kernel.Result{}, false
 }
 
 func (lg *loggerTool) onSyscall(t *vm.Thread, num uint64, res kernel.Result) {
@@ -312,8 +418,9 @@ func (lg *loggerTool) onSyscall(t *vm.Thread, num uint64, res kernel.Result) {
 		eff.MemWrites = append(eff.MemWrites, pinball.MemWriteData{
 			Addr: w.Addr, Data: data[:n],
 		})
-		// The kernel bypassed the memory hooks; capture the touched pages
-		// (post-call content, which is what replay will reproduce anyway).
+		// The kernel's copy-out fires no first-touch callback; capture the
+		// touched pages (post-call content, which is what replay will
+		// reproduce anyway).
 		lg.captureRange(w.Addr, uint64(w.Len))
 	}
 	lg.syscalls = append(lg.syscalls, eff)

@@ -169,6 +169,23 @@ func TestWarmCacheSkipsWork(t *testing.T) {
 			&ws, ws.Stages["log"], ws.Stages["convert"], ws.Stages["profile"])
 	}
 
+	// The forward pass is lazy: the cold run took a snapshot at each
+	// region start past instruction 0, the warm run (every log job a cache
+	// hit) started no pass at all.
+	starts := map[uint64]bool{}
+	for _, reg := range cold.Regions {
+		if reg.StartIcount > 0 {
+			starts[reg.StartIcount] = true
+		}
+	}
+	if len(starts) == 0 || len(cold.pass.snaps) != len(starts) {
+		t.Errorf("cold run took %d snapshots for %d region starts", len(cold.pass.snaps), len(starts))
+	}
+	if wp := warm.pass; len(wp.snaps) != 0 || wp.sess != nil || len(wp.stops) != len(starts) {
+		t.Errorf("warm run ran the forward pass: %d snapshots, %d of %d stops left",
+			len(wp.snaps), len(wp.stops), len(starts))
+	}
+
 	ec, ew := elfieBytes(t, cold), elfieBytes(t, warm)
 	if len(ec) != len(ew) {
 		t.Fatalf("region count: cold %d warm %d", len(ec), len(ew))

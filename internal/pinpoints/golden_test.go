@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"elfie/internal/simpoint"
 	"elfie/internal/workloads"
 )
 
@@ -80,5 +81,48 @@ func TestPrepareGoldenDigests(t *testing.T) {
 				t.Errorf("region digests\n got  %q\n want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestAlternateLogsSameFromSnapshot: an alternate region built during
+// validation (buildRegion) is byte-identical whether its log job
+// fast-forwards from the forward pass's nearest earlier snapshot or from a
+// fresh session.
+func TestAlternateLogsSameFromSnapshot(t *testing.T) {
+	b, err := Prepare(smallRecipe(), smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := map[uint64]bool{}
+	for _, reg := range b.Regions {
+		primary[reg.StartIcount] = true
+	}
+	// An alternate whose start is no primary's: it fast-forwards from the
+	// snapshot before it.
+	var sel simpoint.Region
+	slice := -1
+	for _, s := range b.Selection.Regions {
+		for _, alt := range s.Alternates {
+			if start, _ := b.regionWindow(alt); start > 0 && !primary[start] && b.pass.snapshot(start) != nil {
+				sel, slice = s, alt
+				break
+			}
+		}
+		if slice >= 0 {
+			break
+		}
+	}
+	if slice < 0 {
+		t.Fatal("no alternate starts after a snapshot")
+	}
+	fromSnap := b.buildRegion(sel, slice)
+	b.pass = nil
+	fresh := b.buildRegion(sel, slice)
+	if fromSnap == nil || fresh == nil {
+		t.Fatalf("alternate slice %d did not build (snapshot %v, fresh %v)", slice, fromSnap != nil, fresh != nil)
+	}
+	tmp := &Benchmark{Regions: []*Region{fromSnap, fresh}}
+	if d := regionDigests(t, tmp); d[0] != d[1] {
+		t.Errorf("alternate slice %d: from snapshot %s, fresh %s", slice, d[0], d[1])
 	}
 }

@@ -160,6 +160,9 @@ type Benchmark struct {
 	// is nil), shared across region builds and ELFie runs so rule budgets
 	// span the whole pipeline deterministically.
 	inj *fault.Injector
+	// pass is the log stage's forward pass over the program, planned at
+	// selection (see forwardPass).
+	pass *forwardPass
 	// cacheErrs counts store entries that failed integrity or parse checks
 	// and were rebuilt, plus failed cache writes — cache trouble degrades
 	// to a miss, never to a wrong artifact, but it is never silent.
@@ -225,6 +228,11 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 				return err
 			}
 			b.Selection = sel
+			primaries := make([]int, len(sel.Regions))
+			for i, s := range sel.Regions {
+				primaries[i] = s.SliceIndex
+			}
+			b.pass = newForwardPass(b, primaries)
 			// Fan out: one region chain per selected region, live while
 			// the farm runs.
 			slots = make([]*regionBuild, len(sel.Regions))
@@ -343,15 +351,16 @@ func (b *Benchmark) sliceName(slice int) string {
 }
 
 // logSlice captures one slice (plus warm-up) as a fat pinball — the
-// "log" stage of the per-region pipeline.
+// "log" stage of the per-region pipeline — from the forward pass's nearest
+// snapshot.
 func (b *Benchmark) logSlice(slice int) (*pinball.Pinball, error) {
 	cfg := b.cfg
 	start, warmup := b.regionWindow(slice)
-	s, err := b.session(harness.ModeLog, cfg.Seed)
+	s, err := b.logSession(start)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := pinplay.Log(s.Machine, pinplay.LogOptions{
+	pb, err := pinplay.LogSession(s, pinplay.LogOptions{
 		Name:         b.sliceName(slice),
 		RegionStart:  start,
 		RegionLength: warmup + cfg.SliceSize,

@@ -498,9 +498,12 @@ func (m *Machine) doSyscall(t *Thread) (yielded bool, exit, status int) {
 		res, handled = m.Hooks.SyscallFilter(t, num)
 	}
 	if !handled {
+		as := m.Proc.AS
+		as.SetKernelAccess(true)
 		res = m.Kernel.Syscall(&kernel.Ctx{
 			Proc: m.Proc, Regs: &t.Regs, TID: t.TID, Icount: m.GlobalRetired,
 		})
+		as.SetKernelAccess(false)
 	}
 
 	switch res.Action {
