@@ -7,6 +7,7 @@ import (
 
 	"elfie/internal/harness"
 	"elfie/internal/pinball"
+	"elfie/internal/simpoint"
 )
 
 // forwardPass is the log stage's one run over the benchmark's program. It
@@ -29,13 +30,13 @@ type forwardPass struct {
 	snaps []*pinball.Pinball
 }
 
-// newForwardPass plans a pass that stops at the start of each primary
-// slice's region. A region starting at instruction 0 needs no stop: a
-// fresh session is already there.
-func newForwardPass(b *Benchmark, primaries []int) *forwardPass {
+// newForwardPass plans a pass that stops at the start of each selected
+// region's primary slice. A region starting at instruction 0 needs no
+// stop: a fresh session is already there.
+func newForwardPass(b *Benchmark, regions []simpoint.Region) *forwardPass {
 	p := &forwardPass{b: b}
-	for _, slice := range primaries {
-		if start, _ := b.regionWindow(slice); start > 0 {
+	for _, r := range regions {
+		if start, _ := b.regionWindow(r.SliceIndex); start > 0 {
 			p.stops = append(p.stops, start)
 		}
 	}

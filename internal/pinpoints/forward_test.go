@@ -1,10 +1,12 @@
 package pinpoints
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"elfie/internal/pinball"
+	"elfie/internal/simpoint"
 	"elfie/internal/workloads"
 )
 
@@ -22,9 +24,13 @@ func TestForwardPassConcurrentJobs(t *testing.T) {
 	b.cfg.defaults()
 	// Slice 3's window is clamped to instruction 0; slice 9 is a primary
 	// twice.
-	b.pass = newForwardPass(b, []int{3, 9, 9, 14, 20})
+	var regions []simpoint.Region
+	for _, slice := range []int{3, 9, 9, 14, 20} {
+		regions = append(regions, simpoint.Region{SliceIndex: slice})
+	}
+	b.pass = newForwardPass(b, regions)
 	stops := []uint64{400_000, 900_000, 1_500_000}
-	if len(b.pass.stops) != len(stops) {
+	if !slices.Equal(b.pass.stops, stops) {
 		t.Fatalf("planned stops %v, want %v", b.pass.stops, stops)
 	}
 	asks := []uint64{0, 399_999, 450_000, 900_000, 1_000_000, 1_000_000, 1_200_000}

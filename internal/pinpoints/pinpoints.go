@@ -228,11 +228,7 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 				return err
 			}
 			b.Selection = sel
-			primaries := make([]int, len(sel.Regions))
-			for i, s := range sel.Regions {
-				primaries[i] = s.SliceIndex
-			}
-			b.pass = newForwardPass(b, primaries)
+			b.pass = newForwardPass(b, sel.Regions)
 			// Fan out: one region chain per selected region, live while
 			// the farm runs.
 			slots = make([]*regionBuild, len(sel.Regions))
