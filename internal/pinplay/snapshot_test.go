@@ -2,12 +2,14 @@ package pinplay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"elfie/internal/asm"
 	"elfie/internal/elfobj"
 	"elfie/internal/harness"
 	"elfie/internal/kernel"
+	"elfie/internal/mem"
 	"elfie/internal/pinball"
 	"elfie/internal/workloads"
 )
@@ -158,5 +160,101 @@ func TestLogSessionRefusesPastStart(t *testing.T) {
 	}
 	if _, err := LogSession(s, LogOptions{RegionStart: 100, RegionLength: 100}); err == nil {
 		t.Error("logged a region that starts before the session's position")
+	}
+}
+
+// pageSourcesProg stores to one data page, has the kernel read a second
+// (write(2)) and fill a third (clock_gettime), and runs from a code page
+// it never reads as data.
+const pageSourcesProg = `
+	.text
+	.global _start
+_start:
+	movi r13, 0
+loop:
+	limm r12, arr
+	ld.q r7, [r12]
+	addi r7, r7, 1
+	st.q r7, [r12]
+	movi r0, 1           # write(1, kin, 8)
+	movi r1, 1
+	limm r2, kin
+	movi r3, 8
+	syscall
+	movi r0, 228         # clock_gettime(0, kout)
+	movi r1, 0
+	limm r2, kout
+	syscall
+	addi r13, r13, 1
+	cmpi r13, 500
+	jnz  loop
+	movi r0, 231
+	movi r1, 0
+	syscall
+	.data
+	.align 4096
+arr:	.space 4096
+kin:	.space 4096
+kout:	.space 4096
+`
+
+// TestLoggerPageSources: a regular (not fat) pinball holds exactly the
+// pages the region used, each with the content replay needs: the code
+// page it fetched (from OnBlock), the data page as it was before the
+// region's first store (from the first-touch callback), and the page the
+// kernel filled with its post-call content; the page only the kernel read
+// is left out.
+func TestLoggerPageSources(t *testing.T) {
+	exe, err := asm.Program(pageSourcesProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym := func(name string) uint64 {
+		s, ok := exe.Symbol(name)
+		if !ok {
+			t.Fatalf("no symbol %s", name)
+		}
+		return s.Value
+	}
+	const start = 1_003
+	ref := logSession(t, exe, nil)
+	ref.Machine.MaxInstructions = start
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := ref.Machine.Proc.AS.ReadU64(sym("arr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pb, err := LogSession(logSession(t, exe, nil), LogOptions{Name: "p", RegionStart: start, RegionLength: 2_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := map[uint64][]byte{}
+	for _, pg := range pb.Pages {
+		pages[pg.Addr] = pg.Data
+	}
+	if pages[mem.PageBase(sym("loop"))] == nil {
+		t.Error("the fetched code page is missing")
+	}
+	if data := pages[sym("arr")]; data == nil || binary.LittleEndian.Uint64(data) != before {
+		t.Errorf("data page missing or not captured before the region's first store (want first word %d)", before)
+	}
+	var firstOut []byte
+	for _, e := range pb.Syscalls {
+		if e.Num == kernel.SysClockGettime {
+			firstOut = e.MemWrites[0].Data
+			break
+		}
+	}
+	if out := pages[sym("kout")]; out == nil || firstOut == nil || !bytes.Equal(out[:16], firstOut) {
+		t.Error("kernel-filled page missing or not holding its first post-call content")
+	}
+	if pages[sym("kin")] != nil {
+		t.Error("a page only the kernel read was captured")
+	}
+	if len(pages) != 3 {
+		t.Errorf("captured %d pages, want code, data and the kernel-filled page", len(pages))
 	}
 }
