@@ -219,8 +219,8 @@ target:
 	}
 	m2.MaxInstructions = 500_000
 	reached := false
-	m2.Hooks.OnBranch = func(th *vm.Thread, pc, tgt uint64, taken bool) {
-		if tgt == pb.Regs[0].PC {
+	m2.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
+		if r.Branch && r.Target == pb.Regs[0].PC {
 			reached = true
 		}
 	}

@@ -225,12 +225,13 @@ func TestELFieStateRestoredExactly(t *testing.T) {
 	}
 	m.MaxInstructions = 10_000_000
 
-	// Watch for the first arrival at the captured PC and compare the full
+	// Watch for the first arrival at the captured PC (the first retired
+	// instruction that leaves the thread there) and compare the full
 	// architectural state against the pinball's .reg contents.
 	var checked bool
 	var mismatch string
-	m.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
-		if checked || pc != pb.Regs[0].PC {
+	m.Hooks.OnIns = func(th *vm.Thread, _ *vm.InsRecord) {
+		if checked || th.Regs.PC != pb.Regs[0].PC {
 			return
 		}
 		checked = true
@@ -342,14 +343,12 @@ func TestMarkers(t *testing.T) {
 	m.MaxInstructions = 1_000_000
 	var sawMarker bool
 	var afterMarker int
-	m.Hooks.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) {
-		if op == isa.SSCMARK && tag == 0xbeef {
-			sawMarker = true
-		}
-	}
-	m.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+	m.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
 		if sawMarker {
 			afterMarker++
+		}
+		if r.Ins.Op == isa.SSCMARK && uint32(r.Ins.Imm) == 0xbeef {
+			sawMarker = true
 		}
 	}
 	m.Run()

@@ -4,6 +4,7 @@ import (
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/uarch"
+	"elfie/internal/vm"
 )
 
 // syscallTimerTick is the pseudo-syscall number used for timer interrupts.
@@ -82,7 +83,7 @@ func (ks *kernelStream) emit(core *uarch.OOOCore, num uint64, bytes int) {
 	cursor := dataBase + (ks.rand()%16)*uint64(ws)
 	seq := uint64(0)
 	for i := 0; i < n; i++ {
-		d := uarch.DynInst{TID: 0, PC: pc, Kernel: true}
+		d := uarch.DynInst{InsRecord: vm.InsRecord{PC: pc}, Kernel: true}
 		switch r := ks.rand() % 10; {
 		case r < 3: // sequential kernel structure walk
 			d.Ins = isa.Inst{Op: isa.LDQ, A: 1, B: 2}

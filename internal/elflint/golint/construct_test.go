@@ -89,7 +89,7 @@ func TestFlagsHookFieldWrites(t *testing.T) {
 func bad(m *vm.Machine) {
 	prev := m.Hooks.OnIns          // fine: a read
 	m.Hooks.OnIns = nil
-	s.Machine.Hooks.OnMarker, x = f, 1
+	s.Machine.Hooks.OnBlock, x = f, 1
 	saved := m.Hooks
 	m.Hooks = saved                // fine: whole-struct restore
 	_ = prev
@@ -116,7 +116,7 @@ func testOnly(m *vm.Machine) { m.Hooks.OnIns = nil }
 		t.Fatalf("want 2 diagnostics, got %d: %v", len(diags), diags)
 	}
 	all := diags[0].String() + "\n" + diags[1].String()
-	for _, want := range []string{"Hooks.OnIns", "Hooks.OnMarker", "pin.Engine", filepath.Join("internal", "tool", "tool.go")} {
+	for _, want := range []string{"Hooks.OnIns", "Hooks.OnBlock", "pin.Engine", filepath.Join("internal", "tool", "tool.go")} {
 		if !strings.Contains(all, want) {
 			t.Errorf("missing %q in:\n%s", want, all)
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"elfie/internal/asm"
-	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
@@ -158,7 +157,7 @@ func TestNativeCheckpointPreservesKernelState(t *testing.T) {
 	}
 	const stopAt = 700
 	var count uint64
-	s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+	s.Machine.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
 		count++
 		if count == stopAt {
 			s.Machine.RequestStop()
@@ -218,8 +217,8 @@ func TestJitteredCheckpointBitIdentity(t *testing.T) {
 	cfg := Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 21, Jitter: 37}
 
 	record := func(s *Session, out *[]uint64, stopAt uint64) {
-		s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
-			*out = append(*out, uint64(th.TID)<<48|pc)
+		s.Machine.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
+			*out = append(*out, uint64(th.TID)<<48|r.PC)
 			if stopAt > 0 && uint64(len(*out)) == stopAt {
 				s.Machine.RequestStop()
 			}
@@ -299,8 +298,8 @@ func TestSegmentedRunKeepsSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
-			stream = append(stream, uint64(th.TID)<<48|pc)
+		s.Machine.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
+			stream = append(stream, uint64(th.TID)<<48|r.PC)
 		}
 		err = s.RunCheckpointed(CkptOptions{
 			Every: every,
@@ -372,7 +371,7 @@ func TestCheckpointValidationRejectsRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	var count uint64
-	s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+	s.Machine.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
 		count++
 		if count == 300 {
 			s.Machine.RequestStop()
@@ -563,8 +562,8 @@ func TestCkptBudgetStopsExactly(t *testing.T) {
 	}
 	cfg := Config{Mode: ModeNative, Exe: exe, Argv: []string{"x"}, Seed: 21, Jitter: 37}
 	record := func(s *Session, out *[]uint64) {
-		s.Machine.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
-			*out = append(*out, uint64(th.TID)<<48|pc)
+		s.Machine.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
+			*out = append(*out, uint64(th.TID)<<48|r.PC)
 		}
 	}
 	var ref []uint64

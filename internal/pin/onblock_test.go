@@ -94,8 +94,7 @@ func TestOnBlockStreamELFie(t *testing.T) {
 		last[th.TID] = ins[len(ins)-1].Op
 		longest = max(longest, reps*len(ins))
 	}})
-	if h := mb.Hooks; h.OnIns != nil || h.OnMemRead != nil || h.OnMemWrite != nil ||
-		h.OnBranch != nil || h.OnMarker != nil {
+	if mb.Hooks.OnIns != nil {
 		t.Fatal("a tool with only OnBlock installed a per-instruction hook")
 	}
 	if err := mb.Run(); err != nil {
@@ -107,8 +106,8 @@ func TestOnBlockStreamELFie(t *testing.T) {
 
 	mi := elfieMachine(t, exe)
 	want := map[int][]uint64{}
-	pin.NewEngine(mi).Attach(&pin.Tool{Name: "ins", OnIns: func(th *vm.Thread, pc uint64, ins isa.Inst) {
-		want[th.TID] = append(want[th.TID], pc)
+	pin.NewEngine(mi).Attach(&pin.Tool{Name: "ins", OnIns: func(th *vm.Thread, r *vm.InsRecord) {
+		want[th.TID] = append(want[th.TID], r.PC)
 	}})
 	if err := mi.Run(); err != nil {
 		t.Fatal(err)

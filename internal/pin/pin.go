@@ -19,17 +19,15 @@ import (
 // Filter-style callbacks (SyscallFilter, OnFault) are consulted in
 // attachment order; the first tool that handles the event wins.
 // SyscallFast is the inline twin of SyscallFilter (see vm.Hooks) and is
-// only honoured alongside the same tool's SyscallFilter. OnBlock is the
-// block-granular twin of OnIns (see vm.Hooks): a tool that needs only the
-// retired instruction stream uses it and keeps the VM on its fast path.
+// only honoured alongside the same tool's SyscallFilter. OnIns hands the
+// tool each retired instruction's record: its data access, branch outcome
+// and marker tag. OnBlock is its block-granular twin (see vm.Hooks): a tool
+// that needs only the retired instruction stream uses it and keeps the VM
+// on its fast path.
 type Tool struct {
 	Name          string
-	OnIns         func(t *vm.Thread, pc uint64, ins isa.Inst)
+	OnIns         func(t *vm.Thread, r *vm.InsRecord)
 	OnBlock       func(t *vm.Thread, ins []isa.DecInst, reps int)
-	OnMemRead     func(t *vm.Thread, addr uint64, size int)
-	OnMemWrite    func(t *vm.Thread, addr uint64, size int)
-	OnBranch      func(t *vm.Thread, pc, target uint64, taken bool)
-	OnMarker      func(t *vm.Thread, op isa.Op, tag uint32)
 	SyscallFilter func(t *vm.Thread, num uint64) (kernel.Result, bool)
 	SyscallFast   func(t *vm.Thread, num uint64) (ret uint64, ok bool)
 	OnSyscall     func(t *vm.Thread, num uint64, res kernel.Result)
@@ -61,40 +59,13 @@ func (e *Engine) Attach(t *Tool) {
 	if prev, next := h.OnIns, t.OnIns; next != nil {
 		h.OnIns = next
 		if prev != nil {
-			h.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) { prev(th, pc, ins); next(th, pc, ins) }
+			h.OnIns = func(th *vm.Thread, r *vm.InsRecord) { prev(th, r); next(th, r) }
 		}
 	}
 	if prev, next := h.OnBlock, t.OnBlock; next != nil {
 		h.OnBlock = next
 		if prev != nil {
 			h.OnBlock = func(th *vm.Thread, ins []isa.DecInst, reps int) { prev(th, ins, reps); next(th, ins, reps) }
-		}
-	}
-	if prev, next := h.OnMemRead, t.OnMemRead; next != nil {
-		h.OnMemRead = next
-		if prev != nil {
-			h.OnMemRead = func(th *vm.Thread, addr uint64, size int) { prev(th, addr, size); next(th, addr, size) }
-		}
-	}
-	if prev, next := h.OnMemWrite, t.OnMemWrite; next != nil {
-		h.OnMemWrite = next
-		if prev != nil {
-			h.OnMemWrite = func(th *vm.Thread, addr uint64, size int) { prev(th, addr, size); next(th, addr, size) }
-		}
-	}
-	if prev, next := h.OnBranch, t.OnBranch; next != nil {
-		h.OnBranch = next
-		if prev != nil {
-			h.OnBranch = func(th *vm.Thread, pc, target uint64, taken bool) {
-				prev(th, pc, target, taken)
-				next(th, pc, target, taken)
-			}
-		}
-	}
-	if prev, next := h.OnMarker, t.OnMarker; next != nil {
-		h.OnMarker = next
-		if prev != nil {
-			h.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) { prev(th, op, tag); next(th, op, tag) }
 		}
 	}
 	if prev, next := h.SyscallFilter, t.SyscallFilter; next != nil {
@@ -136,7 +107,7 @@ type ICounter struct {
 func NewICounter() *ICounter {
 	ic := &ICounter{PerThread: make(map[int]uint64)}
 	ic.Tool.Name = "icounter"
-	ic.Tool.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
+	ic.Tool.OnIns = func(t *vm.Thread, _ *vm.InsRecord) {
 		ic.PerThread[t.TID]++
 		ic.Total++
 	}

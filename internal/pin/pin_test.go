@@ -48,12 +48,22 @@ func TestMultiplexing(t *testing.T) {
 	ic2 := NewICounter()
 	var markers, reads, writes, branches, syscalls int
 	tool := &Tool{
-		Name:       "probe",
-		OnMarker:   func(th *vm.Thread, op isa.Op, tag uint32) { markers++ },
-		OnMemRead:  func(th *vm.Thread, addr uint64, sz int) { reads++ },
-		OnMemWrite: func(th *vm.Thread, addr uint64, sz int) { writes++ },
-		OnBranch:   func(th *vm.Thread, pc, tgt uint64, taken bool) { branches++ },
-		OnSyscall:  func(th *vm.Thread, num uint64, res kernel.Result) { syscalls++ },
+		Name: "probe",
+		OnIns: func(th *vm.Thread, r *vm.InsRecord) {
+			if r.Ins.Op == isa.SSCMARK {
+				markers++
+			}
+			if r.MemR {
+				reads++
+			}
+			if r.MemW {
+				writes++
+			}
+			if r.Branch {
+				branches++
+			}
+		},
+		OnSyscall: func(th *vm.Thread, num uint64, res kernel.Result) { syscalls++ },
 	}
 	eng.Attach(&ic1.Tool)
 	eng.Attach(tool)
@@ -119,10 +129,9 @@ stk: .space 4096
 		SyscallFilter: func(th *vm.Thread, num uint64) (kernel.Result, bool) { return kernel.Result{}, false },
 		OnFault:       func(th *vm.Thread, f *mem.Fault) bool { return false },
 	})
-	// A tool with no per-instruction callbacks leaves those hooks nil, so
-	// the VM can still select its block fast path.
-	if h := m.Hooks; h.OnIns != nil || h.OnMemRead != nil || h.OnMemWrite != nil ||
-		h.OnBranch != nil || h.OnMarker != nil {
+	// A tool with no per-instruction callback leaves OnIns nil, so the VM
+	// can still select its block fast path.
+	if m.Hooks.OnIns != nil {
 		t.Error("per-instruction hook installed by a tool that provides none")
 	}
 	m.Run()
@@ -135,15 +144,20 @@ stk: .space 4096
 // TestComposeInPlace: Attach composes onto whatever hooks the machine
 // already has — a hook installed before NewEngine keeps firing, and tools
 // attached through two separate engines both fire, in attach order (for
-// OnMarker and for OnBlock).
+// OnIns, counted at the markers, and for OnBlock).
 func TestComposeInPlace(t *testing.T) {
 	m := machineFor(t, prog)
 	var order []string
-	m.Hooks.OnMarker = func(th *vm.Thread, op isa.Op, tag uint32) { order = append(order, "pre") }
+	onMarker := func(name string) func(*vm.Thread, *vm.InsRecord) {
+		return func(th *vm.Thread, r *vm.InsRecord) {
+			if r.Ins.Op == isa.SSCMARK {
+				order = append(order, name)
+			}
+		}
+	}
+	m.Hooks.OnIns = onMarker("pre")
 	marker := func(name string) *Tool {
-		return &Tool{Name: name, OnMarker: func(th *vm.Thread, op isa.Op, tag uint32) {
-			order = append(order, name)
-		}}
+		return &Tool{Name: name, OnIns: onMarker(name)}
 	}
 	NewEngine(m).Attach(marker("a"))
 	NewEngine(m).Attach(marker("b"))

@@ -5,7 +5,6 @@ import (
 
 	"elfie/internal/fault"
 	"elfie/internal/harness"
-	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
 	"elfie/internal/vm"
@@ -17,8 +16,8 @@ func pack(tid int, pc uint64) uint64 { return uint64(tid)<<48 | pc&(1<<48-1) }
 // streamHook appends every retired (tid, pc) to *out via the OnIns hook.
 func streamHook(out *[]uint64) func(m *vm.Machine) {
 	return func(m *vm.Machine) {
-		m.Hooks.OnIns = func(t *vm.Thread, pc uint64, ins isa.Inst) {
-			*out = append(*out, pack(t.TID, pc))
+		m.Hooks.OnIns = func(t *vm.Thread, r *vm.InsRecord) {
+			*out = append(*out, pack(t.TID, r.PC))
 		}
 	}
 }
@@ -71,8 +70,8 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 					Save: func(p *pinball.Pinball) error { ckpt = p; return nil },
 				},
 				BeforeRun: func(m *vm.Machine) {
-					m.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
-						leg1 = append(leg1, pack(th.TID, pc))
+					m.Hooks.OnIns = func(th *vm.Thread, r *vm.InsRecord) {
+						leg1 = append(leg1, pack(th.TID, r.PC))
 						if uint64(len(leg1)) == stopAt {
 							m.RequestStop()
 						}
@@ -256,7 +255,7 @@ func TestCheckpointCarriesInjectionCursor(t *testing.T) {
 			Save: func(p *pinball.Pinball) error { ckpt = p; return nil },
 		},
 		BeforeRun: func(m *vm.Machine) {
-			m.Hooks.OnIns = func(th *vm.Thread, pc uint64, ins isa.Inst) {
+			m.Hooks.OnIns = func(th *vm.Thread, _ *vm.InsRecord) {
 				retired++
 				if retired == 1500 {
 					m.RequestStop()

@@ -741,7 +741,8 @@ func (w *cutWriter) Write(p []byte) (int, error) {
 }
 
 // TestPullRetriesBrokenStream: an object stream that dies mid-body is
-// retried with a Range from the fsynced length, so the pull completes
+// retried with a Range from the staged length (a resumption hint, not a
+// synced record: the commit's hash checks it), so the pull completes
 // without a piece crossing twice. The stream breaks twice on a client
 // allowed two attempts: a break after progress must not use up the
 // retry budget.

@@ -8,6 +8,8 @@ import (
 	"elfie/internal/asm"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
+	"elfie/internal/mem"
+	"elfie/internal/pin"
 	"elfie/internal/vm"
 )
 
@@ -383,17 +385,108 @@ _start:
 		}
 	}
 
+	// Closed before the run, the window stays shut through the start
+	// marker (Run clears the stop request Close made).
 	m := loadProgram(t, `
 	.text
 	.global _start
 _start:
+	sscmark 7
+	addi r1, r1, 1
 	movi r0, 231
 	syscall
 	`)
 	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, startTag)
 	drv.Close()
-	m.Hooks.OnMarker(m.Threads[0], isa.SSCMARK, startTag)
-	if drv.Measuring() || !drv.Closed() {
-		t.Errorf("closed window reopened: measuring=%v closed=%v", drv.Measuring(), drv.Closed())
+	runDriver(t, m, drv)
+	if m.GlobalRetired != 4 {
+		t.Fatalf("retired %d instructions, want the whole program's 4", m.GlobalRetired)
+	}
+	if got := drv.Cores[0].Stats.Instructions; got != 0 || drv.Measuring() || !drv.Closed() {
+		t.Errorf("closed window reopened: measured %d, measuring=%v closed=%v", got, drv.Measuring(), drv.Closed())
+	}
+}
+
+// TestDriverTimesRetiredOnly: the driver times each instruction once, when
+// it retires. A load whose data page an OnFault tool maps on the first
+// attempt is timed once, not once per attempt, and a load that dies on a
+// fatal fault is not timed at all.
+func TestDriverTimesRetiredOnly(t *testing.T) {
+	const src = `
+	.text
+	.global _start
+_start:
+	limm r1, 0x70000000
+	addi r2, r2, 1
+	ld.q r3, [r1]
+	addi r3, r3, 1
+	movi r0, 231
+	syscall
+	`
+	for _, recover := range []bool{true, false} {
+		m := loadProgram(t, src)
+		faults := 0
+		pin.NewEngine(m).Attach(&pin.Tool{Name: "pager", OnFault: func(th *vm.Thread, f *mem.Fault) bool {
+			faults++
+			if recover {
+				m.Proc.AS.Map(f.Addr&^(mem.PageSize-1), mem.PageSize, mem.ProtRW)
+			}
+			return recover
+		}})
+		drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
+		runDriver(t, m, drv)
+		if faults != 1 || (m.FatalFault == nil) != recover {
+			t.Fatalf("recover=%v: %d faults, fatal fault %v", recover, faults, m.FatalFault)
+		}
+		want := uint64(6)
+		if !recover {
+			want = 2
+		}
+		th := m.Threads[0]
+		if got := drv.Cores[0].Stats.Instructions; th.Retired != want || got != th.Retired {
+			t.Errorf("recover=%v: timed %d instructions, thread retired %d (want %d)", recover, got, th.Retired, want)
+		}
+	}
+}
+
+// TestDriverCloseStopsAtClosingInstruction: a window closed from After on
+// a given PC stops the machine right after that instruction; the next one
+// never executes.
+func TestDriverCloseStopsAtClosingInstruction(t *testing.T) {
+	m := loadProgram(t, `
+	.text
+	.global _start
+_start:
+	movi r9, 0
+loop:
+	addi r1, r1, 1
+	addi r9, r9, 1
+	cmpi r9, 10
+	jnz  loop
+	movi r0, 231
+	syscall
+	`)
+	entry := m.Threads[0].Regs.PC
+	closePC := entry + 2*isa.InstLen // the loop's second instruction
+	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
+	hits := 0
+	drv.After = func(d *DynInst) {
+		if d.PC == closePC {
+			if hits++; hits == 3 {
+				drv.Close()
+			}
+		}
+	}
+	runDriver(t, m, drv)
+	// movi, then two loop trips of 4, then the third trip's first two.
+	const pos = 1 + 2*4 + 2
+	if m.GlobalRetired != pos {
+		t.Errorf("machine retired %d instructions, want the closing instruction's position %d", m.GlobalRetired, pos)
+	}
+	if got := drv.Cores[0].Stats.Instructions; got != pos || !drv.Closed() {
+		t.Errorf("timed %d instructions (closed=%v), want %d", got, drv.Closed(), pos)
+	}
+	if th := m.Threads[0]; th.Regs.PC != closePC+isa.InstLen || !th.Alive {
+		t.Errorf("stopped at pc %#x (alive=%v), want %#x", th.Regs.PC, th.Alive, closePC+isa.InstLen)
 	}
 }

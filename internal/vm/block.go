@@ -144,17 +144,14 @@ type decodeTable struct {
 	have [decodeSlots / 64]uint64
 }
 
-// fastPathOK reports whether execution may use the block fast path. Any
-// per-instruction observation hook forces the step path so hooks fire in
-// order; SyscallFilter/OnSyscall/OnFault are compatible with the fast
-// path because syscalls the chain cannot retire inline and faults fall
-// back to step semantics, and OnBlock because the chain reports its runs
-// at every exit.
+// fastPathOK reports whether execution may use the block fast path. OnIns
+// forces the step path, which builds each instruction's record;
+// SyscallFilter/OnSyscall/OnFault are compatible with the fast path
+// because syscalls the chain cannot retire inline and faults fall back to
+// step semantics, and OnBlock because the chain reports its runs at every
+// exit.
 func (m *Machine) fastPathOK() bool {
-	h := &m.Hooks
-	return !m.DisableBlockCache && m.FaultInj == nil &&
-		h.OnIns == nil && h.OnMemRead == nil && h.OnMemWrite == nil &&
-		h.OnBranch == nil && h.OnMarker == nil
+	return !m.DisableBlockCache && m.FaultInj == nil && m.Hooks.OnIns == nil
 }
 
 // deoptOp reports opcodes the block executor refuses to batch: they yield,
@@ -345,10 +342,13 @@ func (m *Machine) pageEntry(pc uint64) *pageBlocks {
 }
 
 // stepInst returns the instruction at pc from its page's decode table,
-// decoding it into the slot on first use. ok=false means step must fetch
-// and decode itself — the table is off (DisableBlockCache), or pc is not
-// executable, unaligned, the start of a page-straddling LIMM or an
-// undecodable word — so every fault stays on the reference path.
+// decoding it into the slot on first use. It returns the slot itself, not
+// a copy: an isa.Inst returned by value comes back in registers, and the
+// caller's narrow spills followed by one wide reload stall store
+// forwarding on every step. nil means step must fetch and decode itself —
+// the table is off (DisableBlockCache), or pc is not executable,
+// unaligned, the start of a page-straddling LIMM or an undecodable word —
+// so every fault stays on the reference path.
 //
 // The hit path is one compare chain: the current page's table is memoized
 // with the address-space clock, and reused while the clock has not moved,
@@ -356,9 +356,9 @@ func (m *Machine) pageEntry(pc uint64) *pageBlocks {
 // executable-page write advances the clock and forces the next step to
 // re-resolve the page through the block cache, which validates the
 // generation. Eviction and Reset drop the memo with the cache.
-func (m *Machine) stepInst(pc uint64) (isa.Inst, bool) {
+func (m *Machine) stepInst(pc uint64) *isa.Inst {
 	if m.DisableBlockCache {
-		return isa.Inst{}, false
+		return nil
 	}
 	as := m.Proc.AS
 	pn, clock := mem.PageNum(pc), as.Clock()
@@ -366,7 +366,7 @@ func (m *Machine) stepInst(pc uint64) (isa.Inst, bool) {
 	if dt == nil || m.stepPN != pn || m.stepClock != clock {
 		pb := m.pageEntry(pc)
 		if pb == nil {
-			return isa.Inst{}, false
+			return nil
 		}
 		if pb.dec == nil {
 			pb.dec = new(decodeTable)
@@ -376,23 +376,23 @@ func (m *Machine) stepInst(pc uint64) (isa.Inst, bool) {
 	}
 	off := pc & pageMask
 	if off%isa.InstLen != 0 {
-		return isa.Inst{}, false
+		return nil
 	}
 	slot := off / isa.InstLen
 	if dt.have[slot/64]&(1<<(slot%64)) != 0 {
-		return dt.ins[slot], true
+		return &dt.ins[slot]
 	}
 	win, _, err := as.ExecWindow(pc)
 	if err != nil {
-		return isa.Inst{}, false
+		return nil
 	}
 	ins, _, err := isa.Decode(win)
 	if err != nil {
-		return isa.Inst{}, false
+		return nil
 	}
 	dt.ins[slot] = ins
 	dt.have[slot/64] |= 1 << (slot % 64)
-	return ins, true
+	return &dt.ins[slot]
 }
 
 // pagesValid re-checks every page generation a block was decoded from.
@@ -677,7 +677,7 @@ loop:
 		d := &sl[i]
 		switch d.Op {
 		case isa.NOP, isa.FENCE, isa.SSCMARK, isa.MAGIC:
-			// Markers are no-ops: fastPathOK guarantees OnMarker is nil.
+			// Markers are no-ops: fastPathOK guarantees no OnIns sees them.
 		case isa.MOV:
 			g[d.A&15] = g[d.B&15]
 		case isa.MOVI, isa.LIMM:
@@ -1195,7 +1195,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 
 		switch d.Op {
 		case isa.NOP, isa.FENCE, isa.SSCMARK, isa.MAGIC:
-			// Markers are no-ops here: fastPathOK guarantees OnMarker is nil.
+			// Markers are no-ops here: fastPathOK guarantees no OnIns sees them.
 
 		case isa.MOV:
 			g[d.A&15] = g[d.B&15]

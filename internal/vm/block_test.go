@@ -156,16 +156,11 @@ func TestFastPathSelection(t *testing.T) {
 	if !m.fastPathOK() {
 		t.Error("syscall/fault/block hooks must not disable the fast path")
 	}
-	m.Hooks.OnIns = func(*Thread, uint64, isa.Inst) {}
+	m.Hooks.OnIns = func(*Thread, *InsRecord) {}
 	if m.fastPathOK() {
 		t.Error("OnIns must disable the fast path")
 	}
 	m.Hooks.OnIns = nil
-	m.Hooks.OnMemRead = func(*Thread, uint64, int) {}
-	if m.fastPathOK() {
-		t.Error("OnMemRead must disable the fast path")
-	}
-	m.Hooks.OnMemRead = nil
 	m.DisableBlockCache = true
 	if m.fastPathOK() {
 		t.Error("DisableBlockCache must disable the fast path")

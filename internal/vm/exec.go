@@ -56,8 +56,10 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 
 	// The page's decode table serves most instructions (see stepInst);
 	// the rest are fetched and decoded here, with precise faults.
-	ins, ok := m.stepInst(pc)
-	if !ok {
+	var ins isa.Inst
+	if p := m.stepInst(pc); p != nil {
+		ins = *p
+	} else {
 		// Fetch. Instructions are 8 bytes; LIMM needs 8 more.
 		if err := as.Fetch(pc, m.fetchBuf[:isa.InstLen]); err != nil {
 			return m.handleFault(t, err), false
@@ -77,10 +79,11 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		}
 	}
 
-	if m.Hooks.OnIns != nil {
-		m.Hooks.OnIns(t, pc, ins)
-	}
-
+	// Reset the record in place: a composite literal would be built in a
+	// stack temporary and copied over.
+	rec := &m.rec
+	*rec = InsRecord{}
+	rec.PC, rec.Ins = pc, ins
 	next := pc + ins.Len()
 	r := &t.Regs
 	g := &r.GPR
@@ -89,6 +92,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	// register file (the block executor masks identically).
 	a, b, c := isa.Reg(ins.A&15), isa.Reg(ins.B&15), isa.Reg(ins.C&15)
 	imm := uint64(int64(ins.Imm))
+	var exit, status int // set by a SYSCALL that ends the thread or process
 
 	switch ins.Op {
 	case isa.NOP, isa.FENCE:
@@ -170,9 +174,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	case isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW:
 		addr := g[b] + imm
 		size := isa.MemSize(ins.Op)
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, addr, size)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, addr, size
 		v, ok := as.LoadFast(addr, size)
 		if !ok {
 			var buf [8]byte
@@ -194,9 +196,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	case isa.STB, isa.STH, isa.STW, isa.STQ:
 		addr := g[b] + imm
 		size := isa.MemSize(ins.Op)
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, addr, size)
-		}
+		rec.MemW, rec.MemAddr, rec.MemSize = true, addr, size
 		if !as.StoreFast(addr, g[a], size) {
 			var buf [8]byte
 			putBytes(buf[:], g[a])
@@ -222,59 +222,43 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS:
 		taken := condTaken(ins.Op, r.Flags)
 		target := ins.BranchTarget(pc)
-		if m.Hooks.OnBranch != nil {
-			m.Hooks.OnBranch(t, pc, target, taken)
-		}
+		rec.Branch, rec.Taken, rec.Target = true, taken, target
 		if taken {
 			next = target
 		}
 	case isa.JMPR:
 		next = g[b]
-		if m.Hooks.OnBranch != nil {
-			m.Hooks.OnBranch(t, pc, next, true)
-		}
+		rec.Branch, rec.Taken, rec.Target = true, true, next
 	case isa.JMPM:
 		slot := ins.BranchTarget(pc)
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, slot, 8)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, slot, 8
 		v, err := as.ReadU64(slot)
 		if err != nil {
 			return m.handleFault(t, err), false
 		}
-		if m.Hooks.OnBranch != nil {
-			m.Hooks.OnBranch(t, pc, v, true)
-		}
+		rec.Branch, rec.Taken, rec.Target = true, true, v
 		next = v
 	case isa.CALL, isa.CALLR:
 		target := ins.BranchTarget(pc)
 		if ins.Op == isa.CALLR {
 			target = g[b]
 		}
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, g[isa.RSP]-8, 8)
-		}
+		rec.MemW, rec.MemAddr, rec.MemSize = true, g[isa.RSP]-8, 8
 		g[isa.RSP] -= 8
 		if err := as.WriteU64(g[isa.RSP], next); err != nil {
 			g[isa.RSP] += 8
 			return m.handleFault(t, err), false
 		}
-		if m.Hooks.OnBranch != nil {
-			m.Hooks.OnBranch(t, pc, target, true)
-		}
+		rec.Branch, rec.Taken, rec.Target = true, true, target
 		next = target
 	case isa.RET:
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, g[isa.RSP], 8)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, g[isa.RSP], 8
 		v, err := as.ReadU64(g[isa.RSP])
 		if err != nil {
 			return m.handleFault(t, err), false
 		}
 		g[isa.RSP] += 8
-		if m.Hooks.OnBranch != nil {
-			m.Hooks.OnBranch(t, pc, v, true)
-		}
+		rec.Branch, rec.Taken, rec.Target = true, true, v
 		next = v
 
 	case isa.PUSH, isa.PUSHF:
@@ -282,18 +266,14 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		if ins.Op == isa.PUSHF {
 			v = r.Flags
 		}
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, g[isa.RSP]-8, 8)
-		}
+		rec.MemW, rec.MemAddr, rec.MemSize = true, g[isa.RSP]-8, 8
 		g[isa.RSP] -= 8
 		if err := as.WriteU64(g[isa.RSP], v); err != nil {
 			g[isa.RSP] += 8
 			return m.handleFault(t, err), false
 		}
 	case isa.POP, isa.POPF:
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, g[isa.RSP], 8)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, g[isa.RSP], 8
 		v, err := as.ReadU64(g[isa.RSP])
 		if err != nil {
 			return m.handleFault(t, err), false
@@ -306,45 +286,17 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		}
 
 	case isa.SYSCALL:
-		var exit int
-		var status int
 		yielded, exit, status = m.doSyscall(t)
-		if exit != 0 {
-			// Retire the syscall instruction, then end the thread/process.
-			t.Regs.PC = next
-			t.Retired++
-			m.GlobalRetired++
-			if m.Hooks.OnBlock != nil {
-				m.stepBlock(t, pc, ins)
-			}
-			if exit == exitThreadAction {
-				m.exitThread(t, status)
-			} else {
-				m.exitGroup(status)
-			}
-			return true, true
-		}
 
 	case isa.CPUID:
 		g[a] = 0x50564d31 // "PVM1" feature word
-		if m.Hooks.OnMarker != nil {
-			m.Hooks.OnMarker(t, ins.Op, uint32(ins.Imm))
-		}
 	case isa.SSCMARK, isa.MAGIC:
-		if m.Hooks.OnMarker != nil {
-			m.Hooks.OnMarker(t, ins.Op, uint32(ins.Imm))
-		}
 	case isa.RDTSC:
 		g[a] = m.Kernel.Clock.Now(m.GlobalRetired)
 
 	case isa.XCHG, isa.XADD, isa.CMPXCHG:
 		addr := g[b] + imm
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, addr, 8)
-		}
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, addr, 8)
-		}
+		rec.MemR, rec.MemW, rec.MemAddr, rec.MemSize = true, true, addr, 8
 		old, err := as.ReadU64(addr)
 		if err != nil {
 			return m.handleFault(t, err), false
@@ -383,16 +335,12 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 
 	case isa.XSAVE:
 		area := isa.XSave(r)
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, g[a], len(area))
-		}
+		rec.MemW, rec.MemAddr, rec.MemSize = true, g[a], len(area)
 		if err := as.Write(g[a], area); err != nil {
 			return m.handleFault(t, err), false
 		}
 	case isa.XRSTOR:
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, g[a], isa.XSaveSize)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, g[a], isa.XSaveSize
 		area := make([]byte, isa.XSaveSize)
 		if err := as.Read(g[a], area); err != nil {
 			return m.handleFault(t, err), false
@@ -401,9 +349,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 
 	case isa.VLD:
 		addr := g[b] + imm
-		if m.Hooks.OnMemRead != nil {
-			m.Hooks.OnMemRead(t, addr, 16)
-		}
+		rec.MemR, rec.MemAddr, rec.MemSize = true, addr, 16
 		var buf [16]byte
 		if err := as.Read(addr, buf[:]); err != nil {
 			return m.handleFault(t, err), false
@@ -412,9 +358,7 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 		r.V[ins.A&7][1] = leBytes(buf[8:])
 	case isa.VST:
 		addr := g[b] + imm
-		if m.Hooks.OnMemWrite != nil {
-			m.Hooks.OnMemWrite(t, addr, 16)
-		}
+		rec.MemW, rec.MemAddr, rec.MemSize = true, addr, 16
 		var buf [16]byte
 		putBytes(buf[:8], r.V[ins.A&7][0])
 		putBytes(buf[8:], r.V[ins.A&7][1])
@@ -439,22 +383,28 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	t.Regs.PC = next
 	t.Retired++
 	m.GlobalRetired++
+	// OnBlock gets a one-element run built in the machine's scratch slot,
+	// so the hooked path allocates nothing per instruction.
 	if m.Hooks.OnBlock != nil {
-		m.stepBlock(t, pc, ins)
+		m.stepIns[0] = ins.Predecode(pc)
+		m.Hooks.OnBlock(t, m.stepIns[:], 1)
 	}
-
+	if m.Hooks.OnIns != nil {
+		m.Hooks.OnIns(t, rec)
+	}
+	// An exiting SYSCALL has retired; now it ends the thread or process.
+	switch exit {
+	case exitThreadAction:
+		m.exitThread(t, status)
+		return true, true
+	case exitGroupAction:
+		m.exitGroup(status)
+		return true, true
+	}
 	if m.checkPerfOverflow(t) {
 		return true, true
 	}
 	return yielded, true
-}
-
-// stepBlock reports the instruction step just retired to Hooks.OnBlock as
-// a one-element run, built in the machine's scratch slot so the hooked
-// path allocates nothing per instruction.
-func (m *Machine) stepBlock(t *Thread, pc uint64, ins isa.Inst) {
-	m.stepIns[0] = ins.Predecode(pc)
-	m.Hooks.OnBlock(t, m.stepIns[:], 1)
 }
 
 // checkPerfOverflow fires any due perf counters (the graceful-exit

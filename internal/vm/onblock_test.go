@@ -44,7 +44,7 @@ func streamOnBlock(t *testing.T, m *Machine) (map[int][]uint64, int) {
 func streamOnIns(t *testing.T, m *Machine) map[int][]uint64 {
 	t.Helper()
 	pcs := map[int][]uint64{}
-	m.Hooks.OnIns = func(th *Thread, pc uint64, ins isa.Inst) { pcs[th.TID] = append(pcs[th.TID], pc) }
+	m.Hooks.OnIns = func(th *Thread, r *InsRecord) { pcs[th.TID] = append(pcs[th.TID], r.PC) }
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

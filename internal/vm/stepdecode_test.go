@@ -18,8 +18,8 @@ type stepRecord struct {
 func hookedRun(t *testing.T, m *Machine) []stepRecord {
 	t.Helper()
 	var out []stepRecord
-	m.Hooks.OnIns = func(_ *Thread, pc uint64, ins isa.Inst) {
-		out = append(out, stepRecord{pc, ins})
+	m.Hooks.OnIns = func(_ *Thread, r *InsRecord) {
+		out = append(out, stepRecord{r.PC, r.Ins})
 	}
 	if err := m.Run(); err != nil {
 		t.Fatal(err)

@@ -100,11 +100,37 @@ func (t *Thread) RestorePerf(states []PerfCounterState) {
 	}
 }
 
-// Hooks are instrumentation callbacks. Any nil hook is skipped. Hooks fire
-// before the architectural effect they describe.
+// InsRecord is one retired instruction as OnIns reports it: where it ran,
+// what it was, the data access it made and the control transfer it
+// resolved. A marker's tag (SSCMARK, MAGIC, CPUID) is uint32(Ins.Imm).
+// step fills it in the machine's scratch slot, so a hook sees it only
+// during the call.
+type InsRecord struct {
+	PC  uint64
+	Ins isa.Inst
+	// MemR/MemW report a data read/write of MemSize bytes at MemAddr. An
+	// instruction that reads and then writes sets both and keeps the
+	// write's address and size: XCHG, XADD and CMPXCHG read and write the
+	// same 8 bytes.
+	MemR, MemW bool
+	MemAddr    uint64
+	MemSize    int
+	// Branch reports a control-flow instruction, whether it was taken and
+	// where it goes if taken.
+	Branch, Taken bool
+	Target        uint64
+}
+
+// Hooks are instrumentation callbacks. Any nil hook is skipped. OnIns and
+// OnBlock fire after the instructions they report retire; the system-call
+// and fault hooks fire around the effect they describe.
 type Hooks struct {
-	// OnIns fires before each instruction executes.
-	OnIns func(t *Thread, pc uint64, ins isa.Inst)
+	// OnIns fires after each instruction the per-instruction path retires,
+	// including an exiting SYSCALL, with that instruction's record. A
+	// faulting attempt that OnFault retries, or that kills the process,
+	// does not retire and is not reported. r is valid only during the
+	// call. Installing OnIns forces the per-instruction path.
+	OnIns func(t *Thread, r *InsRecord)
 	// OnBlock fires after t retires the straight-line run ins, reps times
 	// back to back. The decoded-block executor reports each block or trace
 	// visit as it exits (a tight self-loop's batched iterations as one call
@@ -117,13 +143,6 @@ type Hooks struct {
 	// hot state may be unspilled, so an implementation must not consult
 	// t.Regs or t.Retired.
 	OnBlock func(t *Thread, ins []isa.DecInst, reps int)
-	// OnMemRead/OnMemWrite fire before a data memory access.
-	OnMemRead  func(t *Thread, addr uint64, size int)
-	OnMemWrite func(t *Thread, addr uint64, size int)
-	// OnBranch fires after a control-flow instruction resolves.
-	OnBranch func(t *Thread, pc, target uint64, taken bool)
-	// OnMarker fires for CPUID/SSCMARK/MAGIC marker instructions.
-	OnMarker func(t *Thread, op isa.Op, tag uint32)
 	// SyscallFilter, when non-nil, may handle a system call entirely
 	// (returning handled=true) — the replayer's side-effect injection.
 	SyscallFilter func(t *Thread, num uint64) (res kernel.Result, handled bool)
@@ -387,6 +406,9 @@ type Machine struct {
 	fetchBuf [isa.LimmLen]byte
 	// stepIns is the one-element run step reports to Hooks.OnBlock.
 	stepIns [1]isa.DecInst
+	// rec is the record of the instruction step is executing, reported
+	// to Hooks.OnIns once it retires.
+	rec InsRecord
 }
 
 // New creates a machine around an existing kernel and process (no threads).

@@ -437,13 +437,14 @@ _start:
 	var markers []uint32
 	var ops []isa.Op
 	insCount := 0
-	branches := 0
-	m.Hooks.OnMarker = func(th *Thread, op isa.Op, tag uint32) {
-		markers = append(markers, tag)
-		ops = append(ops, op)
+	m.Hooks.OnIns = func(th *Thread, r *InsRecord) {
+		insCount++
+		switch r.Ins.Op {
+		case isa.SSCMARK, isa.MAGIC, isa.CPUID:
+			markers = append(markers, uint32(r.Ins.Imm))
+			ops = append(ops, r.Ins.Op)
+		}
 	}
-	m.Hooks.OnIns = func(th *Thread, pc uint64, ins isa.Inst) { insCount++ }
-	m.Hooks.OnBranch = func(th *Thread, pc, tgt uint64, taken bool) { branches++ }
 	m.Run()
 	if len(markers) != 3 || markers[0] != 0x1111 || markers[1] != 7 || markers[2] != 2 {
 		t.Errorf("markers: %v (%v)", markers, ops)
@@ -498,7 +499,7 @@ stack2:	.space 4096
 	m1 := load(t, src, 3)
 	m1.Sched = NewRoundRobin(7, 0, 0)
 	var trace []SchedRecord
-	m1.Hooks.OnIns = func(th *Thread, pc uint64, ins isa.Inst) {
+	m1.Hooks.OnIns = func(th *Thread, _ *InsRecord) {
 		if n := len(trace); n > 0 && trace[n-1].TID == th.TID {
 			trace[n-1].N++
 		} else {

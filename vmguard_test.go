@@ -163,15 +163,15 @@ func newRefCollector(size uint64) *refCollector {
 	return &refCollector{p: bbv.Profile{SliceSize: size}, cur: bbv.Vector{}, prevBranch: true}
 }
 
-func (c *refCollector) observe(t *vm.Thread, pc uint64, ins isa.Inst) {
+func (c *refCollector) observe(t *vm.Thread, r *vm.InsRecord) {
 	if t.TID != 0 {
 		return
 	}
 	if c.prevBranch {
-		c.blockStart = pc
+		c.blockStart = r.PC
 	}
 	c.cur[c.blockStart]++
-	c.prevBranch = isa.IsBranch(ins.Op)
+	c.prevBranch = isa.IsBranch(r.Ins.Op)
 	c.n++
 	c.p.TotalInstructions++
 	if c.n >= c.p.SliceSize {
