@@ -82,8 +82,10 @@ func (ks *kernelStream) emit(core *uarch.OOOCore, num uint64, bytes int) {
 	// parts of their structure space, growing the unique footprint.
 	cursor := dataBase + (ks.rand()%16)*uint64(ws)
 	seq := uint64(0)
+	var rec vm.InsRecord
 	for i := 0; i < n; i++ {
-		d := uarch.DynInst{InsRecord: vm.InsRecord{PC: pc}, Kernel: true}
+		rec = vm.InsRecord{PC: pc}
+		d := uarch.DynInst{InsRecord: &rec, Kernel: true}
 		switch r := ks.rand() % 10; {
 		case r < 3: // sequential kernel structure walk
 			d.Ins = isa.Inst{Op: isa.LDQ, A: 1, B: 2}

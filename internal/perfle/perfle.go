@@ -11,6 +11,7 @@ package perfle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"elfie/internal/uarch"
@@ -100,9 +101,12 @@ type Measurer struct {
 	sliceStart uint64 // thread-0 instrs at current slice start
 	sliceCyc   uint64 // core-0 cycles at current slice start
 	t0Instr    uint64
-	winOpen    bool
-	winInstr   uint64 // t0 instructions when the window opened
-	winCycles  uint64 // core-0 cycles when the window opened
+	// due is the thread-0 count at which the window opens or the next
+	// slice ends: the next instruction that changes the report.
+	due       uint64
+	winOpen   bool
+	winInstr  uint64 // t0 instructions when the window opened
+	winCycles uint64 // core-0 cycles when the window opened
 }
 
 // Attach installs the measurer on a machine. Any hooks already installed
@@ -114,24 +118,31 @@ func Attach(m *vm.Machine, opts Options) *Measurer {
 	ms := &Measurer{opts: opts, report: &Report{}}
 	ms.drv = uarch.Attach(m, uarch.NewIntervalCore, uarch.HardwareCore(),
 		uarch.SmallHierarchy(opts.Cores), opts.Cores, opts.StartMarker)
-	ms.drv.After = ms.after
+	ms.setDue()
+	// Thread 0's stream is counted per instruction; the report changes
+	// only at due. A func literal rather than a method value, which would
+	// add a call level per instruction.
+	ms.drv.After = func(d *uarch.DynInst) {
+		if d.TID == 0 {
+			if ms.t0Instr++; ms.t0Instr >= ms.due {
+				ms.event()
+			}
+		}
+	}
 	return ms
 }
 
-// after tracks thread 0's stream: the post-warm-up window and the slices.
-func (ms *Measurer) after(d *uarch.DynInst) {
-	if d.TID != 0 {
-		return
-	}
-	core0 := ms.drv.Cores[0]
-	if !ms.winOpen && ms.t0Instr >= ms.opts.SkipInstr {
+// event updates the report at thread 0's instruction number t0Instr: the
+// post-warm-up window opens once SkipInstr instructions came before it,
+// and a slice ends every SliceSize instructions.
+func (ms *Measurer) event() {
+	cyc := ms.drv.Cores[0].Stats.Cycles
+	if !ms.winOpen && ms.t0Instr > ms.opts.SkipInstr {
 		ms.winOpen = true
-		ms.winInstr = ms.t0Instr
-		ms.winCycles = core0.Stats.Cycles
+		ms.winInstr = ms.t0Instr - 1
+		ms.winCycles = cyc
 	}
-	ms.t0Instr++
 	if ms.opts.SliceSize > 0 && ms.t0Instr-ms.sliceStart >= ms.opts.SliceSize {
-		cyc := core0.Stats.Cycles
 		ms.report.Slices = append(ms.report.Slices, Slice{
 			StartInstr:   ms.sliceStart,
 			Instructions: ms.t0Instr - ms.sliceStart,
@@ -139,6 +150,18 @@ func (ms *Measurer) after(d *uarch.DynInst) {
 		})
 		ms.sliceStart = ms.t0Instr
 		ms.sliceCyc = cyc
+	}
+	ms.setDue()
+}
+
+// setDue sets due to the next thread-0 count at which event has work.
+func (ms *Measurer) setDue() {
+	ms.due = math.MaxUint64
+	if !ms.winOpen {
+		ms.due = ms.opts.SkipInstr + 1
+	}
+	if ms.opts.SliceSize > 0 {
+		ms.due = min(ms.due, ms.sliceStart+ms.opts.SliceSize)
 	}
 }
 

@@ -2,6 +2,7 @@ package pinpoints
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -370,9 +371,18 @@ func TestParallelBeatsSerial(t *testing.T) {
 	// Warm the workload build cache so the comparison times only the farm.
 	timed(1)
 
-	b1, serial := timed(1)
-	bN, parallel := timed(runtime.GOMAXPROCS(0))
-	t.Logf("prepare: -j 1 %v, -j %d %v (%d regions)",
+	// One pair of wall times is at the mercy of whatever else the host
+	// runs: alternate the two settings three times and compare each
+	// side's best.
+	var b1, bN *Benchmark
+	serial, parallel := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		b, d := timed(1)
+		b1, serial = b, min(serial, d)
+		b, d = timed(runtime.GOMAXPROCS(0))
+		bN, parallel = b, min(parallel, d)
+	}
+	t.Logf("prepare, best of 3: -j 1 %v, -j %d %v (%d regions)",
 		serial, runtime.GOMAXPROCS(0), parallel, len(b1.Regions))
 
 	if len(b1.Regions) != len(bN.Regions) {

@@ -170,10 +170,11 @@ type Hierarchy struct {
 	l2    []*Cache
 	L3    *Cache
 	// pages holds the per-page data-line bookkeeping (footprint and
-	// coherence owners); lastPN/lastPage memoize the most recent page.
-	pages    map[uint64]*linePage
-	lastPN   uint64
-	lastPage *linePage
+	// coherence owners); recent memoizes pages direct-mapped by page
+	// number, so a stream that alternates among a few pages (stack,
+	// heap, globals) stays out of the map.
+	pages  map[uint64]*linePage
+	recent [recentPages]pageSlot
 	// lines counts the unique data lines touched (the footprint).
 	lines int
 
@@ -188,6 +189,15 @@ const (
 	dataPageShift = 12
 	linesPerPage  = 1 << (dataPageShift - dataLineShift)
 )
+
+// recentPages is the size of the Hierarchy's direct-mapped page memo.
+const recentPages = 64
+
+// pageSlot is one entry of the page memo.
+type pageSlot struct {
+	pn uint64
+	p  *linePage
+}
 
 // linePage is the bookkeeping of the data lines in one 4 KiB page: which
 // lines were touched (bit i of touched for line i) and, with more than one
@@ -231,22 +241,28 @@ func (h *Hierarchy) FootprintBytes() uint64 { return uint64(h.lines) * LineBytes
 // page returns the bookkeeping of the page holding addr.
 func (h *Hierarchy) page(addr uint64) *linePage {
 	pn := addr >> dataPageShift
-	if h.lastPage != nil && h.lastPN == pn {
-		return h.lastPage
+	slot := &h.recent[pn%recentPages]
+	if slot.p != nil && slot.pn == pn {
+		return slot.p
 	}
 	p := h.pages[pn]
 	if p == nil {
 		p = new(linePage)
 		h.pages[pn] = p
 	}
-	h.lastPN, h.lastPage = pn, p
+	slot.pn, slot.p = pn, p
 	return p
 }
 
 // AccessData performs a data access from a core and returns its latency.
-// With one core the coherence directory is skipped: it is only read to
-// invalidate other cores' copies.
 func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
+	return h.accessData(core, h.l1d[core], h.l2[core], addr, write)
+}
+
+// accessData is AccessData for a core that holds its private caches by
+// pointer. With one core the coherence directory is skipped: it is only
+// read to invalidate other cores' copies.
+func (h *Hierarchy) accessData(core int, l1d, l2 *Cache, addr uint64, write bool) int {
 	p := h.page(addr)
 	i := addr >> dataLineShift & (linesPerPage - 1)
 	if p.touched&(1<<i) == 0 {
@@ -272,15 +288,15 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
 		}
 	}
 
-	if h.l1d[core].Access(addr) {
+	if l1d.Access(addr) {
 		return h.cfg.L1D.LatCycles
 	}
-	if h.l2[core].Access(addr) {
+	if l2.Access(addr) {
 		return h.cfg.L2.LatCycles
 	}
 	if h.cfg.Prefetch {
 		h.PrefetchIssued++
-		h.l2[core].Access(addr + LineBytes)
+		l2.Access(addr + LineBytes)
 		h.L3.Access(addr + LineBytes)
 	}
 	if h.L3.Access(addr) {
@@ -291,10 +307,16 @@ func (h *Hierarchy) AccessData(core int, addr uint64, write bool) int {
 
 // AccessCode performs an instruction fetch from a core.
 func (h *Hierarchy) AccessCode(core int, addr uint64) int {
-	if h.l1i[core].Access(addr) {
+	return h.accessCode(h.l1i[core], h.l2[core], addr)
+}
+
+// accessCode is AccessCode for a core that holds its private caches by
+// pointer.
+func (h *Hierarchy) accessCode(l1i, l2 *Cache, addr uint64) int {
+	if l1i.Access(addr) {
 		return h.cfg.L1I.LatCycles
 	}
-	if h.l2[core].Access(addr) {
+	if l2.Access(addr) {
 		return h.cfg.L2.LatCycles
 	}
 	if h.L3.Access(addr) {

@@ -66,18 +66,92 @@ func opLatency(cfg *CoreCfg, class isa.Class, op isa.Op) int {
 	}
 }
 
+// port is one core's private path into the memory system: its TLBs, its
+// own L1I, L1D and L2 by pointer, and the memos of two fast paths that
+// leave every hit, miss and latency as a full access would.
+//
+// The fetch memo relies on the L1I and the ITLB being touched only by this
+// core's fetches, and on an access leaving its line (or page) MRU. A fetch
+// in the previous fetch's L1I line and page is then an MRU hit in both, and
+// only counts an access in each. The data-page memo relies on the DTLB
+// being touched only by this core's data accesses: one in the previous
+// one's page is a DTLB MRU hit. The L1D is not memoised, because another
+// core's write can invalidate a line between two of this core's accesses.
+type port struct {
+	ITLB, DTLB *TLB
+
+	hier         *Hierarchy
+	id           int
+	l1i, l1d, l2 *Cache
+	l1iLat       int
+	l1dLat       int
+	// fetchMask keys the fetch memo on the finer of the L1I line and the
+	// TLB page, so one key never spans two lines or two pages.
+	fetchMask uint64
+	fetchKey  uint64 // pc & fetchMask of the last fetch
+	dataPage  uint64 // TLB page of the last data access
+}
+
+func newPort(cfg *CoreCfg, hier *Hierarchy, id int) port {
+	return port{
+		ITLB:      NewTLB(cfg.TLBEntries/2+1, cfg.TLBWalk),
+		DTLB:      NewTLB(cfg.TLBEntries, cfg.TLBWalk),
+		hier:      hier,
+		id:        id,
+		l1i:       hier.l1i[id],
+		l1d:       hier.l1d[id],
+		l2:        hier.l2[id],
+		l1iLat:    hier.cfg.L1I.LatCycles,
+		l1dLat:    hier.cfg.L1D.LatCycles,
+		fetchMask: ^(uint64(1)<<min(hier.l1i[id].shift, pageShift) - 1),
+		// Both keys clear or drop at least one address bit, so neither can
+		// be all ones: the memos start empty.
+		fetchKey: ^uint64(0),
+		dataPage: ^uint64(0),
+	}
+}
+
+// fetchStall times an instruction fetch at pc and returns the cycles it
+// takes beyond an L1I hit, the ITLB walk included. It is kept small enough
+// to inline into Consume (the named result is part of that).
+func (p *port) fetchStall(pc uint64) (stall uint64) {
+	if pc&p.fetchMask != p.fetchKey {
+		return p.fetchNewLine(pc)
+	}
+	p.l1i.Accesses++
+	p.ITLB.Accesses++
+	return
+}
+
+// fetchNewLine is fetchStall's full access, which moves the memo to pc.
+func (p *port) fetchNewLine(pc uint64) uint64 {
+	p.fetchKey = pc & p.fetchMask
+	if lat := p.hier.accessCode(p.l1i, p.l2, pc) + p.ITLB.Access(pc); lat > p.l1iLat {
+		return uint64(lat - p.l1iLat)
+	}
+	return 0
+}
+
+// dataLat times a data access and returns its latency, the DTLB walk
+// included.
+func (p *port) dataLat(addr uint64, write bool) int {
+	lat := p.hier.accessData(p.id, p.l1d, p.l2, addr, write)
+	if addr>>pageShift != p.dataPage {
+		p.dataPage = addr >> pageShift
+		return lat + p.DTLB.Access(addr)
+	}
+	p.DTLB.Accesses++
+	return lat
+}
+
 // IntervalCore is a Sniper-style mechanistic interval model: the core
 // sustains DispatchWidth instructions per cycle until a miss event (branch
 // mispredict, cache/TLB miss) inserts a penalty interval.
 type IntervalCore struct {
 	Cfg   CoreCfg
 	BP    *BranchPredictor
-	DTLB  *TLB
-	ITLB  *TLB
 	Stats CoreStats
-
-	hier *Hierarchy
-	id   int
+	port
 
 	dispatched uint64 // fractional-dispatch accumulator (instructions)
 }
@@ -87,10 +161,7 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 	return &IntervalCore{
 		Cfg:  cfg,
 		BP:   NewBranchPredictor(cfg.BranchPredictorBits),
-		DTLB: NewTLB(cfg.TLBEntries, cfg.TLBWalk),
-		ITLB: NewTLB(cfg.TLBEntries/2+1, cfg.TLBWalk),
-		hier: hier,
-		id:   id,
+		port: newPort(&cfg, hier, id),
 	}
 }
 
@@ -107,17 +178,14 @@ func (c *IntervalCore) Consume(d *DynInst) {
 		c.Stats.Cycles++
 	}
 	// Instruction fetch: penalize only on I-side misses past L1.
-	ilat := c.hier.AccessCode(c.id, d.PC) + c.ITLB.Access(d.PC)
-	if ilat > c.hier.cfg.L1I.LatCycles {
-		c.Stats.Cycles += uint64(ilat - c.hier.cfg.L1I.LatCycles)
-	}
+	c.Stats.Cycles += c.fetchStall(d.PC)
 	// Data access: latency beyond L1 stalls the interval (no overlap in
 	// this abstraction — Sniper's ECM would overlap; we fold MLP into a
 	// 50% discount).
 	if d.MemR || d.MemW {
-		lat := c.hier.AccessData(c.id, d.MemAddr, d.MemW) + c.DTLB.Access(d.MemAddr)
-		if lat > c.hier.cfg.L1D.LatCycles && d.MemR {
-			stall := uint64(lat-c.hier.cfg.L1D.LatCycles) / 2
+		lat := c.dataLat(d.MemAddr, d.MemW)
+		if lat > c.l1dLat && d.MemR {
+			stall := uint64(lat-c.l1dLat) / 2
 			c.Stats.Cycles += stall
 			c.Stats.LoadStalls += stall
 		}
@@ -146,12 +214,8 @@ func (c *IntervalCore) Finish() *CoreStats { return &c.Stats }
 type OOOCore struct {
 	Cfg   CoreCfg
 	BP    *BranchPredictor
-	DTLB  *TLB
-	ITLB  *TLB
 	Stats CoreStats
-
-	hier *Hierarchy
-	id   int
+	port
 
 	// regReady[r] is the cycle register r's newest value is available.
 	regReady  [isa.NumGPR]uint64
@@ -160,6 +224,9 @@ type OOOCore struct {
 	rob []uint64
 	// lsq holds completion cycles of in-flight memory ops.
 	lsq []uint64
+	// robBuf and lsqBuf are the arrays rob and lsq are windows of (see
+	// push).
+	robBuf, lsqBuf []uint64
 	// frontend is the cycle the fetch stage is ready to deliver.
 	frontend     uint64
 	clock        uint64
@@ -168,14 +235,27 @@ type OOOCore struct {
 
 // NewOOOCore builds a detailed core bound to a hierarchy slot.
 func NewOOOCore(cfg CoreCfg, hier *Hierarchy, id int) *OOOCore {
-	return &OOOCore{
+	c := &OOOCore{
 		Cfg:  cfg,
 		BP:   NewBranchPredictor(cfg.BranchPredictorBits),
-		DTLB: NewTLB(cfg.TLBEntries, cfg.TLBWalk),
-		ITLB: NewTLB(cfg.TLBEntries/2+1, cfg.TLBWalk),
-		hier: hier,
-		id:   id,
+		port: newPort(&cfg, hier, id),
+		// Twice each queue's bound, so a slide moves at most half the
+		// array and comes at most once per bound's worth of pushes.
+		robBuf: make([]uint64, 2*(cfg.ROBSize+1)),
+		lsqBuf: make([]uint64, 2*(cfg.LSQSize+1)),
 	}
+	c.rob, c.lsq = c.robBuf[:0], c.lsqBuf[:0]
+	return c
+}
+
+// push appends v to the FIFO q, a window of buf that pops advance. At
+// buf's end the window slides back to buf's front instead of growing into
+// a new array, so a queue that stays shorter than buf never reallocates.
+func push(q, buf []uint64, v uint64) []uint64 {
+	if len(q) == cap(q) && len(q) < len(buf) {
+		q = buf[:copy(buf, q)]
+	}
+	return append(q, v)
 }
 
 // drainTo advances the clock until the ROB has room, retiring completed
@@ -273,13 +353,9 @@ func (c *OOOCore) Consume(d *DynInst) {
 
 	// Fetch: the front end delivers DispatchWidth per cycle; I-cache misses
 	// push it out.
-	ilat := c.hier.AccessCode(c.id, d.PC) + c.ITLB.Access(d.PC)
-	issue := c.clock
-	if c.frontend > issue {
-		issue = c.frontend
-	}
-	if ilat > c.hier.cfg.L1I.LatCycles {
-		c.frontend = issue + uint64(ilat-c.hier.cfg.L1I.LatCycles)
+	issue := max(c.clock, c.frontend)
+	if stall := c.fetchStall(d.PC); stall > 0 {
+		c.frontend = issue + stall
 		issue = c.frontend
 	}
 
@@ -297,11 +373,11 @@ func (c *OOOCore) Consume(d *DynInst) {
 	// Execution latency.
 	lat := uint64(opLatency(&c.Cfg, d.Class, d.Ins.Op))
 	if d.MemR || d.MemW {
-		mlat := c.hier.AccessData(c.id, d.MemAddr, d.MemW) + c.DTLB.Access(d.MemAddr)
+		mlat := c.dataLat(d.MemAddr, d.MemW)
 		if d.MemR {
 			lat += uint64(mlat)
 		} else {
-			lat += uint64(c.hier.cfg.L1D.LatCycles) // stores complete at L1
+			lat += uint64(c.l1dLat) // stores complete at L1
 		}
 	}
 	done := issue + lat
@@ -333,9 +409,9 @@ func (c *OOOCore) Consume(d *DynInst) {
 		}
 	}
 
-	c.rob = append(c.rob, done)
+	c.rob = push(c.rob, c.robBuf, done)
 	if d.MemR || d.MemW {
-		c.lsq = append(c.lsq, done)
+		c.lsq = push(c.lsq, c.lsqBuf, done)
 	}
 
 	// Dispatch cost: at most DispatchWidth per cycle.

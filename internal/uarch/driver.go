@@ -8,9 +8,12 @@ import (
 
 // DynInst is one dynamically executed instruction as seen by a timing
 // model: the VM's record of it, plus the thread, the opcode class and
-// whether it is a ring-0 instruction (full-system injection).
+// whether it is a ring-0 instruction (full-system injection). The driver
+// hands over the machine's own record, not a copy, so a DynInst is valid
+// only during the Consume or After call that receives it; a caller that
+// keeps one must copy the record too.
 type DynInst struct {
-	vm.InsRecord
+	*vm.InsRecord
 	TID    int
 	Class  isa.Class
 	Kernel bool
@@ -27,8 +30,9 @@ type Core interface {
 // with each instruction after it is consumed (After).
 //
 // The driver is an OnIns pintool: each retired instruction's record is
-// copied into one DynInst and timed at once. A record inside the
-// measurement window goes to core TID % len(Cores).
+// wrapped, not copied, in one DynInst and timed at once. A record inside
+// the measurement window goes to core TID % len(Cores); with one core the
+// driver calls that core's Consume directly.
 //
 // The window opens once: at the start when the start tag is 0, else at an
 // SSCMARK or MAGIC instruction carrying the tag — the instructions every
@@ -56,6 +60,15 @@ func Attach[C Core](m *vm.Machine, newCore func(CoreCfg, *Hierarchy, int) C,
 	for i := 0; i < n; i++ {
 		d.Cores = append(d.Cores, newCore(cfg, d.Hier, i))
 	}
+	// One core of a known type gets a direct call: no TID % n, and no
+	// call through the generic Core's dictionary.
+	var interval *IntervalCore
+	var ooo *OOOCore
+	if n == 1 {
+		interval, _ = any(d.Cores[0]).(*IntervalCore)
+		ooo, _ = any(d.Cores[0]).(*OOOCore)
+	}
+	rec := &d.rec
 	// A func literal rather than a method value, which would add a call
 	// level per instruction.
 	onIns := func(t *vm.Thread, r *vm.InsRecord) {
@@ -66,11 +79,17 @@ func Attach[C Core](m *vm.Machine, newCore func(CoreCfg, *Hierarchy, int) C,
 			}
 			d.measuring = true
 		}
-		d.rec.InsRecord = *r
-		d.rec.TID, d.rec.Class = t.TID, isa.OpClass(r.Ins.Op)
-		d.Core(t.TID).Consume(&d.rec)
+		rec.InsRecord, rec.TID, rec.Class = r, t.TID, isa.OpClass(r.Ins.Op)
+		switch {
+		case interval != nil:
+			interval.Consume(rec)
+		case ooo != nil:
+			ooo.Consume(rec)
+		default:
+			d.Core(t.TID).Consume(rec)
+		}
 		if d.After != nil {
-			d.After(&d.rec)
+			d.After(rec)
 		}
 	}
 	pin.NewEngine(m).Attach(&pin.Tool{Name: "uarch", OnIns: onIns})
@@ -78,7 +97,12 @@ func Attach[C Core](m *vm.Machine, newCore func(CoreCfg, *Hierarchy, int) C,
 }
 
 // Core returns the core thread tid runs on.
-func (d *Driver[C]) Core(tid int) C { return d.Cores[tid%len(d.Cores)] }
+func (d *Driver[C]) Core(tid int) C {
+	if uint(tid) < uint(len(d.Cores)) {
+		return d.Cores[tid]
+	}
+	return d.Cores[tid%len(d.Cores)]
+}
 
 // Measuring reports whether the window is open.
 func (d *Driver[C]) Measuring() bool { return d.measuring }

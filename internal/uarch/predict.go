@@ -56,6 +56,9 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
+// pageShift is the TLB page size, 4 KiB, as an address shift.
+const pageShift = 12
+
 // TLB is a small fully-associative LRU translation buffer. Its entries
 // are page numbers (with validBit) in recency order, MRU first.
 type TLB struct {
@@ -79,7 +82,7 @@ func NewTLB(entries, walkCycles int) *TLB {
 // latency (0 on hit, WalkCycles on miss).
 func (t *TLB) Access(addr uint64) int {
 	t.Accesses++
-	if touchLRU(t.entries, addr>>12|validBit) {
+	if touchLRU(t.entries, addr>>pageShift|validBit) {
 		return 0
 	}
 	t.Misses++

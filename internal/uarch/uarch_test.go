@@ -326,7 +326,13 @@ v:	.quad 0, 0
 	`)
 	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
 	var got []DynInst
-	drv.After = func(d *DynInst) { got = append(got, *d) }
+	drv.After = func(d *DynInst) {
+		// d and its record are valid only during the call: keep copies.
+		r := *d.InsRecord
+		kept := *d
+		kept.InsRecord = &r
+		got = append(got, kept)
+	}
 	runDriver(t, m, drv)
 	if len(got) < 6 {
 		t.Fatalf("records: %d", len(got))

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math"
+
 	"elfie/internal/fault"
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
@@ -411,8 +413,15 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 // mechanism). It returns true when an overflow exited the thread, or the
 // whole process for an ExitGroup counter. The block executor bounds its
 // batches so this check still fires at the exact overflow instruction (see
-// blockBudget).
+// blockBudget). Before the thread's due count it costs one compare.
 func (m *Machine) checkPerfOverflow(t *Thread) bool {
+	return t.Retired >= t.perfDue && m.firePerf(t)
+}
+
+// firePerf is checkPerfOverflow's look at every counter; it then moves the
+// thread's due count to the next overflow.
+func (m *Machine) firePerf(t *Thread) bool {
+	defer t.setPerfDue()
 	for _, p := range t.perf {
 		if !p.Fired && t.Retired-p.base >= p.Period {
 			p.Fired = true
@@ -428,6 +437,25 @@ func (m *Machine) checkPerfOverflow(t *Thread) bool {
 		}
 	}
 	return false
+}
+
+// setPerfDue sets perfDue to the Retired count at which the first unfired
+// counter overflows: now, for one already past its period, and never (the
+// largest count) without one. The sum saturates, so a guest's huge period
+// cannot wrap it below the overflow.
+func (t *Thread) setPerfDue() {
+	t.perfDue = math.MaxUint64
+	for _, p := range t.perf {
+		if p.Fired {
+			continue
+		}
+		n := t.Retired - p.base
+		if n >= p.Period {
+			t.perfDue = t.Retired
+			return
+		}
+		t.perfDue = min(t.perfDue, t.Retired+min(p.Period-n, math.MaxUint64-t.Retired))
+	}
 }
 
 // Exit kinds returned by doSyscall.
@@ -475,6 +503,7 @@ func (m *Machine) doSyscall(t *Thread) (yielded bool, exit, status int) {
 			ExitGroup:      res.Perf.Flags&kernel.PerfExitGroupOnOverflow != 0,
 			base:           t.Retired + 1, // counting starts after this call
 		})
+		t.perfDue = 0
 	case kernel.ActYield:
 		yielded = true
 	}

@@ -32,6 +32,10 @@ type Thread struct {
 	Fault *mem.Fault
 	// perf counters armed on this thread via perf_event_open.
 	perf []*PerfCounter
+	// perfDue is a Retired count no later than the first overflow of an
+	// unfired counter, so a smaller Retired needs no look at perf. Zero,
+	// as on a new thread, on arming and on restore, asks for a look.
+	perfDue uint64
 }
 
 // PerfCounter models one hardware performance counter counting retired
@@ -88,6 +92,7 @@ func (t *Thread) PerfState() []PerfCounterState {
 // than the count (uint64 modular arithmetic).
 func (t *Thread) RestorePerf(states []PerfCounterState) {
 	t.perf = t.perf[:0]
+	t.perfDue = 0
 	for _, st := range states {
 		t.perf = append(t.perf, &PerfCounter{
 			Period:         st.Period,
