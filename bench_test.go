@@ -1,5 +1,5 @@
 // Benchmarks that probe the record/replay substrate directly rather than
-// going through grid cells: harness trial reuse and the DESIGN.md §4
+// going through grid cells: harness session reuse and the DESIGN.md §4
 // design-choice ablations. The paper's tables and figures are regenerated
 // by `elfiebench -grid grids/paper.json` (reduced scale) or
 // grids/paper-full.json (paper scale); see EXPERIMENTS.md.
@@ -38,12 +38,12 @@ func mustRecipe(b *testing.B, name string) workloads.Recipe {
 }
 
 // -----------------------------------------------------------------------
-// Harness trial reuse — per-trial session construction vs Reset (DESIGN.md
-// §11). The fresh path re-serializes and re-parses the region's ELFie for
-// every trial; the reset path pays that once and rewinds the session.
+// Session reuse — building a region ELFie's session vs resetting one
+// (DESIGN.md §11). Validation builds a fresh session per measurement;
+// Reset serves the grid's repeated runs of one recipe.
 // -----------------------------------------------------------------------
 
-func BenchmarkTrialReuse(b *testing.B) {
+func BenchmarkSessionReuse(b *testing.B) {
 	r := trim(workloads.TrainIntRate()[1], 8)
 	bm, err := pinpoints.Prepare(r, pinpoints.Config{
 		SliceSize: 100_000, WarmupSize: 400_000, MaxK: 10,
@@ -55,19 +55,19 @@ func BenchmarkTrialReuse(b *testing.B) {
 	reg := bm.Regions[0]
 	b.Run("fresh-construct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := bm.RunELFie(reg, int64(i)); err != nil {
+			if _, err := bm.ELFieSession(reg, int64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("session-reset", func(b *testing.B) {
-		// Warm the cached session, then time pure Reset reuse.
-		if _, err := bm.ELFieSession(reg, 0); err != nil {
+		s, err := bm.ELFieSession(reg, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bm.ELFieSession(reg, int64(i)); err != nil {
+			if err := s.Reset(int64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

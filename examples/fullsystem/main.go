@@ -10,7 +10,6 @@ import (
 
 	"elfie/internal/core"
 	"elfie/internal/coresim"
-	"elfie/internal/elfobj"
 	"elfie/internal/harness"
 	"elfie/internal/kernel"
 	"elfie/internal/pinplay"
@@ -55,12 +54,10 @@ func main() {
 	}
 
 	run := func(fe coresim.Frontend) *coresim.Result {
-		bin, _ := conv.Exe.Write()
-		elfie, _ := elfobj.Read(bin)
 		fs := kernel.NewFS()
 		fs.WriteFile("/input.dat", workloads.InputFile())
 		s, err := harness.New(harness.Config{
-			Mode: harness.ModeSim, Exe: elfie, Argv: []string{"elfie"},
+			Mode: harness.ModeSim, Exe: conv.Exe, Argv: []string{"elfie"},
 			FS: fs, SysState: st, Seed: 9, Budget: 100_000_000,
 		})
 		if err != nil {

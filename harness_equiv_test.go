@@ -2,6 +2,7 @@ package elfie_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"elfie/internal/bbv"
@@ -165,21 +166,15 @@ func TestHarnessResetTrialsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestValidateNativeResetReuse: the first ValidateNative builds each
-// region's session fresh; the second reuses them via Reset. Both trials at
-// the same seed must agree exactly, region for region.
+// TestValidateNativeResetReuse: two validations of one prepared benchmark
+// at the same seed must agree exactly, region for region. Every region
+// measurement builds a fresh session, so the second validation inherits no
+// machine state from the first.
 func TestValidateNativeResetReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test")
 	}
-	r := workloads.TrainIntRate()[1]
-	b, err := pinpoints.Prepare(r, pinpoints.Config{
-		SliceSize: 100_000, WarmupSize: 500_000, MaxK: 8,
-		Seed: 1, UseSysState: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := prepareValidation(t, 0)
 	v1, err := pinpoints.ValidateNative(b, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -188,16 +183,69 @@ func TestValidateNativeResetReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameValidation(t, v1, v2)
+}
+
+// TestValidateNativeConcurrent runs two validations of one prepared
+// benchmark from two goroutines (run it under -race): they share the
+// regions' ELFies, never a machine, and both equal the serial result.
+func TestValidateNativeConcurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline test")
+	}
+	b := prepareValidation(t, 1)
+	serial, err := pinpoints.ValidateNative(b, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vs [2]*pinpoints.Validation
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range vs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vs[i], errs[i] = pinpoints.ValidateNative(b, 7)
+		}(i)
+	}
+	wg.Wait()
+	for i, v := range vs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		sameValidation(t, serial, v)
+	}
+}
+
+// prepareValidation prepares the second integer-rate recipe for the
+// validation agreement tests, with jobs farm workers (0 = GOMAXPROCS).
+func prepareValidation(t *testing.T, jobs int) *pinpoints.Benchmark {
+	t.Helper()
+	r := workloads.TrainIntRate()[1]
+	b, err := pinpoints.Prepare(r, pinpoints.Config{
+		SliceSize: 100_000, WarmupSize: 500_000, MaxK: 8,
+		Seed: 1, UseSysState: true, Jobs: jobs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// sameValidation fails t unless two validations agree exactly, region for
+// region.
+func sameValidation(t *testing.T, v1, v2 *pinpoints.Validation) {
+	t.Helper()
 	if v1.TrueCPI != v2.TrueCPI || v1.PredictedCPI != v2.PredictedCPI ||
 		v1.Coverage != v2.Coverage {
-		t.Errorf("validation trials diverge:\nfresh %s\nreset %s", v1, v2)
+		t.Errorf("validation trials diverge:\nfirst  %s\nsecond %s", v1, v2)
 	}
 	if len(v1.PerRegion) != len(v2.PerRegion) {
 		t.Fatalf("region counts diverge: %d vs %d", len(v1.PerRegion), len(v2.PerRegion))
 	}
 	for i := range v1.PerRegion {
 		if v1.PerRegion[i] != v2.PerRegion[i] {
-			t.Errorf("region %d diverges:\nfresh %+v\nreset %+v",
+			t.Errorf("region %d diverges:\nfirst  %+v\nsecond %+v",
 				i, v1.PerRegion[i], v2.PerRegion[i])
 		}
 	}

@@ -8,8 +8,9 @@ import (
 // LoadSegments returns the file's PT_LOAD program headers sorted by virtual
 // address. For an executable that has not been serialized yet (fresh from
 // the linker), the program header table is derived from the allocatable
-// sections — the same derivation Write performs — so static analysis sees
-// the exact segments a loader would.
+// sections — the same derivation Write performs — so the kernel loader and
+// static analysis see the same segments for a File and its serialized
+// form.
 func (f *File) LoadSegments() []*Segment {
 	segs := f.Segments
 	if len(segs) == 0 && f.Type == ETExec {

@@ -3,6 +3,7 @@ package elfobj
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +101,27 @@ func TestSegmentsDerived(t *testing.T) {
 		if seg.Vaddr == 0x7ffff0000000 {
 			t.Error("non-alloc stack section leaked into a segment")
 		}
+	}
+}
+
+// TestWriteLeavesFileUnchanged: serializing a File must not modify it, so
+// a File loads the same whether or not it was ever written, and a Write
+// beside a load of the same File reads only.
+func TestWriteLeavesFileUnchanged(t *testing.T) {
+	f, want := sampleExec(), sampleExec()
+	first, err := f.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := f.Write()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f, want) {
+		t.Errorf("Write modified the File:\n got  %+v\n want %+v", f, want)
+	}
+	if !bytes.Equal(first, second) {
+		t.Error("two Writes of one File differ")
 	}
 }
 

@@ -44,7 +44,8 @@ func align(x, a uint64) uint64 {
 // identical permissions. Non-allocatable sections are present in the file
 // (and the section header table) but not in any segment — this is what lets
 // pinball2elf mark checkpointed stack pages as non-loadable to avoid the
-// stack-collision problem.
+// stack-collision problem. Write leaves f unchanged, so a File loads the
+// same whether or not it was ever serialized.
 func (f *File) Write() ([]byte, error) {
 	// Assemble the final section list: user sections plus the generated
 	// symbol/string/relocation sections.
@@ -190,17 +191,15 @@ func (f *File) Write() ([]byte, error) {
 	}
 	for i, seg := range segs {
 		p := buf[phoff+uint64(i)*PhdrSize:]
-		seg.Offset = segOffset(seg)
 		le.PutUint32(p[0:], seg.Type)
 		le.PutUint32(p[4:], seg.Flags)
-		le.PutUint64(p[8:], seg.Offset)
+		le.PutUint64(p[8:], segOffset(seg))
 		le.PutUint64(p[16:], seg.Vaddr)
 		le.PutUint64(p[24:], seg.Vaddr) // paddr
 		le.PutUint64(p[32:], seg.Filesz)
 		le.PutUint64(p[40:], seg.Memsz)
 		le.PutUint64(p[48:], seg.Align)
 	}
-	f.Segments = segs
 
 	// Section data.
 	for i, s := range secs {
@@ -290,9 +289,9 @@ func (f *File) buildSymtab(strtab *stringTable) ([]byte, map[string]uint32, erro
 // DeriveSegments builds one PT_LOAD segment per allocatable section, in
 // address order. Sections from a pinball memory image already coalesce
 // consecutive pages, so the segment count stays proportional to the number
-// of distinct mapped regions, not pages. Write calls this for executables;
-// the kernel loader uses it for in-memory files that have not been
-// serialized yet. Derived segments reference section data directly.
+// of distinct mapped regions, not pages. Write calls this for executables,
+// and LoadSegments for in-memory files that carry no program headers of
+// their own. Derived segments reference section data directly.
 func (f *File) DeriveSegments() []*Segment {
 	var alloc []*Section
 	for _, s := range f.Sections {

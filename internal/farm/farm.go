@@ -16,11 +16,12 @@
 //   - A job may consult a cache first (Probe); cache hits skip Run entirely
 //     and are counted separately, so "the warm re-run did zero work" is
 //     provable from the counters.
-//   - Failed jobs retry (bounded by Retries, delayed by the Backoff policy)
-//     when RetryIf classifies the error as retryable — e.g. a corrupt
-//     pinball read that a re-log fixes, or a replay attempt its own bounds
-//     interrupted after checkpointing. Bounding an attempt is the job's
-//     business: the farm never stops a running Run.
+//   - Failed jobs retry at once (bounded by Retries) when RetryIf
+//     classifies the error as retryable — e.g. a corrupt pinball read that
+//     a re-log fixes, or a replay attempt its own bounds interrupted after
+//     checkpointing. Both are deterministic and in-process, so waiting
+//     between attempts would help neither. Bounding an attempt is the
+//     job's business: the farm never stops a running Run.
 //
 // Jobs may submit further jobs while running (Add is safe during Run and
 // from OnDone), which is how "select regions" fans out into per-region
@@ -75,8 +76,6 @@ type Result struct {
 	RetryErrs []error
 	// Wall is the total time spent in Probe and Run attempts.
 	Wall time.Duration
-	// Backoff is the total retry delay this job waited (see Farm.SetBackoff).
-	Backoff time.Duration
 }
 
 // StageStats aggregates counters for one stage.
@@ -89,8 +88,6 @@ type StageStats struct {
 	// Wall is the summed busy time of the stage's jobs (not elapsed time:
 	// with N workers the stage's elapsed time can be Wall/N).
 	Wall time.Duration
-	// Backoff is the summed retry delay of the stage's jobs.
-	Backoff time.Duration
 }
 
 // Counters aggregates scheduler activity, totalled and per stage.
@@ -116,7 +113,6 @@ type Outcome struct {
 // Farm schedules jobs over a bounded worker pool.
 type Farm struct {
 	workers int
-	backoff *Backoff
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -143,10 +139,6 @@ func New(workers int) *Farm {
 
 // Workers returns the farm's worker-pool size.
 func (f *Farm) Workers() int { return f.workers }
-
-// SetBackoff installs a retry-delay policy applied between failed attempts
-// of every job (nil disables delays, the default). Call before Run.
-func (f *Farm) SetBackoff(b *Backoff) { f.backoff = b }
 
 // Add submits a job. It is safe to call from inside a running job or its
 // OnDone, which is how one pipeline stage hands over to the next.
@@ -198,7 +190,6 @@ func (f *Farm) Run() *Outcome {
 		ss := out.Counters.Stages[r.Stage]
 		ss.Jobs++
 		ss.Wall += r.Wall
-		ss.Backoff += r.Backoff
 		ss.Retried += len(r.RetryErrs)
 		out.Counters.Retried += len(r.RetryErrs)
 		switch {
@@ -275,7 +266,6 @@ func (f *Farm) execute(job *Job) *Result {
 			return res
 		}
 		res.RetryErrs = append(res.RetryErrs, err)
-		res.Backoff += f.backoff.wait(job.ID, res.Attempts)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"elfie/internal/cli"
 	"elfie/internal/core"
 	"elfie/internal/coresim"
-	"elfie/internal/elfobj"
 	"elfie/internal/fault"
 	"elfie/internal/gem5sim"
 	"elfie/internal/harness"
@@ -196,16 +195,6 @@ func runVMCore(c *Cell, row *results.Cell) error {
 	return nil
 }
 
-// roundTrip serializes and re-reads an ELFie, so the measured program is
-// the file a user would run, not the in-memory construction.
-func roundTrip(exe *elfobj.File) (*elfobj.File, error) {
-	bin, err := exe.Write()
-	if err != nil {
-		return nil, err
-	}
-	return elfobj.Read(bin)
-}
-
 // regionFor picks the cell's capture window (experiment overrides win).
 func (c *Cell) regionFor(defStart, defST, defMT uint64) (start, length uint64) {
 	start, length = defStart, defST
@@ -314,12 +303,8 @@ func runOverhead(c *Cell, row *results.Cell) error {
 			if err != nil {
 				return err
 			}
-			exe, err := roundTrip(conv.Exe)
-			if err != nil {
-				return err
-			}
 			s, err := harness.New(harness.Config{
-				Mode: harness.ModeNative, Exe: exe, Argv: []string{"elfie"},
+				Mode: harness.ModeNative, Exe: conv.Exe, Argv: []string{"elfie"},
 				Seed: seed, Sched: harness.SchedNative, Budget: 10 * length,
 			})
 			if err != nil {
@@ -449,12 +434,8 @@ func runSniper(c *Cell, row *results.Cell) error {
 		if cerr != nil {
 			return cerr
 		}
-		exe, rerr := roundTrip(conv.Exe)
-		if rerr != nil {
-			return rerr
-		}
 		cfg.StartMarker = 0x2b2b
-		res, err = sniper.SimulateELFie(exe, cfg, end, 42, 40*length)
+		res, err = sniper.SimulateELFie(conv.Exe, cfg, end, 42, 40*length)
 	default:
 		return fmt.Errorf("%w: sniper mode %q", cli.ErrCorruptInput, c.Mode)
 	}
@@ -496,16 +477,12 @@ func runFullSystem(c *Cell, row *results.Cell) error {
 	if err != nil {
 		return err
 	}
-	exe, err := roundTrip(conv.Exe)
-	if err != nil {
-		return err
-	}
 	fe := coresim.FrontendSDE
 	if c.Mode == "simics" {
 		fe = coresim.FrontendSimics
 	}
 	s, err := harness.New(harness.Config{
-		Mode: harness.ModeSim, Exe: exe, Argv: []string{"elfie"},
+		Mode: harness.ModeSim, Exe: conv.Exe, Argv: []string{"elfie"},
 		FS: recipeFS(c.Recipe), SysState: st,
 		Seed: 9, Budget: 20 * length,
 	})
@@ -549,16 +526,12 @@ func runGem5(c *Cell, row *results.Cell) error {
 		return fmt.Errorf("no regions selected for %s", c.Recipe.Name)
 	}
 	reg := bm.Regions[0]
-	exe, err := roundTrip(reg.ELFie)
-	if err != nil {
-		return err
-	}
 	sim := gem5sim.NehalemSE()
 	if c.Mode == "haswell" {
 		sim = gem5sim.HaswellSE()
 	}
 	sim.StartMarker = 0x1010 // pinpoints pipeline marker tag
-	res, err := gem5sim.Simulate(exe, sim, 1)
+	res, err := gem5sim.Simulate(reg.ELFie, sim, 1)
 	if err != nil {
 		return err
 	}

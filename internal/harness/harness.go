@@ -9,10 +9,9 @@
 // Session, and the quantum/seed defaults below are defined exactly once.
 //
 // A Session also supports Reset: rebuilding the machine around a fresh
-// kernel and seed while reusing the parsed executable and the pristine
-// filesystem snapshot. Validation trials, which used to re-serialize and
-// re-parse a region's ELFie for every trial, reset one session per region
-// instead — byte-identical results, measurably less per-trial work.
+// kernel and seed while reusing the executable and the pristine filesystem
+// snapshot, state-for-state equal to a new session at that seed. The
+// experiment grid resets one session across a cell's repeated runs.
 package harness
 
 import (

@@ -52,17 +52,14 @@ func (k *Kernel) Load(proc *Process, exe *elfobj.File, argv, envp []string) (*Lo
 	if exe.Type != elfobj.ETExec {
 		return nil, fmt.Errorf("kernel: not an executable")
 	}
-	segs := exe.Segments
-	if len(segs) == 0 {
-		segs = exe.DeriveSegments()
-	}
+	segs := exe.LoadSegments()
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("kernel: executable has no loadable segments")
 	}
 	var maxAddr uint64
 	proc.ImageRegions = proc.ImageRegions[:0]
 	for _, seg := range segs {
-		if seg.Type != elfobj.PTLoad || seg.Memsz == 0 {
+		if seg.Memsz == 0 {
 			continue
 		}
 		prot := 0

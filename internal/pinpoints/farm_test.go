@@ -427,11 +427,12 @@ func TestBlockCacheThroughFarmParallel(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				m, err := b.RunELFie(b.Regions[i], 7)
+				s, err := b.ELFieSession(b.Regions[i], 7)
 				if err != nil {
 					t.Error(err)
 					return
 				}
+				m := s.Machine
 				m.DisableBlockCache = disable
 				if err := m.Run(); err != nil {
 					t.Error(err)

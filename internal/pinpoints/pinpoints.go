@@ -112,7 +112,10 @@ func (c *Config) defaults() {
 	}
 }
 
-// Region is one prepared simulation region.
+// Region is one prepared simulation region: its capture, its ELFie and the
+// side tables that go with them. A Region holds artifacts only, never run
+// state: every run of its ELFie loads the File into a session of its own
+// (see ELFieSession), so validations of one Benchmark may share it.
 type Region struct {
 	simpoint.Region
 	// SliceUsed is the slice actually captured (the representative, or an
@@ -132,11 +135,6 @@ type Region struct {
 	// Restore is the converter's restore-map side table, cross-checked by
 	// the static verifier against the generated startup code.
 	Restore *core.RestoreMap
-
-	// sess is the region's cached native-run session: the ELFie image is
-	// serialized and re-parsed once, then validation trials Reset-reuse
-	// the session (see ELFieSession).
-	sess *harness.Session
 }
 
 // Benchmark is a fully prepared workload: executable, profile, selection,
@@ -215,7 +213,7 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 	}
 	b := &Benchmark{Recipe: r, Exe: exe, cfg: cfg, inj: fault.New(cfg.Fault)}
 
-	f := b.newFarm(cfg.Jobs)
+	f := farm.New(cfg.Jobs)
 	var slots []*regionBuild
 
 	selectJob := &farm.Job{
@@ -302,14 +300,6 @@ func Prepare(r workloads.Recipe, cfg Config) (*Benchmark, error) {
 	return b, nil
 }
 
-// newFarm builds a farm for region work with the pipeline's seeded retry
-// backoff.
-func (b *Benchmark) newFarm(workers int) *farm.Farm {
-	f := farm.New(workers)
-	f.SetBackoff(&farm.Backoff{Seed: uint64(b.cfg.Seed)})
-	return f
-}
-
 // ckptOn reports whether the checkpointed constrained-replay stage is armed.
 func (b *Benchmark) ckptOn() bool { return b.cfg.CkptEvery > 0 }
 
@@ -320,7 +310,7 @@ func (b *Benchmark) ckptOn() bool { return b.cfg.CkptEvery > 0 }
 // cannot be built.
 func (b *Benchmark) buildRegion(sel simpoint.Region, slice int) *Region {
 	rb := &regionBuild{
-		b: b, f: b.newFarm(1), id: fmt.Sprintf("slice%d", slice),
+		b: b, f: farm.New(1), id: fmt.Sprintf("slice%d", slice),
 		sel: sel, slices: []int{slice},
 	}
 	if err := rb.submit(); err != nil {
@@ -471,25 +461,17 @@ func (b *Benchmark) cacheRegion(reg *Region) {
 }
 
 // elfieConfig assembles the harness parts for a region's native ELFie run:
-// the serialized-and-reparsed ELFie image, the guest filesystem (input file
-// plus installed sysstate), and the pipeline injector. ELFie runs are the
+// the region's ELFie as it is, the guest filesystem (input file plus
+// installed sysstate), and the pipeline injector. ELFie runs are the
 // injection target: kernel rules (syscall errors, exhaustion) and VM rules
 // (forced faults, ungraceful exit) both apply.
-func (b *Benchmark) elfieConfig(reg *Region, seed int64) (harness.Config, error) {
-	buf, err := reg.ELFie.Write()
-	if err != nil {
-		return harness.Config{}, err
-	}
-	exe, err := elfobj.Read(buf)
-	if err != nil {
-		return harness.Config{}, err
-	}
+func (b *Benchmark) elfieConfig(reg *Region, seed int64) harness.Config {
 	fs := kernel.NewFS()
 	if b.Recipe.FileInput {
 		fs.WriteFile("/input.dat", workloads.InputFile())
 	}
 	cfg := harness.Config{
-		Mode: harness.ModeNative, Exe: exe, Argv: []string{"elfie"},
+		Mode: harness.ModeNative, Exe: reg.ELFie, Argv: []string{"elfie"},
 		FS: fs, Seed: seed,
 		Budget:   4 * (reg.Warmup + b.cfg.SliceSize + 1_000_000),
 		Injector: b.inj,
@@ -497,44 +479,14 @@ func (b *Benchmark) elfieConfig(reg *Region, seed int64) (harness.Config, error)
 	if reg.SysState != nil {
 		cfg.SysState = reg.SysState
 	}
-	return cfg, nil
+	return cfg
 }
 
-// RunELFie executes a region's ELFie natively on a fresh machine (with its
-// sysstate installed when present) and returns the machine.
-func (b *Benchmark) RunELFie(reg *Region, seed int64) (*vm.Machine, error) {
-	cfg, err := b.elfieConfig(reg, seed)
-	if err != nil {
-		return nil, err
-	}
-	s, err := harness.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Machine, nil
-}
-
-// ELFieSession returns the region's native-run session, building it (one
-// ELFie serialization round-trip) on first use and Reset-reusing it for
-// every later trial — state-for-state equivalent to a fresh RunELFie at
-// the same seed, without the per-trial serialization.
+// ELFieSession builds a fresh native-run session for a region's ELFie
+// (with its sysstate installed when present). Each call loads the ELFie
+// anew, so concurrent measurements of one region share no machine.
 func (b *Benchmark) ELFieSession(reg *Region, seed int64) (*harness.Session, error) {
-	if reg.sess != nil {
-		if err := reg.sess.Reset(seed); err != nil {
-			return nil, err
-		}
-		return reg.sess, nil
-	}
-	cfg, err := b.elfieConfig(reg, seed)
-	if err != nil {
-		return nil, err
-	}
-	s, err := harness.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	reg.sess = s
-	return s, nil
+	return harness.New(b.elfieConfig(reg, seed))
 }
 
 // Completed reports whether a finished ELFie run ended where its region

@@ -1,14 +1,18 @@
 package pinpoints
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
-	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"elfie/internal/coresim"
+	"elfie/internal/elflint"
+	"elfie/internal/elfobj"
 	"elfie/internal/harness"
 	"elfie/internal/kernel"
+	"elfie/internal/mem"
 	"elfie/internal/perfle"
 	"elfie/internal/pinball"
 	"elfie/internal/workloads"
@@ -20,31 +24,92 @@ func pipelineDefaults() Config {
 	return Config{Seed: 1, UseSysState: true, Jobs: 2}
 }
 
-var cam4Once struct {
+// onceBench is a benchmark prepared once at pipelineDefaults and shared by
+// the tests in this file.
+type onceBench struct {
 	sync.Once
 	b   *Benchmark
 	err error
 }
 
-// cam4Benchmark prepares 627.cam4_s.1 (8 threads) once for the tests in
-// this file.
-func cam4Benchmark(t *testing.T) *Benchmark {
+var cam4Once, gccOnce onceBench
+
+func (o *onceBench) get(t *testing.T, name string) *Benchmark {
 	t.Helper()
-	cam4Once.Do(func() {
-		r, ok := workloads.ByName("627.cam4_s.1")
+	o.Do(func() {
+		r, ok := workloads.ByName(name)
 		if !ok {
-			cam4Once.err = errors.New("627.cam4_s.1 recipe missing")
+			o.err = fmt.Errorf("%s recipe missing", name)
 			return
 		}
-		cam4Once.b, cam4Once.err = Prepare(r, pipelineDefaults())
+		o.b, o.err = Prepare(r, pipelineDefaults())
 	})
-	if cam4Once.err != nil {
-		t.Fatal(cam4Once.err)
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
-	if len(cam4Once.b.Regions) == 0 {
-		t.Fatal("cam4 prepared no regions")
+	if len(o.b.Regions) == 0 {
+		t.Fatalf("%s prepared no regions", name)
 	}
-	return cam4Once.b
+	return o.b
+}
+
+// cam4Benchmark prepares 627.cam4_s.1 (8 threads) once.
+func cam4Benchmark(t *testing.T) *Benchmark { return cam4Once.get(t, "627.cam4_s.1") }
+
+// gccBenchmark prepares 602.gcc_t once.
+func gccBenchmark(t *testing.T) *Benchmark { return gccOnce.get(t, "602.gcc_t") }
+
+// TestRegionELFieRunsAsItsFile: a region's ELFie runs the same from the
+// File the region holds as from that File serialized and parsed back —
+// the same pages and protections, registers and image regions at load,
+// and the same measured window CPI — on the 8-thread cam4 stand-in and on
+// gcc, whose final slice ends on the program's own exit.
+func TestRegionELFieRunsAsItsFile(t *testing.T) {
+	for _, b := range []*Benchmark{cam4Benchmark(t), gccBenchmark(t)} {
+		for _, reg := range b.Regions {
+			bin, err := reg.ELFie.Write()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed := *reg
+			if parsed.ELFie, err = elfobj.Read(bin); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s slice %d", b.Recipe.Name, reg.SliceUsed)
+			if got, want := loadedState(t, b, reg), loadedState(t, b, &parsed); got != want {
+				t.Errorf("%s loads differently from its File:\n got  %s\n want %s", name, got, want)
+			}
+			got, gotErr := b.measureRegion(reg, 1)
+			want, wantErr := b.measureRegion(&parsed, 1)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s window CPI %v (%v) from its File, %v (%v) parsed back",
+					name, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// loadedState digests a region ELFie's freshly loaded session at seed 1:
+// every mapped page with its protection, every thread's registers, and the
+// process's image regions.
+func loadedState(t *testing.T, b *Benchmark, reg *Region) string {
+	t.Helper()
+	s, err := b.ELFieSession(reg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.Machine
+	h := sha256.New()
+	for _, r := range m.Proc.AS.Regions() {
+		fmt.Fprintf(h, "%x+%x/%d;", r.Addr, r.Size, r.Prot)
+		for a := r.Addr; a < r.Addr+r.Size; a += mem.PageSize {
+			h.Write(m.Proc.AS.PageData(a))
+		}
+	}
+	for _, th := range m.Threads {
+		fmt.Fprintf(h, "%+v;", th.Regs)
+	}
+	return fmt.Sprintf("%x image=%+v", h.Sum(nil)[:8], m.Proc.ImageRegions)
 }
 
 // TestMTRegionELFieEndsWithItsRegion checks that a multi-threaded region
@@ -79,7 +144,16 @@ func TestMTRegionELFieEndsWithItsRegion(t *testing.T) {
 		if _, err := b.simRegion(reg, coresim.Skylake1(coresim.FrontendSDE)); err != nil {
 			t.Errorf("slice %d under CoreSim: %v", reg.SliceUsed, err)
 		}
-		if got := reg.sess.Machine.GlobalRetired; got > limit {
+		if s, err = b.ELFieSession(reg, b.cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+		simCfg := coresim.Skylake1(coresim.FrontendSDE)
+		simCfg.StartMarker = b.cfg.MarkerTag
+		coresim.Attach(s.Machine, simCfg)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Machine.GlobalRetired; got > limit {
 			t.Errorf("slice %d under CoreSim retired %d, over %d (logged %d)",
 				reg.SliceUsed, got, limit, reg.Pinball.Meta.TotalInstructions)
 		}
@@ -90,13 +164,17 @@ func TestMTRegionELFieEndsWithItsRegion(t *testing.T) {
 // counter of a cam4 region ELFie: thread 0 still reaches its period, but
 // the other threads spin on until the budget stops the machine. Such a run
 // did not end where its region ends and must never count as completed.
+// The patch goes into a clone: the region's ELFie is shared with the other
+// tests in this file.
 func TestBudgetStopIsNotCompleted(t *testing.T) {
 	b := cam4Benchmark(t)
 	reg := b.Regions[0]
-	cfg, err := b.elfieConfig(reg, 1)
+	cfg := b.elfieConfig(reg, 1)
+	exe, err := elflint.CloneExe(cfg.Exe)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Exe = exe
 	sym, ok := cfg.Exe.Symbol("__elfie_t0_perfattr")
 	if !ok {
 		t.Fatal("ELFie has no __elfie_t0_perfattr")
@@ -146,11 +224,7 @@ func TestMTCheckpointResumeEndsAtSameCount(t *testing.T) {
 		}
 	}
 	const seed = 3
-	cfg, err := b.elfieConfig(reg, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := harness.New(cfg)
+	ref, err := b.ELFieSession(reg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +236,7 @@ func TestMTCheckpointResumeEndsAtSameCount(t *testing.T) {
 	}
 	want := ref.Machine.GlobalRetired
 
-	if cfg, err = b.elfieConfig(reg, seed); err != nil {
-		t.Fatal(err)
-	}
-	s, err := harness.New(cfg)
+	s, err := b.ELFieSession(reg, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,14 +292,7 @@ func TestMTCheckpointResumeEndsAtSameCount(t *testing.T) {
 // end of the region, so it is completed and measured directly, with no
 // alternate.
 func TestFinalSliceCompleted(t *testing.T) {
-	r, ok := workloads.ByName("602.gcc_t")
-	if !ok {
-		t.Fatal("602.gcc_t recipe missing")
-	}
-	b, err := Prepare(r, pipelineDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := gccBenchmark(t)
 	last := len(b.Profile.Slices) - 1
 	var reg *Region
 	for _, rg := range b.Regions {
@@ -250,7 +314,20 @@ func TestFinalSliceCompleted(t *testing.T) {
 	if !rc.OK || rc.UsedAlternate != -1 || rc.SliceUsed != last || rc.CPI <= 0 {
 		t.Fatalf("final slice %d measured as %+v", last, rc)
 	}
-	m := reg.sess.Machine
+	s, err := b.ELFieSession(reg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perfle.Attach(s.Machine, perfle.Options{
+		Cores:       1,
+		StartMarker: b.cfg.MarkerTag,
+		SkipInstr:   reg.TailInstr + reg.Warmup,
+		NoiseSeed:   1 + int64(reg.SliceUsed),
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Machine
 	if !Completed(m) {
 		t.Fatal("final slice run not completed")
 	}

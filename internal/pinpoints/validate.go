@@ -190,7 +190,6 @@ func (b *Benchmark) measureWithFallback(reg *Region, measure func(*Region) (floa
 // measureRegion runs one region's ELFie natively and extracts the slice CPI
 // (the window after the warm-up prefix). A non-nil error (classifiable via
 // FailureOf) means the ELFie failed to produce a trustworthy measurement.
-// The region's session is Reset-reused across trials.
 func (b *Benchmark) measureRegion(reg *Region, seed int64) (float64, error) {
 	s, err := b.ELFieSession(reg, seed)
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"elfie/internal/farm"
 	"elfie/internal/store"
 )
 
@@ -44,11 +43,6 @@ type Client struct {
 	Tenant string
 	// HTTP overrides the transport (default: 30s-timeout client).
 	HTTP *http.Client
-	// Backoff is the retry-delay policy for transient failures — the
-	// farm's capped-exponential seeded-jitter policy, so a fleet of
-	// clients retrying against one registry spreads out instead of
-	// stampeding. Nil means no delay between retries.
-	Backoff *farm.Backoff
 	// Retries is attempts per request (default 4).
 	Retries int
 	// WireChunk is the piece size of a streamed object transfer (default
@@ -130,15 +124,11 @@ func (c *Client) bump() error {
 
 // retry runs one request step until it succeeds or fails for good: the
 // one retry policy of every request. A failure the step marks retryable
-// (a network error, a broken stream, 5xx) backs off under the farm policy
-// and runs the step again; a step that made progress — moved bytes a
+// (a network error, a broken stream, 5xx) runs the step again at once; a step that made progress — moved bytes a
 // resumed step need not move again — earns a fresh retry budget.
 func (c *Client) retry(method, u string, step func() (retry, progress bool, err error)) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.retries(); attempt++ {
-		if attempt > 1 && c.Backoff != nil {
-			time.Sleep(c.Backoff.Delay(u, attempt-1))
-		}
 		retry, progress, err := step()
 		if err == nil || !retry {
 			return err
@@ -153,7 +143,7 @@ func (c *Client) retry(method, u string, step func() (retry, progress bool, err 
 }
 
 // do issues one request with retry: transient failures (network errors,
-// 5xx) back off and retry; 4xx rejections and 404s fail immediately, with
+// 5xx) retry; 4xx rejections and 404s fail immediately, with
 // the response. body is re-sendable bytes (nil for none). The response
 // body is fully read and returned.
 func (c *Client) do(method, u string, hdr http.Header, body []byte) (resp *http.Response, data []byte, err error) {
@@ -720,9 +710,9 @@ func (st *pullStage) drop() error {
 // The body is consumed in wire-chunk pieces, each appended to the stage
 // before the next is read: the wire chunk is the unit of staging,
 // accounting and crash points, while the request count stays one per
-// object. A stream that breaks or answers 5xx is retried under the backoff
-// policy with a fresh Range from the staged length; a stream that made
-// progress gets a fresh retry budget.
+// object. A stream that breaks or answers 5xx is retried with a fresh
+// Range from the staged length; a stream that made progress gets a fresh
+// retry budget.
 func (c *Client) fetchObject(st *pullStage, key, have string, stats *TransferStats) (kind string, current, resumed bool, err error) {
 	if err := st.load(); err != nil {
 		return "", false, false, err
