@@ -83,9 +83,6 @@ type Sim struct {
 	cfg     Config
 	drv     *uarch.Driver[*uarch.OOOCore]
 	kstream *kernelStream
-	// userInstr counts windowed instructions, for the timer tick.
-	userInstr uint64
-	lastTick  uint64
 }
 
 // Attach installs the simulator on a machine (composing with existing
@@ -102,7 +99,7 @@ func Attach(m *vm.Machine, cfg Config) *Sim {
 	// Full-system: inject a kernel stream per system call and per timer
 	// tick.
 	if cfg.Frontend == FrontendSimics {
-		s.drv.After = s.tick
+		s.drv.Count(-1, cfg.TimerIntervalInstr, s.tick)
 		pin.NewEngine(m).Attach(&pin.Tool{
 			Name: "coresim-kernel",
 			OnSyscall: func(t *vm.Thread, num uint64, res kernel.Result) {
@@ -115,14 +112,12 @@ func Attach(m *vm.Machine, cfg Config) *Sim {
 	return s
 }
 
-// tick injects a timer-interrupt kernel stream every TimerIntervalInstr
-// user instructions.
-func (s *Sim) tick(d *uarch.DynInst) {
-	s.userInstr++
-	if s.userInstr-s.lastTick >= s.cfg.TimerIntervalInstr {
-		s.lastTick = s.userInstr
-		s.kstream.emit(s.drv.Core(d.TID), syscallTimerTick, 0)
-	}
+// tick injects a timer-interrupt kernel stream into the core of the thread
+// whose instruction completed another TimerIntervalInstr user
+// instructions, and returns the count of the next tick.
+func (s *Sim) tick(tid int) uint64 {
+	s.kstream.emit(s.drv.Core(tid), syscallTimerTick, 0)
+	return s.drv.Counted() + s.cfg.TimerIntervalInstr
 }
 
 // injectKernel feeds the synthetic ring-0 stream for one system call into

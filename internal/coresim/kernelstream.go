@@ -4,7 +4,6 @@ import (
 	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/uarch"
-	"elfie/internal/vm"
 )
 
 // syscallTimerTick is the pseudo-syscall number used for timer interrupts.
@@ -82,36 +81,30 @@ func (ks *kernelStream) emit(core *uarch.OOOCore, num uint64, bytes int) {
 	// parts of their structure space, growing the unique footprint.
 	cursor := dataBase + (ks.rand()%16)*uint64(ws)
 	seq := uint64(0)
-	var rec vm.InsRecord
 	for i := 0; i < n; i++ {
-		rec = vm.InsRecord{PC: pc}
-		d := uarch.DynInst{InsRecord: &rec, Kernel: true}
+		// in is the instruction at pc; dyn is its trace entry.
+		in := isa.DecInst{Next: pc + isa.InstLen}
+		var dyn uint64
 		switch r := ks.rand() % 10; {
 		case r < 3: // sequential kernel structure walk
-			d.Ins = isa.Inst{Op: isa.LDQ, A: 1, B: 2}
-			d.Class = isa.ClassLoad
-			d.MemR = true
-			d.MemAddr = cursor + seq*32%uint64(ws)
-			d.MemSize = 8
+			in.Op, in.A, in.B = isa.LDQ, 1, 2
+			dyn = cursor + seq*32%uint64(ws)
 			seq++
 		case r < 4: // kernel store
-			d.Ins = isa.Inst{Op: isa.STQ, A: 1, B: 2}
-			d.Class = isa.ClassStore
-			d.MemW = true
-			d.MemAddr = cursor + seq*32%uint64(ws)
-			d.MemSize = 8
+			in.Op, in.A, in.B = isa.STQ, 1, 2
+			dyn = cursor + seq*32%uint64(ws)
 		case r < 6: // kernel branch: mostly-taken fast-path checks
-			d.Ins = isa.Inst{Op: isa.JNZ}
-			d.Class = isa.ClassBranch
-			d.Branch = true
-			d.Taken = ks.rand()%16 != 0
+			in.Op = isa.JNZ
+			if ks.rand()%16 != 0 {
+				dyn = 1
+			}
 			// Short hops within the hot handler text.
 			pc = kernelTextBase + uint64(entry) + (pc+64)%4096
 		default:
-			d.Ins = isa.Inst{Op: isa.ADD, A: 1, B: 2, C: 3}
-			d.Class = isa.ClassALU
+			in.Op, in.A, in.B, in.C = isa.ADD, 1, 2, 3
 		}
-		core.Consume(&d)
+		core.Stats.KernelInstr++
+		core.Consume(&in, dyn)
 		pc += 8
 	}
 }

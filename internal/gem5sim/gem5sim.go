@@ -74,15 +74,15 @@ func SimulateMachine(m *vm.Machine, cfg Config) (*Result, error) {
 	drv := uarch.Attach(m, uarch.NewOOOCore, cfg.Core, cfg.Hier, 1, cfg.StartMarker)
 	res := &Result{}
 	var isaErr error
-	drv.After = func(d *uarch.DynInst) {
-		if d.Class == isa.ClassVec || d.Ins.Op == isa.VLD || d.Ins.Op == isa.VST {
+	drv.SetAfter(func(in *isa.DecInst) {
+		if isa.OpClass(in.Op) == isa.ClassVec || in.Op == isa.VLD || in.Op == isa.VST {
 			res.VectorOps++
 			if !cfg.AllowVector && isaErr == nil {
-				isaErr = fmt.Errorf("gem5sim: unsupported ISA extension at pc %#x: %s (SE mode is SSE/SSE2-only; profile with -pentium)", d.PC, d.Ins.Op.Name())
+				isaErr = fmt.Errorf("gem5sim: unsupported ISA extension at pc %#x: %s (SE mode is SSE/SSE2-only; profile with -pentium)", in.PC(), in.Op.Name())
 				drv.Close()
 			}
 		}
-	}
+	})
 	if err := harness.WrapRun(harness.ModeSim, m.Run()); err != nil {
 		return nil, err
 	}

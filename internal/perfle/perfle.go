@@ -100,13 +100,9 @@ type Measurer struct {
 
 	sliceStart uint64 // thread-0 instrs at current slice start
 	sliceCyc   uint64 // core-0 cycles at current slice start
-	t0Instr    uint64
-	// due is the thread-0 count at which the window opens or the next
-	// slice ends: the next instruction that changes the report.
-	due       uint64
-	winOpen   bool
-	winInstr  uint64 // t0 instructions when the window opened
-	winCycles uint64 // core-0 cycles when the window opened
+	winOpen    bool
+	winInstr   uint64 // t0 instructions when the window opened
+	winCycles  uint64 // core-0 cycles when the window opened
 }
 
 // Attach installs the measurer on a machine. Any hooks already installed
@@ -118,55 +114,49 @@ func Attach(m *vm.Machine, opts Options) *Measurer {
 	ms := &Measurer{opts: opts, report: &Report{}}
 	ms.drv = uarch.Attach(m, uarch.NewIntervalCore, uarch.HardwareCore(),
 		uarch.SmallHierarchy(opts.Cores), opts.Cores, opts.StartMarker)
-	ms.setDue()
-	// Thread 0's stream is counted per instruction; the report changes
-	// only at due. A func literal rather than a method value, which would
-	// add a call level per instruction.
-	ms.drv.After = func(d *uarch.DynInst) {
-		if d.TID == 0 {
-			if ms.t0Instr++; ms.t0Instr >= ms.due {
-				ms.event()
-			}
-		}
-	}
+	// The driver counts thread 0's measured instructions; the report
+	// changes only at the counts event asks for.
+	ms.drv.Count(0, ms.nextDue(), ms.event)
 	return ms
 }
 
-// event updates the report at thread 0's instruction number t0Instr: the
-// post-warm-up window opens once SkipInstr instructions came before it,
-// and a slice ends every SliceSize instructions.
-func (ms *Measurer) event() {
+// event updates the report once thread 0 has retired the instruction that
+// brought the driver's count to its due count: the post-warm-up window
+// opens once SkipInstr instructions came before it, and a slice ends every
+// SliceSize instructions. It returns the next due count.
+func (ms *Measurer) event(int) uint64 {
+	t0 := ms.drv.Counted()
 	cyc := ms.drv.Cores[0].Stats.Cycles
-	if !ms.winOpen && ms.t0Instr > ms.opts.SkipInstr {
+	if !ms.winOpen && t0 > ms.opts.SkipInstr {
 		ms.winOpen = true
-		ms.winInstr = ms.t0Instr - 1
+		ms.winInstr = t0 - 1
 		ms.winCycles = cyc
 	}
-	if ms.opts.SliceSize > 0 && ms.t0Instr-ms.sliceStart >= ms.opts.SliceSize {
+	if ms.opts.SliceSize > 0 && t0-ms.sliceStart >= ms.opts.SliceSize {
 		ms.report.Slices = append(ms.report.Slices, Slice{
 			StartInstr:   ms.sliceStart,
-			Instructions: ms.t0Instr - ms.sliceStart,
+			Instructions: t0 - ms.sliceStart,
 			Cycles:       cyc - ms.sliceCyc,
 		})
-		ms.sliceStart = ms.t0Instr
+		ms.sliceStart = t0
 		ms.sliceCyc = cyc
 	}
-	ms.setDue()
+	return ms.nextDue()
 }
 
-// setDue sets due to the next thread-0 count at which event has work.
-func (ms *Measurer) setDue() {
-	ms.due = math.MaxUint64
+// nextDue returns the next thread-0 count at which event has work.
+func (ms *Measurer) nextDue() uint64 {
+	due := uint64(math.MaxUint64)
 	if !ms.winOpen {
-		ms.due = ms.opts.SkipInstr + 1
+		due = ms.opts.SkipInstr + 1
 	}
 	if ms.opts.SliceSize > 0 {
-		ms.due = min(ms.due, ms.sliceStart+ms.opts.SliceSize)
+		due = min(due, ms.sliceStart+ms.opts.SliceSize)
 	}
+	return due
 }
 
-// Finish flushes the last instruction, closes the measurement, and returns
-// the report.
+// Finish closes the measurement and returns the report.
 func (ms *Measurer) Finish() *Report {
 	perCore, total := ms.drv.Finish()
 	for i := range perCore {
@@ -175,7 +165,7 @@ func (ms *Measurer) Finish() *Report {
 	ms.report.Instructions = total.Instructions
 	ms.report.Cycles = total.Cycles
 	if ms.winOpen {
-		ms.report.WindowInstructions = ms.t0Instr - ms.winInstr
+		ms.report.WindowInstructions = ms.drv.Counted() - ms.winInstr
 		ms.report.WindowCycles = ms.drv.Cores[0].Stats.Cycles - ms.winCycles
 	}
 	if ms.opts.NoiseSeed != 0 {

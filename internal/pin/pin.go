@@ -23,11 +23,14 @@ import (
 // tool each retired instruction's record: its data access, branch outcome
 // and marker tag. OnBlock is its block-granular twin (see vm.Hooks): a tool
 // that needs only the retired instruction stream uses it and keeps the VM
-// on its fast path.
+// on its fast path. A tool that also needs each instruction's data address
+// and branch outcome sets Trace and reads vm.Machine.Trace in OnBlock; the
+// VM then stays on its chained core but gives up batching.
 type Tool struct {
 	Name          string
 	OnIns         func(t *vm.Thread, r *vm.InsRecord)
 	OnBlock       func(t *vm.Thread, ins []isa.DecInst, reps int)
+	Trace         bool
 	SyscallFilter func(t *vm.Thread, num uint64) (kernel.Result, bool)
 	SyscallFast   func(t *vm.Thread, num uint64) (ret uint64, ok bool)
 	OnSyscall     func(t *vm.Thread, num uint64, res kernel.Result)
@@ -68,6 +71,7 @@ func (e *Engine) Attach(t *Tool) {
 			h.OnBlock = func(th *vm.Thread, ins []isa.DecInst, reps int) { prev(th, ins, reps); next(th, ins, reps) }
 		}
 	}
+	h.Trace = h.Trace || t.Trace
 	if prev, next := h.SyscallFilter, t.SyscallFilter; next != nil {
 		if prev == nil {
 			h.SyscallFilter, h.SyscallFast = next, t.SyscallFast

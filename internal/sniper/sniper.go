@@ -14,6 +14,7 @@ import (
 
 	"elfie/internal/elfobj"
 	"elfie/internal/harness"
+	"elfie/internal/isa"
 	"elfie/internal/kernel"
 	"elfie/internal/pinball"
 	"elfie/internal/pinplay"
@@ -76,14 +77,14 @@ type engine struct {
 func (e *engine) attach(m *vm.Machine) {
 	e.drv = uarch.Attach(m, uarch.NewIntervalCore, e.cfg.Core, e.cfg.Hier, e.cfg.Cores, e.cfg.StartMarker)
 	if e.end.PC != 0 {
-		e.drv.After = e.countEnd
+		e.drv.SetAfter(e.countEnd)
 	}
 }
 
 // countEnd closes the window, and stops the machine, on the end PC's
 // Count-th execution.
-func (e *engine) countEnd(d *uarch.DynInst) {
-	if d.PC == e.end.PC {
+func (e *engine) countEnd(in *isa.DecInst) {
+	if in.PC() == e.end.PC {
 		e.endHits++
 		if e.endHits >= e.end.Count {
 			e.drv.Close()

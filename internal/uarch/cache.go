@@ -226,6 +226,9 @@ func NewHierarchy(cfg HierarchyCfg, cores int) *Hierarchy {
 	return h
 }
 
+// L1IFor returns core i's L1 instruction cache (for stats).
+func (h *Hierarchy) L1IFor(core int) *Cache { return h.l1i[core] }
+
 // L1DFor returns core i's L1 data cache (for stats).
 func (h *Hierarchy) L1DFor(core int) *Cache { return h.l1d[core] }
 

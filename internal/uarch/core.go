@@ -52,6 +52,26 @@ func (s *CoreStats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
+// opTiming is what a core needs to know of an opcode beyond its decoded
+// form: its class, whether it reads or writes data memory (the trace entry
+// is then its address), and whether it is a conditional branch (the trace
+// entry is then its outcome).
+type opTiming struct {
+	class           isa.Class
+	mem, memR, memW bool
+	cond            bool
+}
+
+// opTimings is the static per-opcode table the cores time from.
+var opTimings = func() (tab [256]opTiming) {
+	for i := range tab {
+		op := isa.Op(i)
+		r, w := isa.ReadsMem(op), isa.WritesMem(op)
+		tab[i] = opTiming{class: isa.OpClass(op), mem: r || w, memR: r, memW: w, cond: isa.IsCondBranch(op)}
+	}
+	return tab
+}()
+
 func opLatency(cfg *CoreCfg, class isa.Class, op isa.Op) int {
 	switch class {
 	case isa.ClassMul:
@@ -166,11 +186,10 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 }
 
 // Consume implements Core.
-func (c *IntervalCore) Consume(d *DynInst) {
+func (c *IntervalCore) Consume(in *isa.DecInst, dyn uint64) {
 	c.Stats.Instructions++
-	if d.Kernel {
-		c.Stats.KernelInstr++
-	}
+	op := &opTimings[in.Op]
+	pc := in.PC()
 	// Base dispatch cost.
 	c.dispatched++
 	if c.dispatched >= uint64(c.Cfg.DispatchWidth) {
@@ -178,25 +197,25 @@ func (c *IntervalCore) Consume(d *DynInst) {
 		c.Stats.Cycles++
 	}
 	// Instruction fetch: penalize only on I-side misses past L1.
-	c.Stats.Cycles += c.fetchStall(d.PC)
+	c.Stats.Cycles += c.fetchStall(pc)
 	// Data access: latency beyond L1 stalls the interval (no overlap in
 	// this abstraction — Sniper's ECM would overlap; we fold MLP into a
 	// 50% discount).
-	if d.MemR || d.MemW {
-		lat := c.dataLat(d.MemAddr, d.MemW)
-		if lat > c.l1dLat && d.MemR {
+	if op.mem {
+		lat := c.dataLat(dyn, op.memW)
+		if lat > c.l1dLat && op.memR {
 			stall := uint64(lat-c.l1dLat) / 2
 			c.Stats.Cycles += stall
 			c.Stats.LoadStalls += stall
 		}
 	}
 	// Long-latency ops partially serialize.
-	if lat := opLatency(&c.Cfg, d.Class, d.Ins.Op); lat > c.Cfg.ALULat {
+	if lat := opLatency(&c.Cfg, op.class, in.Op); lat > c.Cfg.ALULat {
 		c.Stats.Cycles += uint64(lat-c.Cfg.ALULat) / 2
 	}
 	// Branch resolution.
-	if d.Branch && isa.IsCondBranch(d.Ins.Op) {
-		if !c.BP.Predict(d.PC, d.Taken) {
+	if op.cond {
+		if !c.BP.Predict(pc, dyn != 0) {
 			c.Stats.Cycles += uint64(c.Cfg.MispredictPenalty)
 			c.Stats.BranchStalls += uint64(c.Cfg.MispredictPenalty)
 		}
@@ -278,7 +297,7 @@ func (c *OOOCore) drainTo(occupancy int) {
 
 // srcRegs returns the source registers of an instruction per the field
 // conventions of the ISA.
-func srcRegs(ins *isa.Inst) (srcs [3]isa.Reg, n int) {
+func srcRegs(ins *isa.DecInst) (srcs [3]isa.Reg, n int) {
 	op := ins.Op
 	add := func(r uint8) {
 		srcs[n] = isa.Reg(r)
@@ -309,7 +328,7 @@ func srcRegs(ins *isa.Inst) (srcs [3]isa.Reg, n int) {
 }
 
 // dstReg returns the destination register, or -1.
-func dstReg(ins *isa.Inst) int {
+func dstReg(ins *isa.DecInst) int {
 	switch ins.Op {
 	case isa.MOV, isa.MOVI, isa.LIMM, isa.ADD, isa.SUB, isa.MUL, isa.UDIV,
 		isa.SDIV, isa.UREM, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
@@ -324,15 +343,14 @@ func dstReg(ins *isa.Inst) int {
 }
 
 // Consume implements Core.
-func (c *OOOCore) Consume(d *DynInst) {
+func (c *OOOCore) Consume(in *isa.DecInst, dyn uint64) {
 	c.Stats.Instructions++
-	if d.Kernel {
-		c.Stats.KernelInstr++
-	}
+	op := &opTimings[in.Op]
+	pc := in.PC()
 
 	// Structural: ROB and LSQ space.
 	c.drainTo(c.Cfg.ROBSize - 1)
-	if d.MemR || d.MemW {
+	if op.mem {
 		// Retire LSQ entries that completed.
 		live := c.lsq[:0]
 		for _, done := range c.lsq {
@@ -354,27 +372,27 @@ func (c *OOOCore) Consume(d *DynInst) {
 	// Fetch: the front end delivers DispatchWidth per cycle; I-cache misses
 	// push it out.
 	issue := max(c.clock, c.frontend)
-	if stall := c.fetchStall(d.PC); stall > 0 {
+	if stall := c.fetchStall(pc); stall > 0 {
 		c.frontend = issue + stall
 		issue = c.frontend
 	}
 
 	// Dependences.
-	srcs, n := srcRegs(&d.Ins)
+	srcs, n := srcRegs(in)
 	for i := 0; i < n; i++ {
 		if r := c.regReady[srcs[i]]; r > issue {
 			issue = r
 		}
 	}
-	if isa.IsCondBranch(d.Ins.Op) && c.flagReady > issue {
+	if op.cond && c.flagReady > issue {
 		issue = c.flagReady
 	}
 
 	// Execution latency.
-	lat := uint64(opLatency(&c.Cfg, d.Class, d.Ins.Op))
-	if d.MemR || d.MemW {
-		mlat := c.dataLat(d.MemAddr, d.MemW)
-		if d.MemR {
+	lat := uint64(opLatency(&c.Cfg, op.class, in.Op))
+	if op.mem {
+		mlat := c.dataLat(dyn, op.memW)
+		if op.memR {
 			lat += uint64(mlat)
 		} else {
 			lat += uint64(c.l1dLat) // stores complete at L1
@@ -383,24 +401,24 @@ func (c *OOOCore) Consume(d *DynInst) {
 	done := issue + lat
 
 	// Writeback.
-	if dst := dstReg(&d.Ins); dst >= 0 {
+	if dst := dstReg(in); dst >= 0 {
 		c.regReady[dst] = done
 	}
-	switch d.Ins.Op {
+	switch in.Op {
 	case isa.CMP, isa.CMPI, isa.TEST, isa.TESTI, isa.CMPXCHG:
 		c.flagReady = done
 	case isa.POPF:
 		c.flagReady = done
 	}
-	switch d.Ins.Op {
+	switch in.Op {
 	case isa.PUSH, isa.PUSHF, isa.POP, isa.POPF, isa.CALL, isa.CALLR, isa.RET:
 		c.regReady[isa.RSP] = issue + 1 // stack engine renames rsp cheaply
 	}
 
 	// Branch resolution: a mispredict stalls the front end until resolve +
 	// refill.
-	if d.Branch && isa.IsCondBranch(d.Ins.Op) {
-		if !c.BP.Predict(d.PC, d.Taken) {
+	if op.cond {
+		if !c.BP.Predict(pc, dyn != 0) {
 			refill := done + uint64(c.Cfg.MispredictPenalty)
 			if refill > c.frontend {
 				c.frontend = refill
@@ -410,7 +428,7 @@ func (c *OOOCore) Consume(d *DynInst) {
 	}
 
 	c.rob = push(c.rob, c.robBuf, done)
-	if d.MemR || d.MemW {
+	if op.mem {
 		c.lsq = push(c.lsq, c.lsqBuf, done)
 	}
 

@@ -15,6 +15,26 @@ import (
 // and the direct cache pointers: every fetch and data access goes through
 // the hierarchy by core index and through the TLB in full. The memos are
 // contractually cycle-identical, so every hit, miss and cycle must match.
+// The reference cores also read their input as the cores once did: a
+// per-instruction record, not a decoded instruction and its trace entry.
+
+// refInst is one instruction as the reference cores read it.
+type refInst struct {
+	vm.InsRecord
+	TID    int
+	Class  isa.Class
+	Kernel bool
+}
+
+// decoded returns the instruction as a Core reads it: decoded, with its
+// trace entry.
+func (d *refInst) decoded() (isa.DecInst, uint64) {
+	dyn := d.MemAddr
+	if isa.IsCondBranch(d.Ins.Op) && d.Taken {
+		dyn = 1
+	}
+	return d.Ins.Predecode(d.PC), dyn
+}
 
 // refIntervalCore is the reference interval core.
 type refIntervalCore struct {
@@ -39,7 +59,7 @@ func newRefIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *refIntervalCore {
 	}
 }
 
-func (c *refIntervalCore) Consume(d *DynInst) {
+func (c *refIntervalCore) Consume(d *refInst) {
 	c.Stats.Instructions++
 	if d.Kernel {
 		c.Stats.KernelInstr++
@@ -119,7 +139,7 @@ func (c *refOOOCore) drainTo(occupancy int) {
 	}
 }
 
-func (c *refOOOCore) Consume(d *DynInst) {
+func (c *refOOOCore) Consume(d *refInst) {
 	c.Stats.Instructions++
 	if d.Kernel {
 		c.Stats.KernelInstr++
@@ -150,7 +170,8 @@ func (c *refOOOCore) Consume(d *DynInst) {
 		c.frontend = issue + uint64(ilat-c.hier.cfg.L1I.LatCycles)
 		issue = c.frontend
 	}
-	srcs, n := srcRegs(&d.Ins)
+	in := d.Ins.Predecode(d.PC)
+	srcs, n := srcRegs(&in)
 	for i := 0; i < n; i++ {
 		if r := c.regReady[srcs[i]]; r > issue {
 			issue = r
@@ -169,7 +190,7 @@ func (c *refOOOCore) Consume(d *DynInst) {
 		}
 	}
 	done := issue + lat
-	if dst := dstReg(&d.Ins); dst >= 0 {
+	if dst := dstReg(&in); dst >= 0 {
 		c.regReady[dst] = done
 	}
 	switch d.Ins.Op {
@@ -288,8 +309,7 @@ type dynStream struct {
 	stream  []uint64
 	kernel  int // kernel records left in the current burst
 	kpc     uint64
-	rec     vm.InsRecord
-	d       DynInst
+	d       refInst
 }
 
 func newDynStream(seed int64, threads int) *dynStream {
@@ -298,7 +318,6 @@ func newDynStream(seed int64, threads int) *dynStream {
 		s.pcs = append(s.pcs, 0x400000+uint64(t)*0x3000+uint64(s.rng.Intn(64))*isa.InstLen)
 		s.stream = append(s.stream, 0x20000000+uint64(t)<<24)
 	}
-	s.d.InsRecord = &s.rec
 	return s
 }
 
@@ -319,7 +338,7 @@ func (s *dynStream) dataAddr(tid int) uint64 {
 
 // next fills and returns the stream's next record; it stays valid until
 // the following call.
-func (s *dynStream) next() *DynInst {
+func (s *dynStream) next() *refInst {
 	r := s.rng
 	if s.kernel == 0 && r.Intn(40) == 0 {
 		s.tid = r.Intn(s.threads)
@@ -334,29 +353,29 @@ func (s *dynStream) next() *DynInst {
 		pc = &s.kpc
 	}
 	op := streamOps[r.Intn(len(streamOps))]
-	s.rec = vm.InsRecord{
+	s.d.InsRecord = vm.InsRecord{
 		PC:  *pc,
 		Ins: isa.Inst{Op: op, A: uint8(r.Intn(isa.NumGPR)), B: uint8(r.Intn(isa.NumGPR)), C: uint8(r.Intn(isa.NumGPR))},
 	}
 	s.d.TID, s.d.Class, s.d.Kernel = s.tid, isa.OpClass(op), s.kernel > 0
 	if isa.ReadsMem(op) || isa.WritesMem(op) {
-		s.rec.MemR, s.rec.MemW = isa.ReadsMem(op), isa.WritesMem(op)
-		s.rec.MemAddr, s.rec.MemSize = s.dataAddr(s.tid), 8
+		s.d.InsRecord.MemR, s.d.InsRecord.MemW = isa.ReadsMem(op), isa.WritesMem(op)
+		s.d.InsRecord.MemAddr, s.d.InsRecord.MemSize = s.dataAddr(s.tid), 8
 	}
 	*pc += isa.InstLen
 	if isa.IsBranch(op) {
-		s.rec.Branch = true
-		s.rec.Taken = !isa.IsCondBranch(op) || r.Intn(3) > 0
-		if s.rec.Taken {
+		s.d.InsRecord.Branch = true
+		s.d.InsRecord.Taken = !isa.IsCondBranch(op) || r.Intn(3) > 0
+		if s.d.InsRecord.Taken {
 			switch k := r.Intn(10); {
 			case k < 7: // a near branch, often in the same line
-				s.rec.Target = *pc - 256 + uint64(r.Intn(64))*isa.InstLen
+				s.d.InsRecord.Target = *pc - 256 + uint64(r.Intn(64))*isa.InstLen
 			case k < 9: // elsewhere in this code region
-				s.rec.Target = *pc&^0xffff + uint64(r.Intn(8192))*isa.InstLen
+				s.d.InsRecord.Target = *pc&^0xffff + uint64(r.Intn(8192))*isa.InstLen
 			default: // another code region, another ITLB page
-				s.rec.Target = 0x400000 + uint64(r.Intn(1<<16))*isa.InstLen
+				s.d.InsRecord.Target = 0x400000 + uint64(r.Intn(1<<16))*isa.InstLen
 			}
-			*pc = s.rec.Target
+			*pc = s.d.InsRecord.Target
 		}
 	}
 	return &s.d
@@ -373,8 +392,8 @@ func TestCoresMatchReference(t *testing.T) {
 	if testing.Short() {
 		n = 10_000
 	}
-	type consumer interface {
-		Consume(*DynInst)
+	type refCore interface {
+		Consume(*refInst)
 		Finish() *CoreStats
 	}
 	for _, kind := range []string{"interval", "ooo"} {
@@ -387,7 +406,8 @@ func TestCoresMatchReference(t *testing.T) {
 				}
 				hcfg.L1I.LineBytes = line
 				h, rh := NewHierarchy(hcfg, cores), NewHierarchy(hcfg, cores)
-				var got, want []consumer
+				var got []Core
+				var want []refCore
 				// diff describes how core i differs from its reference, or
 				// is empty when they match.
 				diff := func(i int) string {
@@ -424,11 +444,18 @@ func TestCoresMatchReference(t *testing.T) {
 				kernel := 0
 				for k := 0; k < n; k++ {
 					d := s.next()
+					i := d.TID % cores
 					if d.Kernel {
 						kernel++
+						switch c := got[i].(type) {
+						case *IntervalCore:
+							c.Stats.KernelInstr++
+						case *OOOCore:
+							c.Stats.KernelInstr++
+						}
 					}
-					i := d.TID % cores
-					got[i].Consume(d)
+					in, dyn := d.decoded()
+					got[i].Consume(&in, dyn)
 					want[i].Consume(d)
 					if msg := diff(i); msg != "" {
 						t.Fatalf("%s: instruction %d (tid %d, pc %#x, %s) differs on core %d:%s",

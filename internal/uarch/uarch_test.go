@@ -307,7 +307,25 @@ data:	.space 8192
 	}
 }
 
-func TestFeederAssemblesRecords(t *testing.T) {
+// traceCore is a Core that keeps what it is fed: the instructions and
+// their trace entries.
+type traceCore struct {
+	ins []isa.DecInst
+	dyn []uint64
+}
+
+func (c *traceCore) Consume(in *isa.DecInst, dyn uint64) {
+	c.ins = append(c.ins, *in)
+	c.dyn = append(c.dyn, dyn)
+}
+
+func (c *traceCore) Finish() *CoreStats { return &CoreStats{Instructions: uint64(len(c.ins))} }
+
+// TestFeederAssemblesTrace: on the chained core, a core is fed every
+// retired instruction with its trace entry — a load's and a store's data
+// address, a taken branch's outcome — through the generic feed that any
+// Core type gets.
+func TestFeederAssemblesTrace(t *testing.T) {
 	m := loadProgram(t, `
 	.text
 	.global _start
@@ -324,31 +342,26 @@ skip:
 	.data
 v:	.quad 0, 0
 	`)
-	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
-	var got []DynInst
-	drv.After = func(d *DynInst) {
-		// d and its record are valid only during the call: keep copies.
-		r := *d.InsRecord
-		kept := *d
-		kept.InsRecord = &r
-		got = append(got, kept)
-	}
+	drv := Attach(m, func(CoreCfg, *Hierarchy, int) *traceCore { return &traceCore{} },
+		HardwareCore(), SmallHierarchy(1), 1, 0)
 	runDriver(t, m, drv)
-	if len(got) < 6 {
-		t.Fatalf("records: %d", len(got))
+	c := drv.Cores[0]
+	if len(c.ins) < 6 {
+		t.Fatalf("fed %d instructions", len(c.ins))
 	}
-	if got[1].Ins.Op != isa.LDQ || !got[1].MemR || got[1].MemAddr == 0 {
-		t.Errorf("load record: %+v", got[1])
+	v := c.ins[0].Imm
+	if c.ins[1].Op != isa.LDQ || c.dyn[1] != v || v == 0 {
+		t.Errorf("load: %+v, trace %#x, want address %#x", c.ins[1], c.dyn[1], v)
 	}
-	if got[2].Ins.Op != isa.STQ || !got[2].MemW {
-		t.Errorf("store record: %+v", got[2])
+	if c.ins[2].Op != isa.STQ || c.dyn[2] != v+8 {
+		t.Errorf("store: %+v, trace %#x, want address %#x", c.ins[2], c.dyn[2], v+8)
 	}
-	if got[4].Ins.Op != isa.JZ || !got[4].Branch || !got[4].Taken {
-		t.Errorf("branch record: %+v", got[4])
+	if c.ins[4].Op != isa.JZ || c.dyn[4] != 1 {
+		t.Errorf("branch: %+v, trace %d, want taken", c.ins[4], c.dyn[4])
 	}
-	// Machine-retired count matches the record count.
-	if uint64(len(got)) != m.GlobalRetired {
-		t.Errorf("records %d, retired %d", len(got), m.GlobalRetired)
+	// Machine-retired count matches the fed count.
+	if uint64(len(c.ins)) != m.GlobalRetired {
+		t.Errorf("fed %d, retired %d", len(c.ins), m.GlobalRetired)
 	}
 }
 
@@ -476,13 +489,13 @@ loop:
 	closePC := entry + 2*isa.InstLen // the loop's second instruction
 	drv := Attach(m, NewIntervalCore, HardwareCore(), SmallHierarchy(1), 1, 0)
 	hits := 0
-	drv.After = func(d *DynInst) {
-		if d.PC == closePC {
+	drv.SetAfter(func(in *isa.DecInst) {
+		if in.PC() == closePC {
 			if hits++; hits == 3 {
 				drv.Close()
 			}
 		}
-	}
+	})
 	runDriver(t, m, drv)
 	// movi, then two loop trips of 4, then the third trip's first two.
 	const pos = 1 + 2*4 + 2

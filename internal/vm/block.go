@@ -149,7 +149,7 @@ type decodeTable struct {
 // SyscallFilter/OnSyscall/OnFault are compatible with the fast path
 // because syscalls the chain cannot retire inline and faults fall back to
 // step semantics, and OnBlock because the chain reports its runs at every
-// exit.
+// exit, with their trace when Hooks.Trace asks for it.
 func (m *Machine) fastPathOK() bool {
 	return !m.DisableBlockCache && m.FaultInj == nil && m.Hooks.OnIns == nil
 }
@@ -960,6 +960,15 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 	var rdPg, wrPg *[mem.PageSize]byte
 	// blk.ins[:i] is the current visit's retired, not yet reported run.
 	onBlock := m.Hooks.OnBlock
+	// The per-instruction tier writes each instruction's trace entry (see
+	// Hooks.Trace); it is cheaper to always write it than to ask whether
+	// anyone reads it. A traced run keeps every instruction on that tier:
+	// no run is long enough to batch, and loop mode is off.
+	tr := &m.trace
+	minSeg := segMin
+	if m.Hooks.Trace {
+		minSeg = maxSuperLen + 1
+	}
 
 	for {
 		// Loop mode: a tight self-loop whose whole body is batchable runs
@@ -969,7 +978,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 		// spent, i == 0), a TLB-head miss mid-body, or the not-taken
 		// backedge (i == last) — so quantum, perf-counter, and side-exit
 		// semantics are exactly those of per-instruction execution.
-		if blk.loop && i == 0 {
+		if blk.loop && i == 0 && minSeg == segMin {
 			if iters := (budget - ran) / len(blk.ins); iters > 0 {
 				var w int
 				i, flags, w = runSeg(blk.ins, 0, len(blk.ins)-1, iters,
@@ -990,7 +999,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 		// interrupt one (a fault, a declined syscall, a store that advances
 		// the clock) carry exact recovery state, so batching is precisely
 		// equivalent to per-instruction execution.
-		if n := int(blk.run[i]); n >= segMin && ran+n <= budget {
+		if n := int(blk.run[i]); n >= minSeg && ran+n <= budget {
 			// start lets the rare bail-outs (fault, SMC store) reconstruct
 			// the exact retired count mid-run.
 			start := i
@@ -1267,6 +1276,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 
 		case isa.LDQ:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			if addr>>mem.PageShift == rdPN && addr&pageMask <= mem.PageSize-8 {
 				g[d.A&15] = binary.LittleEndian.Uint64(rdPg[addr&pageMask:])
 			} else {
@@ -1282,6 +1292,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			}
 		case isa.LDW, isa.LDH, isa.LDB, isa.LDSB, isa.LDSH, isa.LDSW:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			size := 1
 			switch d.Op {
 			case isa.LDW, isa.LDSW:
@@ -1309,6 +1320,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 
 		case isa.STQ:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			if addr>>mem.PageShift == wrPN && addr&pageMask <= mem.PageSize-8 {
 				binary.LittleEndian.PutUint64(wrPg[addr&pageMask:], g[d.A&15])
 			} else {
@@ -1324,6 +1336,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			goto retireStore
 		case isa.STW, isa.STH, isa.STB:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			size := 1
 			switch d.Op {
 			case isa.STW:
@@ -1354,12 +1367,15 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			next = d.Target
 		case isa.JZ, isa.JNZ, isa.JL, isa.JLE, isa.JG, isa.JGE,
 			isa.JB, isa.JBE, isa.JA, isa.JAE, isa.JS, isa.JNS:
+			tr[i] = 0
 			if condTaken(d.Op, flags) {
 				next = d.Target
+				tr[i] = 1
 			}
 		case isa.JMPR:
 			next = g[d.B&15]
 		case isa.JMPM:
+			tr[i] = d.Target
 			v, _, err := chainLoad(as, d.Target, 8)
 			if err != nil {
 				fErr = err
@@ -1374,6 +1390,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			// Store before committing RSP so a stack fault leaves RSP
 			// unchanged for the retry, as in step.
 			sp := g[isa.RSP] - 8
+			tr[i] = sp
 			if sp>>mem.PageShift == wrPN && sp&pageMask <= mem.PageSize-8 {
 				binary.LittleEndian.PutUint64(wrPg[sp&pageMask:], d.Next)
 			} else {
@@ -1391,6 +1408,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			goto retireStore
 		case isa.RET:
 			sp := g[isa.RSP]
+			tr[i] = sp
 			var v uint64
 			if sp>>mem.PageShift == rdPN && sp&pageMask <= mem.PageSize-8 {
 				v = binary.LittleEndian.Uint64(rdPg[sp&pageMask:])
@@ -1414,6 +1432,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 				v = flags
 			}
 			sp := g[isa.RSP] - 8
+			tr[i] = sp
 			if sp>>mem.PageShift == wrPN && sp&pageMask <= mem.PageSize-8 {
 				binary.LittleEndian.PutUint64(wrPg[sp&pageMask:], v)
 			} else {
@@ -1430,6 +1449,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			goto retireStore
 		case isa.POP, isa.POPF:
 			sp := g[isa.RSP]
+			tr[i] = sp
 			var v uint64
 			if sp>>mem.PageShift == rdPN && sp&pageMask <= mem.PageSize-8 {
 				v = binary.LittleEndian.Uint64(rdPg[sp&pageMask:])
@@ -1466,6 +1486,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 
 		case isa.XCHG:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			old, _, err := chainLoad(as, addr, 8)
 			if err != nil {
 				fErr = err
@@ -1479,6 +1500,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			goto retireStore
 		case isa.XADD:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			old, _, err := chainLoad(as, addr, 8)
 			if err != nil {
 				fErr = err
@@ -1492,6 +1514,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			goto retireStore
 		case isa.CMPXCHG:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			old, _, err := chainLoad(as, addr, 8)
 			if err != nil {
 				fErr = err
@@ -1520,6 +1543,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 
 		case isa.VLD:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			var buf [16]byte
 			if err := as.Read(addr, buf[:]); err != nil {
 				fErr = err
@@ -1529,6 +1553,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 			r.V[d.A&7][1] = leBytes(buf[8:])
 		case isa.VST:
 			addr := g[d.B&15] + d.Imm
+			tr[i] = addr
 			var buf [16]byte
 			putBytes(buf[:8], r.V[d.A&7][0])
 			putBytes(buf[8:], r.V[d.A&7][1])

@@ -389,6 +389,10 @@ func (m *Machine) step(t *Thread) (yielded, retired bool) {
 	// so the hooked path allocates nothing per instruction.
 	if m.Hooks.OnBlock != nil {
 		m.stepIns[0] = ins.Predecode(pc)
+		m.trace[0] = rec.MemAddr
+		if isa.IsCondBranch(ins.Op) && rec.Taken {
+			m.trace[0] = 1
+		}
 		m.Hooks.OnBlock(t, m.stepIns[:], 1)
 	}
 	if m.Hooks.OnIns != nil {

@@ -14,6 +14,40 @@ import (
 // area, the 16-byte vector accesses and the marker tags. The table lists
 // the instructions in execution order, each at its own pc.
 func TestInsRecordPerClass(t *testing.T) {
+	steps, m, th := recordProgram(t)
+
+	var got []InsRecord
+	m.Hooks.OnIns = func(_ *Thread, r *InsRecord) { got = append(got, *r) }
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.FatalFault != nil || !m.Halted {
+		t.Fatalf("run ended early: fault %v, halted %v\n%s", m.FatalFault, m.Halted, m.DumpState())
+	}
+	if len(got) != len(steps) || uint64(len(got)) != th.Retired {
+		t.Fatalf("%d records for %d retired instructions, want %d", len(got), th.Retired, len(steps))
+	}
+	for i, s := range steps {
+		want := s.want
+		want.PC, want.Ins = s.pc, s.ins
+		if got[i] != want {
+			t.Errorf("%s at %#x:\n got %+v\nwant %+v", s.ins.Op.Name(), s.pc, got[i], want)
+		}
+	}
+}
+
+// recordStep is one instruction of recordProgram: where it is, what it is,
+// and the record it retires with (PC and Ins left zero).
+type recordStep struct {
+	pc   uint64
+	ins  isa.Inst
+	want InsRecord
+}
+
+// recordProgram builds a machine whose program runs one instruction of
+// every class, each at its own pc, in the order the table lists them.
+func recordProgram(t *testing.T) ([]recordStep, *Machine, *Thread) {
+	t.Helper()
 	const (
 		base  = 0x1000
 		data  = 0x10000
@@ -28,11 +62,7 @@ func TestInsRecordPerClass(t *testing.T) {
 		rec.Branch, rec.Taken, rec.Target = true, taken, target
 		return rec
 	}
-	steps := []struct {
-		pc   uint64
-		ins  isa.Inst
-		want InsRecord
-	}{
+	steps := []recordStep{
 		{0x1000, isa.Inst{Op: isa.LDB, A: 3, B: 1, Imm: 1}, r(data+1, 1)},
 		{0x1008, isa.Inst{Op: isa.LDH, A: 3, B: 1, Imm: 2}, r(data+2, 2)},
 		{0x1010, isa.Inst{Op: isa.LDW, A: 3, B: 1, Imm: 4}, r(data+4, 4)},
@@ -85,23 +115,57 @@ func TestInsRecordPerClass(t *testing.T) {
 	th.Regs.GPR[2] = 0x1122334455667788
 	th.Regs.GPR[7] = xarea
 	th.Regs.GPR[isa.RSP] = stack
+	return steps, m, th
+}
 
-	var got []InsRecord
-	m.Hooks.OnIns = func(_ *Thread, r *InsRecord) { got = append(got, *r) }
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if m.FatalFault != nil || !m.Halted {
-		t.Fatalf("run ended early: fault %v, halted %v\n%s", m.FatalFault, m.Halted, m.DumpState())
-	}
-	if len(got) != len(steps) || uint64(len(got)) != th.Retired {
-		t.Fatalf("%d records for %d retired instructions, want %d", len(got), th.Retired, len(steps))
-	}
-	for i, s := range steps {
-		want := s.want
-		want.PC, want.Ins = s.pc, s.ins
-		if got[i] != want {
-			t.Errorf("%s at %#x:\n got %+v\nwant %+v", s.ins.Op.Name(), s.pc, got[i], want)
+// TestTraceMatchesRecord: with Hooks.Trace set, the trace entry of every
+// retired instruction of recordProgram holds what its record says — the
+// data address of a memory access, the outcome of a conditional branch —
+// on the chained core (and on step for the instructions only step runs),
+// and on the plain interpreter, where step reports every instruction.
+func TestTraceMatchesRecord(t *testing.T) {
+	for _, interp := range []bool{false, true} {
+		steps, m, th := recordProgram(t)
+		m.DisableBlockCache = interp
+		var pcs, trace []uint64
+		longest := 0
+		m.Hooks.Trace = true
+		m.Hooks.OnBlock = func(_ *Thread, ins []isa.DecInst, reps int) {
+			for j := range ins {
+				pcs = append(pcs, ins[j].PC())
+				trace = append(trace, m.Trace()[j])
+			}
+			longest = max(longest, reps*len(ins))
+		}
+		if m.fastPathOK() == interp {
+			t.Fatalf("interp=%v: fast path %v", interp, m.fastPathOK())
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.FatalFault != nil || !m.Halted || len(trace) != len(steps) || uint64(len(trace)) != th.Retired {
+			t.Fatalf("interp=%v: run ended early or misreported: %d entries, %d retired, %d steps\n%s",
+				interp, len(trace), th.Retired, len(steps), m.DumpState())
+		}
+		if !interp && longest < 2 {
+			t.Fatal("no multi-instruction run reported; chained core not taken")
+		}
+		for i, s := range steps {
+			var want uint64
+			switch {
+			case s.want.MemR || s.want.MemW:
+				want = s.want.MemAddr
+			case isa.IsCondBranch(s.ins.Op):
+				if s.want.Taken {
+					want = 1
+				}
+			default:
+				continue
+			}
+			if pcs[i] != s.pc || trace[i] != want {
+				t.Errorf("interp=%v: %s at %#x (reported at %#x): trace %#x, want %#x",
+					interp, s.ins.Op.Name(), s.pc, pcs[i], trace[i], want)
+			}
 		}
 	}
 }

@@ -148,6 +148,15 @@ type Hooks struct {
 	// hot state may be unspilled, so an implementation must not consult
 	// t.Regs or t.Retired.
 	OnBlock func(t *Thread, ins []isa.DecInst, reps int)
+	// Trace asks for each run's dynamic trace alongside OnBlock: during
+	// the call, Machine.Trace()[j] holds what ins[j] did that its decoded
+	// form does not say — the data address of an instruction that reads
+	// or writes memory (isa.ReadsMem, isa.WritesMem; the write's address
+	// for the read-modify-write atomics), 1 or 0 for a taken or not-taken
+	// conditional branch (isa.IsCondBranch), and anything for the rest.
+	// The chained core records it on its per-instruction tier, so tracing
+	// gives up batch runs and loop mode, and reps is always 1.
+	Trace bool
 	// SyscallFilter, when non-nil, may handle a system call entirely
 	// (returning handled=true) — the replayer's side-effect injection.
 	SyscallFilter func(t *Thread, num uint64) (res kernel.Result, handled bool)
@@ -411,10 +420,19 @@ type Machine struct {
 	fetchBuf [isa.LimmLen]byte
 	// stepIns is the one-element run step reports to Hooks.OnBlock.
 	stepIns [1]isa.DecInst
+	// trace is the dynamic trace of the run being reported (see
+	// Hooks.Trace): entry j belongs to the run's instruction j.
+	trace [maxSuperLen]uint64
 	// rec is the record of the instruction step is executing, reported
 	// to Hooks.OnIns once it retires.
 	rec InsRecord
 }
+
+// Trace returns the dynamic trace of the run OnBlock is reporting, one
+// entry per instruction of the run (see Hooks.Trace). The slice is the
+// machine's own buffer, as long as the longest run: a tool may keep it
+// and read it on every OnBlock call.
+func (m *Machine) Trace() []uint64 { return m.trace[:] }
 
 // New creates a machine around an existing kernel and process (no threads).
 func New(k *kernel.Kernel, proc *kernel.Process) *Machine {
