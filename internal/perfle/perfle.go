@@ -115,21 +115,24 @@ func Attach(m *vm.Machine, opts Options) *Measurer {
 	ms.drv = uarch.Attach(m, uarch.NewIntervalCore, uarch.HardwareCore(),
 		uarch.SmallHierarchy(opts.Cores), opts.Cores, opts.StartMarker)
 	// The driver counts thread 0's measured instructions; the report
-	// changes only at the counts event asks for.
+	// changes only at the counts event asks for. Without a warm-up the
+	// window is open from the start, before any cycle.
+	ms.winOpen = opts.SkipInstr == 0
 	ms.drv.Count(0, ms.nextDue(), ms.event)
 	return ms
 }
 
 // event updates the report once thread 0 has retired the instruction that
 // brought the driver's count to its due count: the post-warm-up window
-// opens once SkipInstr instructions came before it, and a slice ends every
-// SliceSize instructions. It returns the next due count.
+// opens after the SkipInstr-th instruction, so it holds the cycles of
+// every instruction it counts, and a slice ends every SliceSize
+// instructions. It returns the next due count.
 func (ms *Measurer) event(int) uint64 {
 	t0 := ms.drv.Counted()
 	cyc := ms.drv.Cores[0].Stats.Cycles
-	if !ms.winOpen && t0 > ms.opts.SkipInstr {
+	if !ms.winOpen && t0 >= ms.opts.SkipInstr {
 		ms.winOpen = true
-		ms.winInstr = t0 - 1
+		ms.winInstr = t0
 		ms.winCycles = cyc
 	}
 	if ms.opts.SliceSize > 0 && t0-ms.sliceStart >= ms.opts.SliceSize {
@@ -148,7 +151,7 @@ func (ms *Measurer) event(int) uint64 {
 func (ms *Measurer) nextDue() uint64 {
 	due := uint64(math.MaxUint64)
 	if !ms.winOpen {
-		due = ms.opts.SkipInstr + 1
+		due = ms.opts.SkipInstr
 	}
 	if ms.opts.SliceSize > 0 {
 		due = min(due, ms.sliceStart+ms.opts.SliceSize)

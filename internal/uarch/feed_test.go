@@ -82,6 +82,7 @@ func attachHookedPerfle(m *vm.Machine, opts perfle.Options) *hookedPerfle {
 	p := &hookedPerfle{opts: opts}
 	p.drv = attachHooked(m, uarch.NewIntervalCore, uarch.HardwareCore(),
 		uarch.SmallHierarchy(opts.Cores), opts.Cores, opts.StartMarker)
+	p.winOpen = opts.SkipInstr == 0
 	p.setDue()
 	p.drv.after = func(tid int) {
 		if tid == 0 {
@@ -95,9 +96,9 @@ func attachHookedPerfle(m *vm.Machine, opts perfle.Options) *hookedPerfle {
 
 func (p *hookedPerfle) event() {
 	cyc := p.drv.cores[0].Stats.Cycles
-	if !p.winOpen && p.t0Instr > p.opts.SkipInstr {
+	if !p.winOpen && p.t0Instr >= p.opts.SkipInstr {
 		p.winOpen = true
-		p.winInstr = p.t0Instr - 1
+		p.winInstr = p.t0Instr
 		p.winCycles = cyc
 	}
 	if p.opts.SliceSize > 0 && p.t0Instr-p.sliceStart >= p.opts.SliceSize {
@@ -115,7 +116,7 @@ func (p *hookedPerfle) event() {
 func (p *hookedPerfle) setDue() {
 	p.due = math.MaxUint64
 	if !p.winOpen {
-		p.due = p.opts.SkipInstr + 1
+		p.due = p.opts.SkipInstr
 	}
 	if p.opts.SliceSize > 0 {
 		p.due = min(p.due, p.sliceStart+p.opts.SliceSize)
@@ -148,12 +149,12 @@ func (p *hookedPerfle) finish() *perfle.Report {
 
 // feedCounts is every count a set of cores and their hierarchy keep.
 type feedCounts struct {
-	Stats                 []uarch.CoreStats
-	ITLB, DTLB, BP        [][2]uint64
-	L1I, L1D, L2          [][2]uint64
-	L3                    [2]uint64
-	Invalidations, Prefet uint64
-	Footprint             int
+	Stats                     []uarch.CoreStats
+	ITLB, DTLB, BP            [][2]uint64
+	L1I, L1D, L2              [][2]uint64
+	L3                        [2]uint64
+	Invalidations, Prefetches uint64
+	Footprint                 int
 }
 
 func countsOf[C uarch.Core](cores []C, h *uarch.Hierarchy) feedCounts {
@@ -180,7 +181,7 @@ func countsOf[C uarch.Core](cores []C, h *uarch.Hierarchy) feedCounts {
 		}
 	}
 	f.L3 = [2]uint64{h.L3.Accesses, h.L3.Misses}
-	f.Invalidations, f.Prefet, f.Footprint = h.Invalidations, h.PrefetchIssued, h.FootprintLines()
+	f.Invalidations, f.Prefetches, f.Footprint = h.Invalidations, h.PrefetchIssued, h.FootprintLines()
 	return f
 }
 

@@ -283,44 +283,44 @@ func TestBBVSameOnEveryEngine(t *testing.T) {
 // in the cache, TLB, predictor or core models that every engine shares
 // would pass the cross-engine comparison but not these.
 var timingGolden = map[string]string{
-	"guard/perfle-1":          "46a54f4891367dcb",
-	"guard/perfle-8":          "6f2f0d7bdaca0193",
+	"guard/perfle-1":          "bb55c5359f86199d",
+	"guard/perfle-8":          "316616600ab1fe95",
 	"guard/coresim-sde":       "9c61a03f941c0bcd",
 	"guard/coresim-simics":    "253cbbb86bbaee59",
 	"guard/sniper-8":          "bb304c340d412722",
 	"guard/gem5-nehalem":      "cdce0127b7ddb810",
-	"cam4-8t/perfle-1":        "9837b10978116345",
-	"cam4-8t/perfle-8":        "e02cc24d1c0a62ee",
+	"cam4-8t/perfle-1":        "17aa147fe9d6e223",
+	"cam4-8t/perfle-8":        "6fdd501aabd08ced",
 	"cam4-8t/coresim-sde":     "b2f626b13bc99fff",
 	"cam4-8t/coresim-simics":  "619cf219bfd59d33",
 	"cam4-8t/sniper-8":        "a5f936e7a77ec67a",
 	"cam4-8t/gem5-nehalem":    "771817ba03369d07",
-	"smc.flip/perfle-1":       "eb9175684f7a2d1d",
-	"smc.flip/perfle-8":       "d20c96f1a34cfca7",
+	"smc.flip/perfle-1":       "b639d7909b3bd23f",
+	"smc.flip/perfle-8":       "c3b98344031ed106",
 	"smc.flip/coresim-sde":    "3b05eae2b19bad2d",
 	"smc.flip/coresim-simics": "efa63a3d921d9656",
 	"smc.flip/sniper-8":       "1beeef06d8f5af5a",
 	"smc.flip/gem5-nehalem":   "b0857716a8f80d46",
-	"fz.0001/perfle-1":        "a4abd3a0555839d3",
-	"fz.0001/perfle-8":        "ba28f5c8a776a2b8",
+	"fz.0001/perfle-1":        "d55c853c98854005",
+	"fz.0001/perfle-8":        "e5aec9d87d9207e8",
 	"fz.0001/coresim-sde":     "893eeb1e7b88100a",
 	"fz.0001/coresim-simics":  "659d979ff8a61ec4",
 	"fz.0001/sniper-8":        "6c9e5ed8ae6c2555",
 	"fz.0001/gem5-nehalem":    "df2e920c2f24adf3",
-	"fz.0002/perfle-1":        "01a03ba03ab96606",
-	"fz.0002/perfle-8":        "c4a00c7cb1e045a6",
+	"fz.0002/perfle-1":        "c87608f9aafe8865",
+	"fz.0002/perfle-8":        "6e7173c268a334a2",
 	"fz.0002/coresim-sde":     "12f7658042172bd7",
 	"fz.0002/coresim-simics":  "a2a305ab35f75ef4",
 	"fz.0002/sniper-8":        "04a168a762481026",
 	"fz.0002/gem5-nehalem":    "345bee4398daa0ab",
-	"fz.0003/perfle-1":        "af2e62ead5cf7c3b",
-	"fz.0003/perfle-8":        "1f3831469ba1da5a",
+	"fz.0003/perfle-1":        "23e48170d1388771",
+	"fz.0003/perfle-8":        "a680150314a1aa67",
 	"fz.0003/coresim-sde":     "f67a1b7e9d62c15b",
 	"fz.0003/coresim-simics":  "6887438db01f3c2b",
 	"fz.0003/sniper-8":        "3e41ec8d164aef60",
 	"fz.0003/gem5-nehalem":    "e3ba12ecbcb74138",
-	"fz.0004/perfle-1":        "6ddaa5d3bd1df3f7",
-	"fz.0004/perfle-8":        "b41413f1bcdd59f8",
+	"fz.0004/perfle-1":        "cfafcb69c0b384a6",
+	"fz.0004/perfle-8":        "5da7c1c8eb1a620c",
 	"fz.0004/coresim-sde":     "c3159f999668c71a",
 	"fz.0004/coresim-simics":  "ba2ab93d90ba4b40",
 	"fz.0004/sniper-8":        "9c518c7aaebc2cb0",
