@@ -961,9 +961,9 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 	// blk.ins[:i] is the current visit's retired, not yet reported run.
 	onBlock := m.Hooks.OnBlock
 	// The per-instruction tier writes each instruction's trace entry (see
-	// Hooks.Trace); it is cheaper to always write it than to ask whether
-	// anyone reads it. A traced run keeps every instruction on that tier:
-	// no run is long enough to batch, and loop mode is off.
+	// Hooks.Trace) whether or not a tool reads it, so the untraced path
+	// tests no flag there. A traced run keeps every instruction on that
+	// tier: no run is long enough to batch, and loop mode is off.
 	tr := &m.trace
 	minSeg := segMin
 	if m.Hooks.Trace {
@@ -978,7 +978,7 @@ func (m *Machine) execChain(t *Thread, blk *dblock, budget int) (int, bool) {
 		// spent, i == 0), a TLB-head miss mid-body, or the not-taken
 		// backedge (i == last) — so quantum, perf-counter, and side-exit
 		// semantics are exactly those of per-instruction execution.
-		if blk.loop && i == 0 && minSeg == segMin {
+		if blk.loop && i == 0 && minSeg == segMin { // not under a trace
 			if iters := (budget - ran) / len(blk.ins); iters > 0 {
 				var w int
 				i, flags, w = runSeg(blk.ins, 0, len(blk.ins)-1, iters,

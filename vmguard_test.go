@@ -343,9 +343,9 @@ func timingDigest(t *testing.T, v any) string {
 // through the uarch driver, so its results depend only on the retired
 // instruction stream. perfle's hardware model (1 and 8 cores), CoreSim (SDE
 // and Simics front-ends), Sniper (8 Gainestown cores) and gem5 (Nehalem SE)
-// must report identical results on the default engine — the hooked step
-// reading the block cache's decoded pages — and on the pure fetch/decode
-// interpreter, across single- and multi-threaded, self-modifying and
+// must report identical results on the default engine — the chained core
+// with its run trace, or for gem5, whose vector check may Close, the plain
+// interpreter — and on the pure fetch/decode interpreter, across single- and multi-threaded, self-modifying and
 // generated programs; and all must match the recorded golden digests.
 func TestTimingSameOnEveryEngine(t *testing.T) {
 	type input struct {
