@@ -101,37 +101,24 @@ func (v Val) IsConst() (uint64, bool) {
 	return 0, false
 }
 
-// kbSum is bit-serial known-bits addition of a+b with the given initial
-// carry: a sum bit is known when both summand bits and the incoming carry
-// are; the carry-out is known whenever two of the three inputs to the full
-// adder are known and agree (so knowledge recovers across known-zero runs).
-func kbSum(aK, aB, bK, bB uint64, c uint64) (uint64, uint64) {
-	var resK, resB uint64
-	cK, cV := true, c&1
-	for i := uint(0); i < 64; i++ {
-		ak, av := aK>>i&1 == 1, aB>>i&1
-		bk, bv := bK>>i&1 == 1, bB>>i&1
-		if ak && bk && cK {
-			resK |= 1 << i
-			resB |= (av ^ bv ^ cV) << i
-		}
-		switch {
-		case ak && bk && av == bv:
-			cK, cV = true, av
-		case ak && cK && av == cV:
-			cK, cV = true, av
-		case bk && cK && bv == cV:
-			cK, cV = true, bv
-		default:
-			cK = false
-		}
-	}
-	return resK, resB
+// kbAdd is known-bits addition of a+b plus the known carry-in c (0 or 1),
+// a word at a time: the tristate-number addition of the Linux BPF verifier
+// (tnum_add). sv is the sum with every unknown bit taken as 0, and sv plus
+// both unknown masks the sum with every unknown bit taken as 1; a sum bit
+// is known where the two agree and neither summand bit is unknown.
+// Vishwanathan et al. (CGO 2022) prove it sound and maximally precise, so
+// it gives the bit-serial full-adder result, in which a carry is known
+// whenever two of a full adder's three inputs are known and agree.
+func kbAdd(aK, aB, bK, bB, c uint64) (known, kbits uint64) {
+	am, bm := ^aK, ^bK
+	sv := aB&aK + bB&bK + c
+	mu := ((sv + am + bm) ^ sv) | am | bm
+	return ^mu, sv &^ mu
 }
 
 // Add abstracts 64-bit wrapping addition.
 func (v Val) Add(o Val) Val {
-	known, kbits := kbSum(v.Known, v.Bits, o.Known, o.Bits, 0)
+	known, kbits := kbAdd(v.Known, v.Bits, o.Known, o.Bits, 0)
 	lo, cl := bits.Add64(v.Lo, o.Lo, 0)
 	hi, ch := bits.Add64(v.Hi, o.Hi, 0)
 	if cl != ch {
@@ -148,7 +135,7 @@ func (v Val) AddConst(c uint64) Val { return v.Add(Const(c)) }
 
 // Sub abstracts 64-bit wrapping subtraction (via a + ^b + 1).
 func (v Val) Sub(o Val) Val {
-	known, kbits := kbSum(v.Known, v.Bits, o.Known, ^o.Bits&o.Known, 1)
+	known, kbits := kbAdd(v.Known, v.Bits, o.Known, ^o.Bits&o.Known, 1)
 	lo, bl := bits.Sub64(v.Lo, o.Hi, 0)
 	hi, bh := bits.Sub64(v.Hi, o.Lo, 0)
 	if bl != bh {
