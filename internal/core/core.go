@@ -7,7 +7,9 @@
 // converter:
 //
 //   - maps every captured memory extent to an ELF section pinned at its
-//     original virtual address (Fig. 3);
+//     original virtual address (Fig. 3); an all-zero extent that is
+//     neither executable nor live stack becomes SHT_NOBITS, so the file
+//     holds no bytes for it and the loader maps it zero-filled;
 //   - marks checkpointed stack pages non-loadable and generates startup code
 //     that remaps them over the loader-created stack, solving the
 //     stack-collision problem (Fig. 4/5);

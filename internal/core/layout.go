@@ -195,20 +195,29 @@ func sectionFlags(prot int) uint64 {
 }
 
 // buildPinballObject creates the ELFie object file: one section per captured
-// memory extent, stack extents duplicated into staging sections, the thread
-// context block, and the startup stacks.
+// memory extent (SHT_NOBITS for an all-zero one that is neither executable
+// nor live stack), stack extents duplicated into staging sections, the
+// thread context block, and the startup stacks.
 func buildPinballObject(pb *pinball.Pinball, lay *layout) *elfobj.File {
 	obj := elfobj.NewObject()
 	idx := 0
 	for _, pg := range lay.textPages {
-		name := sectionNameFor(idx, pg.Prot, false)
-		obj.AddSection(&elfobj.Section{
-			Name: name, Type: elfobj.SHTProgbits, Flags: sectionFlags(pg.Prot),
-			Addralign: mem.PageSize, Data: pg.Data,
-		})
+		sec := &elfobj.Section{
+			Name: sectionNameFor(idx, pg.Prot, false), Type: elfobj.SHTProgbits,
+			Flags: sectionFlags(pg.Prot), Addralign: mem.PageSize, Data: pg.Data,
+		}
+		// The static verifier decodes executable extents, so they keep
+		// their bytes.
+		if pg.Prot&mem.ProtExec == 0 {
+			omitZeros(sec)
+		}
+		obj.AddSection(sec)
 		idx++
 	}
 	for si, pg := range lay.stackPages {
+		// Both copies of a live stack keep their bytes even when zero: the
+		// startup code copies the staging one, and a NOBITS section there
+		// would change the instructions that run before the ROI marker.
 		// The true-address copy: present in the file, not loaded.
 		obj.AddSection(&elfobj.Section{
 			Name: sectionNameFor(idx, pg.Prot, true), Type: elfobj.SHTProgbits,
@@ -225,10 +234,10 @@ func buildPinballObject(pb *pinball.Pinball, lay *layout) *elfobj.File {
 	for di, pg := range lay.deadPages {
 		// Dead stack space: kept in the file for fidelity, never loaded;
 		// the startup maps the range zero.
-		obj.AddSection(&elfobj.Section{
+		obj.AddSection(omitZeros(&elfobj.Section{
 			Name: fmt.Sprintf(".stack.dead.p%d", di), Type: elfobj.SHTProgbits,
 			Flags: sectionFlags(pg.Prot), Addralign: mem.PageSize, Data: pg.Data,
-		})
+		}))
 	}
 
 	// Thread contexts.
@@ -255,6 +264,17 @@ func buildPinballObject(pb *pinball.Pinball, lay *layout) *elfobj.File {
 		Size: lay.stackSecSize,
 	})
 	return obj
+}
+
+// omitZeros turns an all-zero section into SHT_NOBITS with the same name,
+// flags, address and size, as ELF carries .bss: its segment then has
+// Filesz 0, and the loader maps the range zero-filled without the file
+// holding its bytes.
+func omitZeros(sec *elfobj.Section) *elfobj.Section {
+	if pinball.AllZero(sec.Data) {
+		sec.Type, sec.Size, sec.Data = elfobj.SHTNobits, uint64(len(sec.Data)), nil
+	}
+	return sec
 }
 
 // packContext serializes one thread's register state in the ctx layout.

@@ -13,6 +13,9 @@ var fuzzMembers = []string{
 	".global.log", ".text", ".0.reg", ".1.reg", ".sel", ".race",
 }
 
+// fuzzImageLimit is the image bound FuzzPinballRead parses .text with.
+const fuzzImageLimit = 16 << 20
+
 // FuzzPinballRead corrupts one file of a valid pinball — truncation or a
 // bit-flip at an arbitrary position — and asserts that Read never panics and
 // fails only through the typed error taxonomy. Reading corrupt checkpoints
@@ -36,6 +39,13 @@ func FuzzPinballRead(f *testing.F) {
 	f.Add(uint8(2), uint32(5), uint8(7), false)  // flip a .reg value bit
 	f.Add(uint8(4), uint32(0), uint8(0), true)   // empty the .sel file
 	f.Add(uint8(5), uint32(11), uint8(1), false) // flip a .race schedule bit
+	// The sample's .text opens with a two-page zero run (header bytes
+	// 0-19, no data) followed by a data record (header bytes 20-39).
+	f.Add(uint8(1), uint32(16), uint8(0), false) // clear the zero-run flag
+	f.Add(uint8(1), uint32(9), uint8(4), false)  // grow the zero run by a page
+	f.Add(uint8(1), uint32(8), uint8(3), false)  // zero run off a page multiple
+	f.Add(uint8(1), uint32(36), uint8(1), false) // data record as a continuation
+	f.Add(uint8(1), uint32(18), uint8(0), true)  // cut the zero-run header short
 
 	f.Fuzz(func(t *testing.T, fileSel uint8, pos uint32, bit uint8, truncate bool) {
 		suffix := fuzzMembers[int(fileSel)%len(fuzzMembers)]
@@ -63,6 +73,21 @@ func FuzzPinballRead(f *testing.F) {
 			}
 			if err := os.WriteFile(filepath.Join(dir, "sample"+s), data, 0o644); err != nil {
 				t.Fatal(err)
+			}
+		}
+
+		if suffix == ".text" {
+			// The manifest catches every change to .text; parse the
+			// corrupted bytes as if their CRC matched too, so the record
+			// checks themselves are fuzzed. The small limit keeps a
+			// flipped zero-run length from allocating much.
+			var p Pinball
+			err := p.loadText(corrupt, FormatVersion, fuzzImageLimit)
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("untyped error from corrupted .text records: %v", err)
+			}
+			if n := p.ImageBytes(); err == nil && n > fuzzImageLimit {
+				t.Fatalf(".text expanded to %d bytes, past the %d limit", n, fuzzImageLimit)
 			}
 		}
 

@@ -13,7 +13,10 @@ import (
 // pinballs still load, flagged Unverified. Version 3 adds mid-run
 // checkpoints: an optional Checkpoint block in the metadata plus a
 // <name>.fs member carrying the kernel filesystem image (see checkpoint.go).
-const FormatVersion = 3
+// Version 4 stores a run of all-zero pages in .text as a record with a
+// length and no bytes (see textRecords); older .text members, whose flags
+// word is always 0, still load.
+const FormatVersion = 4
 
 // maxThreads bounds the thread count accepted from untrusted metadata, so a
 // corrupt global.log cannot drive huge allocations or file scans.

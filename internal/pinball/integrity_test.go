@@ -123,7 +123,11 @@ func TestLegacyPinballLoadsUnverified(t *testing.T) {
 	if err := pb.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the manifest, as a version-1 writer would have produced.
+	// Strip the manifest and store every byte of the memory image, as a
+	// version-1 writer would have produced.
+	if err := os.WriteFile(filepath.Join(dir, "sample.text"), v3Text(pb.Pages), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "sample.global.log")
 	var meta Meta
 	data, _ := os.ReadFile(path)

@@ -32,6 +32,7 @@ import (
 
 	"elfie/internal/fault"
 	"elfie/internal/isa"
+	"elfie/internal/mem"
 	"elfie/internal/vm"
 )
 
@@ -228,23 +229,111 @@ func (p *Pinball) Save(dir string) error {
 	return nil
 }
 
+// .text record layout: a 20-byte header (address, length, protection,
+// flags; little-endian) and then, unless the record is a zero run, length
+// bytes of data. Records appear in extent order.
+const textHeader = 20
+
+// Record flags, the header's last word (format version 4+; always 0
+// before).
+const (
+	// recZero marks a run of all-zero pages: length counts those bytes, a
+	// positive multiple of the page size, and none of them follow.
+	recZero = 1 << 0
+	// recCont marks a record that continues the previous record's extent,
+	// at the address where it ended and with its protection, instead of
+	// starting a new extent.
+	recCont  = 1 << 1
+	recFlags = recZero | recCont
+)
+
+// maxImageBytes bounds the memory image a .text member may describe, so
+// a corrupt zero-run length cannot drive a huge allocation. The largest
+// workload image in the corpus is about 18 MB.
+const maxImageBytes = 1 << 30
+
+var zeroPage [mem.PageSize]byte
+
+// AllZero reports whether b holds only zero bytes. It compares b against
+// a zero page a page at a time, which is the one zero test both artifact
+// formats use.
+func AllZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
+}
+
+// textRecord is one record of the .text member; data is the stretch of
+// the extent it covers, which a zero run does not write.
+type textRecord struct {
+	addr  uint64
+	prot  int
+	flags uint32
+	data  []byte
+}
+
+// zeroPageAt reports whether data holds a whole all-zero page at off.
+func zeroPageAt(data []byte, off int) bool {
+	return off+mem.PageSize <= len(data) && AllZero(data[off:off+mem.PageSize])
+}
+
+// textRecords splits every extent at page boundaries (counted from its
+// start) into maximal runs of zero pages and of other bytes, one record
+// per run. An extent's first record starts it and the rest continue it,
+// so a reader rebuilds the extent list exactly, adjacent extents that
+// were never merged included. A short final page is stored as data; an
+// empty extent is one empty data record.
+func (p *Pinball) textRecords() []textRecord {
+	var recs []textRecord
+	for _, pg := range p.Pages {
+		if len(pg.Data) == 0 {
+			recs = append(recs, textRecord{addr: pg.Addr, prot: pg.Prot})
+			continue
+		}
+		var cont uint32
+		for off := 0; off < len(pg.Data); {
+			zero := zeroPageAt(pg.Data, off)
+			end := off
+			for end < len(pg.Data) && zeroPageAt(pg.Data, end) == zero {
+				end = min(end+mem.PageSize, len(pg.Data))
+			}
+			flags := cont
+			if zero {
+				flags |= recZero
+			}
+			recs = append(recs, textRecord{
+				addr: pg.Addr + uint64(off), prot: pg.Prot, flags: flags, data: pg.Data[off:end],
+			})
+			cont, off = recCont, end
+		}
+	}
+	return recs
+}
+
 func (p *Pinball) textBytes() []byte {
-	var w bytes.Buffer
-	n := 0
-	for _, pg := range p.Pages {
-		n += 20 + len(pg.Data)
+	recs := p.textRecords()
+	n := len(recs) * textHeader
+	for _, r := range recs {
+		if r.flags&recZero == 0 {
+			n += len(r.data)
+		}
 	}
-	w.Grow(n)
-	var hdr [20]byte
-	for _, pg := range p.Pages {
-		binary.LittleEndian.PutUint64(hdr[0:], pg.Addr)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(pg.Data)))
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(pg.Prot))
-		binary.LittleEndian.PutUint32(hdr[16:], 0)
-		w.Write(hdr[:])
-		w.Write(pg.Data)
+	out := make([]byte, 0, n)
+	for _, r := range recs {
+		out = binary.LittleEndian.AppendUint64(out, r.addr)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r.data)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(r.prot))
+		out = binary.LittleEndian.AppendUint32(out, r.flags)
+		if r.flags&recZero == 0 {
+			out = append(out, r.data...)
+		}
 	}
-	return w.Bytes()
+	return out
 }
 
 func (p *Pinball) raceBytes() []byte {
@@ -421,7 +510,7 @@ func readFrom(src source, name string, opts ReadOptions) (*Pinball, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.loadText(text); err != nil {
+	if err := p.loadText(text, p.Meta.Version, maxImageBytes); err != nil {
 		return nil, err
 	}
 	p.Regs = make([]isa.RegFile, p.Meta.NumThreads)
@@ -467,21 +556,75 @@ func readFrom(src source, name string, opts ReadOptions) (*Pinball, error) {
 	return p, p.loadRace(race)
 }
 
-func (p *Pinball) loadText(data []byte) error {
+// loadText parses the .text member of a pinball written at format
+// version, refusing an image larger than limit bytes. A first pass checks
+// every header and sizes each extent, so the image is bounded before
+// anything is allocated and each extent's data is allocated once; the
+// second fills it, expanding zero runs.
+func (p *Pinball) loadText(data []byte, version, limit int) error {
+	header := func(off int) (addr uint64, n, prot int, flags uint32) {
+		return binary.LittleEndian.Uint64(data[off:]),
+			int(binary.LittleEndian.Uint32(data[off+8:])),
+			int(binary.LittleEndian.Uint32(data[off+12:])),
+			binary.LittleEndian.Uint32(data[off+16:])
+	}
+	var sizes []int
+	var total int
+	var end uint64
+	var prevProt int
 	for off := 0; off < len(data); {
-		if off+20 > len(data) {
+		if off+textHeader > len(data) {
 			return fmt.Errorf("%w: .text header cut short at offset %d", ErrTruncated, off)
 		}
-		addr := binary.LittleEndian.Uint64(data[off:])
-		n := int(binary.LittleEndian.Uint32(data[off+8:]))
-		prot := int(binary.LittleEndian.Uint32(data[off+12:]))
-		off += 20
-		if off+n > len(data) {
-			return fmt.Errorf("%w: .text data cut short at offset %d", ErrTruncated, off)
+		addr, n, prot, flags := header(off)
+		switch {
+		case flags != 0 && version < 4:
+			return fmt.Errorf("%w: .text record at offset %d has flags %#x in a version-%d pinball",
+				ErrCorrupt, off, flags, version)
+		case flags&^recFlags != 0:
+			return fmt.Errorf("%w: .text record at offset %d has unknown flags %#x", ErrCorrupt, off, flags)
+		case flags&recZero != 0 && (n == 0 || n%mem.PageSize != 0):
+			return fmt.Errorf("%w: .text zero run at offset %d is %d bytes, not a positive page multiple",
+				ErrCorrupt, off, n)
+		case flags&recCont != 0 && (len(sizes) == 0 || addr != end || prot != prevProt):
+			return fmt.Errorf("%w: .text record at offset %d does not continue the extent before it",
+				ErrCorrupt, off)
 		}
-		p.Pages = append(p.Pages, Page{
-			Addr: addr, Prot: prot, Data: append([]byte(nil), data[off:off+n]...),
-		})
+		off += textHeader
+		if flags&recZero == 0 {
+			if off+n > len(data) {
+				return fmt.Errorf("%w: .text data cut short at offset %d", ErrTruncated, off)
+			}
+			off += n
+		}
+		if total += n; total > limit {
+			return fmt.Errorf("%w: .text describes more than %d bytes of memory", ErrCorrupt, limit)
+		}
+		if flags&recCont != 0 {
+			sizes[len(sizes)-1] += n
+		} else {
+			sizes = append(sizes, n)
+		}
+		end, prevProt = addr+uint64(n), prot
+	}
+
+	p.Pages = make([]Page, 0, len(sizes))
+	for off := 0; off < len(data); {
+		addr, n, prot, flags := header(off)
+		off += textHeader
+		if flags&recCont == 0 {
+			pg := Page{Addr: addr, Prot: prot}
+			if size := sizes[len(p.Pages)]; size > 0 {
+				pg.Data = make([]byte, 0, size)
+			}
+			p.Pages = append(p.Pages, pg)
+		}
+		pg := &p.Pages[len(p.Pages)-1]
+		if flags&recZero != 0 {
+			pg.Data = pg.Data[:len(pg.Data)+n] // make zeroed the capacity
+			continue
+		}
+		pg.Data = append(pg.Data, data[off:off+n]...)
 		off += n
 	}
 	return nil
