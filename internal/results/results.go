@@ -125,8 +125,10 @@ type Cell struct {
 	MIPS    Stats    `json:"mips,omitempty"`
 	Seconds Stats    `json:"seconds,omitempty"`
 	PredErr Stats    `json:"pred_err,omitempty"`
-	// Instructions is the retired count of the best (max-MIPS) repeat for
-	// timing cells, or of the first repeat otherwise.
+	// Instructions is the retired count of the first repeat. A fixed
+	// repeat, not the fastest, so a count column does not depend on which
+	// repeat the host happened to run quickest (repeats at different
+	// seeds can retire different counts).
 	Instructions uint64 `json:"instructions,omitempty"`
 	// Extra carries kind-specific scalars (coverage, warmup hit rates,
 	// per-simulator CPIs) without schema churn.
@@ -139,19 +141,15 @@ func (c *Cell) Finalize() {
 		return
 	}
 	var mips, secs, errs []float64
-	best := 0
-	for i, s := range c.Samples {
+	for _, s := range c.Samples {
 		mips = append(mips, s.MIPS)
 		secs = append(secs, s.Seconds)
 		errs = append(errs, s.PredErrPct)
-		if s.MIPS > c.Samples[best].MIPS {
-			best = i
-		}
 	}
 	c.MIPS = Aggregate(mips)
 	c.Seconds = Aggregate(secs)
 	c.PredErr = Aggregate(errs)
-	c.Instructions = c.Samples[best].Instructions
+	c.Instructions = c.Samples[0].Instructions
 }
 
 // Report is the grid's full output: every cell, stamped with schema,

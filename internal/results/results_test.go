@@ -36,7 +36,7 @@ func TestAggregateGolden(t *testing.T) {
 	}
 }
 
-// TestCellFinalize checks that Finalize picks the best repeat's retired
+// TestCellFinalize checks that Finalize takes the first repeat's retired
 // count and aggregates every metric column.
 func TestCellFinalize(t *testing.T) {
 	c := Cell{Samples: []Sample{
@@ -44,14 +44,37 @@ func TestCellFinalize(t *testing.T) {
 		{Instructions: 101, Seconds: 1.0, MIPS: 101, PredErrPct: 2.5},
 	}}
 	c.Finalize()
-	if c.Instructions != 101 {
-		t.Errorf("Instructions = %d, want best repeat's 101", c.Instructions)
+	if c.Instructions != 100 {
+		t.Errorf("Instructions = %d, want first repeat's 100", c.Instructions)
 	}
 	if c.MIPS.Max != 101 || c.MIPS.Min != 50 || c.MIPS.N != 2 {
 		t.Errorf("MIPS stats = %+v", c.MIPS)
 	}
 	if math.Abs(c.PredErr.Mean-0.5) > 1e-12 {
 		t.Errorf("PredErr.Mean = %v, want 0.5", c.PredErr.Mean)
+	}
+}
+
+// TestCellCountIgnoresSpeed: repeats at different seeds can retire
+// different counts (table1-overhead's multi-threaded bwaves ELFie retires
+// 858517, 857153 and 831135 at seeds 1-3). Whichever repeat ran fastest,
+// the count column is the first repeat's.
+func TestCellCountIgnoresSpeed(t *testing.T) {
+	counts := []uint64{858517, 857153, 831135}
+	for fastest := range counts {
+		c := Cell{}
+		for i, n := range counts {
+			mips := 10.0
+			if i == fastest {
+				mips = 20
+			}
+			c.Samples = append(c.Samples, Sample{Instructions: n, Seconds: float64(n) / mips / 1e6, MIPS: mips})
+		}
+		c.Finalize()
+		if c.Instructions != counts[0] {
+			t.Errorf("fastest repeat %d: Instructions = %d, want the first repeat's %d",
+				fastest, c.Instructions, counts[0])
+		}
 	}
 }
 
