@@ -23,6 +23,9 @@ const (
 // behind Table IV's footprint and runtime inflation.
 type kernelStream struct {
 	lcg uint64
+	// ins and dyn hold the current call's instructions and trace entries.
+	ins []isa.DecInst
+	dyn []uint64
 }
 
 func newKernelStream() *kernelStream {
@@ -68,8 +71,13 @@ func (ks *kernelStream) rand() uint64 {
 	return ks.lcg >> 16
 }
 
-// emit feeds one call's synthetic kernel stream into a core. Kernel code
-// paths are hot (small text, predictable branches) but walk data structures
+// kernelRunMax caps the instructions emit feeds in one run, so a long call
+// (a large read) does not grow the run buffers without bound.
+const kernelRunMax = 4096
+
+// emit feeds one call's synthetic kernel stream into a core, in one run
+// unless the call is longer than kernelRunMax. Kernel code paths are hot
+// (small text, predictable branches) but walk data structures
 // sequentially, so each call touches many unique cache lines at moderate
 // cycle cost — interference comes from cache/TLB displacement rather than
 // from the kernel instructions themselves being slow.
@@ -81,30 +89,34 @@ func (ks *kernelStream) emit(core *uarch.OOOCore, num uint64, bytes int) {
 	// parts of their structure space, growing the unique footprint.
 	cursor := dataBase + (ks.rand()%16)*uint64(ws)
 	seq := uint64(0)
-	for i := 0; i < n; i++ {
-		// in is the instruction at pc; dyn is its trace entry.
-		in := isa.DecInst{Next: pc + isa.InstLen}
-		var dyn uint64
-		switch r := ks.rand() % 10; {
-		case r < 3: // sequential kernel structure walk
-			in.Op, in.A, in.B = isa.LDQ, 1, 2
-			dyn = cursor + seq*32%uint64(ws)
-			seq++
-		case r < 4: // kernel store
-			in.Op, in.A, in.B = isa.STQ, 1, 2
-			dyn = cursor + seq*32%uint64(ws)
-		case r < 6: // kernel branch: mostly-taken fast-path checks
-			in.Op = isa.JNZ
-			if ks.rand()%16 != 0 {
-				dyn = 1
+	for left := n; left > 0; left -= len(ks.ins) {
+		ks.ins, ks.dyn = ks.ins[:0], ks.dyn[:0]
+		for range min(left, kernelRunMax) {
+			// in is the instruction at pc; dyn is its trace entry.
+			in := isa.DecInst{Next: pc + isa.InstLen}
+			var dyn uint64
+			switch r := ks.rand() % 10; {
+			case r < 3: // sequential kernel structure walk
+				in.Op, in.A, in.B = isa.LDQ, 1, 2
+				dyn = cursor + seq*32%uint64(ws)
+				seq++
+			case r < 4: // kernel store
+				in.Op, in.A, in.B = isa.STQ, 1, 2
+				dyn = cursor + seq*32%uint64(ws)
+			case r < 6: // kernel branch: mostly-taken fast-path checks
+				in.Op = isa.JNZ
+				if ks.rand()%16 != 0 {
+					dyn = 1
+				}
+				// Short hops within the hot handler text.
+				pc = kernelTextBase + uint64(entry) + (pc+64)%4096
+			default:
+				in.Op, in.A, in.B, in.C = isa.ADD, 1, 2, 3
 			}
-			// Short hops within the hot handler text.
-			pc = kernelTextBase + uint64(entry) + (pc+64)%4096
-		default:
-			in.Op, in.A, in.B, in.C = isa.ADD, 1, 2, 3
+			ks.ins, ks.dyn = append(ks.ins, in), append(ks.dyn, dyn)
+			pc += 8
 		}
-		core.Stats.KernelInstr++
-		core.Consume(&in, dyn)
-		pc += 8
+		core.Stats.KernelInstr += uint64(len(ks.ins))
+		core.Consume(ks.ins, ks.dyn)
 	}
 }

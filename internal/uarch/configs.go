@@ -10,9 +10,7 @@ func GainestownCore() CoreCfg {
 		Name:                "gainestown",
 		DispatchWidth:       4,
 		ROBSize:             128,
-		IQSize:              36,
 		LSQSize:             48,
-		PhysRegs:            128,
 		MispredictPenalty:   17,
 		ALULat:              1,
 		MulLat:              3,
@@ -31,16 +29,14 @@ func NehalemCore() CoreCfg {
 	return c
 }
 
-// HaswellCore is the gem5 case study's larger configuration: bigger ROB,
-// register file and load/store queues, wider dispatch (Table V).
+// HaswellCore is the gem5 case study's larger configuration: bigger ROB
+// and load/store queue, wider dispatch (Table V).
 func HaswellCore() CoreCfg {
 	return CoreCfg{
 		Name:                "haswell",
 		DispatchWidth:       8,
 		ROBSize:             192,
-		IQSize:              60,
 		LSQSize:             72,
-		PhysRegs:            168,
 		MispredictPenalty:   14,
 		ALULat:              1,
 		MulLat:              3,
@@ -58,9 +54,7 @@ func SkylakeCore() CoreCfg {
 		Name:                "skylake",
 		DispatchWidth:       6,
 		ROBSize:             224,
-		IQSize:              97,
 		LSQSize:             128,
-		PhysRegs:            180,
 		MispredictPenalty:   16,
 		ALULat:              1,
 		MulLat:              3,

@@ -7,12 +7,9 @@ type CoreCfg struct {
 	Name string
 	// DispatchWidth is the sustained instructions-per-cycle ceiling.
 	DispatchWidth int
-	// ROB/IQ/LSQ sizes (detailed model only).
+	// ROB and LSQ sizes (detailed model only).
 	ROBSize int
-	IQSize  int
 	LSQSize int
-	// PhysRegs bounds in-flight register writers (detailed model only).
-	PhysRegs int
 	// MispredictPenalty is the pipeline refill cost in cycles.
 	MispredictPenalty int
 	// Latencies.
@@ -53,13 +50,74 @@ func (s *CoreStats) IPC() float64 {
 }
 
 // opTiming is what a core needs to know of an opcode beyond its decoded
-// form: its class, whether it reads or writes data memory (the trace entry
-// is then its address), and whether it is a conditional branch (the trace
-// entry is then its outcome).
+// form: its latency kind, whether it reads or writes data memory (the
+// trace entry is then its address), whether it is a conditional branch
+// (the trace entry is then its outcome), and the register operands the
+// OOO core tracks.
 type opTiming struct {
-	class           isa.Class
+	lat             latKind
 	mem, memR, memW bool
 	cond            bool
+	regs            opRegs
+}
+
+// latKind selects which of a CoreCfg's latencies an opcode executes in.
+type latKind uint8
+
+const (
+	latALU latKind = iota
+	latMul
+	latDiv
+	latVec
+)
+
+// latencies returns cfg's execution latencies indexed by latKind.
+func latencies(cfg *CoreCfg) [4]uint64 {
+	return [4]uint64{latALU: uint64(cfg.ALULat), latMul: uint64(cfg.MulLat),
+		latDiv: uint64(cfg.DivLat), latVec: uint64(cfg.VecLat)}
+}
+
+// opRegs is the set of register operands the OOO core tracks for an
+// opcode: which of its fields (and the stack pointer) it reads, whether it
+// writes field A, whether it sets the flags, and whether the stack engine
+// renames rsp for it.
+type opRegs uint8
+
+const (
+	srcA opRegs = 1 << iota
+	srcB
+	srcC
+	srcRSP
+	dstA
+	setsFlags
+	renamesRSP
+)
+
+// operandRules lists, per set of operands, the opcodes that have them; an
+// opcode's opRegs is the union of the sets it is listed under.
+var operandRules = []struct {
+	regs opRegs
+	ops  []isa.Op
+}{
+	{srcB, []isa.Op{isa.MOV, isa.NOT, isa.NEG, isa.JMPR, isa.CALLR}},
+	{srcB | srcC, []isa.Op{isa.ADD, isa.SUB, isa.MUL, isa.UDIV, isa.SDIV, isa.UREM,
+		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR,
+		isa.LEA1, isa.LEA8, isa.CMP, isa.TEST}},
+	{srcB, []isa.Op{isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
+		isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI, isa.TESTI,
+		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW}},
+	{srcA | srcB, []isa.Op{isa.STB, isa.STH, isa.STW, isa.STQ, isa.XCHG, isa.XADD, isa.CMPXCHG}},
+	{srcA | srcRSP, []isa.Op{isa.PUSH, isa.WRFSBASE, isa.WRGSBASE, isa.XSAVE, isa.XRSTOR, isa.RDTSC}},
+	{srcRSP, []isa.Op{isa.POP, isa.POPF, isa.RET, isa.CALL, isa.PUSHF}},
+	{dstA, []isa.Op{isa.MOV, isa.MOVI, isa.LIMM, isa.ADD, isa.SUB, isa.MUL, isa.UDIV,
+		isa.SDIV, isa.UREM, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
+		isa.SAR, isa.NOT, isa.NEG, isa.ADDI, isa.MULI, isa.ANDI, isa.ORI,
+		isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.LEA1, isa.LEA8,
+		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW,
+		isa.POP, isa.XCHG, isa.XADD, isa.RDTSC, isa.RDFSBASE, isa.RDGSBASE,
+		isa.MOVQV, isa.CPUID}},
+	{setsFlags, []isa.Op{isa.CMP, isa.CMPI, isa.TEST, isa.TESTI, isa.CMPXCHG, isa.POPF}},
+	{renamesRSP, []isa.Op{isa.PUSH, isa.PUSHF, isa.POP, isa.POPF, isa.CALL, isa.CALLR, isa.RET}},
 }
 
 // opTimings is the static per-opcode table the cores time from.
@@ -67,27 +125,28 @@ var opTimings = func() (tab [256]opTiming) {
 	for i := range tab {
 		op := isa.Op(i)
 		r, w := isa.ReadsMem(op), isa.WritesMem(op)
-		tab[i] = opTiming{class: isa.OpClass(op), mem: r || w, memR: r, memW: w, cond: isa.IsCondBranch(op)}
+		lat := latALU
+		switch isa.OpClass(op) {
+		case isa.ClassMul:
+			lat = latMul
+			if op == isa.UDIV || op == isa.SDIV || op == isa.UREM {
+				lat = latDiv
+			}
+		case isa.ClassVec:
+			lat = latVec
+		}
+		tab[i] = opTiming{lat: lat, mem: r || w, memR: r, memW: w, cond: isa.IsCondBranch(op)}
+	}
+	for _, rule := range operandRules {
+		for _, op := range rule.ops {
+			tab[op].regs |= rule.regs
+		}
 	}
 	return tab
 }()
 
-func opLatency(cfg *CoreCfg, class isa.Class, op isa.Op) int {
-	switch class {
-	case isa.ClassMul:
-		if op == isa.UDIV || op == isa.SDIV || op == isa.UREM {
-			return cfg.DivLat
-		}
-		return cfg.MulLat
-	case isa.ClassVec:
-		return cfg.VecLat
-	default:
-		return cfg.ALULat
-	}
-}
-
 // port is one core's private path into the memory system: its TLBs, its
-// own L1I, L1D and L2 by pointer, and the memos of two fast paths that
+// own L1I, L1D and L2 by pointer, and the memos of three fast paths that
 // leave every hit, miss and latency as a full access would.
 //
 // The fetch memo relies on the L1I and the ITLB being touched only by this
@@ -95,8 +154,12 @@ func opLatency(cfg *CoreCfg, class isa.Class, op isa.Op) int {
 // in the previous fetch's L1I line and page is then an MRU hit in both, and
 // only counts an access in each. The data-page memo relies on the DTLB
 // being touched only by this core's data accesses: one in the previous
-// one's page is a DTLB MRU hit. The L1D is not memoised, because another
-// core's write can invalidate a line between two of this core's accesses.
+// one's page is a DTLB MRU hit. With more than one core the L1D is not
+// memoised, because another core's write can invalidate a line between two
+// of this core's accesses. With one core only this core's data accesses
+// touch its L1D, so an access to the MRU line of its set is a hit that only
+// counts an access; the line's footprint bit is already set, since the
+// L1D's lines are no larger than the footprint's.
 type port struct {
 	ITLB, DTLB *TLB
 
@@ -105,6 +168,8 @@ type port struct {
 	l1i, l1d, l2 *Cache
 	l1iLat       int
 	l1dLat       int
+	// l1dMRU enables the one-core L1D fast path.
+	l1dMRU bool
 	// fetchMask keys the fetch memo on the finer of the L1I line and the
 	// TLB page, so one key never spans two lines or two pages.
 	fetchMask uint64
@@ -123,6 +188,7 @@ func newPort(cfg *CoreCfg, hier *Hierarchy, id int) port {
 		l2:        hier.l2[id],
 		l1iLat:    hier.cfg.L1I.LatCycles,
 		l1dLat:    hier.cfg.L1D.LatCycles,
+		l1dMRU:    hier.cores == 1 && hier.l1d[id].shift <= dataLineShift,
 		fetchMask: ^(uint64(1)<<min(hier.l1i[id].shift, pageShift) - 1),
 		// Both keys clear or drop at least one address bit, so neither can
 		// be all ones: the memos start empty.
@@ -131,31 +197,33 @@ func newPort(cfg *CoreCfg, hier *Hierarchy, id int) port {
 	}
 }
 
-// fetchStall times an instruction fetch at pc and returns the cycles it
-// takes beyond an L1I hit, the ITLB walk included. It is kept small enough
-// to inline into Consume (the named result is part of that).
-func (p *port) fetchStall(pc uint64) (stall uint64) {
-	if pc&p.fetchMask != p.fetchKey {
-		return p.fetchNewLine(pc)
-	}
-	p.l1i.Accesses++
-	p.ITLB.Accesses++
-	return
-}
-
-// fetchNewLine is fetchStall's full access, which moves the memo to pc.
-func (p *port) fetchNewLine(pc uint64) uint64 {
-	p.fetchKey = pc & p.fetchMask
+// fetchLine times a fetch at pc outside the fetch memo's key and returns
+// the cycles it takes beyond an L1I hit, the ITLB walk included. The
+// caller moves the memo's key to pc; a fetch under the key counts one
+// access in the L1I and one in the ITLB, and stalls for nothing.
+func (p *port) fetchLine(pc uint64) uint64 {
 	if lat := p.hier.accessCode(p.l1i, p.l2, pc) + p.ITLB.Access(pc); lat > p.l1iLat {
 		return uint64(lat - p.l1iLat)
 	}
 	return 0
 }
 
+// countFetchHits counts n fetches under the fetch memo's key.
+func (p *port) countFetchHits(n uint64) {
+	p.l1i.Accesses += n
+	p.ITLB.Accesses += n
+}
+
 // dataLat times a data access and returns its latency, the DTLB walk
 // included.
 func (p *port) dataLat(addr uint64, write bool) int {
-	lat := p.hier.accessData(p.id, p.l1d, p.l2, addr, write)
+	var lat int
+	if ln := addr >> p.l1d.shift; p.l1dMRU && p.l1d.set(ln)[0] == ln|validBit {
+		p.l1d.Accesses++
+		lat = p.l1dLat
+	} else {
+		lat = p.hier.accessData(p.id, p.l1d, p.l2, addr, write)
+	}
 	if addr>>pageShift != p.dataPage {
 		p.dataPage = addr >> pageShift
 		return lat + p.DTLB.Access(addr)
@@ -173,7 +241,7 @@ type IntervalCore struct {
 	Stats CoreStats
 	port
 
-	dispatched uint64 // fractional-dispatch accumulator (instructions)
+	dispatched uint64 // fractional-dispatch residue (instructions)
 }
 
 // NewIntervalCore builds an interval-model core bound to a hierarchy slot.
@@ -185,41 +253,63 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 	}
 }
 
-// Consume implements Core.
-func (c *IntervalCore) Consume(in *isa.DecInst, dyn uint64) {
-	c.Stats.Instructions++
-	op := &opTimings[in.Op]
-	pc := in.PC()
-	// Base dispatch cost.
-	c.dispatched++
-	if c.dispatched >= uint64(c.Cfg.DispatchWidth) {
-		c.dispatched = 0
-		c.Stats.Cycles++
-	}
-	// Instruction fetch: penalize only on I-side misses past L1.
-	c.Stats.Cycles += c.fetchStall(pc)
-	// Data access: latency beyond L1 stalls the interval (no overlap in
-	// this abstraction — Sniper's ECM would overlap; we fold MLP into a
-	// 50% discount).
-	if op.mem {
-		lat := c.dataLat(dyn, op.memW)
-		if lat > c.l1dLat && op.memR {
-			stall := uint64(lat-c.l1dLat) / 2
-			c.Stats.Cycles += stall
-			c.Stats.LoadStalls += stall
+// Consume implements Core. The run's state lives in locals and is written
+// back once at its end.
+func (c *IntervalCore) Consume(ins []isa.DecInst, dyn []uint64) {
+	dyn = dyn[:len(ins)]
+	p := &c.port
+	lats := latencies(&c.Cfg)
+	aluLat, l1dLat := lats[latALU], uint64(p.l1dLat)
+	penalty := uint64(c.Cfg.MispredictPenalty)
+	cycles, loadStalls, branchStalls := c.Stats.Cycles, c.Stats.LoadStalls, c.Stats.BranchStalls
+	fetchMask, fetchKey := p.fetchMask, p.fetchKey
+	bp := c.BP.run()
+	var fetchHits uint64
+	for j := range ins {
+		in := &ins[j]
+		op := &opTimings[in.Op]
+		pc := in.PC()
+		// Instruction fetch: penalize only on I-side misses past L1.
+		if pc&fetchMask == fetchKey {
+			fetchHits++
+		} else {
+			fetchKey = pc & fetchMask
+			cycles += p.fetchLine(pc)
+		}
+		// Data access: latency beyond L1 stalls the interval (no overlap in
+		// this abstraction — Sniper's ECM would overlap; we fold MLP into a
+		// 50% discount).
+		if op.mem {
+			if lat := uint64(p.dataLat(dyn[j], op.memW)); lat > l1dLat && op.memR {
+				stall := (lat - l1dLat) / 2
+				cycles += stall
+				loadStalls += stall
+			}
+		}
+		// Long-latency ops partially serialize.
+		if lat := lats[op.lat]; lat > aluLat {
+			cycles += (lat - aluLat) / 2
+		}
+		// Branch resolution.
+		if op.cond && !bp.predict(pc, dyn[j] != 0) {
+			cycles += penalty
+			branchStalls += penalty
 		}
 	}
-	// Long-latency ops partially serialize.
-	if lat := opLatency(&c.Cfg, op.class, in.Op); lat > c.Cfg.ALULat {
-		c.Stats.Cycles += uint64(lat-c.Cfg.ALULat) / 2
+	// Base dispatch cost: a cycle per DispatchWidth instructions, the
+	// residue carried across runs (a width of zero dispatches one).
+	width := uint64(c.Cfg.DispatchWidth)
+	if width == 0 {
+		width = 1
 	}
-	// Branch resolution.
-	if op.cond {
-		if !c.BP.Predict(pc, dyn != 0) {
-			c.Stats.Cycles += uint64(c.Cfg.MispredictPenalty)
-			c.Stats.BranchStalls += uint64(c.Cfg.MispredictPenalty)
-		}
-	}
+	d := c.dispatched + uint64(len(ins))
+	c.dispatched = d % width
+	c.Stats.Cycles = cycles + d/width
+	c.Stats.Instructions += uint64(len(ins))
+	c.Stats.LoadStalls, c.Stats.BranchStalls = loadStalls, branchStalls
+	p.fetchKey = fetchKey
+	p.countFetchHits(fetchHits)
+	c.BP.finish(bp)
 }
 
 // Finish returns the core's stats; an interval core has no pipeline to
@@ -228,7 +318,7 @@ func (c *IntervalCore) Finish() *CoreStats { return &c.Stats }
 
 // OOOCore is the detailed out-of-order scoreboard model used by the
 // CoreSim- and gem5-style simulators: register dependences through a rename
-// table, bounded ROB/IQ/LSQ occupancy, in-order retirement at
+// table, bounded ROB and LSQ occupancy, in-order retirement at
 // DispatchWidth per cycle.
 type OOOCore struct {
 	Cfg   CoreCfg
@@ -241,8 +331,10 @@ type OOOCore struct {
 	flagReady uint64
 	// rob holds completion cycles of in-flight instructions (FIFO).
 	rob []uint64
-	// lsq holds completion cycles of in-flight memory ops.
-	lsq []uint64
+	// lsq holds completion cycles of in-flight memory ops; none of them
+	// completes before lsqMin.
+	lsq    []uint64
+	lsqMin uint64
 	// robBuf and lsqBuf are the arrays rob and lsq are windows of (see
 	// push).
 	robBuf, lsqBuf []uint64
@@ -277,173 +369,158 @@ func push(q, buf []uint64, v uint64) []uint64 {
 	return append(q, v)
 }
 
-// drainTo advances the clock until the ROB has room, retiring completed
-// instructions in order at DispatchWidth per cycle.
-func (c *OOOCore) drainTo(occupancy int) {
-	for len(c.rob) > occupancy {
-		head := c.rob[0]
-		if head > c.clock {
-			c.clock = head
-			c.retireBudget = c.Cfg.DispatchWidth
+// retire pops completed instructions off the ROB in order, at width per
+// cycle, until at most occupancy remain, advancing the clock as it goes.
+func retire(rob []uint64, clock uint64, budget, width, occupancy int) ([]uint64, uint64, int) {
+	for len(rob) > occupancy {
+		if head := rob[0]; head > clock {
+			clock = head
+			budget = width
 		}
-		if c.retireBudget == 0 {
-			c.clock++
-			c.retireBudget = c.Cfg.DispatchWidth
+		if budget == 0 {
+			clock++
+			budget = width
 		}
-		c.rob = c.rob[1:]
-		c.retireBudget--
+		rob = rob[1:]
+		budget--
 	}
+	return rob, clock, budget
 }
 
-// srcRegs returns the source registers of an instruction per the field
-// conventions of the ISA.
-func srcRegs(ins *isa.DecInst) (srcs [3]isa.Reg, n int) {
-	op := ins.Op
-	add := func(r uint8) {
-		srcs[n] = isa.Reg(r)
+// Consume implements Core. The run's state lives in locals and is written
+// back once at its end.
+func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
+	if len(ins) == 0 {
+		return
+	}
+	dyn = dyn[:len(ins)]
+	p := &c.port
+	reg := &c.regReady
+	lats := latencies(&c.Cfg)
+	l1dLat := uint64(p.l1dLat)
+	width, robSize, lsqSize := c.Cfg.DispatchWidth, c.Cfg.ROBSize, c.Cfg.LSQSize
+	penalty := uint64(c.Cfg.MispredictPenalty)
+	clock, frontend, budget, flagReady := c.clock, c.frontend, c.retireBudget, c.flagReady
+	rob, lsq, lsqMin := c.rob, c.lsq, c.lsqMin
+	n, branchStalls := c.Stats.Instructions, c.Stats.BranchStalls
+	fetchMask, fetchKey := p.fetchMask, p.fetchKey
+	bp := c.BP.run()
+	var fetchHits uint64
+	for j := range ins {
+		in := &ins[j]
+		op := &opTimings[in.Op]
+		pc := in.PC()
 		n++
-	}
-	switch op {
-	case isa.MOV, isa.NOT, isa.NEG, isa.JMPR, isa.CALLR:
-		add(ins.B)
-	case isa.ADD, isa.SUB, isa.MUL, isa.UDIV, isa.SDIV, isa.UREM,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR,
-		isa.LEA1, isa.LEA8, isa.CMP, isa.TEST:
-		add(ins.B)
-		add(ins.C)
-	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
-		isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI, isa.TESTI,
-		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW:
-		add(ins.B)
-	case isa.STB, isa.STH, isa.STW, isa.STQ, isa.XCHG, isa.XADD, isa.CMPXCHG:
-		add(ins.A)
-		add(ins.B)
-	case isa.PUSH, isa.WRFSBASE, isa.WRGSBASE, isa.XSAVE, isa.XRSTOR, isa.RDTSC:
-		add(ins.A)
-		add(uint8(isa.RSP))
-	case isa.POP, isa.POPF, isa.RET, isa.CALL, isa.PUSHF:
-		add(uint8(isa.RSP))
-	}
-	return srcs, n
-}
 
-// dstReg returns the destination register, or -1.
-func dstReg(ins *isa.DecInst) int {
-	switch ins.Op {
-	case isa.MOV, isa.MOVI, isa.LIMM, isa.ADD, isa.SUB, isa.MUL, isa.UDIV,
-		isa.SDIV, isa.UREM, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
-		isa.SAR, isa.NOT, isa.NEG, isa.ADDI, isa.MULI, isa.ANDI, isa.ORI,
-		isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.LEA1, isa.LEA8,
-		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW,
-		isa.POP, isa.XCHG, isa.XADD, isa.RDTSC, isa.RDFSBASE, isa.RDGSBASE,
-		isa.MOVQV, isa.CPUID:
-		return int(ins.A)
-	}
-	return -1
-}
-
-// Consume implements Core.
-func (c *OOOCore) Consume(in *isa.DecInst, dyn uint64) {
-	c.Stats.Instructions++
-	op := &opTimings[in.Op]
-	pc := in.PC()
-
-	// Structural: ROB and LSQ space.
-	c.drainTo(c.Cfg.ROBSize - 1)
-	if op.mem {
-		// Retire LSQ entries that completed.
-		live := c.lsq[:0]
-		for _, done := range c.lsq {
-			if done > c.clock {
-				live = append(live, done)
+		// Structural: ROB and LSQ space.
+		rob, clock, budget = retire(rob, clock, budget, width, robSize-1)
+		if op.mem {
+			// Retire LSQ entries that completed: none has while the
+			// earliest completion lies ahead of the clock.
+			if lsqMin <= clock {
+				live := 0
+				lsqMin = ^uint64(0)
+				for _, done := range lsq {
+					if done > clock {
+						lsq[live] = done
+						live++
+						lsqMin = min(lsqMin, done)
+					}
+				}
+				lsq = lsq[:live]
+			}
+			if len(lsq) >= lsqSize {
+				// Oldest memory op gates progress.
+				clock = max(clock, lsq[0])
+				lsq = lsq[1:]
 			}
 		}
-		c.lsq = live
-		if len(c.lsq) >= c.Cfg.LSQSize {
-			// Oldest memory op gates progress.
-			oldest := c.lsq[0]
-			if oldest > c.clock {
-				c.clock = oldest
-			}
-			c.lsq = c.lsq[1:]
-		}
-	}
 
-	// Fetch: the front end delivers DispatchWidth per cycle; I-cache misses
-	// push it out.
-	issue := max(c.clock, c.frontend)
-	if stall := c.fetchStall(pc); stall > 0 {
-		c.frontend = issue + stall
-		issue = c.frontend
-	}
-
-	// Dependences.
-	srcs, n := srcRegs(in)
-	for i := 0; i < n; i++ {
-		if r := c.regReady[srcs[i]]; r > issue {
-			issue = r
-		}
-	}
-	if op.cond && c.flagReady > issue {
-		issue = c.flagReady
-	}
-
-	// Execution latency.
-	lat := uint64(opLatency(&c.Cfg, op.class, in.Op))
-	if op.mem {
-		mlat := c.dataLat(dyn, op.memW)
-		if op.memR {
-			lat += uint64(mlat)
+		// Fetch: the front end delivers DispatchWidth per cycle; I-cache
+		// misses push it out.
+		issue := max(clock, frontend)
+		if pc&fetchMask == fetchKey {
+			fetchHits++
 		} else {
-			lat += uint64(c.l1dLat) // stores complete at L1
-		}
-	}
-	done := issue + lat
-
-	// Writeback.
-	if dst := dstReg(in); dst >= 0 {
-		c.regReady[dst] = done
-	}
-	switch in.Op {
-	case isa.CMP, isa.CMPI, isa.TEST, isa.TESTI, isa.CMPXCHG:
-		c.flagReady = done
-	case isa.POPF:
-		c.flagReady = done
-	}
-	switch in.Op {
-	case isa.PUSH, isa.PUSHF, isa.POP, isa.POPF, isa.CALL, isa.CALLR, isa.RET:
-		c.regReady[isa.RSP] = issue + 1 // stack engine renames rsp cheaply
-	}
-
-	// Branch resolution: a mispredict stalls the front end until resolve +
-	// refill.
-	if op.cond {
-		if !c.BP.Predict(pc, dyn != 0) {
-			refill := done + uint64(c.Cfg.MispredictPenalty)
-			if refill > c.frontend {
-				c.frontend = refill
+			fetchKey = pc & fetchMask
+			if stall := p.fetchLine(pc); stall > 0 {
+				frontend = issue + stall
+				issue = frontend
 			}
-			c.Stats.BranchStalls += uint64(c.Cfg.MispredictPenalty)
+		}
+
+		// Dependences.
+		regs := op.regs
+		if regs&srcA != 0 {
+			issue = max(issue, reg[in.A&(isa.NumGPR-1)])
+		}
+		if regs&srcB != 0 {
+			issue = max(issue, reg[in.B&(isa.NumGPR-1)])
+		}
+		if regs&srcC != 0 {
+			issue = max(issue, reg[in.C&(isa.NumGPR-1)])
+		}
+		if regs&srcRSP != 0 {
+			issue = max(issue, reg[isa.RSP])
+		}
+		if op.cond {
+			issue = max(issue, flagReady)
+		}
+
+		// Execution latency.
+		lat := lats[op.lat]
+		if op.mem {
+			mlat := p.dataLat(dyn[j], op.memW)
+			if op.memR {
+				lat += uint64(mlat)
+			} else {
+				lat += l1dLat // stores complete at L1
+			}
+		}
+		done := issue + lat
+
+		// Writeback.
+		if regs&dstA != 0 {
+			reg[in.A&(isa.NumGPR-1)] = done
+		}
+		if regs&setsFlags != 0 {
+			flagReady = done
+		}
+		if regs&renamesRSP != 0 {
+			reg[isa.RSP] = issue + 1 // stack engine renames rsp cheaply
+		}
+
+		// Branch resolution: a mispredict stalls the front end until
+		// resolve + refill.
+		if op.cond && !bp.predict(pc, dyn[j] != 0) {
+			frontend = max(frontend, done+penalty)
+			branchStalls += penalty
+		}
+
+		rob = push(rob, c.robBuf, done)
+		if op.mem {
+			lsq = push(lsq, c.lsqBuf, done)
+			lsqMin = min(lsqMin, done)
+		}
+
+		// Dispatch cost: at most DispatchWidth per cycle.
+		if budget--; budget <= 0 {
+			clock++
+			budget = width
+		}
+		if n%1024 == 0 {
+			// Periodically settle the clock against the ROB head so Cycles
+			// tracks retirement, not just dispatch.
+			rob, clock, budget = retire(rob, clock, budget, width, robSize/2)
 		}
 	}
-
-	c.rob = push(c.rob, c.robBuf, done)
-	if op.mem {
-		c.lsq = push(c.lsq, c.lsqBuf, done)
-	}
-
-	// Dispatch cost: at most DispatchWidth per cycle.
-	c.retireBudget--
-	if c.retireBudget <= 0 {
-		c.clock++
-		c.retireBudget = c.Cfg.DispatchWidth
-	}
-	if c.Stats.Instructions%1024 == 0 {
-		// Periodically settle the clock against the ROB head so Cycles
-		// tracks retirement, not just dispatch.
-		c.drainTo(c.Cfg.ROBSize / 2)
-	}
+	c.clock, c.frontend, c.retireBudget, c.flagReady = clock, frontend, budget, flagReady
+	c.rob, c.lsq, c.lsqMin = rob, lsq, lsqMin
+	c.Stats.Instructions, c.Stats.BranchStalls = n, branchStalls
 	c.Stats.Cycles = c.currentCycles()
+	p.fetchKey = fetchKey
+	p.countFetchHits(fetchHits)
+	c.BP.finish(bp)
 }
 
 // currentCycles reports the clock including outstanding completion.
@@ -457,7 +534,7 @@ func (c *OOOCore) currentCycles() uint64 {
 
 // Finish drains the pipeline and returns final stats.
 func (c *OOOCore) Finish() *CoreStats {
-	c.drainTo(0)
+	c.rob, c.clock, c.retireBudget = retire(c.rob, c.clock, c.retireBudget, c.Cfg.DispatchWidth, 0)
 	if c.clock > c.Stats.Cycles {
 		c.Stats.Cycles = c.clock
 	}

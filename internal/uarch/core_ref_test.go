@@ -11,12 +11,15 @@ import (
 )
 
 // This file checks IntervalCore and OOOCore against reference copies of
-// their Consume bodies as they were before the fetch and data-page memos
-// and the direct cache pointers: every fetch and data access goes through
-// the hierarchy by core index and through the TLB in full. The memos are
-// contractually cycle-identical, so every hit, miss and cycle must match.
-// The reference cores also read their input as the cores once did: a
-// per-instruction record, not a decoded instruction and its trace entry.
+// their Consume bodies as they were before the fetch, data-page and L1D
+// memos, the direct cache pointers, the run loops and the operand table:
+// every fetch and data access goes through the hierarchy by core index and
+// through the TLB in full, and the OOO core reads its operands from the
+// switch statements the table was built from. The memos and run loops are
+// contractually cycle-identical, so every hit, miss and cycle must match,
+// wherever the stream is cut into runs. The reference cores also read
+// their input as the cores once did: one per-instruction record at a time,
+// not a run of decoded instructions and their trace entries.
 
 // refInst is one instruction as the reference cores read it.
 type refInst struct {
@@ -34,6 +37,131 @@ func (d *refInst) decoded() (isa.DecInst, uint64) {
 		dyn = 1
 	}
 	return d.Ins.Predecode(d.PC), dyn
+}
+
+// refOpLatency is the execution latency rule the latency kinds of
+// opTimings were built from.
+func refOpLatency(cfg *CoreCfg, class isa.Class, op isa.Op) int {
+	switch class {
+	case isa.ClassMul:
+		if op == isa.UDIV || op == isa.SDIV || op == isa.UREM {
+			return cfg.DivLat
+		}
+		return cfg.MulLat
+	case isa.ClassVec:
+		return cfg.VecLat
+	default:
+		return cfg.ALULat
+	}
+}
+
+// refSrcRegs returns the source registers of an instruction per the field
+// conventions of the ISA: the rule opTimings' source operands were built
+// from.
+func refSrcRegs(ins *isa.DecInst) (srcs [3]isa.Reg, n int) {
+	op := ins.Op
+	add := func(r uint8) {
+		srcs[n] = isa.Reg(r)
+		n++
+	}
+	switch op {
+	case isa.MOV, isa.NOT, isa.NEG, isa.JMPR, isa.CALLR:
+		add(ins.B)
+	case isa.ADD, isa.SUB, isa.MUL, isa.UDIV, isa.SDIV, isa.UREM,
+		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.SAR,
+		isa.LEA1, isa.LEA8, isa.CMP, isa.TEST:
+		add(ins.B)
+		add(ins.C)
+	case isa.ADDI, isa.MULI, isa.ANDI, isa.ORI, isa.XORI,
+		isa.SHLI, isa.SHRI, isa.SARI, isa.CMPI, isa.TESTI,
+		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW:
+		add(ins.B)
+	case isa.STB, isa.STH, isa.STW, isa.STQ, isa.XCHG, isa.XADD, isa.CMPXCHG:
+		add(ins.A)
+		add(ins.B)
+	case isa.PUSH, isa.WRFSBASE, isa.WRGSBASE, isa.XSAVE, isa.XRSTOR, isa.RDTSC:
+		add(ins.A)
+		add(uint8(isa.RSP))
+	case isa.POP, isa.POPF, isa.RET, isa.CALL, isa.PUSHF:
+		add(uint8(isa.RSP))
+	}
+	return srcs, n
+}
+
+// refDstReg returns the destination register, or -1: the rule opTimings'
+// destination operand was built from.
+func refDstReg(ins *isa.DecInst) int {
+	switch ins.Op {
+	case isa.MOV, isa.MOVI, isa.LIMM, isa.ADD, isa.SUB, isa.MUL, isa.UDIV,
+		isa.SDIV, isa.UREM, isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
+		isa.SAR, isa.NOT, isa.NEG, isa.ADDI, isa.MULI, isa.ANDI, isa.ORI,
+		isa.XORI, isa.SHLI, isa.SHRI, isa.SARI, isa.LEA1, isa.LEA8,
+		isa.LDB, isa.LDH, isa.LDW, isa.LDQ, isa.LDSB, isa.LDSH, isa.LDSW,
+		isa.POP, isa.XCHG, isa.XADD, isa.RDTSC, isa.RDFSBASE, isa.RDGSBASE,
+		isa.MOVQV, isa.CPUID:
+		return int(ins.A)
+	}
+	return -1
+}
+
+// refSetsFlags and refRenamesRSP are the flag-writer and stack-engine
+// rules opTimings was built from.
+func refSetsFlags(op isa.Op) bool {
+	switch op {
+	case isa.CMP, isa.CMPI, isa.TEST, isa.TESTI, isa.CMPXCHG:
+		return true
+	case isa.POPF:
+		return true
+	}
+	return false
+}
+
+func refRenamesRSP(op isa.Op) bool {
+	switch op {
+	case isa.PUSH, isa.PUSHF, isa.POP, isa.POPF, isa.CALL, isa.CALLR, isa.RET:
+		return true
+	}
+	return false
+}
+
+// TestOperandTableMatchesSwitch checks every opcode's row of opTimings
+// against the switch statements it replaced: the sources, the
+// destination, the flag write, the rsp rename and the latency.
+func TestOperandTableMatchesSwitch(t *testing.T) {
+	cfg := CoreCfg{ALULat: 1, MulLat: 3, DivLat: 20, VecLat: 7}
+	lats := latencies(&cfg)
+	for i := 0; i < 256; i++ {
+		op := isa.Op(i)
+		in := isa.DecInst{Op: op, A: 1, B: 2, C: 3}
+		tab := opTimings[op]
+		var got []isa.Reg
+		for _, f := range []struct {
+			bit opRegs
+			r   isa.Reg
+		}{{srcA, 1}, {srcB, 2}, {srcC, 3}, {srcRSP, isa.RSP}} {
+			if tab.regs&f.bit != 0 {
+				got = append(got, f.r)
+			}
+		}
+		srcs, n := refSrcRegs(&in)
+		want := slices.Clone(srcs[:n])
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: sources %v, want %v", op.Name(), got, want)
+		}
+		if dst := refDstReg(&in); (tab.regs&dstA != 0) != (dst >= 0) {
+			t.Errorf("%s: writes A %v, want destination %d", op.Name(), tab.regs&dstA != 0, dst)
+		}
+		if got, want := tab.regs&setsFlags != 0, refSetsFlags(op); got != want {
+			t.Errorf("%s: sets flags %v, want %v", op.Name(), got, want)
+		}
+		if got, want := tab.regs&renamesRSP != 0, refRenamesRSP(op); got != want {
+			t.Errorf("%s: renames rsp %v, want %v", op.Name(), got, want)
+		}
+		if got, want := lats[tab.lat], uint64(refOpLatency(&cfg, isa.OpClass(op), op)); got != want {
+			t.Errorf("%s: latency %d, want %d", op.Name(), got, want)
+		}
+	}
 }
 
 // refIntervalCore is the reference interval core.
@@ -81,7 +209,7 @@ func (c *refIntervalCore) Consume(d *refInst) {
 			c.Stats.LoadStalls += stall
 		}
 	}
-	if lat := opLatency(&c.Cfg, d.Class, d.Ins.Op); lat > c.Cfg.ALULat {
+	if lat := refOpLatency(&c.Cfg, d.Class, d.Ins.Op); lat > c.Cfg.ALULat {
 		c.Stats.Cycles += uint64(lat-c.Cfg.ALULat) / 2
 	}
 	if d.Branch && isa.IsCondBranch(d.Ins.Op) {
@@ -171,7 +299,7 @@ func (c *refOOOCore) Consume(d *refInst) {
 		issue = c.frontend
 	}
 	in := d.Ins.Predecode(d.PC)
-	srcs, n := srcRegs(&in)
+	srcs, n := refSrcRegs(&in)
 	for i := 0; i < n; i++ {
 		if r := c.regReady[srcs[i]]; r > issue {
 			issue = r
@@ -180,7 +308,7 @@ func (c *refOOOCore) Consume(d *refInst) {
 	if isa.IsCondBranch(d.Ins.Op) && c.flagReady > issue {
 		issue = c.flagReady
 	}
-	lat := uint64(opLatency(&c.Cfg, d.Class, d.Ins.Op))
+	lat := uint64(refOpLatency(&c.Cfg, d.Class, d.Ins.Op))
 	if d.MemR || d.MemW {
 		mlat := c.hier.AccessData(c.id, d.MemAddr, d.MemW) + c.DTLB.Access(d.MemAddr)
 		if d.MemR {
@@ -190,7 +318,7 @@ func (c *refOOOCore) Consume(d *refInst) {
 		}
 	}
 	done := issue + lat
-	if dst := dstReg(&in); dst >= 0 {
+	if dst := refDstReg(&in); dst >= 0 {
 		c.regReady[dst] = done
 	}
 	switch d.Ins.Op {
@@ -264,6 +392,7 @@ type coreCounters struct {
 	Invalidations, PrefetchIssue uint64
 	L3Acc, L3Miss                uint64
 	Footprint                    int
+	BPHistory                    uint64
 	OOO                          oooState
 }
 
@@ -279,7 +408,32 @@ func countersOf(st *CoreStats, itlb, dtlb *TLB, bp *BranchPredictor, h *Hierarch
 		Invalidations: h.Invalidations, PrefetchIssue: h.PrefetchIssued,
 		L3Acc: h.L3.Accesses, L3Miss: h.L3.Misses,
 		Footprint: h.FootprintLines(),
+		BPHistory: bp.history,
 	}
+}
+
+// sameReplacementState reports whether two cores' TLBs, private caches and
+// predictor tables hold the same entries in the same recency order.
+func sameReplacementState(itlb, dtlb, ritlb, rdtlb *TLB, bp, rbp *BranchPredictor, h, rh *Hierarchy, id int) bool {
+	return slices.Equal(itlb.entries, ritlb.entries) && slices.Equal(dtlb.entries, rdtlb.entries) &&
+		slices.Equal(h.l1i[id].tags, rh.l1i[id].tags) && slices.Equal(h.l1d[id].tags, rh.l1d[id].tags) &&
+		slices.Equal(h.l2[id].tags, rh.l2[id].tags) && slices.Equal(bp.table, rbp.table)
+}
+
+// memoKeys are a port's memo keys: the fetch memo's and the data page's.
+type memoKeys struct{ fetch, page uint64 }
+
+// superblockLen is the longest run the VM retires at once: its
+// maxSuperLen.
+const superblockLen = 512
+
+// runLength draws the length of the next run a test feeds a core: one in
+// four runs is a single instruction, the rest from 1 up to superblockLen.
+func runLength(rng *rand.Rand) int {
+	if rng.Intn(4) == 0 {
+		return 1
+	}
+	return 1 + rng.Intn(superblockLen)
 }
 
 // streamOps are the opcodes the generated streams draw from: ALU, the
@@ -382,11 +536,15 @@ func (s *dynStream) next() *refInst {
 }
 
 // TestCoresMatchReference feeds generated streams through both timing
-// cores and through their reference copies and requires every CoreStats
-// field, every cache and TLB count, the coherence and prefetch counts,
-// the footprint, the predictor's counts and, for the OOO core, the whole
-// pipeline state (clocks, readiness, ROB and LSQ contents) to match: on 1, 3 and 8 cores,
-// with more threads than cores, and with 32-, 64- and 128-byte L1I lines.
+// cores, in runs of seeded random length (see runLength), and through
+// their reference copies one instruction at a time. After every run it
+// requires every CoreStats field, every cache and TLB count, the
+// coherence and prefetch counts, the footprint, the predictor's counts and
+// history, the recency order of the core's TLBs, private caches and
+// predictor table and, for the OOO core, the whole pipeline state (clocks,
+// readiness, ROB and LSQ contents) to match, and the memo keys to be those
+// of the core's last fetch and last data access: on 1, 3 and 8 cores, with
+// more threads than cores, and with 32-, 64- and 128-byte L1I lines.
 func TestCoresMatchReference(t *testing.T) {
 	n := 40_000
 	if testing.Short() {
@@ -406,30 +564,44 @@ func TestCoresMatchReference(t *testing.T) {
 				}
 				hcfg.L1I.LineBytes = line
 				h, rh := NewHierarchy(hcfg, cores), NewHierarchy(hcfg, cores)
+				fetchMask := newPort(&cfg, h, 0).fetchMask
 				var got []Core
 				var want []refCore
+				// memo[i] is what core i's fetch and data-page memos must
+				// hold: the key of its last fetch and the page of its last
+				// data access.
+				memo := make([]memoKeys, cores)
+				for i := range memo {
+					memo[i] = memoKeys{^uint64(0), ^uint64(0)}
+				}
 				// diff describes how core i differs from its reference, or
 				// is empty when they match.
 				diff := func(i int) string {
 					var g, w coreCounters
-					queues := true
+					var gm memoKeys
+					queues, lru := true, true
 					switch c := got[i].(type) {
 					case *IntervalCore:
 						r := want[i].(*refIntervalCore)
 						g, w = countersOf(&c.Stats, c.ITLB, c.DTLB, c.BP, h, i), countersOf(&r.Stats, r.ITLB, r.DTLB, r.BP, rh, i)
+						lru = sameReplacementState(c.ITLB, c.DTLB, r.ITLB, r.DTLB, c.BP, r.BP, h, rh, i)
+						gm = memoKeys{c.fetchKey, c.dataPage}
 					case *OOOCore:
 						r := want[i].(*refOOOCore)
 						g, w = countersOf(&c.Stats, c.ITLB, c.DTLB, c.BP, h, i), countersOf(&r.Stats, r.ITLB, r.DTLB, r.BP, rh, i)
+						lru = sameReplacementState(c.ITLB, c.DTLB, r.ITLB, r.DTLB, c.BP, r.BP, h, rh, i)
+						gm = memoKeys{c.fetchKey, c.dataPage}
 						g.OOO = oooState{c.clock, c.frontend, c.retireBudget, c.flagReady, c.regReady}
 						w.OOO = oooState{r.clock, r.frontend, r.retireBudget, r.flagReady, r.regReady}
 						if !slices.Equal(c.rob, r.rob) || !slices.Equal(c.lsq, r.lsq) {
 							queues = false
 						}
 					}
-					if g == w && queues {
+					if g == w && queues && lru && gm == memo[i] {
 						return ""
 					}
-					return fmt.Sprintf("\n got %+v\nwant %+v\nqueues match: %v", g, w, queues)
+					return fmt.Sprintf("\n got %+v\nwant %+v\nqueues match: %v, replacement state matches: %v, memo keys %#x, want %#x",
+						g, w, queues, lru, gm, memo[i])
 				}
 				for i := 0; i < cores; i++ {
 					if kind == "ooo" {
@@ -441,10 +613,43 @@ func TestCoresMatchReference(t *testing.T) {
 					}
 				}
 				s := newDynStream(int64(cores*1000+line), cores+2)
+				rng := rand.New(rand.NewSource(int64(cores*1000 + line + 7)))
+				// The pending run: the records of consecutive instructions
+				// for core runCore, up to runLen of them.
+				var run []refInst
+				var runIns []isa.DecInst
+				var runDyn []uint64
+				runCore, runLen, runStart := -1, 0, 0
+				feed := func(next int) {
+					if len(run) == 0 {
+						return
+					}
+					i := runCore
+					got[i].Consume(runIns, runDyn)
+					for k := range run {
+						d := &run[k]
+						want[i].Consume(d)
+						memo[i].fetch = d.PC & fetchMask
+						if d.MemR || d.MemW {
+							memo[i].page = d.MemAddr >> pageShift
+						}
+					}
+					if msg := diff(i); msg != "" {
+						d := &run[0]
+						t.Fatalf("%s: run of %d at instruction %d (tid %d, pc %#x, %s) differs on core %d:%s",
+							name, len(run), runStart, d.TID, d.PC, d.Ins.Op.Name(), i, msg)
+					}
+					run, runIns, runDyn = run[:0], runIns[:0], runDyn[:0]
+					runStart = next
+				}
 				kernel := 0
 				for k := 0; k < n; k++ {
 					d := s.next()
 					i := d.TID % cores
+					if i != runCore || len(run) == runLen {
+						feed(k)
+						runCore, runLen = i, runLength(rng)
+					}
 					if d.Kernel {
 						kernel++
 						switch c := got[i].(type) {
@@ -455,13 +660,9 @@ func TestCoresMatchReference(t *testing.T) {
 						}
 					}
 					in, dyn := d.decoded()
-					got[i].Consume(&in, dyn)
-					want[i].Consume(d)
-					if msg := diff(i); msg != "" {
-						t.Fatalf("%s: instruction %d (tid %d, pc %#x, %s) differs on core %d:%s",
-							name, k, d.TID, d.PC, d.Ins.Op.Name(), i, msg)
-					}
+					run, runIns, runDyn = append(run, *d), append(runIns, in), append(runDyn, dyn)
 				}
+				feed(n)
 				for i := 0; i < cores; i++ {
 					got[i].Finish()
 					want[i].Finish()
@@ -475,5 +676,39 @@ func TestCoresMatchReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCoreConsume times each core type over a cache-resident stream:
+// 8192 instructions from the dynStream generator on one core, cut into
+// runs by runLength and fed once per iteration, as the driver feeds a
+// core. It reports the time per instruction.
+func BenchmarkCoreConsume(b *testing.B) {
+	const n = 1 << 13
+	s, rng := newDynStream(1, 1), rand.New(rand.NewSource(2))
+	ins, dyn := make([]isa.DecInst, n), make([]uint64, n)
+	var ends []int
+	for k := 0; k < n; k++ {
+		ins[k], dyn[k] = s.next().decoded()
+		if len(ends) == 0 || k == ends[len(ends)-1] {
+			ends = append(ends, min(k+runLength(rng), n))
+		}
+	}
+	for _, kind := range []string{"interval", "ooo"} {
+		b.Run(kind, func(b *testing.B) {
+			var c Core = NewIntervalCore(HardwareCore(), NewHierarchy(SmallHierarchy(1), 1), 0)
+			if kind == "ooo" {
+				c = NewOOOCore(SkylakeCore(), NewHierarchy(DesktopHierarchy(1), 1), 0)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				start := 0
+				for _, end := range ends {
+					c.Consume(ins[start:end], dyn[start:end])
+					start = end
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/instr")
+		})
 	}
 }

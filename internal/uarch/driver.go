@@ -7,11 +7,12 @@ import (
 )
 
 // Core is a per-context timing model: IntervalCore or OOOCore. Consume
-// times one retired instruction from its decoded form and its trace entry
-// (see vm.Hooks.Trace): the data address of a memory access, or the
-// outcome of a conditional branch.
+// times a run of retired instructions, in order, from their decoded forms
+// and their trace entries (see vm.Hooks.Trace): dyn[i] is the data address
+// of ins[i]'s memory access, or the outcome of a conditional branch. How a
+// stream is cut into runs changes no count.
 type Core interface {
-	Consume(in *isa.DecInst, dyn uint64)
+	Consume(ins []isa.DecInst, dyn []uint64)
 	Finish() *CoreStats
 }
 
@@ -21,9 +22,9 @@ type Core interface {
 //
 // The driver is an OnBlock pintool that asks for the run trace, so the
 // machine stays on its chained core. Each retired run is timed at once,
-// instruction by instruction, from the run's decoded instructions and
-// their trace entries; an instruction of thread tid goes to core
-// tid % len(Cores).
+// from the run's decoded instructions and their trace entries, by one
+// Consume call per stretch between counted events; thread tid's runs go to
+// core tid % len(Cores).
 //
 // The window opens once: at the start when the start tag is 0, else at an
 // SSCMARK or MAGIC instruction carrying the tag — the instructions every
@@ -37,9 +38,7 @@ type Driver[C Core] struct {
 	startTag  uint32
 	measuring bool
 	closed    bool
-	// feed times ins[i] with dyn[i] on the core thread tid runs on.
-	feed  func(tid int, ins []isa.DecInst, dyn []uint64)
-	after func(in *isa.DecInst)
+	after     func(in *isa.DecInst)
 
 	// countTID is the thread whose windowed instructions count (every
 	// thread's when negative, none when onDue is nil); onDue runs after
@@ -58,40 +57,10 @@ func Attach[C Core](m *vm.Machine, newCore func(CoreCfg, *Hierarchy, int) C,
 	for i := 0; i < n; i++ {
 		d.Cores = append(d.Cores, newCore(cfg, d.Hier, i))
 	}
-	d.feed = feeder(d.Cores)
 	dyn := m.Trace()
 	pin.NewEngine(m).Attach(&pin.Tool{Name: "uarch", Trace: true,
 		OnBlock: func(t *vm.Thread, ins []isa.DecInst, _ int) { d.time(t.TID, ins, dyn) }})
 	return d
-}
-
-// feeder returns the loop that times a stretch of one thread's run. The
-// two core types get loops of their own, whose Consume calls are direct:
-// a call through the generic Core costs a dictionary lookup and an
-// indirect call per instruction.
-func feeder[C Core](cores []C) func(tid int, ins []isa.DecInst, dyn []uint64) {
-	switch cs := any(cores).(type) {
-	case []*IntervalCore:
-		return func(tid int, ins []isa.DecInst, dyn []uint64) {
-			c := cs[tid%len(cs)]
-			for j := range ins {
-				c.Consume(&ins[j], dyn[j])
-			}
-		}
-	case []*OOOCore:
-		return func(tid int, ins []isa.DecInst, dyn []uint64) {
-			c := cs[tid%len(cs)]
-			for j := range ins {
-				c.Consume(&ins[j], dyn[j])
-			}
-		}
-	}
-	return func(tid int, ins []isa.DecInst, dyn []uint64) {
-		c := cores[tid%len(cores)]
-		for j := range ins {
-			c.Consume(&ins[j], dyn[j])
-		}
-	}
 }
 
 // time times thread tid's retired run ins, whose trace is dyn[:len(ins)].
@@ -122,7 +91,7 @@ func (d *Driver[C]) time(tid int, ins []isa.DecInst, dyn []uint64) {
 		if counted && d.due-d.count < uint64(end-j) {
 			end = j + int(d.due-d.count)
 		}
-		d.feed(tid, ins[j:end], dyn[j:end])
+		d.Core(tid).Consume(ins[j:end], dyn[j:end])
 		if counted {
 			if d.count += uint64(end - j); d.count >= d.due {
 				d.due = d.onDue(tid)

@@ -55,7 +55,7 @@ func attachHooked[C uarch.Core](m *vm.Machine, newCore func(uarch.CoreCfg, *uarc
 		if isa.IsCondBranch(r.Ins.Op) && r.Taken {
 			dyn = 1
 		}
-		d.cores[t.TID%n].Consume(&in, dyn)
+		d.cores[t.TID%n].Consume([]isa.DecInst{in}, []uint64{dyn})
 		if d.after != nil {
 			d.after(t.TID)
 		}

@@ -314,17 +314,17 @@ type traceCore struct {
 	dyn []uint64
 }
 
-func (c *traceCore) Consume(in *isa.DecInst, dyn uint64) {
-	c.ins = append(c.ins, *in)
-	c.dyn = append(c.dyn, dyn)
+func (c *traceCore) Consume(ins []isa.DecInst, dyn []uint64) {
+	c.ins = append(c.ins, ins...)
+	c.dyn = append(c.dyn, dyn[:len(ins)]...)
 }
 
 func (c *traceCore) Finish() *CoreStats { return &CoreStats{Instructions: uint64(len(c.ins))} }
 
 // TestFeederAssemblesTrace: on the chained core, a core is fed every
 // retired instruction with its trace entry — a load's and a store's data
-// address, a taken branch's outcome — through the generic feed that any
-// Core type gets.
+// address, a taken branch's outcome — through the run-granular Consume
+// that any Core type gets.
 func TestFeederAssemblesTrace(t *testing.T) {
 	m := loadProgram(t, `
 	.text
