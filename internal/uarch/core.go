@@ -168,6 +168,8 @@ type port struct {
 	l1i, l1d, l2 *Cache
 	l1iLat       int
 	l1dLat       int
+	// lats are the core's execution latencies by latKind.
+	lats [4]uint64
 	// l1dMRU enables the one-core L1D fast path.
 	l1dMRU bool
 	// fetchMask keys the fetch memo on the finer of the L1I line and the
@@ -188,6 +190,7 @@ func newPort(cfg *CoreCfg, hier *Hierarchy, id int) port {
 		l2:        hier.l2[id],
 		l1iLat:    hier.cfg.L1I.LatCycles,
 		l1dLat:    hier.cfg.L1D.LatCycles,
+		lats:      latencies(cfg),
 		l1dMRU:    hier.cores == 1 && hier.l1d[id].shift <= dataLineShift,
 		fetchMask: ^(uint64(1)<<min(hier.l1i[id].shift, pageShift) - 1),
 		// Both keys clear or drop at least one address bit, so neither can
@@ -197,21 +200,25 @@ func newPort(cfg *CoreCfg, hier *Hierarchy, id int) port {
 	}
 }
 
-// fetchLine times a fetch at pc outside the fetch memo's key and returns
-// the cycles it takes beyond an L1I hit, the ITLB walk included. The
-// caller moves the memo's key to pc; a fetch under the key counts one
-// access in the L1I and one in the ITLB, and stalls for nothing.
-func (p *port) fetchLine(pc uint64) uint64 {
+// fetchStall times an instruction fetch at pc and returns the cycles it
+// takes beyond an L1I hit, the ITLB walk included. It is kept small enough
+// to inline into Consume (the named result is part of that).
+func (p *port) fetchStall(pc uint64) (stall uint64) {
+	if pc&p.fetchMask != p.fetchKey {
+		return p.fetchNewLine(pc)
+	}
+	p.l1i.Accesses++
+	p.ITLB.Accesses++
+	return
+}
+
+// fetchNewLine is fetchStall's full access, which moves the memo to pc.
+func (p *port) fetchNewLine(pc uint64) uint64 {
+	p.fetchKey = pc & p.fetchMask
 	if lat := p.hier.accessCode(p.l1i, p.l2, pc) + p.ITLB.Access(pc); lat > p.l1iLat {
 		return uint64(lat - p.l1iLat)
 	}
 	return 0
-}
-
-// countFetchHits counts n fetches under the fetch memo's key.
-func (p *port) countFetchHits(n uint64) {
-	p.l1i.Accesses += n
-	p.ITLB.Accesses += n
 }
 
 // dataLat times a data access and returns its latency, the DTLB walk
@@ -257,41 +264,31 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 // back once at its end.
 func (c *IntervalCore) Consume(ins []isa.DecInst, dyn []uint64) {
 	dyn = dyn[:len(ins)]
-	p := &c.port
-	lats := latencies(&c.Cfg)
-	aluLat, l1dLat := lats[latALU], uint64(p.l1dLat)
-	penalty := uint64(c.Cfg.MispredictPenalty)
+	p, bp := &c.port, c.BP
 	cycles, loadStalls, branchStalls := c.Stats.Cycles, c.Stats.LoadStalls, c.Stats.BranchStalls
-	fetchMask, fetchKey := p.fetchMask, p.fetchKey
-	bp := c.BP.run()
-	var fetchHits uint64
 	for j := range ins {
 		in := &ins[j]
 		op := &opTimings[in.Op]
 		pc := in.PC()
 		// Instruction fetch: penalize only on I-side misses past L1.
-		if pc&fetchMask == fetchKey {
-			fetchHits++
-		} else {
-			fetchKey = pc & fetchMask
-			cycles += p.fetchLine(pc)
-		}
+		cycles += p.fetchStall(pc)
 		// Data access: latency beyond L1 stalls the interval (no overlap in
 		// this abstraction — Sniper's ECM would overlap; we fold MLP into a
 		// 50% discount).
 		if op.mem {
-			if lat := uint64(p.dataLat(dyn[j], op.memW)); lat > l1dLat && op.memR {
-				stall := (lat - l1dLat) / 2
+			if lat := p.dataLat(dyn[j], op.memW); lat > p.l1dLat && op.memR {
+				stall := uint64(lat-p.l1dLat) / 2
 				cycles += stall
 				loadStalls += stall
 			}
 		}
 		// Long-latency ops partially serialize.
-		if lat := lats[op.lat]; lat > aluLat {
-			cycles += (lat - aluLat) / 2
+		if lat := p.lats[op.lat]; lat > p.lats[latALU] {
+			cycles += (lat - p.lats[latALU]) / 2
 		}
 		// Branch resolution.
-		if op.cond && !bp.predict(pc, dyn[j] != 0) {
+		if op.cond && !bp.Predict(pc, dyn[j] != 0) {
+			penalty := uint64(c.Cfg.MispredictPenalty)
 			cycles += penalty
 			branchStalls += penalty
 		}
@@ -303,13 +300,14 @@ func (c *IntervalCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		width = 1
 	}
 	d := c.dispatched + uint64(len(ins))
-	c.dispatched = d % width
-	c.Stats.Cycles = cycles + d/width
+	if d >= width {
+		cycles += d / width
+		d %= width
+	}
+	c.dispatched = d
+	c.Stats.Cycles = cycles
 	c.Stats.Instructions += uint64(len(ins))
 	c.Stats.LoadStalls, c.Stats.BranchStalls = loadStalls, branchStalls
-	p.fetchKey = fetchKey
-	p.countFetchHits(fetchHits)
-	c.BP.finish(bp)
 }
 
 // Finish returns the core's stats; an interval core has no pipeline to
@@ -331,10 +329,8 @@ type OOOCore struct {
 	flagReady uint64
 	// rob holds completion cycles of in-flight instructions (FIFO).
 	rob []uint64
-	// lsq holds completion cycles of in-flight memory ops; none of them
-	// completes before lsqMin.
-	lsq    []uint64
-	lsqMin uint64
+	// lsq holds completion cycles of in-flight memory ops.
+	lsq []uint64
 	// robBuf and lsqBuf are the arrays rob and lsq are windows of (see
 	// push).
 	robBuf, lsqBuf []uint64
@@ -394,18 +390,12 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		return
 	}
 	dyn = dyn[:len(ins)]
-	p := &c.port
+	p, bp := &c.port, c.BP
 	reg := &c.regReady
-	lats := latencies(&c.Cfg)
-	l1dLat := uint64(p.l1dLat)
 	width, robSize, lsqSize := c.Cfg.DispatchWidth, c.Cfg.ROBSize, c.Cfg.LSQSize
-	penalty := uint64(c.Cfg.MispredictPenalty)
 	clock, frontend, budget, flagReady := c.clock, c.frontend, c.retireBudget, c.flagReady
-	rob, lsq, lsqMin := c.rob, c.lsq, c.lsqMin
+	rob, lsq := c.rob, c.lsq
 	n, branchStalls := c.Stats.Instructions, c.Stats.BranchStalls
-	fetchMask, fetchKey := p.fetchMask, p.fetchKey
-	bp := c.BP.run()
-	var fetchHits uint64
 	for j := range ins {
 		in := &ins[j]
 		op := &opTimings[in.Op]
@@ -415,20 +405,15 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		// Structural: ROB and LSQ space.
 		rob, clock, budget = retire(rob, clock, budget, width, robSize-1)
 		if op.mem {
-			// Retire LSQ entries that completed: none has while the
-			// earliest completion lies ahead of the clock.
-			if lsqMin <= clock {
-				live := 0
-				lsqMin = ^uint64(0)
-				for _, done := range lsq {
-					if done > clock {
-						lsq[live] = done
-						live++
-						lsqMin = min(lsqMin, done)
-					}
+			// Retire LSQ entries that completed.
+			live := 0
+			for _, done := range lsq {
+				if done > clock {
+					lsq[live] = done
+					live++
 				}
-				lsq = lsq[:live]
 			}
+			lsq = lsq[:live]
 			if len(lsq) >= lsqSize {
 				// Oldest memory op gates progress.
 				clock = max(clock, lsq[0])
@@ -439,14 +424,9 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		// Fetch: the front end delivers DispatchWidth per cycle; I-cache
 		// misses push it out.
 		issue := max(clock, frontend)
-		if pc&fetchMask == fetchKey {
-			fetchHits++
-		} else {
-			fetchKey = pc & fetchMask
-			if stall := p.fetchLine(pc); stall > 0 {
-				frontend = issue + stall
-				issue = frontend
-			}
+		if stall := p.fetchStall(pc); stall > 0 {
+			frontend = issue + stall
+			issue = frontend
 		}
 
 		// Dependences.
@@ -468,13 +448,13 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		}
 
 		// Execution latency.
-		lat := lats[op.lat]
+		lat := p.lats[op.lat]
 		if op.mem {
 			mlat := p.dataLat(dyn[j], op.memW)
 			if op.memR {
 				lat += uint64(mlat)
 			} else {
-				lat += l1dLat // stores complete at L1
+				lat += uint64(p.l1dLat) // stores complete at L1
 			}
 		}
 		done := issue + lat
@@ -492,7 +472,8 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 
 		// Branch resolution: a mispredict stalls the front end until
 		// resolve + refill.
-		if op.cond && !bp.predict(pc, dyn[j] != 0) {
+		if op.cond && !bp.Predict(pc, dyn[j] != 0) {
+			penalty := uint64(c.Cfg.MispredictPenalty)
 			frontend = max(frontend, done+penalty)
 			branchStalls += penalty
 		}
@@ -500,7 +481,6 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		rob = push(rob, c.robBuf, done)
 		if op.mem {
 			lsq = push(lsq, c.lsqBuf, done)
-			lsqMin = min(lsqMin, done)
 		}
 
 		// Dispatch cost: at most DispatchWidth per cycle.
@@ -515,12 +495,9 @@ func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 		}
 	}
 	c.clock, c.frontend, c.retireBudget, c.flagReady = clock, frontend, budget, flagReady
-	c.rob, c.lsq, c.lsqMin = rob, lsq, lsqMin
+	c.rob, c.lsq = rob, lsq
 	c.Stats.Instructions, c.Stats.BranchStalls = n, branchStalls
 	c.Stats.Cycles = c.currentCycles()
-	p.fetchKey = fetchKey
-	p.countFetchHits(fetchHits)
-	c.BP.finish(bp)
 }
 
 // currentCycles reports the clock including outstanding completion.

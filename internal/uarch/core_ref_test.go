@@ -680,35 +680,43 @@ func TestCoresMatchReference(t *testing.T) {
 }
 
 // BenchmarkCoreConsume times each core type over a cache-resident stream:
-// 8192 instructions from the dynStream generator on one core, cut into
-// runs by runLength and fed once per iteration, as the driver feeds a
-// core. It reports the time per instruction.
+// 8192 instructions from the dynStream generator on one core, fed once per
+// iteration through the Core interface, as the driver feeds a core. The
+// runs case cuts the stream into runs by runLength, as a block-fed driver
+// does; the len1 case feeds it one instruction at a time, as a driver with
+// an After function does. It reports the time per instruction.
 func BenchmarkCoreConsume(b *testing.B) {
 	const n = 1 << 13
 	s, rng := newDynStream(1, 1), rand.New(rand.NewSource(2))
 	ins, dyn := make([]isa.DecInst, n), make([]uint64, n)
-	var ends []int
+	var runs, singles []int
 	for k := 0; k < n; k++ {
 		ins[k], dyn[k] = s.next().decoded()
-		if len(ends) == 0 || k == ends[len(ends)-1] {
-			ends = append(ends, min(k+runLength(rng), n))
+		if len(runs) == 0 || k == runs[len(runs)-1] {
+			runs = append(runs, min(k+runLength(rng), n))
 		}
+		singles = append(singles, k+1)
 	}
 	for _, kind := range []string{"interval", "ooo"} {
-		b.Run(kind, func(b *testing.B) {
-			var c Core = NewIntervalCore(HardwareCore(), NewHierarchy(SmallHierarchy(1), 1), 0)
-			if kind == "ooo" {
-				c = NewOOOCore(SkylakeCore(), NewHierarchy(DesktopHierarchy(1), 1), 0)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := 0
-				for _, end := range ends {
-					c.Consume(ins[start:end], dyn[start:end])
-					start = end
+		for _, cut := range []struct {
+			name string
+			ends []int
+		}{{"runs", runs}, {"len1", singles}} {
+			b.Run(kind+"/"+cut.name, func(b *testing.B) {
+				var c Core = NewIntervalCore(HardwareCore(), NewHierarchy(SmallHierarchy(1), 1), 0)
+				if kind == "ooo" {
+					c = NewOOOCore(SkylakeCore(), NewHierarchy(DesktopHierarchy(1), 1), 0)
 				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/instr")
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					start := 0
+					for _, end := range cut.ends {
+						c.Consume(ins[start:end], dyn[start:end])
+						start = end
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/instr")
+			})
+		}
 	}
 }

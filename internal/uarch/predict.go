@@ -24,51 +24,21 @@ func NewBranchPredictor(bits uint) *BranchPredictor {
 // Predict records a resolved branch and reports whether the prediction was
 // correct.
 func (bp *BranchPredictor) Predict(pc uint64, taken bool) bool {
-	r := bp.run()
-	ok := r.predict(pc, taken)
-	bp.finish(r)
-	return ok
-}
-
-// predictorRun is a predictor's state as a core holds it in locals over a
-// run: the shared counter table, and the history and counts that finish
-// writes back.
-type predictorRun struct {
-	table                []uint8
-	mask, history        uint64
-	lookups, mispredicts uint64
-}
-
-// run starts a run of predictions.
-func (bp *BranchPredictor) run() predictorRun {
-	return predictorRun{table: bp.table, mask: bp.mask, history: bp.history}
-}
-
-// predict records a resolved branch and reports whether the prediction was
-// correct.
-func (r *predictorRun) predict(pc uint64, taken bool) bool {
-	r.lookups++
-	idx := (pc>>3 ^ r.history) & r.mask
-	ctr := r.table[idx]
+	bp.Lookups++
+	idx := (pc>>3 ^ bp.history) & bp.mask
+	ctr := bp.table[idx]
 	pred := ctr >= 2
 	if taken && ctr < 3 {
-		r.table[idx] = ctr + 1
+		bp.table[idx] = ctr + 1
 	} else if !taken && ctr > 0 {
-		r.table[idx] = ctr - 1
+		bp.table[idx] = ctr - 1
 	}
-	r.history = (r.history<<1 | b2u(taken)) & r.mask
+	bp.history = (bp.history<<1 | b2u(taken)) & bp.mask
 	if pred != taken {
-		r.mispredicts++
+		bp.Mispredict++
 		return false
 	}
 	return true
-}
-
-// finish ends a run of predictions, writing its history and counts back.
-func (bp *BranchPredictor) finish(r predictorRun) {
-	bp.history = r.history
-	bp.Lookups += r.lookups
-	bp.Mispredict += r.mispredicts
 }
 
 // MispredictRate returns mispredictions/lookups.
