@@ -260,8 +260,9 @@ func NewIntervalCore(cfg CoreCfg, hier *Hierarchy, id int) *IntervalCore {
 	}
 }
 
-// Consume implements Core. The run's state lives in locals and is written
-// back once at its end.
+// Consume implements Core. The run's cycles and stall sums live in locals
+// and are written back once at its end; the fetch memo and the predictor
+// update their own fields.
 func (c *IntervalCore) Consume(ins []isa.DecInst, dyn []uint64) {
 	dyn = dyn[:len(ins)]
 	p, bp := &c.port, c.BP
@@ -383,8 +384,9 @@ func retire(rob []uint64, clock uint64, budget, width, occupancy int) ([]uint64,
 	return rob, clock, budget
 }
 
-// Consume implements Core. The run's state lives in locals and is written
-// back once at its end.
+// Consume implements Core. The run's clocks, readiness and queue windows
+// live in locals and are written back once at its end; the fetch memo and
+// the predictor update their own fields.
 func (c *OOOCore) Consume(ins []isa.DecInst, dyn []uint64) {
 	if len(ins) == 0 {
 		return
